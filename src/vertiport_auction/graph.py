@@ -19,6 +19,27 @@ source and a sink.  Edge classes E1..E9:
 Bounds on E4/E6/E7/E9 are affine in the binary departure-time selectors
 delta and resolve to integers once a departure-time assignment is fixed,
 so one graph serves every branch node of the solver.
+
+Tie-break.  The solver maximizes one exact integer gain per edge,
+
+  gain(e) = weight(e) * S * P + bonus(e),
+
+where S is the lcm of the weight denominators and P = R^n * M^n, with n
+the number of aircraft, R the most departure times and M the largest
+menu of any aircraft.  Only E5 and E7 edges carry a bonus.  For the
+aircraft with canonical index a (in `Instance.iter_aircraft` order)
+granted the menu key of rank rk in its sorted menu, departing at the
+time of rank rtau among its departure times (stay: time 0, rank 0),
+
+  bonus = M^n * R^(n-1-a) * (R-1-rtau) + M^(n-1-a) * (M-1-rk).
+
+Every feasible flow grants each aircraft exactly one E5 or E7 edge, so a
+flow's bonuses sum to at most P - 1 and spell its departure-time vector,
+then its menu-key vector, as base-R and base-M numbers in which smaller
+entries score higher.  A nonzero welfare difference is a multiple of 1/S,
+worth at least P in gain.  So the maximum-gain flow is the welfare optimum whose
+(departure-time vector, menu-key vector) is lexicographically smallest
+among tied optima, and distinct allocations never tie in gain.
 """
 
 from __future__ import annotations
@@ -28,15 +49,16 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .model import (
+    Aircraft,
     Allocation,
     Instance,
     Profile,
+    RouteOption,
     check_allocation,
     initial_occupancy,
     is_feasible,
+    movements,
     occupancy_table,
 )
 
@@ -108,6 +130,7 @@ class AuxGraph:
     vertices: Tuple[Vertex, ...]
     edges: Tuple[Edge, ...]
     delta_keys: Tuple[DeltaKey, ...]
+    gains: Tuple[int, ...]  # per edge; see the module docstring
 
     @property
     def total_aircraft(self) -> int:
@@ -116,19 +139,11 @@ class AuxGraph:
     def edges_of_class(self, cls: str) -> List[Edge]:
         return [e for e in self.edges if e.cls == cls]
 
-    def bundle(self, cls: str, *key_prefix) -> List[Edge]:
-        """E3/E8 edges sharing a (r, t) or (r,) prefix, ordered by q."""
-        return [e for e in self.edges if e.cls == cls and e.key[:-1] == key_prefix]
-
     def e5_edge(self, i: str, j: str, k: int) -> Edge:
         for e in self.edges:
             if e.cls == "E5" and e.key == (i, j, k):
                 return e
         raise KeyError(f"no E5 edge for ({i}, {j}, {k})")
-
-    def weight_scale(self) -> int:
-        """LCM of weight denominators; scaling by it makes costs integral."""
-        return lcm(*(e.weight.denominator for e in self.edges), 1)
 
 
 @dataclass(frozen=True)
@@ -154,6 +169,10 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     """
     h = instance.horizon
     lam = instance.congestion_ratio
+    fleet = list(instance.iter_aircraft())
+    n = len(fleet)
+    most_times = max((len(craft.departure_times()) for _, craft in fleet), default=1)
+    largest_menu = max((len(craft.menu) for _, craft in fleet), default=1)
 
     vertices: List[Vertex] = []
     for port in instance.vertiports:
@@ -178,10 +197,19 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
             departure_used.add((craft.origin, entry.depart_time))
 
     edges: List[Edge] = []
+    bonuses: List[int] = []
 
     def add(cls: str, key: Tuple, tail: Vertex, head: Vertex, lower: Bound,
-            upper: Bound, weight: Fraction, q: Optional[int] = None) -> None:
+            upper: Bound, weight: Fraction, q: Optional[int] = None,
+            bonus: int = 0) -> None:
         edges.append(Edge(len(edges), cls, key, tail, head, lower, upper, weight, q))
+        bonuses.append(bonus)
+
+    def grant_bonus(a: int, craft: Aircraft, entry: RouteOption) -> int:
+        rtau = craft.departure_times().index(entry.depart_time)
+        rk = craft.menu.index(entry)
+        return (largest_menu ** n * most_times ** (n - 1 - a) * (most_times - 1 - rtau)
+                + largest_menu ** (n - 1 - a) * (largest_menu - 1 - rk))
 
     zero = Fraction(0)
     for port in instance.vertiports:
@@ -206,14 +234,15 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
             bound = AffineBound(0, (((operator.id, craft.id, tau), 1),))
             add("E4", (operator.id, craft.id, tau), dep(craft.origin, tau),
                 acdep(operator.id, craft.id, tau), bound, bound, zero)
-    for operator, craft in instance.iter_aircraft():
+    for a, (operator, craft) in enumerate(fleet):
         for entry in craft.menu:
             if entry.is_stay:
                 continue
             weight = operator.weight * bids[(operator.id, craft.id, entry.key)]
             add("E5", (operator.id, craft.id, entry.key),
                 acdep(operator.id, craft.id, entry.depart_time),
-                arr(entry.destination, entry.arrive_time), 0, 1, weight)
+                arr(entry.destination, entry.arrive_time), 0, 1, weight,
+                bonus=grant_bonus(a, craft, entry))
     for port in instance.vertiports:
         coeffs = tuple(
             ((operator.id, craft.id, 0), -1)
@@ -222,11 +251,12 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
         )
         bound = AffineBound(initial_occupancy(instance, port.id), coeffs)
         add("E6", (port.id,), SOURCE, park(port.id, 1), bound, bound, zero)
-    for operator, craft in instance.iter_aircraft():
+    for a, (operator, craft) in enumerate(fleet):
         bound = AffineBound(0, (((operator.id, craft.id, 0), 1),))
         weight = operator.weight * bids[(operator.id, craft.id, craft.stay_key)]
         add("E7", (operator.id, craft.id), SOURCE, acdep(operator.id, craft.id, 0),
-            bound, bound, weight)
+            bound, bound, weight,
+            bonus=grant_bonus(a, craft, craft.option(craft.stay_key)))
     for port in instance.vertiports:
         for q in range(1, port.parking_cap[h - 1] + 1):
             g = port.congestion_cost[h - 1]
@@ -237,23 +267,31 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
         add("E9", (operator.id, craft.id), acdep(operator.id, craft.id, 0),
             park(craft.origin, 1), bound, bound, zero)
 
-    return AuxGraph(instance, bids, tuple(vertices), tuple(edges), tuple(delta_keys))
+    scale = lcm(*(e.weight.denominator for e in edges), 1)
+    unit = scale * most_times ** n * largest_menu ** n
+    gains = tuple(
+        e.weight.numerator * (unit // e.weight.denominator) + bonus
+        for e, bonus in zip(edges, bonuses)
+    )
+    return AuxGraph(instance, bids, tuple(vertices), tuple(edges),
+                    tuple(delta_keys), gains)
 
 
-def incidence(graph: AuxGraph) -> np.ndarray:
-    """Signed vertex-edge incidence matrix: +1 at head, -1 at tail."""
+def incidence(graph: AuxGraph) -> List[List[int]]:
+    """Signed vertex-edge incidence matrix as rows of ints: +1 at head,
+    -1 at tail."""
     index = {v: i for i, v in enumerate(graph.vertices)}
-    matrix = np.zeros((len(graph.vertices), len(graph.edges)), dtype=np.int64)
+    matrix = [[0] * len(graph.edges) for _ in graph.vertices]
     for e in graph.edges:
-        matrix[index[e.tail], e.index] = -1
-        matrix[index[e.head], e.index] = 1
+        matrix[index[e.tail]][e.index] = -1
+        matrix[index[e.head]][e.index] = 1
     return matrix
 
 
-def truncated_incidence(graph: AuxGraph) -> np.ndarray:
+def truncated_incidence(graph: AuxGraph) -> List[List[int]]:
     """Incidence matrix without the source and sink rows."""
-    keep = [i for i, v in enumerate(graph.vertices) if v not in (SOURCE, SINK)]
-    return incidence(graph)[keep, :]
+    return [row for v, row in zip(graph.vertices, incidence(graph))
+            if v not in (SOURCE, SINK)]
 
 
 def delta_of_allocation(instance: Instance, allocation: Allocation
@@ -266,19 +304,6 @@ def delta_of_allocation(instance: Instance, allocation: Allocation
     return delta
 
 
-def flow_occupancy(instance: Instance, allocation: Allocation
-                   ) -> Dict[Tuple[str, int], int]:
-    """Units crossing each parking bundle: occupancy with slot-1
-    departures already subtracted at slot 1 (flow balance demands it).
-    """
-    table = occupancy_table(instance, allocation)
-    for operator, craft in instance.iter_aircraft():
-        entry = craft.option(allocation[(operator.id, craft.id)])
-        if not entry.is_stay and entry.depart_time == 1:
-            table[(craft.origin, 1)] -= 1
-    return table
-
-
 def allocation_to_flow(graph: AuxGraph, allocation: Allocation) -> FlowSolution:
     """Direct construction of the unique flow matching `allocation`."""
     instance = graph.instance
@@ -286,30 +311,12 @@ def allocation_to_flow(graph: AuxGraph, allocation: Allocation) -> FlowSolution:
     if not report.feasible:
         raise ValueError(f"allocation infeasible: {report.violations}")
     delta = delta_of_allocation(instance, allocation)
-    chosen = {
-        (operator.id, craft.id): craft.option(allocation[(operator.id, craft.id)])
-        for operator, craft in instance.iter_aircraft()
-    }
-    stayers = {
-        port.id: sum(
-            1 for (i, j), entry in chosen.items() if entry.is_stay
-            and instance.operator(i).aircraft(j).origin == port.id
-        )
-        for port in instance.vertiports
-    }
-    occupancy = flow_occupancy(instance, allocation)
-    arrivals: Dict[Tuple[str, int], int] = {}
-    departures: Dict[Tuple[str, int], int] = {}
-    for (i, j), entry in chosen.items():
-        if entry.is_stay:
-            continue
-        arrivals[(entry.destination, entry.arrive_time)] = (
-            arrivals.get((entry.destination, entry.arrive_time), 0) + 1
-        )
-        origin = instance.operator(i).aircraft(j).origin
-        departures[(origin, entry.depart_time)] = (
-            departures.get((origin, entry.depart_time), 0) + 1
-        )
+    arrivals, departures = movements(instance, allocation)
+    # Units crossing each parking bundle: occupancy with slot-1 departures
+    # already subtracted at slot 1 (flow balance demands it).
+    occupancy = occupancy_table(instance, allocation)
+    for port in instance.vertiports:
+        occupancy[(port.id, 1)] -= departures.get((port.id, 1), 0)
 
     flows = [0] * len(graph.edges)
     for e in graph.edges:
@@ -327,8 +334,10 @@ def allocation_to_flow(graph: AuxGraph, allocation: Allocation) -> FlowSolution:
         elif e.cls == "E5":
             i, j, k = e.key
             flows[e.index] = 1 if allocation[(i, j)] == k else 0
-        elif e.cls == "E6":
-            flows[e.index] = initial_occupancy(instance, e.key[0]) - stayers[e.key[0]]
+        elif e.cls == "E6":  # every aircraft at r that does not stay
+            flows[e.index] = sum(
+                count for (r, _), count in departures.items() if r == e.key[0]
+            )
         elif e.cls in ("E7", "E9"):
             i, j = e.key
             flows[e.index] = 1 if delta[(i, j)] == 0 else 0
@@ -342,6 +351,11 @@ def flow_objective(graph: AuxGraph, solution: FlowSolution) -> Fraction:
         if solution.flows[e.index]:
             total += e.weight * solution.flows[e.index]
     return total
+
+
+def flow_gain(graph: AuxGraph, flows: Sequence[int]) -> int:
+    """Integer gain of a flow: welfare and tie-break in one number."""
+    return sum(gain * flow for gain, flow in zip(graph.gains, flows) if flow)
 
 
 def complete_flow(graph: AuxGraph, partial: Mapping[int, int]) -> FlowSolution:

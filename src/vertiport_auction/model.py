@@ -371,26 +371,30 @@ def occupancy(instance: Instance, allocation: Allocation,
     return count
 
 
-def occupancy_table(instance: Instance, allocation: Allocation
-                    ) -> Dict[Tuple[VertiportId, int], int]:
-    """Occupancy at every (vertiport, slot); one pass over the fleet."""
-    base = {port.id: 0 for port in instance.vertiports}
+def movements(instance: Instance, allocation: Allocation
+              ) -> Tuple[Dict[Tuple[VertiportId, int], int],
+                         Dict[Tuple[VertiportId, int], int]]:
+    """Granted (arrivals, departures) per (vertiport, slot); stays move nothing."""
     arrivals: Dict[Tuple[VertiportId, int], int] = {}
     departures: Dict[Tuple[VertiportId, int], int] = {}
     for operator, craft in instance.iter_aircraft():
-        base[craft.origin] += 1
         entry = craft.option(allocation[(operator.id, craft.id)])
         if entry.is_stay:
             continue
-        arrivals[(entry.destination, entry.arrive_time)] = (
-            arrivals.get((entry.destination, entry.arrive_time), 0) + 1
-        )
-        departures[(craft.origin, entry.depart_time)] = (
-            departures.get((craft.origin, entry.depart_time), 0) + 1
-        )
+        slot = (entry.destination, entry.arrive_time)
+        arrivals[slot] = arrivals.get(slot, 0) + 1
+        slot = (craft.origin, entry.depart_time)
+        departures[slot] = departures.get(slot, 0) + 1
+    return arrivals, departures
+
+
+def occupancy_table(instance: Instance, allocation: Allocation
+                    ) -> Dict[Tuple[VertiportId, int], int]:
+    """Occupancy at every (vertiport, slot)."""
+    arrivals, departures = movements(instance, allocation)
     table: Dict[Tuple[VertiportId, int], int] = {}
     for port in instance.vertiports:
-        running = base[port.id]
+        running = initial_occupancy(instance, port.id)
         table[(port.id, 1)] = running
         for t in range(2, instance.horizon + 1):
             # A slot-1 departure first registers at t=2.
@@ -413,18 +417,7 @@ def is_feasible(instance: Instance, allocation: Allocation) -> FeasibilityReport
     """Check the canonical allocation against arrival/departure/parking caps."""
     check_allocation(instance, allocation)
     problems: List[str] = []
-    arrivals: Dict[Tuple[VertiportId, int], int] = {}
-    departures: Dict[Tuple[VertiportId, int], int] = {}
-    for operator, craft in instance.iter_aircraft():
-        entry = craft.option(allocation[(operator.id, craft.id)])
-        if entry.is_stay:
-            continue
-        arrivals[(entry.destination, entry.arrive_time)] = (
-            arrivals.get((entry.destination, entry.arrive_time), 0) + 1
-        )
-        departures[(craft.origin, entry.depart_time)] = (
-            departures.get((craft.origin, entry.depart_time), 0) + 1
-        )
+    arrivals, departures = movements(instance, allocation)
     for port in instance.vertiports:
         for t in range(1, instance.horizon + 1):
             if arrivals.get((port.id, t), 0) > port.arrival_cap[t - 1]:

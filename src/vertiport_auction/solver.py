@@ -1,25 +1,25 @@
 """Welfare maximization over the auxiliary graph.
 
 Branches over the per-aircraft departure-time binaries; each fixed
-assignment leaves a max-weight flow with integer bounds, solved exactly
-as a min-cost circulation (rational edge weights are scaled to integers
-first, so `networkx.network_simplex` runs in exact integer arithmetic
-and total unimodularity gives integral flows for free).
+assignment leaves a max-gain flow with integer bounds, solved exactly
+as a min-cost circulation over the graph's integer edge gains, so
+`networkx.network_simplex` runs in exact integer arithmetic and total
+unimodularity gives integral flows for free.
 
-Two interchangeable strategies: exhaustive enumeration of departure-time
-combinations (the reference path) and depth-first branch-and-bound with
-an admissible flow-relaxation bound.  Both return the same objective and,
-by construction, the same allocation: ties are broken by the
-lexicographically smallest departure-time assignment, then by greedily
-fixing the lexicographically smallest menu keys that still attain the
-optimum.
+The gains encode welfare and the tie-break in one number (see the
+`graph` module docstring): the maximum-gain allocation is unique and is
+the welfare optimum with the lexicographically smallest departure-time
+vector, then menu-key vector.  So the two interchangeable strategies,
+exhaustive enumeration of departure-time combinations (the reference
+path) and depth-first branch-and-bound with an admissible
+flow-relaxation bound, return the same objective and allocation.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,13 +34,11 @@ from .graph import (
     Edge,
     FlowSolution,
     build_graph,
+    flow_gain,
     flow_objective,
     flow_to_allocation,
 )
 from .model import Allocation, Instance, Profile, validate_instance
-
-#: Per-edge (lower, upper) override used while pinning route choices.
-BoundOverride = Mapping[int, Tuple[int, int]]
 
 
 @dataclass
@@ -63,20 +61,11 @@ class SolverError(ValueError):
     pass
 
 
-def _aircraft_order(graph: AuxGraph) -> List[Tuple[str, str]]:
-    return [(op.id, craft.id) for op, craft in graph.instance.iter_aircraft()]
-
-
 def _departure_times(graph: AuxGraph) -> Dict[Tuple[str, str], Tuple[int, ...]]:
     return {
         (op.id, craft.id): craft.departure_times()
         for op, craft in graph.instance.iter_aircraft()
     }
-
-
-def delta_key(graph: AuxGraph, delta: DeltaAssignment) -> Tuple[int, ...]:
-    """Lexicographic comparison key: tau per aircraft in canonical order."""
-    return tuple(delta[pair] for pair in _aircraft_order(graph))
 
 
 def enumerate_deltas(instance: Instance) -> Iterator[Dict[Tuple[str, str], int]]:
@@ -91,8 +80,7 @@ def enumerate_deltas(instance: Instance) -> Iterator[Dict[Tuple[str, str], int]]
         yield dict(zip(pairs, combo))
 
 
-def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment,
-                     overrides: Optional[BoundOverride] = None
+def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment
                      ) -> List[Tuple[int, int]]:
     """Per-edge integer bounds under a (possibly partial) assignment.
 
@@ -103,9 +91,6 @@ def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment,
     decided = set(partial_delta)
     bounds: List[Tuple[int, int]] = []
     for e in graph.edges:
-        if overrides and e.index in overrides:
-            bounds.append(overrides[e.index])
-            continue
         if isinstance(e.lower, int) and isinstance(e.upper, int):
             bounds.append((e.lower, e.upper))
             continue
@@ -134,20 +119,18 @@ def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment,
 
 def _min_cost_flow(graph: AuxGraph, bounds: Sequence[Tuple[int, int]]
                    ) -> Optional[List[int]]:
-    """Exact max-weight flow under the given bounds, or None if infeasible.
+    """Exact max-gain flow under the given bounds, or None if infeasible.
 
     Lower bounds are shifted out via the standard demand transformation;
     a sink-to-source return edge closes the circulation.
     """
-    scale = graph.weight_scale()
     g = nx.MultiDiGraph()
     for v in graph.vertices:
         g.add_node(v, demand=0)
-    for e, (lo, up) in zip(graph.edges, bounds):
+    for e, gain, (lo, up) in zip(graph.edges, graph.gains, bounds):
         if lo > up:
             return None
-        cost = -int(e.weight * scale)
-        g.add_edge(e.tail, e.head, key=e.index, capacity=up - lo, weight=cost)
+        g.add_edge(e.tail, e.head, key=e.index, capacity=up - lo, weight=-gain)
         if lo:
             g.nodes[e.tail]["demand"] += lo
             g.nodes[e.head]["demand"] -= lo
@@ -165,7 +148,7 @@ def _min_cost_flow(graph: AuxGraph, bounds: Sequence[Tuple[int, int]]
 def _canonicalize_bundles(graph: AuxGraph, flows: List[int]) -> None:
     """Push parallel-bundle flow into prefix (lowest-q) form, in place.
 
-    Weights are non-increasing in q, so this never lowers the objective.
+    Gains are non-increasing in q, so this never lowers the gain.
     """
     bundles: Dict[Tuple, List[Edge]] = {}
     for e in graph.edges:
@@ -178,11 +161,10 @@ def _canonicalize_bundles(graph: AuxGraph, flows: List[int]) -> None:
             flows[e.index] = 1 if position <= total else 0
 
 
-def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment,
-                      overrides: Optional[BoundOverride] = None
+def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment
                       ) -> Optional[FlowSolution]:
-    """Optimal integral flow for a fully fixed departure-time assignment,
-    or None when the fixed bounds admit no balanced flow.
+    """Maximum-gain integral flow for a fully fixed departure-time
+    assignment, or None when the fixed bounds admit no balanced flow.
     """
     times = _departure_times(graph)
     if set(delta) != set(times):
@@ -190,7 +172,7 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment,
     for pair, tau in delta.items():
         if tau not in times[pair]:
             raise SolverError(f"aircraft {pair} has no departure time {tau}")
-    flows = _min_cost_flow(graph, _resolved_bounds(graph, delta, overrides))
+    flows = _min_cost_flow(graph, _resolved_bounds(graph, delta))
     if flows is None:
         return None
     _canonicalize_bundles(graph, flows)
@@ -198,32 +180,27 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment,
 
 
 def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment
-                     ) -> Optional[Fraction]:
-    """Admissible upper bound for every completion of `partial_delta`."""
+                     ) -> Optional[int]:
+    """Admissible upper bound, in gain units, for every completion of
+    `partial_delta`, or None when no completion is feasible."""
     flows = _min_cost_flow(graph, _resolved_bounds(graph, partial_delta))
-    if flows is None:
-        return None
-    total = Fraction(0)
-    for e in graph.edges:
-        if flows[e.index]:
-            total += e.weight * flows[e.index]
-    return total
+    return None if flows is None else flow_gain(graph, flows)
 
 
 @dataclass
 class _Incumbent:
-    objective: Optional[Fraction] = None
-    delta: Optional[Dict[Tuple[str, str], int]] = None
-    key: Optional[Tuple[int, ...]] = None
+    """Best leaf so far.  Distinct allocations never tie in gain."""
 
-    def offer(self, graph: AuxGraph, objective: Fraction,
-              delta: DeltaAssignment) -> None:
-        key = delta_key(graph, delta)
-        if (self.objective is None or objective > self.objective
-                or (objective == self.objective and key < self.key)):
-            self.objective = objective
-            self.delta = dict(delta)
-            self.key = key
+    gain: Optional[int] = None
+    flow: Optional[FlowSolution] = None
+
+    def offer(self, graph: AuxGraph, flow: Optional[FlowSolution]) -> None:
+        if flow is None:
+            return
+        gain = flow_gain(graph, flow.flows)
+        if self.gain is None or gain > self.gain:
+            self.gain = gain
+            self.flow = flow
 
 
 def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
@@ -231,10 +208,7 @@ def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     for delta in enumerate_deltas(graph.instance):
         stats.nodes_explored += 1
         stats.fixed_delta_solves += 1
-        solution = solve_fixed_delta(graph, delta)
-        if solution is None:
-            continue
-        best.offer(graph, flow_objective(graph, solution), delta)
+        best.offer(graph, solve_fixed_delta(graph, delta))
     return best
 
 
@@ -260,36 +234,20 @@ def _branch_order(graph: AuxGraph) -> List[Tuple[Tuple[str, str], List[int]]]:
     return [(pair, taus) for pair, taus, _ in ordered]
 
 
-def _solve_bnb(graph: AuxGraph, stats: SolveStats,
-               node_limit: Optional[int] = None) -> _Incumbent:
+def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     order = _branch_order(graph)
-    canonical = _aircraft_order(graph)
-    times = _departure_times(graph)
     best = _Incumbent()
 
-    def subtree_min_key(partial: Dict[Tuple[str, str], int]) -> Tuple[int, ...]:
-        return tuple(
-            partial.get(pair, times[pair][0]) for pair in canonical
-        )
-
     def visit(depth: int, partial: Dict[Tuple[str, str], int]) -> None:
-        if node_limit is not None and stats.nodes_explored >= node_limit:
-            return
         stats.nodes_explored += 1
         if depth == len(order):
             stats.fixed_delta_solves += 1
-            solution = solve_fixed_delta(graph, partial)
-            if solution is not None:
-                best.offer(graph, flow_objective(graph, solution), partial)
+            best.offer(graph, solve_fixed_delta(graph, partial))
             return
-        if best.objective is not None:
+        if best.gain is not None:
             stats.fixed_delta_solves += 1
             bound = relaxation_bound(graph, partial)
-            if bound is None or bound < best.objective:
-                return
-            # An equal bound may still hide an equal-objective leaf with a
-            # lexicographically smaller assignment; prune only when it cannot.
-            if bound == best.objective and subtree_min_key(partial) >= best.key:
+            if bound is None or bound <= best.gain:
                 return
         pair, taus = order[depth]
         for tau in taus:
@@ -301,44 +259,7 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats,
     return best
 
 
-def _lexmin_allocation(graph: AuxGraph, delta: DeltaAssignment,
-                       objective: Fraction, stats: SolveStats) -> FlowSolution:
-    """Among optima at `delta`, the flow granting the lexicographically
-    smallest menu keys, found by greedily pinning one aircraft at a time.
-    """
-    instance = graph.instance
-    overrides: Dict[int, Tuple[int, int]] = {}
-    for operator, craft in instance.iter_aircraft():
-        tau = delta[(operator.id, craft.id)]
-        if tau == 0:
-            continue
-        candidates = [e for e in craft.menu
-                      if not e.is_stay and e.depart_time == tau]
-        if len(candidates) <= 1:
-            continue
-        edge_ids = [graph.e5_edge(operator.id, craft.id, entry.key).index
-                    for entry in candidates]
-        for entry, chosen_idx in zip(candidates, edge_ids):
-            trial = dict(overrides)
-            trial[chosen_idx] = (1, 1)
-            for other in edge_ids:
-                if other != chosen_idx:
-                    trial[other] = (0, 0)
-            stats.fixed_delta_solves += 1
-            solution = solve_fixed_delta(graph, delta, trial)
-            if solution is not None and flow_objective(graph, solution) == objective:
-                overrides = trial
-                break
-        else:  # pragma: no cover - some candidate always attains the optimum
-            raise SolverError("no route choice attains the fixed-delta optimum")
-    solution = solve_fixed_delta(graph, delta, overrides)
-    if solution is None or flow_objective(graph, solution) != objective:
-        raise SolverError("tie-break pinning lost the optimum")  # pragma: no cover
-    return solution
-
-
-def solve(graph: AuxGraph, strategy: str = "bnb",
-          node_limit: Optional[int] = None) -> SolveResult:
+def solve(graph: AuxGraph, strategy: str = "bnb") -> SolveResult:
     """Global welfare maximum over all departure-time assignments.
 
     ``strategy`` is ``"bnb"`` (default) or ``"enumerate"``; both return
@@ -351,16 +272,15 @@ def solve(graph: AuxGraph, strategy: str = "bnb",
     if strategy == "enumerate":
         best = _solve_enumerate(graph, stats)
     else:
-        best = _solve_bnb(graph, stats, node_limit)
-    if best.objective is None:
+        best = _solve_bnb(graph, stats)
+    if best.flow is None:
         raise SolverError("no feasible departure-time assignment")
-    flow = _lexmin_allocation(graph, best.delta, best.objective, stats)
     stats.wall_time = time.perf_counter() - start
     return SolveResult(
-        flow=flow,
-        objective=best.objective,
-        allocation=flow_to_allocation(graph, flow),
-        delta=dict(best.delta),
+        flow=best.flow,
+        objective=flow_objective(graph, best.flow),
+        allocation=flow_to_allocation(graph, best.flow),
+        delta=dict(best.flow.delta),
         stats=stats,
     )
 

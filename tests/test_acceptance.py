@@ -11,6 +11,7 @@ the brute-force oracle: at most 3 vertiports, 4 aircraft, horizon 4,
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -108,14 +109,42 @@ def test_criterion_1_oracle_optimality_equivalence(corpus, solved, capsys):
                    for _, craft in instance.iter_aircraft())
         assert candidate_count(instance) <= 81
     mismatches = sum(
-        1 for result, _, oracle_welfare in solved["entries"]
+        1 for result, oracle_allocation, oracle_welfare in solved["entries"]
         if result.objective != oracle_welfare
+        or result.allocation != oracle_allocation
     )
     elapsed = solved["elapsed"]
     ok = mismatches == 0 and elapsed < 60
     report(capsys, 1, ok,
-           f"{CORPUS_SIZE} instances, {mismatches} objective mismatches, "
-           f"{elapsed:.1f}s (< 60s)")
+           f"{CORPUS_SIZE} instances, {mismatches} objective or allocation "
+           f"mismatches, {elapsed:.1f}s (< 60s)")
+
+
+def tie_heavy_config(seed):
+    """Integer values in {0, 1, 2}, zero stay values and no congestion:
+    exact welfare ties, many of them across departure times."""
+    return replace(corpus_config(seed), value_denominator=1,
+                   max_value_numerator=2, lambda_range=(0, 0))
+
+
+def test_tie_heavy_corpus_matches_oracle():
+    tied = 0
+    for seed in range(CORPUS_SIZE):
+        document = generate(tie_heavy_config(seed))
+        instance, bids = document.instance, document.bids
+        oracle_allocation, oracle_welfare = oracle_optimal(instance, bids)
+        welfares = [social_welfare(instance, x, bids)
+                    for x in enumerate_feasible(instance)]
+        tied += welfares.count(oracle_welfare) > 1
+        for strategy in ("bnb", "enumerate"):
+            result = solve(build_graph(instance, bids), strategy=strategy)
+            assert (result.allocation, result.objective) == (
+                oracle_allocation, oracle_welfare), (seed, strategy)
+        outcome = run_auction(instance, bids)
+        for operator in instance.operators:
+            assert outcome.payments[operator.id] == oracle_payment(
+                instance, bids, operator.id), (seed, operator.id)
+    assert tied >= 50  # the corpus must exercise the tie-break (59 of 200)
 
 
 def test_criterion_2_payment_cross_check(corpus, auctions, capsys):
@@ -229,10 +258,12 @@ def test_criterion_6_integrality_and_unimodularity(corpus, capsys):
         document = corpus[rng.randrange(len(corpus))]
         matrix = truncated_incidence(
             build_graph(document.instance, document.bids))
-        rows, cols = matrix.shape
+        rows, cols = len(matrix), len(matrix[0])
         for _ in range(25):
             k = rng.randint(2, min(6, rows, cols))
-            sub = matrix[rng.sample(range(rows), k)][:, rng.sample(range(cols), k)]
+            ri = rng.sample(range(rows), k)
+            ci = rng.sample(range(cols), k)
+            sub = [[matrix[r][c] for c in ci] for r in ri]
             if exact_det(sub) not in (-1, 0, 1):
                 bad_dets += 1
             sampled += 1

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import make_port, stay, transit
 from vertiport_auction.generator import GeneratorConfig, generate
-from vertiport_auction.graph import build_graph, flow_objective
+from vertiport_auction import solver
+from vertiport_auction.graph import build_graph, flow_gain, flow_objective
 from vertiport_auction.model import (
     Aircraft,
     Instance,
@@ -226,6 +227,21 @@ class TestSolve:
         assert result.stats.fixed_delta_solves >= 1
         assert result.stats.wall_time >= 0
 
+    @pytest.mark.parametrize("strategy", ["bnb", "enumerate"])
+    def test_stats_count_every_flow_solve(self, monkeypatch, strategy):
+        calls = []
+        for name in ("solve_fixed_delta", "relaxation_bound"):
+            def counted(*args, _fn=getattr(solver, name), **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        for seed in range(6):
+            document = generate(GeneratorConfig(seed=seed))
+            calls.clear()
+            result = solve(build_graph(document.instance, document.bids),
+                           strategy=strategy)
+            assert len(calls) == result.stats.fixed_delta_solves
+
 
 class TestRelaxationBound:
     def test_bound_dominates_every_completion(self):
@@ -233,7 +249,7 @@ class TestRelaxationBound:
             document = generate(GeneratorConfig(seed=seed, operators=(2, 2)))
             graph = build_graph(document.instance, document.bids)
             bound = relaxation_bound(graph, {})
-            best = solve(graph).objective
+            best = flow_gain(graph, solve(graph).flow.flows)
             assert bound is not None and bound >= best
 
 
