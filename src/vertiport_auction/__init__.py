@@ -16,7 +16,6 @@ from .model import (  # noqa: F401
     RouteOption,
     Vertiport,
     is_feasible,
-    occupancy,
     social_welfare,
     utility,
     validate_instance,

@@ -116,6 +116,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "stats": {
                 "nodes_explored": result.stats.nodes_explored,
                 "fixed_delta_solves": result.stats.fixed_delta_solves,
+                "leaf_solves": result.stats.leaf_solves,
+                "bound_solves": result.stats.bound_solves,
+                "pruned_infeasible": result.stats.pruned_infeasible,
+                "pruned_bound": result.stats.pruned_bound,
+                "wall_time": result.stats.wall_time,
             },
         }
         print(json.dumps(payload, indent=2))

@@ -352,25 +352,6 @@ def initial_occupancy(instance: Instance, vertiport_id: VertiportId) -> int:
     )
 
 
-def occupancy(instance: Instance, allocation: Allocation,
-              vertiport_id: VertiportId, t: int) -> int:
-    """Parked-aircraft count at (`vertiport_id`, `t`) under `allocation`."""
-    if not 1 <= t <= instance.horizon:
-        raise ValueError(f"slot {t} outside 1..{instance.horizon}")
-    count = initial_occupancy(instance, vertiport_id)
-    if t == 1:
-        return count
-    for operator, craft in instance.iter_aircraft():
-        entry = craft.option(allocation[(operator.id, craft.id)])
-        if entry.is_stay:
-            continue
-        if entry.destination == vertiport_id and entry.arrive_time <= t:
-            count += 1
-        if craft.origin == vertiport_id and entry.depart_time <= t:
-            count -= 1
-    return count
-
-
 def movements(instance: Instance, allocation: Allocation
               ) -> Tuple[Dict[Tuple[VertiportId, int], int],
                          Dict[Tuple[VertiportId, int], int]]:
@@ -404,13 +385,6 @@ def occupancy_table(instance: Instance, allocation: Allocation
             running -= departures.get((port.id, t), 0)
             table[(port.id, t)] = running
     return table
-
-
-def residual_capacity(instance: Instance, allocation: Allocation,
-                      vertiport_id: VertiportId, t: int) -> int:
-    """Parking capacity minus occupancy; negative flags a violation."""
-    port = instance.vertiport(vertiport_id)
-    return port.parking_cap[t - 1] - occupancy(instance, allocation, vertiport_id, t)
 
 
 def is_feasible(instance: Instance, allocation: Allocation) -> FeasibilityReport:

@@ -13,6 +13,20 @@ vector, then menu-key vector.  So the two interchangeable strategies,
 exhaustive enumeration of departure-time combinations (the reference
 path) and depth-first branch-and-bound with an admissible
 flow-relaxation bound, return the same objective and allocation.
+
+Prune rule.  Branch-and-bound solves the flow relaxation of a partial
+assignment (undecided aircraft relaxed, see `_resolved_bounds`) at
+every internal node strictly between the root and the last branching
+level, incumbent or not; at the root and at the last level it does so
+only once an incumbent exists.  Before an incumbent the bound can prune
+only by infeasibility, the root is infeasible only when the whole
+instance is, and the children of the last level are leaves that cost
+one flow solve each, the same as the bound that would save them.  A
+node is pruned when its relaxation is infeasible (no completion
+exists) or, once an incumbent exists, when its bound does not exceed
+the incumbent's gain.  Both prunes discard only non-optimal or empty
+subtrees and the optimum is unique, so the result does not depend on
+when bounds are taken.
 """
 
 from __future__ import annotations
@@ -44,8 +58,16 @@ from .model import Allocation, Instance, Profile, validate_instance
 @dataclass
 class SolveStats:
     nodes_explored: int = 0
-    fixed_delta_solves: int = 0
+    leaf_solves: int = 0
+    bound_solves: int = 0
+    pruned_infeasible: int = 0
+    pruned_bound: int = 0
     wall_time: float = 0.0
+
+    @property
+    def fixed_delta_solves(self) -> int:
+        """Every flow solve: leaves plus relaxation bounds."""
+        return self.leaf_solves + self.bound_solves
 
 
 @dataclass(frozen=True)
@@ -207,13 +229,19 @@ def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     best = _Incumbent()
     for delta in enumerate_deltas(graph.instance):
         stats.nodes_explored += 1
-        stats.fixed_delta_solves += 1
+        stats.leaf_solves += 1
         best.offer(graph, solve_fixed_delta(graph, delta))
     return best
 
 
 def _branch_order(graph: AuxGraph) -> List[Tuple[Tuple[str, str], List[int]]]:
-    """Aircraft by descending bid spread; taus by descending best bid."""
+    """Aircraft by descending bid spread; taus by descending best bid.
+
+    An aircraft's stay time 0 comes last unless its stay bid is at least
+    its best bid at some other departure time; generated stay bids are
+    drawn ten times smaller, so the stay time is usually tried last and
+    the always-feasible all-stay completion is reached late.
+    """
     instance = graph.instance
     ordered = []
     for operator, craft in instance.iter_aircraft():
@@ -236,18 +264,23 @@ def _branch_order(graph: AuxGraph) -> List[Tuple[Tuple[str, str], List[int]]]:
 
 def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     order = _branch_order(graph)
+    last = len(order) - 1
     best = _Incumbent()
 
     def visit(depth: int, partial: Dict[Tuple[str, str], int]) -> None:
         stats.nodes_explored += 1
         if depth == len(order):
-            stats.fixed_delta_solves += 1
+            stats.leaf_solves += 1
             best.offer(graph, solve_fixed_delta(graph, partial))
             return
-        if best.gain is not None:
-            stats.fixed_delta_solves += 1
+        if best.gain is not None or 0 < depth < last:
+            stats.bound_solves += 1
             bound = relaxation_bound(graph, partial)
-            if bound is None or bound <= best.gain:
+            if bound is None:
+                stats.pruned_infeasible += 1
+                return
+            if best.gain is not None and bound <= best.gain:
+                stats.pruned_bound += 1
                 return
         pair, taus = order[depth]
         for tau in taus:

@@ -69,6 +69,11 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["objective"] == "10/1"
         assert payload["allocation"] == {"op1/a1": 1, "op2/a1": 0}
+        stats = payload["stats"]
+        assert stats["fixed_delta_solves"] == (stats["leaf_solves"]
+                                               + stats["bound_solves"])
+        assert {"nodes_explored", "pruned_infeasible", "pruned_bound",
+                "wall_time"} <= set(stats)
 
     def test_strategies_print_same_objective(self, generated_file, capsys):
         assert main(["solve", generated_file, "--strategy", "bnb",

@@ -17,9 +17,7 @@ from vertiport_auction.model import (
     granted_value,
     initial_occupancy,
     is_feasible,
-    occupancy,
     occupancy_table,
-    residual_capacity,
     social_welfare,
     utility,
     validate_instance,
@@ -135,10 +133,10 @@ class TestOccupancy:
 
     def test_all_stay_keeps_initial(self, second_price):
         instance, _ = second_price
-        x = all_stay_allocation(instance)
+        table = occupancy_table(instance, all_stay_allocation(instance))
         for t in (1, 2, 3):
-            assert occupancy(instance, x, "v1", t) == 2
-            assert occupancy(instance, x, "v2", t) == 0
+            assert table[("v1", t)] == 2
+            assert table[("v2", t)] == 0
 
     def test_depart_slot_one_still_occupies_slot_one(self):
         # Departure at slot 1 is only subtracted from slot 2 onward.
@@ -153,41 +151,62 @@ class TestOccupancy:
                 Aircraft("a1", "v1", (stay(origin="v1"),
                                       transit(1, 1, "v2", 2))),)),),
         )
-        x = {("op1", "a1"): 1}
-        assert [occupancy(inst, x, "v1", t) for t in (1, 2, 3)] == [1, 0, 0]
-        assert [occupancy(inst, x, "v2", t) for t in (1, 2, 3)] == [0, 1, 1]
+        table = occupancy_table(inst, {("op1", "a1"): 1})
+        assert [table[("v1", t)] for t in (1, 2, 3)] == [1, 0, 0]
+        assert [table[("v2", t)] for t in (1, 2, 3)] == [0, 1, 1]
 
     def test_simultaneous_swap_occupancy(self, exchange):
         instance, _ = exchange
-        x = {("op1", "a1"): 1, ("op2", "b1"): 1}
+        table = occupancy_table(instance, {("op1", "a1"): 1, ("op2", "b1"): 1})
         for port in ("v1", "v2"):
-            assert [occupancy(instance, x, port, t) for t in (1, 2, 3)] == [1, 0, 1]
+            assert [table[(port, t)] for t in (1, 2, 3)] == [1, 0, 1]
 
     def test_table_matches_pointwise(self, exchange):
+        # Every cell equals a direct count: origin aircraft, minus those
+        # gone by slot t (slot-1 departures from slot 2), plus arrivals.
         instance, _ = exchange
         x = {("op1", "a1"): 1, ("op2", "b1"): 1}
         table = occupancy_table(instance, x)
+        assert set(table) == {(port.id, t) for port in instance.vertiports
+                              for t in range(1, instance.horizon + 1)}
         for port in instance.vertiports:
             for t in range(1, instance.horizon + 1):
-                assert table[(port.id, t)] == occupancy(instance, x, port.id, t)
+                count = initial_occupancy(instance, port.id)
+                for operator, craft in instance.iter_aircraft():
+                    entry = craft.option(x[(operator.id, craft.id)])
+                    if entry.is_stay or t == 1:
+                        continue
+                    count += (entry.destination == port.id
+                              and entry.arrive_time <= t)
+                    count -= craft.origin == port.id and entry.depart_time <= t
+                assert table[(port.id, t)] == count
 
     def test_slot_out_of_range(self, single_mover):
         instance, _ = single_mover
-        with pytest.raises(ValueError):
-            occupancy(instance, all_stay_allocation(instance), "v1", 4)
+        table = occupancy_table(instance, all_stay_allocation(instance))
+        with pytest.raises(KeyError):
+            table[("v1", instance.horizon + 1)]
+        with pytest.raises(KeyError):
+            table[("v1", 0)]
+
+
+def _residual(instance, allocation, port_id, t):
+    """Parking capacity minus occupancy; negative flags a violation."""
+    table = occupancy_table(instance, allocation)
+    return instance.vertiport(port_id).parking_cap[t - 1] - table[(port_id, t)]
 
 
 class TestResidualCapacity:
     def test_subtraction(self, second_price):
         instance, _ = second_price
         x = all_stay_allocation(instance)
-        assert residual_capacity(instance, x, "v1", 1) == 0
-        assert residual_capacity(instance, x, "v2", 1) == 1
+        assert _residual(instance, x, "v1", 1) == 0
+        assert _residual(instance, x, "v2", 1) == 1
 
     def test_zero_at_full(self, exchange):
         instance, _ = exchange
         x = all_stay_allocation(instance)
-        assert residual_capacity(instance, x, "v1", 2) == 0
+        assert _residual(instance, x, "v1", 2) == 0
 
     def test_negative_signals_violation(self):
         inst = Instance(
@@ -205,7 +224,7 @@ class TestResidualCapacity:
                 Aircraft("a1", "v2", (stay(origin="v2"),)),))),
         )
         x = {("op1", "a1"): 1, ("op2", "a1"): 0}
-        assert residual_capacity(inst, x, "v2", 2) == -1
+        assert _residual(inst, x, "v2", 2) == -1
         report = is_feasible(inst, x)
         assert "(C3) parking at (v2, 2)" in report.violations
 
@@ -333,9 +352,9 @@ def test_occupancy_conservation(seed):
     for operator, craft in instance.iter_aircraft():
         keys = [entry.key for entry in craft.menu]
         x[(operator.id, craft.id)] = keys[seed % len(keys)]
+    table = occupancy_table(instance, x)
     for t in range(1, instance.horizon + 1):
-        parked = sum(occupancy(instance, x, port.id, t)
-                     for port in instance.vertiports)
+        parked = sum(table[(port.id, t)] for port in instance.vertiports)
         airborne = 0
         for operator, craft in instance.iter_aircraft():
             entry = craft.option(x[(operator.id, craft.id)])
@@ -356,9 +375,7 @@ def test_all_stay_always_feasible_and_non_negative(seed):
     assert validate_instance(instance).ok
     x = all_stay_allocation(instance)
     assert is_feasible(instance, x).feasible
-    for port in instance.vertiports:
-        for t in range(1, instance.horizon + 1):
-            assert occupancy(instance, x, port.id, t) >= 0
+    assert min(occupancy_table(instance, x).values()) >= 0
 
 
 def test_granted_value_sums_one_operator(self=None):

@@ -14,6 +14,7 @@ from vertiport_auction.model import (
     Aircraft,
     Instance,
     Operator,
+    is_feasible,
     social_welfare,
 )
 from vertiport_auction.solver import (
@@ -229,18 +230,57 @@ class TestSolve:
 
     @pytest.mark.parametrize("strategy", ["bnb", "enumerate"])
     def test_stats_count_every_flow_solve(self, monkeypatch, strategy):
-        calls = []
-        for name in ("solve_fixed_delta", "relaxation_bound"):
-            def counted(*args, _fn=getattr(solver, name), **kwargs):
-                calls.append(1)
+        calls = {"solve_fixed_delta": 0, "relaxation_bound": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+                calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(solver, name, counted)
         for seed in range(6):
             document = generate(GeneratorConfig(seed=seed))
-            calls.clear()
+            calls.update(dict.fromkeys(calls, 0))
             result = solve(build_graph(document.instance, document.bids),
                            strategy=strategy)
-            assert len(calls) == result.stats.fixed_delta_solves
+            stats = result.stats
+            assert calls["solve_fixed_delta"] == stats.leaf_solves
+            assert calls["relaxation_bound"] == stats.bound_solves
+            if strategy == "enumerate":
+                assert stats.bound_solves == 0
+                assert stats.pruned_infeasible == stats.pruned_bound == 0
+
+
+#: The benchmark's auction-mid shape: 3 vertiports, 3 operators x 2
+#: aircraft, 2 transit routes each, horizon 4.
+AUCTION_MID = dict(vertiports=(3, 3), operators=(3, 3), fleet_size=(2, 2),
+                   transit_routes=(2, 2), horizon=(4, 4))
+#: The benchmark's solve-large shape: 2 operators x 4-5 aircraft.
+SOLVE_LARGE = dict(vertiports=(3, 3), operators=(2, 2), fleet_size=(4, 5),
+                   transit_routes=(2, 2), horizon=(4, 4))
+
+
+class TestPruning:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bnb_matches_enumeration_at_six_aircraft(self, seed):
+        document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
+        graph = build_graph(document.instance, document.bids)
+        reference = solve(graph, strategy="enumerate")
+        result = solve(graph, strategy="bnb")
+        assert result.allocation == reference.allocation
+        assert result.objective == reference.objective
+
+    def test_infeasible_subtrees_pruned_before_leaves(self):
+        # 178 flow solves with bounds from the first level; a search
+        # that bounds only after its first incumbent needs 6,877.
+        total = 0
+        for seed in range(4):
+            document = generate(GeneratorConfig(seed=seed, **SOLVE_LARGE))
+            result = solve(build_graph(document.instance, document.bids))
+            assert result.stats.pruned_infeasible > 0
+            total += result.stats.fixed_delta_solves
+            assert is_feasible(document.instance, result.allocation).feasible
+            assert result.objective == social_welfare(
+                document.instance, result.allocation, document.bids)
+        assert total <= 400
 
 
 class TestRelaxationBound:
