@@ -18,7 +18,12 @@ source and a sink.  Edge classes E1..E9:
 
 Bounds on E4/E6/E7/E9 are affine in the binary departure-time selectors
 delta and resolve to integers once a departure-time assignment is fixed,
-so one graph serves every branch node of the solver.
+so one graph serves every branch node of the solver.  `build_graph`
+compiles what every branch node needs once: the residual network of
+the flow kernel (`flow.Network`: vertex-index tails and heads, costs
+-gain, starting potentials from a topological order), the relaxed
+bounds with the change each (aircraft, tau) decision makes to them,
+the E3/E8 bundles and lookup tables.
 
 Tie-break.  The solver maximizes one exact integer gain per edge,
 
@@ -44,11 +49,12 @@ among tied optima, and distinct allocations never tie in gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .flow import Network, compile_network
 from .model import (
     Aircraft,
     Allocation,
@@ -62,8 +68,7 @@ from .model import (
     occupancy_table,
 )
 
-# Vertex tags.  Vertices are plain tuples so they double as dict keys
-# and networkx nodes.
+# Vertex tags.  Vertices are plain tuples so they double as dict keys.
 PARK = "park"
 ARR = "arr"
 DEP = "dep"
@@ -74,6 +79,9 @@ SINK = ("sink",)
 Vertex = Tuple
 DeltaKey = Tuple[str, str, int]  # (operator id, aircraft id, tau)
 DeltaAssignment = Mapping[Tuple[str, str], int]  # (operator, aircraft) -> tau
+#: Per-edge bound changes of one decision: ((edge, raise lower by), ...),
+#: ((edge, cut upper by), ...).
+BoundSteps = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]
 
 
 def park(r: str, t: int) -> Vertex:
@@ -99,13 +107,6 @@ class AffineBound:
     constant: int
     coeffs: Tuple[Tuple[DeltaKey, int], ...] = ()
 
-    def resolve(self, delta: DeltaAssignment) -> int:
-        value = self.constant
-        for (i, j, tau), coeff in self.coeffs:
-            if delta[(i, j)] == tau:
-                value += coeff
-        return value
-
 
 Bound = Union[int, AffineBound]
 
@@ -129,8 +130,20 @@ class AuxGraph:
     bids: Profile
     vertices: Tuple[Vertex, ...]
     edges: Tuple[Edge, ...]
-    delta_keys: Tuple[DeltaKey, ...]
     gains: Tuple[int, ...]  # per edge; see the module docstring
+    # Compiled by `build_graph` for the solver.
+    network: Network = field(compare=False, repr=False)
+    # Per-edge bounds with every aircraft undecided.
+    relaxed_lower: Tuple[int, ...] = field(compare=False, repr=False)
+    relaxed_upper: Tuple[int, ...] = field(compare=False, repr=False)
+    # ((operator, aircraft), tau) -> what deciding it does to the bounds.
+    decisions: Mapping[Tuple[Tuple[str, str], int], BoundSteps] = field(
+        compare=False, repr=False)
+    departure_times: Mapping[Tuple[str, str], Tuple[int, ...]] = field(
+        compare=False, repr=False)
+    # Edge indices of each E3/E8 parallel bundle, by position q.
+    bundles: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
+    e5_edges: Mapping[Tuple[str, str, int], Edge] = field(compare=False, repr=False)
 
     @property
     def total_aircraft(self) -> int:
@@ -140,10 +153,10 @@ class AuxGraph:
         return [e for e in self.edges if e.cls == cls]
 
     def e5_edge(self, i: str, j: str, k: int) -> Edge:
-        for e in self.edges:
-            if e.cls == "E5" and e.key == (i, j, k):
-                return e
-        raise KeyError(f"no E5 edge for ({i}, {j}, {k})")
+        edge = self.e5_edges.get((i, j, k))
+        if edge is None:
+            raise KeyError(f"no E5 edge for ({i}, {j}, {k})")
+        return edge
 
 
 @dataclass(frozen=True)
@@ -178,11 +191,9 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     for port in instance.vertiports:
         for t in range(1, h + 1):
             vertices.extend([park(port.id, t), arr(port.id, t), dep(port.id, t)])
-    delta_keys: List[DeltaKey] = []
     for operator, craft in instance.iter_aircraft():
         for tau in craft.departure_times():
             vertices.append(acdep(operator.id, craft.id, tau))
-            delta_keys.append((operator.id, craft.id, tau))
     vertices.extend([SOURCE, SINK])
 
     # Vertiport-time pairs that can actually receive / emit a route,
@@ -273,8 +284,63 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
         e.weight.numerator * (unit // e.weight.denominator) + bonus
         for e, bonus in zip(edges, bonuses)
     )
-    return AuxGraph(instance, bids, tuple(vertices), tuple(edges),
-                    tuple(delta_keys), gains)
+
+    index = {v: position for position, v in enumerate(vertices)}
+    network = compile_network(
+        len(vertices), [index[e.tail] for e in edges], [index[e.head] for e in edges],
+        [-gain for gain in gains], index[SOURCE], index[SINK], n)
+    times = {(operator.id, craft.id): craft.departure_times() for operator, craft in fleet}
+    lower, upper, decisions = _bound_templates(edges, times)
+    bundles: Dict[Tuple, List[Edge]] = {}
+    for e in edges:
+        if e.cls in ("E3", "E8"):
+            bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
+    return AuxGraph(
+        instance, bids, tuple(vertices), tuple(edges), gains,
+        network=network, relaxed_lower=lower, relaxed_upper=upper,
+        decisions=decisions, departure_times=times,
+        bundles=tuple(tuple(e.index for e in sorted(members, key=lambda e: e.q))
+                      for members in bundles.values()),
+        e5_edges={e.key: e for e in edges if e.cls == "E5"},
+    )
+
+
+def _bound_templates(edges: Sequence[Edge],
+                     times: Mapping[Tuple[str, str], Tuple[int, ...]]
+                     ) -> Tuple[Tuple[int, ...], Tuple[int, ...],
+                                Dict[Tuple[Tuple[str, str], int], BoundSteps]]:
+    """Relaxed per-edge bounds, every aircraft undecided, and the change
+    deciding each aircraft at each of its departure times makes to them.
+
+    In an affine bound, an aircraft contributes c(tau), the coefficient
+    of its selector at tau (0 if absent).  Undecided, it contributes its
+    least c to the lower bound and its greatest to the upper: a valid
+    superset of every completion.  Deciding it at tau raises the lower
+    bound by c(tau) - min c and cuts the upper by max c - c(tau), so a
+    full assignment resolves every bound exactly.
+    """
+    relaxed: Tuple[List[int], List[int]] = ([], [])
+    steps = {(pair, tau): ([], []) for pair, taus in times.items() for tau in taus}
+    for e in edges:
+        for side, bound in enumerate((e.lower, e.upper)):
+            if isinstance(bound, int):
+                relaxed[side].append(bound)
+                continue
+            if side == 0 or bound is not e.lower:  # else reuse: one object
+                rows: Dict[Tuple[str, str], List[int]] = {}  # c by tau position
+                for (i, j, tau), coeff in bound.coeffs:
+                    taus = times[i, j]
+                    rows.setdefault((i, j), [0] * len(taus))[taus.index(tau)] += coeff
+            value = bound.constant
+            for pair, row in rows.items():
+                extreme = max(row) if side else min(row)
+                value += extreme
+                for tau, c in zip(times[pair], row):
+                    if c != extreme:
+                        steps[pair, tau][side].append((e.index, abs(c - extreme)))
+            relaxed[side].append(value)
+    decisions = {key: (tuple(raises), tuple(cuts)) for key, (raises, cuts) in steps.items()}
+    return tuple(relaxed[0]), tuple(relaxed[1]), decisions
 
 
 def incidence(graph: AuxGraph) -> List[List[int]]:

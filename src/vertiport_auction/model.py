@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 OperatorId = str
 AircraftId = str
@@ -37,6 +37,14 @@ Profile = Mapping[Tuple[OperatorId, AircraftId, MenuKey], Fraction]
 
 #: (operator id, aircraft id) -> chosen menu key.  Canonical form.
 Allocation = Mapping[Tuple[OperatorId, AircraftId], MenuKey]
+
+
+def _first_by(items: Iterable, key: Callable) -> Dict:
+    """Lookup table keeping each key's first item, as a linear scan would."""
+    table: Dict = {}
+    for item in items:
+        table.setdefault(key(item), item)
+    return table
 
 
 @dataclass(frozen=True)
@@ -63,9 +71,14 @@ class Aircraft:
     id: AircraftId
     origin: VertiportId
     menu: Tuple[RouteOption, ...]
+    _options: Dict[MenuKey, RouteOption] = field(init=False, compare=False, repr=False)
+    _departure_times: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "menu", tuple(sorted(self.menu, key=lambda m: m.key)))
+        object.__setattr__(self, "_options", _first_by(self.menu, lambda m: m.key))
+        object.__setattr__(self, "_departure_times",
+                           tuple(sorted({entry.depart_time for entry in self.menu})))
 
     @property
     def stay_key(self) -> MenuKey:
@@ -75,14 +88,14 @@ class Aircraft:
         raise ValueError(f"aircraft {self.id} has no stay entry")
 
     def option(self, key: MenuKey) -> RouteOption:
-        for entry in self.menu:
-            if entry.key == key:
-                return entry
-        raise KeyError(f"aircraft {self.id} has no menu key {key}")
+        entry = self._options.get(key)
+        if entry is None:
+            raise KeyError(f"aircraft {self.id} has no menu key {key}")
+        return entry
 
     def departure_times(self) -> Tuple[int, ...]:
         """Deduplicated departure times over the menu, ascending (0 first)."""
-        return tuple(sorted({entry.depart_time for entry in self.menu}))
+        return self._departure_times
 
 
 @dataclass(frozen=True)
@@ -90,15 +103,17 @@ class Operator:
     id: OperatorId
     weight: Fraction
     fleet: Tuple[Aircraft, ...]
+    _aircraft: Dict[AircraftId, Aircraft] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fleet", tuple(sorted(self.fleet, key=lambda a: a.id)))
+        object.__setattr__(self, "_aircraft", _first_by(self.fleet, lambda a: a.id))
 
     def aircraft(self, aircraft_id: AircraftId) -> Aircraft:
-        for craft in self.fleet:
-            if craft.id == aircraft_id:
-                return craft
-        raise KeyError(f"operator {self.id} has no aircraft {aircraft_id}")
+        craft = self._aircraft.get(aircraft_id)
+        if craft is None:
+            raise KeyError(f"operator {self.id} has no aircraft {aircraft_id}")
+        return craft
 
 
 @dataclass(frozen=True)
@@ -138,6 +153,8 @@ class Instance:
     congestion_ratio: Fraction
     vertiports: Tuple[Vertiport, ...]
     operators: Tuple[Operator, ...]
+    _vertiports: Dict[VertiportId, Vertiport] = field(init=False, compare=False, repr=False)
+    _operators: Dict[OperatorId, Operator] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -146,18 +163,20 @@ class Instance:
         object.__setattr__(
             self, "operators", tuple(sorted(self.operators, key=lambda o: o.id))
         )
+        object.__setattr__(self, "_vertiports", _first_by(self.vertiports, lambda v: v.id))
+        object.__setattr__(self, "_operators", _first_by(self.operators, lambda o: o.id))
 
     def vertiport(self, vertiport_id: VertiportId) -> Vertiport:
-        for port in self.vertiports:
-            if port.id == vertiport_id:
-                return port
-        raise KeyError(f"unknown vertiport {vertiport_id!r}")
+        port = self._vertiports.get(vertiport_id)
+        if port is None:
+            raise KeyError(f"unknown vertiport {vertiport_id!r}")
+        return port
 
     def operator(self, operator_id: OperatorId) -> Operator:
-        for operator in self.operators:
-            if operator.id == operator_id:
-                return operator
-        raise KeyError(f"unknown operator {operator_id!r}")
+        operator = self._operators.get(operator_id)
+        if operator is None:
+            raise KeyError(f"unknown operator {operator_id!r}")
+        return operator
 
     def iter_aircraft(self) -> Iterator[Tuple[Operator, Aircraft]]:
         """All aircraft in canonical (operator id, aircraft id) order."""

@@ -2,9 +2,10 @@
 
 Branches over the per-aircraft departure-time binaries; each fixed
 assignment leaves a max-gain flow with integer bounds, solved exactly
-as a min-cost circulation over the graph's integer edge gains, so
-`networkx.network_simplex` runs in exact integer arithmetic and total
-unimodularity gives integral flows for free.
+as a min-cost circulation over the graph's integer edge gains by the
+successive-shortest-path kernel in `flow`, on the residual network
+`build_graph` compiled.  Every augmentation moves whole units, so the
+flows are integral, and all arithmetic is on Python ints.
 
 The gains encode welfare and the tie-break in one number (see the
 `graph` module docstring): the maximum-gain allocation is unique and is
@@ -35,17 +36,12 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
+from .flow import min_cost_flow
 from .graph import (
-    SINK,
-    SOURCE,
-    AffineBound,
     AuxGraph,
     DeltaAssignment,
-    Edge,
     FlowSolution,
     build_graph,
     flow_gain,
@@ -83,13 +79,6 @@ class SolverError(ValueError):
     pass
 
 
-def _departure_times(graph: AuxGraph) -> Dict[Tuple[str, str], Tuple[int, ...]]:
-    return {
-        (op.id, craft.id): craft.departure_times()
-        for op, craft in graph.instance.iter_aircraft()
-    }
-
-
 def enumerate_deltas(instance: Instance) -> Iterator[Dict[Tuple[str, str], int]]:
     """Every departure-time combination, lexicographic over the canonical
     aircraft order with tau ascending.  Empty fleet yields one empty map.
@@ -103,68 +92,22 @@ def enumerate_deltas(instance: Instance) -> Iterator[Dict[Tuple[str, str], int]]
 
 
 def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment
-                     ) -> List[Tuple[int, int]]:
-    """Per-edge integer bounds under a (possibly partial) assignment.
+                     ) -> Tuple[List[int], List[int]]:
+    """Per-edge integer (lower, upper) bounds under a (possibly partial)
+    assignment.
 
-    Aircraft absent from `partial_delta` are undecided: their selector
-    bounds relax to [0, 1] and the source edge to the matching interval,
-    a valid superset of every completion.
+    Aircraft absent from `partial_delta` are undecided: each of their
+    bounds relaxes to the range it takes over their departure times, a
+    valid superset of every completion (see `graph._bound_templates`).
     """
-    decided = set(partial_delta)
-    bounds: List[Tuple[int, int]] = []
-    for e in graph.edges:
-        if isinstance(e.lower, int) and isinstance(e.upper, int):
-            bounds.append((e.lower, e.upper))
-            continue
-        if e.cls in ("E4", "E7", "E9"):
-            key = e.key[:2] if e.cls in ("E7", "E9") else (e.key[0], e.key[1])
-            if key in decided:
-                value = e.lower.resolve(partial_delta)
-                bounds.append((value, value))
-            else:
-                bounds.append((0, 1))
-        elif e.cls == "E6":
-            bound: AffineBound = e.lower
-            fixed = bound.constant
-            undecided_here = 0
-            for (i, j, tau), coeff in bound.coeffs:
-                if (i, j) in decided:
-                    if partial_delta[(i, j)] == tau:
-                        fixed += coeff
-                else:
-                    undecided_here += 1
-            bounds.append((max(0, fixed - undecided_here), fixed))
-        else:  # pragma: no cover - no other symbolic classes exist
-            raise SolverError(f"unexpected symbolic bound on {e.cls}")
-    return bounds
-
-
-def _min_cost_flow(graph: AuxGraph, bounds: Sequence[Tuple[int, int]]
-                   ) -> Optional[List[int]]:
-    """Exact max-gain flow under the given bounds, or None if infeasible.
-
-    Lower bounds are shifted out via the standard demand transformation;
-    a sink-to-source return edge closes the circulation.
-    """
-    g = nx.MultiDiGraph()
-    for v in graph.vertices:
-        g.add_node(v, demand=0)
-    for e, gain, (lo, up) in zip(graph.edges, graph.gains, bounds):
-        if lo > up:
-            return None
-        g.add_edge(e.tail, e.head, key=e.index, capacity=up - lo, weight=-gain)
-        if lo:
-            g.nodes[e.tail]["demand"] += lo
-            g.nodes[e.head]["demand"] -= lo
-    g.add_edge(SINK, SOURCE, key="return", capacity=graph.total_aircraft, weight=0)
-    try:
-        _, flow_dict = nx.network_simplex(g)
-    except nx.NetworkXUnfeasible:
-        return None
-    flows = [0] * len(graph.edges)
-    for e, (lo, _) in zip(graph.edges, bounds):
-        flows[e.index] = flow_dict[e.tail][e.head][e.index] + lo
-    return flows
+    lower, upper = list(graph.relaxed_lower), list(graph.relaxed_upper)
+    for decision in partial_delta.items():
+        raises, cuts = graph.decisions[decision]
+        for k, amount in raises:
+            lower[k] += amount
+        for k, amount in cuts:
+            upper[k] -= amount
+    return lower, upper
 
 
 def _canonicalize_bundles(graph: AuxGraph, flows: List[int]) -> None:
@@ -172,15 +115,10 @@ def _canonicalize_bundles(graph: AuxGraph, flows: List[int]) -> None:
 
     Gains are non-increasing in q, so this never lowers the gain.
     """
-    bundles: Dict[Tuple, List[Edge]] = {}
-    for e in graph.edges:
-        if e.cls in ("E3", "E8"):
-            bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
-    for members in bundles.values():
-        members.sort(key=lambda e: e.q)
-        total = sum(flows[e.index] for e in members)
-        for position, e in enumerate(members, start=1):
-            flows[e.index] = 1 if position <= total else 0
+    for members in graph.bundles:
+        total = sum(flows[k] for k in members)
+        for position, k in enumerate(members):
+            flows[k] = 1 if position < total else 0
 
 
 def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment
@@ -188,13 +126,13 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment
     """Maximum-gain integral flow for a fully fixed departure-time
     assignment, or None when the fixed bounds admit no balanced flow.
     """
-    times = _departure_times(graph)
+    times = graph.departure_times
     if set(delta) != set(times):
         raise SolverError("delta must assign every aircraft exactly once")
     for pair, tau in delta.items():
         if tau not in times[pair]:
             raise SolverError(f"aircraft {pair} has no departure time {tau}")
-    flows = _min_cost_flow(graph, _resolved_bounds(graph, delta))
+    flows = min_cost_flow(graph.network, *_resolved_bounds(graph, delta))
     if flows is None:
         return None
     _canonicalize_bundles(graph, flows)
@@ -205,7 +143,7 @@ def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment
                      ) -> Optional[int]:
     """Admissible upper bound, in gain units, for every completion of
     `partial_delta`, or None when no completion is feasible."""
-    flows = _min_cost_flow(graph, _resolved_bounds(graph, partial_delta))
+    flows = min_cost_flow(graph.network, *_resolved_bounds(graph, partial_delta))
     return None if flows is None else flow_gain(graph, flows)
 
 

@@ -92,7 +92,7 @@ class TestBuildGraph:
         for cls in ("E3", "E4", "E5", "E7", "E9"):
             assert by_class[cls] == []
         # The source edge carries no aircraft here.
-        assert by_class["E6"][0].lower.resolve({}) == 0
+        assert by_class["E6"][0].lower == AffineBound(0)
 
     def test_shared_departure_time_merges_vertices(self):
         inst = Instance(

@@ -1,15 +1,22 @@
 """Solver: fixed-delta subproblem, enumeration, branch-and-bound."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_port, stay, transit
+from test_acceptance import corpus_config
+from vertiport_auction.flow import min_cost_flow
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction import solver
-from vertiport_auction.graph import build_graph, flow_gain, flow_objective
+from vertiport_auction.graph import SINK, SOURCE, build_graph, flow_gain, flow_objective
 from vertiport_auction.model import (
     Aircraft,
     Instance,
@@ -283,6 +290,42 @@ class TestPruning:
         assert total <= 400
 
 
+def _resolve(bound, delta):
+    """Value of an edge bound under a full departure-time assignment."""
+    if isinstance(bound, int):
+        return bound
+    return bound.constant + sum(coeff for (i, j, tau), coeff in bound.coeffs
+                                if delta[(i, j)] == tau)
+
+
+class TestResolvedBounds:
+    def test_full_assignment_resolves_every_bound(self):
+        for seed in range(6):
+            document = generate(GeneratorConfig(seed=seed, operators=(2, 2)))
+            graph = build_graph(document.instance, document.bids)
+            for delta in enumerate_deltas(document.instance):
+                lower, upper = solver._resolved_bounds(graph, delta)
+                assert lower == [_resolve(e.lower, delta) for e in graph.edges]
+                assert upper == [_resolve(e.upper, delta) for e in graph.edges]
+
+    def test_partial_assignment_contains_every_completion(self):
+        for seed in range(6):
+            document = generate(GeneratorConfig(seed=seed, operators=(2, 2)))
+            graph = build_graph(document.instance, document.bids)
+            deltas = list(enumerate_deltas(document.instance))
+            for delta in deltas[::3]:
+                pairs = sorted(delta)
+                for decided in range(len(pairs)):
+                    partial = {pair: delta[pair] for pair in pairs[:decided]}
+                    lower, upper = solver._resolved_bounds(graph, partial)
+                    for completion in deltas:
+                        if any(completion[p] != tau for p, tau in partial.items()):
+                            continue
+                        for e in graph.edges:
+                            assert (lower[e.index] <= _resolve(e.lower, completion)
+                                    and _resolve(e.upper, completion) <= upper[e.index])
+
+
 class TestRelaxationBound:
     def test_bound_dominates_every_completion(self):
         for seed in range(8):
@@ -291,6 +334,130 @@ class TestRelaxationBound:
             bound = relaxation_bound(graph, {})
             best = flow_gain(graph, solve(graph).flow.flows)
             assert bound is not None and bound >= best
+
+
+def _network_simplex(graph, lower, upper):
+    """Reference max-gain flow from `networkx.network_simplex` under the
+    same bounds: lower bounds shifted into node demands, a sink-to-source
+    return edge of one unit per aircraft closing the circulation."""
+    nx = pytest.importorskip("networkx")
+    g = nx.MultiDiGraph()
+    for v in graph.vertices:
+        g.add_node(v, demand=0)
+    for e, gain, lo, up in zip(graph.edges, graph.gains, lower, upper):
+        if lo > up:
+            return None
+        g.add_edge(e.tail, e.head, key=e.index, capacity=up - lo, weight=-gain)
+        if lo:
+            g.nodes[e.tail]["demand"] += lo
+            g.nodes[e.head]["demand"] -= lo
+    g.add_edge(SINK, SOURCE, key="return", capacity=graph.total_aircraft, weight=0)
+    try:
+        _, flow_dict = nx.network_simplex(g)
+    except nx.NetworkXUnfeasible:
+        return None
+    return [flow_dict[e.tail][e.head][e.index] + lo
+            for e, lo in zip(graph.edges, lower)]
+
+
+def _assert_circulation(graph, flows, lower, upper):
+    """Within bounds, balanced everywhere but at the source and sink, and
+    closed by a return flow of at most one unit per aircraft."""
+    assert all(lo <= f <= up for f, lo, up in zip(flows, lower, upper))
+    balance = dict.fromkeys(graph.vertices, 0)
+    for e, f in zip(graph.edges, flows):
+        balance[e.tail] -= f
+        balance[e.head] += f
+    returned = balance[SINK]
+    assert 0 <= returned <= graph.total_aircraft
+    assert balance.pop(SOURCE) == -returned and balance.pop(SINK) == returned
+    assert not any(balance.values())
+
+
+def _perturbed(graph, lower, upper, rng):
+    """A copy of the bounds with a few entries tightened or loosened; some
+    cross (lower > upper) and some force more E6 movers than exist."""
+    lower, upper = list(lower), list(upper)
+    for k in rng.sample(range(len(lower)), 3):
+        change = rng.choice((-1, 1))
+        if rng.random() < 0.5:
+            lower[k] = max(0, lower[k] + change)
+        else:
+            upper[k] = max(0, upper[k] + change)
+    if rng.random() < 0.3:
+        e6 = rng.choice(graph.edges_of_class("E6"))
+        lower[e6.index] = upper[e6.index] = upper[e6.index] + 1
+    return lower, upper
+
+
+class TestFlowKernel:
+    def test_matches_network_simplex(self, monkeypatch):
+        pytest.importorskip("networkx")
+        issued = []
+        resolve = solver._resolved_bounds
+
+        def recorded(graph, partial):
+            lower, upper = resolve(graph, partial)
+            issued.append((graph, lower, upper))
+            return lower, upper
+
+        monkeypatch.setattr(solver, "_resolved_bounds", recorded)
+        documents = [generate(corpus_config(seed)) for seed in range(40)]
+        documents.append(generate(GeneratorConfig(seed=0, **SOLVE_LARGE)))
+        for document in documents:
+            solve(build_graph(document.instance, document.bids), strategy="bnb")
+        rng = random.Random(0)
+        cases = issued + [(graph,) + _perturbed(graph, lower, upper, rng)
+                          for graph, lower, upper in issued for _ in range(3)]
+        infeasible = 0
+        for graph, lower, upper in cases:
+            flows = min_cost_flow(graph.network, lower, upper)
+            reference = _network_simplex(graph, lower, upper)
+            assert (flows is None) == (reference is None)
+            if flows is None:
+                infeasible += 1
+                continue
+            _assert_circulation(graph, flows, lower, upper)
+            assert flow_gain(graph, flows) == flow_gain(graph, reference)
+        assert len(issued) >= 200
+        assert 0.1 * len(cases) <= infeasible <= 0.9 * len(cases)
+
+    def test_zero_aircraft_return_capacity(self, empty_instance):
+        graph = build_graph(empty_instance, {})
+        assert graph.network.return_capacity == 0
+        lower, upper = solver._resolved_bounds(graph, {})
+        rng = random.Random(1)
+        cases = [(lower, upper)] + [_perturbed(graph, lower, upper, rng)
+                                    for _ in range(30)]
+        outcomes = set()
+        for lo, up in cases:
+            flows = min_cost_flow(graph.network, lo, up)
+            reference = _network_simplex(graph, lo, up)
+            assert (flows is None) == (reference is None)
+            outcomes.add(flows is None)
+            if flows is not None:
+                _assert_circulation(graph, flows, lo, up)
+                assert flow_gain(graph, flows) == flow_gain(graph, reference)
+        assert outcomes == {True, False}
+
+
+def test_import_loads_no_networkx():
+    """Importing and solving never loads networkx, which the package
+    needs only as a test-time reference."""
+    script = (
+        "import sys\n"
+        "import vertiport_auction\n"
+        "from vertiport_auction.generator import GeneratorConfig, generate\n"
+        "from vertiport_auction.graph import build_graph\n"
+        "from vertiport_auction.solver import solve\n"
+        "document = generate(GeneratorConfig(seed=0))\n"
+        "solve(build_graph(document.instance, document.bids))\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+    )
+    src = str(Path(solver.__file__).resolve().parents[1])
+    completed = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": src})
+    assert completed.returncode == 0, completed.stderr
 
 
 class TestOptimalAllocation:
