@@ -23,7 +23,6 @@ from .mechanism import (
     sample_misreports,
 )
 from .model import (
-    Instance,
     Profile,
     granted_value,
     utility,
@@ -62,20 +61,12 @@ def _fail(code: int, message: str) -> int:
 
 
 def _validated(document: InstanceDocument) -> Optional[int]:
-    report = validate_instance(document.instance)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"violation: {violation}", file=sys.stderr)
-        return EXIT_INVALID
-    if document.bids is not None:
-        report = validate_profile(document.instance, document.bids, "bids")
-        if not report.ok:
-            for violation in report.violations:
-                print(f"violation: {violation}", file=sys.stderr)
-            return EXIT_INVALID
-    if document.valuations is not None:
-        report = validate_profile(document.instance, document.valuations,
-                                  "valuations")
+    instance = document.instance
+    reports = [validate_instance(instance)]
+    for name, profile in (("bids", document.bids), ("valuations", document.valuations)):
+        if profile is not None:
+            reports.append(validate_profile(instance, profile, name))
+    for report in reports:
         if not report.ok:
             for violation in report.violations:
                 print(f"violation: {violation}", file=sys.stderr)

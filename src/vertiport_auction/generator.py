@@ -4,9 +4,11 @@ Instances are constructed so they always pass validation: parking
 capacities are drawn at or above the initial occupancy (slack
 condition), congestion tables are built from non-decreasing marginal
 increments (discrete convexity), and transit routes depart at slot 2 or
-later so the flow correspondence is exact end to end.  Valuations are
-drawn with a fixed large denominator, which makes exact welfare ties
-between distinct allocations vanishingly unlikely.
+later.  Slot-1 departures are valid and solved exactly; routes are still
+drawn from slot 2 so seeded corpora and stored reference outputs stay
+byte-identical.  Valuations are drawn with a fixed large denominator,
+which makes exact welfare ties between distinct allocations vanishingly
+unlikely.
 """
 
 from __future__ import annotations

@@ -145,10 +145,6 @@ class AuxGraph:
     bundles: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
     e5_edges: Mapping[Tuple[str, str, int], Edge] = field(compare=False, repr=False)
 
-    @property
-    def total_aircraft(self) -> int:
-        return self.instance.total_aircraft()
-
     def edges_of_class(self, cls: str) -> List[Edge]:
         return [e for e in self.edges if e.cls == cls]
 
@@ -168,10 +164,6 @@ class FlowSolution:
 
     def flow(self, edge: Edge) -> int:
         return self.flows[edge.index]
-
-
-class FlowCompletionError(ValueError):
-    """Partial flow admits no feasible completion."""
 
 
 def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
@@ -378,11 +370,7 @@ def allocation_to_flow(graph: AuxGraph, allocation: Allocation) -> FlowSolution:
         raise ValueError(f"allocation infeasible: {report.violations}")
     delta = delta_of_allocation(instance, allocation)
     arrivals, departures = movements(instance, allocation)
-    # Units crossing each parking bundle: occupancy with slot-1 departures
-    # already subtracted at slot 1 (flow balance demands it).
     occupancy = occupancy_table(instance, allocation)
-    for port in instance.vertiports:
-        occupancy[(port.id, 1)] -= departures.get((port.id, 1), 0)
 
     flows = [0] * len(graph.edges)
     for e in graph.edges:
@@ -424,94 +412,6 @@ def flow_gain(graph: AuxGraph, flows: Sequence[int]) -> int:
     return sum(gain * flow for gain, flow in zip(graph.gains, flows) if flow)
 
 
-def complete_flow(graph: AuxGraph, partial: Mapping[int, int]) -> FlowSolution:
-    """Recover the unique full flow from values on the E3/E5/E8 edges.
-
-    Elimination order: arrival-gate balance fixes E1; aircraft-vertex
-    balance fixes E4 and hence delta; departure-gate balance fixes E2;
-    parking balance is then a pure consistency check.  Raises
-    FlowCompletionError naming the first violated balance or bound.
-    """
-    instance = graph.instance
-    given = {e.index for e in graph.edges if e.cls in ("E3", "E5", "E8")}
-    if set(partial) != given:
-        raise FlowCompletionError("partial flow must cover exactly E3, E5 and E8")
-    flows: List[Optional[int]] = [None] * len(graph.edges)
-    for idx in given:
-        value = partial[idx]
-        e = graph.edges[idx]
-        if not 0 <= value <= e.upper:
-            raise FlowCompletionError(f"flow on {e.cls}{e.key} outside [0, {e.upper}]")
-        flows[idx] = value
-
-    e5 = graph.edges_of_class("E5")
-
-    # E1 from balance at each arrival gate.
-    for e in graph.edges_of_class("E1"):
-        r, t = e.key
-        inflow = sum(flows[f.index] for f in e5 if f.head == arr(r, t))
-        if inflow > (e.upper if isinstance(e.upper, int) else 0):
-            raise FlowCompletionError(f"arrival gate ({r}, {t}) over capacity")
-        flows[e.index] = inflow
-
-    # E4 and delta from balance at aircraft departure vertices.
-    delta: Dict[Tuple[str, str], int] = {}
-    for e in graph.edges_of_class("E4"):
-        i, j, tau = e.key
-        outflow = sum(flows[f.index] for f in e5 if f.tail == acdep(i, j, tau))
-        if outflow not in (0, 1):
-            raise FlowCompletionError(
-                f"non-binary route flow at aircraft ({i}, {j}), tau={tau}"
-            )
-        flows[e.index] = outflow
-        if outflow == 1:
-            if (i, j) in delta:
-                raise FlowCompletionError(f"aircraft ({i}, {j}) departs twice")
-            delta[(i, j)] = tau
-    for operator, craft in instance.iter_aircraft():
-        delta.setdefault((operator.id, craft.id), 0)
-
-    # E7/E9 carry the stay indicator.
-    for e in graph.edges:
-        if e.cls in ("E7", "E9"):
-            i, j = e.key
-            flows[e.index] = 1 if delta[(i, j)] == 0 else 0
-
-    # E2 from balance at departure gates.
-    e4 = graph.edges_of_class("E4")
-    for e in graph.edges_of_class("E2"):
-        r, t = e.key
-        outflow = sum(flows[f.index] for f in e4 if f.tail == dep(r, t))
-        if outflow > (e.upper if isinstance(e.upper, int) else 0):
-            raise FlowCompletionError(f"departure gate ({r}, {t}) over capacity")
-        flows[e.index] = outflow
-
-    # E6 from the stay indicators.
-    for e in graph.edges_of_class("E6"):
-        r = e.key[0]
-        stay_here = sum(
-            1 for operator, craft in instance.iter_aircraft()
-            if craft.origin == r and delta[(operator.id, craft.id)] == 0
-        )
-        value = initial_occupancy(instance, r) - stay_here
-        if value < 0:
-            raise FlowCompletionError(f"negative source flow at vertiport {r}")
-        flows[e.index] = value
-
-    # Parking balance is now a consistency check.
-    balance: Dict[Vertex, int] = {}
-    for e in graph.edges:
-        balance[e.head] = balance.get(e.head, 0) + flows[e.index]
-        balance[e.tail] = balance.get(e.tail, 0) - flows[e.index]
-    for v in graph.vertices:
-        if v in (SOURCE, SINK):
-            continue
-        if balance.get(v, 0) != 0:
-            raise FlowCompletionError(f"flow balance violated at vertex {v}")
-
-    return FlowSolution(tuple(flows), delta)
-
-
 def flow_to_allocation(graph: AuxGraph, solution: FlowSolution) -> Allocation:
     """Read the canonical allocation off the E5/E9 unit flows."""
     instance = graph.instance
@@ -540,27 +440,3 @@ def flow_to_allocation(graph: AuxGraph, solution: FlowSolution) -> Allocation:
     check_allocation(instance, allocation)
     return allocation
 
-
-def to_dot(graph: AuxGraph) -> str:
-    """Graphviz rendering of the graph for visual inspection."""
-    def name(v: Vertex) -> str:
-        return "_".join(str(part) for part in v)
-
-    def bound_str(b: Bound) -> str:
-        if isinstance(b, int):
-            return str(b)
-        terms = [str(b.constant)] if b.constant or not b.coeffs else []
-        for (i, j, tau), coeff in b.coeffs:
-            sign = "+" if coeff > 0 else "-"
-            terms.append(f"{sign}d[{i},{j},{tau}]")
-        return "".join(terms) or "0"
-
-    lines = ["digraph aux {"]
-    for v in graph.vertices:
-        lines.append(f'  {name(v)} [label="{name(v)}"];')
-    for e in graph.edges:
-        label = (f"{e.cls} [{bound_str(e.lower)},{bound_str(e.upper)}] "
-                 f"w={e.weight}")
-        lines.append(f'  {name(e.tail)} -> {name(e.head)} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)

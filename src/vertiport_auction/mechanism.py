@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .graph import build_graph
 from .model import (
@@ -20,7 +20,7 @@ from .model import (
     Instance,
     OperatorId,
     Profile,
-    congestion_total,
+    granted_value,
     social_welfare,
     validate_instance,
     validate_profile,
@@ -54,15 +54,9 @@ def remaining_welfare(instance: Instance, allocation: Allocation, bids: Profile,
     """Weighted bids of everyone but `operator_id`, minus the full
     congestion term (which still counts that operator's aircraft).
     """
-    instance.operator(operator_id)
-    total = Fraction(0)
-    for operator, craft in instance.iter_aircraft():
-        if operator.id == operator_id:
-            continue
-        key = allocation[(operator.id, craft.id)]
-        total += operator.weight * bids[(operator.id, craft.id, key)]
-    total -= instance.congestion_ratio * congestion_total(instance, allocation)
-    return total
+    weight = instance.operator(operator_id).weight
+    return (social_welfare(instance, allocation, bids)
+            - weight * granted_value(instance, allocation, bids, operator_id))
 
 
 def payment(instance: Instance, bids: Profile, operator_id: OperatorId,

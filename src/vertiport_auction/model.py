@@ -11,10 +11,11 @@ Conventions:
 - Every aircraft menu contains exactly one "stay" option (departure
   time 0); a canonical allocation assigns every aircraft exactly one
   menu key, with "no route granted" represented by the stay key.
-- A departure at slot ``tau`` stops counting toward origin parking from
-  slot ``max(tau, 2)`` onward, so a slot-1 departure still occupies its
-  origin at slot 1.  An arrival at slot ``t`` counts toward destination
-  parking from slot ``t`` onward.
+- A departure at slot ``tau`` frees its origin from slot ``tau``; an
+  arrival at slot ``t`` counts toward destination parking from slot
+  ``t``.  So occupancy at slot ``t`` is the initial occupancy plus the
+  arrivals minus the departures at slots ``<= t``, the units the flow
+  graph's parking edge leaving ``Park(r, t)`` carries.
 """
 
 from __future__ import annotations
@@ -395,11 +396,7 @@ def occupancy_table(instance: Instance, allocation: Allocation
     table: Dict[Tuple[VertiportId, int], int] = {}
     for port in instance.vertiports:
         running = initial_occupancy(instance, port.id)
-        table[(port.id, 1)] = running
-        for t in range(2, instance.horizon + 1):
-            # A slot-1 departure first registers at t=2.
-            if t == 2:
-                running -= departures.get((port.id, 1), 0)
+        for t in range(1, instance.horizon + 1):
             running += arrivals.get((port.id, t), 0)
             running -= departures.get((port.id, t), 0)
             table[(port.id, t)] = running

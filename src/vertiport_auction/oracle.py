@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .model import (
     Allocation,
@@ -59,10 +59,10 @@ def _brute_feasible(instance: Instance, allocation: Allocation) -> bool:
     h = instance.horizon
     arrivals: Dict[Tuple[str, int], int] = {}
     departures: Dict[Tuple[str, int], int] = {}
-    parked: Dict[str, int] = {port.id: 0 for port in instance.vertiports}
+    occupancy: Dict[str, int] = {port.id: 0 for port in instance.vertiports}
     moves = []
     for operator, craft in instance.iter_aircraft():
-        parked[craft.origin] += 1
+        occupancy[craft.origin] += 1
         entry = craft.option(allocation[(operator.id, craft.id)])
         if not entry.is_stay:
             moves.append((craft.origin, entry.depart_time,
@@ -76,17 +76,10 @@ def _brute_feasible(instance: Instance, allocation: Allocation) -> bool:
                 return False
             if departures.get((port.id, t), 0) > port.departure_cap[t - 1]:
                 return False
-    # Timeline: slot 1 counts everyone at their origin; a departure at
-    # slot tau frees the spot from slot max(tau, 2), an arrival at slot
-    # t fills one from slot t.
-    for port in instance.vertiports:
-        if parked[port.id] > port.parking_cap[0]:
-            return False
-    occupancy = dict(parked)
-    for t in range(2, h + 1):
+    # Timeline: a departure at slot tau frees its spot from slot tau, an
+    # arrival at slot t fills one from slot t.
+    for t in range(1, h + 1):
         for port in instance.vertiports:
-            if t == 2:
-                occupancy[port.id] -= departures.get((port.id, 1), 0)
             occupancy[port.id] += arrivals.get((port.id, t), 0)
             occupancy[port.id] -= departures.get((port.id, t), 0)
             if occupancy[port.id] > port.parking_cap[t - 1]:

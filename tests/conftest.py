@@ -1,9 +1,22 @@
-"""Shared fixtures: hand-built instances with known outcomes."""
+"""Shared fixtures and checks: hand-built instances with known
+outcomes, a strategy drawing arbitrary validated instances, and the
+exact solver/mechanism/flow comparisons against the oracle."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
+from vertiport_auction import solver
+from vertiport_auction.graph import (
+    SINK,
+    SOURCE,
+    allocation_to_flow,
+    build_graph,
+    flow_objective,
+    flow_to_allocation,
+)
+from vertiport_auction.mechanism import run_auction
 from vertiport_auction.model import (
     STAY,
     TRANSIT,
@@ -12,7 +25,9 @@ from vertiport_auction.model import (
     Operator,
     RouteOption,
     Vertiport,
+    social_welfare,
 )
+from vertiport_auction.oracle import enumerate_feasible, oracle_optimal, oracle_payment
 
 
 def zero_congestion(parking_cap):
@@ -129,3 +144,89 @@ def empty_instance():
         vertiports=(make_port("v1", (2,), (1,), (1,)),),
         operators=(),
     )
+
+
+def assert_matches_oracle(instance, bids):
+    """Both strategies return the oracle's allocation and objective, and
+    the auction charges every operator the oracle's payment, exactly."""
+    expected = oracle_optimal(instance, bids)
+    for strategy in ("bnb", "enumerate"):
+        result = solver.solve(build_graph(instance, bids), strategy=strategy)
+        assert (result.allocation, result.objective) == expected, strategy
+    outcome = run_auction(instance, bids)
+    for operator in instance.operators:
+        assert outcome.payments[operator.id] == oracle_payment(
+            instance, bids, operator.id), operator.id
+
+
+def assert_circulation(graph, flows, lower, upper):
+    """Within bounds, balanced everywhere but at the source and sink, and
+    closed by a return flow of at most one unit per aircraft."""
+    assert all(lo <= f <= up for f, lo, up in zip(flows, lower, upper))
+    balance = dict.fromkeys(graph.vertices, 0)
+    for e, f in zip(graph.edges, flows):
+        balance[e.tail] -= f
+        balance[e.head] += f
+    returned = balance[SINK]
+    assert 0 <= returned <= graph.instance.total_aircraft()
+    assert balance.pop(SOURCE) == -returned and balance.pop(SINK) == returned
+    assert not any(balance.values())
+
+
+def assert_flow_correspondence(instance, bids):
+    """Every feasible allocation maps to a circulation within the bounds
+    its departure times resolve, with the allocation's welfare as its
+    objective, and reads back as the same allocation."""
+    graph = build_graph(instance, bids)
+    for x in enumerate_feasible(instance):
+        flow = allocation_to_flow(graph, x)
+        assert_circulation(graph, flow.flows,
+                           *solver._resolved_bounds(graph, flow.delta))
+        assert flow_objective(graph, flow) == social_welfare(instance, x, bids)
+        assert flow_to_allocation(graph, flow) == x
+
+
+_RATIONALS = st.builds(Fraction, st.integers(0, 6), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def validated_instances(draw):
+    """(instance, bids) drawn directly, not through the generator: H 1-4,
+    1-3 vertiports, 1-3 operators with 0-2 aircraft, 0-2 transit routes
+    per aircraft departing anywhere in [1, H-1] (destination possibly the
+    origin), gates 0-2, parking = initial + 0-2, convex congestion and
+    rational lambda, weights and bids."""
+    h = draw(st.integers(1, 4))
+    port_ids = [f"v{i + 1}" for i in range(draw(st.integers(1, 3)))]
+    origins = dict.fromkeys(port_ids, 0)
+    operators = []
+    for o in range(draw(st.integers(1, 3))):
+        fleet = []
+        for a in range(draw(st.integers(0, 2))):
+            origin = draw(st.sampled_from(port_ids))
+            origins[origin] += 1
+            menu = [stay(origin=origin)]
+            for _ in range(draw(st.integers(0, 2)) if h > 1 else 0):
+                depart = draw(st.integers(1, h - 1))
+                menu.append(transit(len(menu), depart, draw(st.sampled_from(port_ids)),
+                                    draw(st.integers(depart + 1, h))))
+            fleet.append(Aircraft(f"a{a + 1}", origin, tuple(menu)))
+        weight = draw(st.builds(Fraction, st.integers(1, 4), st.sampled_from((1, 2))))
+        operators.append(Operator(f"op{o + 1}", weight, tuple(fleet)))
+    gates = st.lists(st.integers(0, 2), min_size=h, max_size=h)
+    ports = []
+    for pid in port_ids:
+        parking = [origins[pid] + draw(st.integers(0, 2)) for _ in range(h)]
+        rows = []
+        for cap in parking:
+            increment, slope = draw(_RATIONALS), draw(_RATIONALS)
+            row = [Fraction(0)]
+            for _ in range(cap):
+                row.append(row[-1] + increment)
+                increment += slope
+            rows.append(tuple(row))
+        ports.append(make_port(pid, parking, draw(gates), draw(gates), tuple(rows)))
+    instance = Instance(h, draw(_RATIONALS), tuple(ports), tuple(operators))
+    bids = {(operator.id, craft.id, entry.key): draw(_RATIONALS)
+            for operator, craft in instance.iter_aircraft() for entry in craft.menu}
+    return instance, bids

@@ -1,9 +1,11 @@
 """Command-line surface: subcommands and exit codes."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from conftest import make_port, stay, transit
 from vertiport_auction.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -11,6 +13,7 @@ from vertiport_auction.cli import (
     EXIT_OK,
     main,
 )
+from vertiport_auction.model import Aircraft, Instance, Operator
 from vertiport_auction.serialize import InstanceDocument, render
 
 
@@ -55,6 +58,16 @@ class TestValidate:
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == EXIT_INVALID
         assert "lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["bids", "valuations"])
+    def test_profile_violation_exit_1(self, tmp_path, generated_file, capsys,
+                                      section):
+        data = json.loads(open(generated_file).read())
+        data[section]["op1"]["a1"]["0"] = "-1/1"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_INVALID
+        assert f"violation: {section}: negative value" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -110,6 +123,23 @@ class TestOracleCheck:
 
     def test_generated_matches(self, generated_file):
         assert main(["oracle-check", generated_file]) == EXIT_OK
+
+    def test_slot_one_departure_with_congestion_matches(self, tmp_path, capsys):
+        # The departer frees v1 from slot 1, so slot 1 has no congestion.
+        congestion = ((F(0), F(1)), (F(0), F(1)))
+        instance = Instance(
+            horizon=2,
+            congestion_ratio=F(1),
+            vertiports=(make_port("v1", (1, 1), (0, 0), (1, 0), congestion),
+                        make_port("v2", (1, 1), (0, 1), (0, 0))),
+            operators=(Operator("op1", F(1), (
+                Aircraft("a1", "v1", (stay(origin="v1"), transit(1, 1, "v2", 2))),)),),
+        )
+        bids = {("op1", "a1", 0): F(0), ("op1", "a1", 1): F(5)}
+        path = tmp_path / "slot_one.json"
+        path.write_text(render(InstanceDocument(instance=instance, bids=bids)))
+        assert main(["oracle-check", str(path)]) == EXIT_OK
+        assert "objective match: 5" in capsys.readouterr().out
 
 
 class TestGen:

@@ -7,25 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_port, stay, transit
+from conftest import assert_flow_correspondence, make_port, stay, transit
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
     SINK,
     SOURCE,
     AffineBound,
-    FlowCompletionError,
     acdep,
     allocation_to_flow,
     arr,
     build_graph,
-    complete_flow,
     dep,
     delta_of_allocation,
     flow_objective,
     flow_to_allocation,
     incidence,
     park,
-    to_dot,
     truncated_incidence,
 )
 from vertiport_auction.model import (
@@ -233,43 +230,6 @@ class TestAllocationToFlow:
             allocation_to_flow(graph, {("op1", "a1"): 1, ("op2", "a1"): 1})
 
 
-class TestCompleteFlow:
-    def test_zero_partial_on_empty_instance(self, empty_instance):
-        graph = build_graph(empty_instance, {})
-        partial = {e.index: 0 for e in graph.edges
-                   if e.cls in ("E3", "E5", "E8")}
-        solution = complete_flow(graph, partial)
-        assert all(v == 0 for v in solution.flows)
-
-    def test_roundtrip_equals_direct_construction(self, exchange):
-        instance, bids = exchange
-        graph = build_graph(instance, bids)
-        for x in enumerate_feasible(instance):
-            direct = allocation_to_flow(graph, x)
-            partial = {e.index: direct.flow(e) for e in graph.edges
-                       if e.cls in ("E3", "E5", "E8")}
-            completed = complete_flow(graph, partial)
-            assert completed.flows == direct.flows
-            assert completed.delta == direct.delta
-
-    def test_wrong_support_rejected(self, exchange):
-        instance, bids = exchange
-        graph = build_graph(instance, bids)
-        with pytest.raises(FlowCompletionError, match="exactly E3, E5 and E8"):
-            complete_flow(graph, {})
-
-    def test_unreachable_route_flow_rejected(self, single_mover):
-        instance, bids = single_mover
-        graph = build_graph(instance, bids)
-        partial = {e.index: 0 for e in graph.edges
-                   if e.cls in ("E3", "E5", "E8")}
-        # Claim the route was granted but leave all parking flows at 0:
-        # no unit can reach the departure gate, so balance must fail.
-        partial[graph.e5_edge("op1", "a1", 1).index] = 1
-        with pytest.raises(FlowCompletionError):
-            complete_flow(graph, partial)
-
-
 class TestFlowToAllocation:
     def test_all_stay_readback(self, second_price):
         instance, bids = second_price
@@ -293,12 +253,12 @@ class TestFlowToAllocation:
         assert delta == {("op1", "a1"): 2, ("op2", "b1"): 0}
 
 
-def test_to_dot_mentions_every_edge_class(second_price):
-    instance, bids = second_price
-    text = to_dot(build_graph(instance, bids))
-    assert text.startswith("digraph")
-    for cls in ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"):
-        assert cls in text
+@pytest.mark.parametrize("name", ["second_price", "exchange", "single_mover",
+                                  "empty_instance"])
+def test_allocation_to_flow_is_bounded_circulation(name, request):
+    fixture = request.getfixturevalue(name)
+    instance, bids = fixture if isinstance(fixture, tuple) else (fixture, {})
+    assert_flow_correspondence(instance, bids)
 
 
 @settings(max_examples=20, deadline=None)

@@ -138,8 +138,8 @@ class TestOccupancy:
             assert table[("v1", t)] == 2
             assert table[("v2", t)] == 0
 
-    def test_depart_slot_one_still_occupies_slot_one(self):
-        # Departure at slot 1 is only subtracted from slot 2 onward.
+    def test_depart_slot_one_frees_slot_one(self):
+        # A departure at slot 1 is subtracted from slot 1 on, as at any slot.
         inst = Instance(
             horizon=3,
             congestion_ratio=F(0),
@@ -152,7 +152,7 @@ class TestOccupancy:
                                       transit(1, 1, "v2", 2))),)),),
         )
         table = occupancy_table(inst, {("op1", "a1"): 1})
-        assert [table[("v1", t)] for t in (1, 2, 3)] == [1, 0, 0]
+        assert [table[("v1", t)] for t in (1, 2, 3)] == [0, 0, 0]
         assert [table[("v2", t)] for t in (1, 2, 3)] == [0, 1, 1]
 
     def test_simultaneous_swap_occupancy(self, exchange):
@@ -163,7 +163,7 @@ class TestOccupancy:
 
     def test_table_matches_pointwise(self, exchange):
         # Every cell equals a direct count: origin aircraft, minus those
-        # gone by slot t (slot-1 departures from slot 2), plus arrivals.
+        # departed by slot t, plus those arrived by slot t.
         instance, _ = exchange
         x = {("op1", "a1"): 1, ("op2", "b1"): 1}
         table = occupancy_table(instance, x)
@@ -174,7 +174,7 @@ class TestOccupancy:
                 count = initial_occupancy(instance, port.id)
                 for operator, craft in instance.iter_aircraft():
                     entry = craft.option(x[(operator.id, craft.id)])
-                    if entry.is_stay or t == 1:
+                    if entry.is_stay:
                         continue
                     count += (entry.destination == port.id
                               and entry.arrive_time <= t)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_port, stay, transit
+from conftest import assert_circulation, make_port, stay, transit
 from test_acceptance import corpus_config
 from vertiport_auction.flow import min_cost_flow
 from vertiport_auction.generator import GeneratorConfig, generate
@@ -351,27 +351,13 @@ def _network_simplex(graph, lower, upper):
         if lo:
             g.nodes[e.tail]["demand"] += lo
             g.nodes[e.head]["demand"] -= lo
-    g.add_edge(SINK, SOURCE, key="return", capacity=graph.total_aircraft, weight=0)
+    g.add_edge(SINK, SOURCE, key="return", capacity=graph.instance.total_aircraft(), weight=0)
     try:
         _, flow_dict = nx.network_simplex(g)
     except nx.NetworkXUnfeasible:
         return None
     return [flow_dict[e.tail][e.head][e.index] + lo
             for e, lo in zip(graph.edges, lower)]
-
-
-def _assert_circulation(graph, flows, lower, upper):
-    """Within bounds, balanced everywhere but at the source and sink, and
-    closed by a return flow of at most one unit per aircraft."""
-    assert all(lo <= f <= up for f, lo, up in zip(flows, lower, upper))
-    balance = dict.fromkeys(graph.vertices, 0)
-    for e, f in zip(graph.edges, flows):
-        balance[e.tail] -= f
-        balance[e.head] += f
-    returned = balance[SINK]
-    assert 0 <= returned <= graph.total_aircraft
-    assert balance.pop(SOURCE) == -returned and balance.pop(SINK) == returned
-    assert not any(balance.values())
 
 
 def _perturbed(graph, lower, upper, rng):
@@ -417,7 +403,7 @@ class TestFlowKernel:
             if flows is None:
                 infeasible += 1
                 continue
-            _assert_circulation(graph, flows, lower, upper)
+            assert_circulation(graph, flows, lower, upper)
             assert flow_gain(graph, flows) == flow_gain(graph, reference)
         assert len(issued) >= 200
         assert 0.1 * len(cases) <= infeasible <= 0.9 * len(cases)
@@ -436,7 +422,7 @@ class TestFlowKernel:
             assert (flows is None) == (reference is None)
             outcomes.add(flows is None)
             if flows is not None:
-                _assert_circulation(graph, flows, lo, up)
+                assert_circulation(graph, flows, lo, up)
                 assert flow_gain(graph, flows) == flow_gain(graph, reference)
         assert outcomes == {True, False}
 
