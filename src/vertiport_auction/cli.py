@@ -111,6 +111,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "bound_solves": result.stats.bound_solves,
                 "pruned_infeasible": result.stats.pruned_infeasible,
                 "pruned_bound": result.stats.pruned_bound,
+                "augmentations": result.stats.augmentations,
                 "wall_time": result.stats.wall_time,
             },
         }

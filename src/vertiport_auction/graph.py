@@ -21,7 +21,8 @@ delta and resolve to integers once a departure-time assignment is fixed,
 so one graph serves every branch node of the solver.  `build_graph`
 compiles what every branch node needs once: the residual network of
 the flow kernel (`flow.Network`: vertex-index tails and heads, costs
--gain, starting potentials from a topological order), the relaxed
+-gain, a return edge of one unit per aircraft, and a cold start state
+whose potentials come from a topological order), the relaxed
 bounds with the change each (aircraft, tau) decision makes to them,
 the E3/E8 bundles and lookup tables.
 
@@ -144,9 +145,6 @@ class AuxGraph:
     # Edge indices of each E3/E8 parallel bundle, by position q.
     bundles: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
     e5_edges: Mapping[Tuple[str, str, int], Edge] = field(compare=False, repr=False)
-
-    def edges_of_class(self, cls: str) -> List[Edge]:
-        return [e for e in self.edges if e.cls == cls]
 
     def e5_edge(self, i: str, j: str, k: int) -> Edge:
         edge = self.e5_edges.get((i, j, k))
@@ -333,23 +331,6 @@ def _bound_templates(edges: Sequence[Edge],
             relaxed[side].append(value)
     decisions = {key: (tuple(raises), tuple(cuts)) for key, (raises, cuts) in steps.items()}
     return tuple(relaxed[0]), tuple(relaxed[1]), decisions
-
-
-def incidence(graph: AuxGraph) -> List[List[int]]:
-    """Signed vertex-edge incidence matrix as rows of ints: +1 at head,
-    -1 at tail."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    matrix = [[0] * len(graph.edges) for _ in graph.vertices]
-    for e in graph.edges:
-        matrix[index[e.tail]][e.index] = -1
-        matrix[index[e.head]][e.index] = 1
-    return matrix
-
-
-def truncated_incidence(graph: AuxGraph) -> List[List[int]]:
-    """Incidence matrix without the source and sink rows."""
-    return [row for v, row in zip(graph.vertices, incidence(graph))
-            if v not in (SOURCE, SINK)]
 
 
 def delta_of_allocation(instance: Instance, allocation: Allocation

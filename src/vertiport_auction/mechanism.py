@@ -71,10 +71,11 @@ def payment(instance: Instance, bids: Profile, operator_id: OperatorId,
     else:
         raise ValueError(f"unknown payment rule {rule!r}")
     inner = solve(build_graph(instance, counterfactual_bids), strategy=strategy)
-    inner_value = remaining_welfare(
-        instance, inner.allocation, counterfactual_bids, operator_id
-    )
-    actual = remaining_welfare(instance, cleared.allocation, bids, operator_id)
+    # A solve's objective is its allocation's welfare under the bids it saw.
+    inner_value = inner.objective - operator.weight * granted_value(
+        instance, inner.allocation, counterfactual_bids, operator_id)
+    actual = cleared.objective - operator.weight * granted_value(
+        instance, cleared.allocation, bids, operator_id)
     return (inner_value - actual) / operator.weight
 
 
@@ -96,7 +97,7 @@ def run_auction(instance: Instance, bids: Profile, strategy: str = "bnb",
     return MechanismOutcome(
         allocation=cleared.allocation,
         payments=payments,
-        cleared_welfare=social_welfare(instance, cleared.allocation, bids),
+        cleared_welfare=cleared.objective,
     )
 
 

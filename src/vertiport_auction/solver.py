@@ -5,7 +5,11 @@ assignment leaves a max-gain flow with integer bounds, solved exactly
 as a min-cost circulation over the graph's integer edge gains by the
 successive-shortest-path kernel in `flow`, on the residual network
 `build_graph` compiled.  Every augmentation moves whole units, so the
-flows are integral, and all arithmetic is on Python ints.
+flows are integral, and all arithmetic is on Python ints.  A
+branch-and-bound node's solve starts from the optimal flow and
+potentials of its nearest solved ancestor, whose bounds contain its
+own (the compiled cold state if none was solved); enumeration solves
+every leaf cold.
 
 The gains encode welfare and the tie-break in one number (see the
 `graph` module docstring): the maximum-gain allocation is unique and is
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .flow import min_cost_flow
+from .flow import FlowState, min_cost_flow
 from .graph import (
     AuxGraph,
     DeltaAssignment,
@@ -58,6 +62,7 @@ class SolveStats:
     bound_solves: int = 0
     pruned_infeasible: int = 0
     pruned_bound: int = 0
+    augmentations: int = 0  # paths pushed, over every flow solve
     wall_time: float = 0.0
 
     @property
@@ -121,10 +126,34 @@ def _canonicalize_bundles(graph: AuxGraph, flows: List[int]) -> None:
             flows[k] = 1 if position < total else 0
 
 
-def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment
-                      ) -> Optional[FlowSolution]:
+@dataclass
+class FlowStart:
+    """Where a flow solve starts: `state` is `network.cold` or the state
+    of a solve whose bounds contain its own (see `flow`).  A feasible
+    solve leaves its own state there; every solve adds the paths it
+    pushed to `stats`."""
+
+    state: FlowState
+    stats: SolveStats
+
+
+def _min_cost_flow(graph: AuxGraph, partial_delta: DeltaAssignment,
+                   start: Optional[FlowStart]) -> Optional[List[int]]:
+    start = start or FlowStart(graph.network.cold, SolveStats())
+    state, pushed = min_cost_flow(
+        graph.network, *_resolved_bounds(graph, partial_delta), start.state)
+    start.stats.augmentations += pushed
+    if state is None:
+        return None
+    start.state = state
+    return state.flows[:-1]
+
+
+def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
+                      start: Optional[FlowStart] = None) -> Optional[FlowSolution]:
     """Maximum-gain integral flow for a fully fixed departure-time
     assignment, or None when the fixed bounds admit no balanced flow.
+    A solve starts cold unless given a `start`.
     """
     times = graph.departure_times
     if set(delta) != set(times):
@@ -132,18 +161,18 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment
     for pair, tau in delta.items():
         if tau not in times[pair]:
             raise SolverError(f"aircraft {pair} has no departure time {tau}")
-    flows = min_cost_flow(graph.network, *_resolved_bounds(graph, delta))
+    flows = _min_cost_flow(graph, delta, start)
     if flows is None:
         return None
     _canonicalize_bundles(graph, flows)
     return FlowSolution(tuple(flows), dict(delta))
 
 
-def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment
-                     ) -> Optional[int]:
+def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
+                     start: Optional[FlowStart] = None) -> Optional[int]:
     """Admissible upper bound, in gain units, for every completion of
     `partial_delta`, or None when no completion is feasible."""
-    flows = min_cost_flow(graph.network, *_resolved_bounds(graph, partial_delta))
+    flows = _min_cost_flow(graph, partial_delta, start)
     return None if flows is None else flow_gain(graph, flows)
 
 
@@ -168,7 +197,8 @@ def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     for delta in enumerate_deltas(graph.instance):
         stats.nodes_explored += 1
         stats.leaf_solves += 1
-        best.offer(graph, solve_fixed_delta(graph, delta))
+        best.offer(graph, solve_fixed_delta(
+            graph, delta, start=FlowStart(graph.network.cold, stats)))
     return best
 
 
@@ -205,15 +235,17 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     last = len(order) - 1
     best = _Incumbent()
 
-    def visit(depth: int, partial: Dict[Tuple[str, str], int]) -> None:
+    def visit(depth: int, partial: Dict[Tuple[str, str], int],
+              state: FlowState) -> None:
         stats.nodes_explored += 1
+        start = FlowStart(state, stats)
         if depth == len(order):
             stats.leaf_solves += 1
-            best.offer(graph, solve_fixed_delta(graph, partial))
+            best.offer(graph, solve_fixed_delta(graph, partial, start=start))
             return
         if best.gain is not None or 0 < depth < last:
             stats.bound_solves += 1
-            bound = relaxation_bound(graph, partial)
+            bound = relaxation_bound(graph, partial, start=start)
             if bound is None:
                 stats.pruned_infeasible += 1
                 return
@@ -223,10 +255,10 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
         pair, taus = order[depth]
         for tau in taus:
             partial[pair] = tau
-            visit(depth + 1, partial)
+            visit(depth + 1, partial, start.state)
             del partial[pair]
 
-    visit(0, {})
+    visit(0, {}, graph.network.cold)
     return best
 
 

@@ -146,6 +146,27 @@ def empty_instance():
     )
 
 
+def edges_of_class(graph, cls):
+    return [e for e in graph.edges if e.cls == cls]
+
+
+def incidence(graph):
+    """Signed vertex-edge incidence matrix as rows of ints: +1 at head,
+    -1 at tail."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    matrix = [[0] * len(graph.edges) for _ in graph.vertices]
+    for e in graph.edges:
+        matrix[index[e.tail]][e.index] = -1
+        matrix[index[e.head]][e.index] = 1
+    return matrix
+
+
+def truncated_incidence(graph):
+    """Incidence matrix without the source and sink rows."""
+    return [row for v, row in zip(graph.vertices, incidence(graph))
+            if v not in (SOURCE, SINK)]
+
+
 def assert_matches_oracle(instance, bids):
     """Both strategies return the oracle's allocation and objective, and
     the auction charges every operator the oracle's payment, exactly."""

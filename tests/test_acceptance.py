@@ -17,7 +17,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import assert_flow_correspondence, assert_matches_oracle, validated_instances
+from conftest import (
+    assert_flow_correspondence,
+    assert_matches_oracle,
+    truncated_incidence,
+    validated_instances,
+)
 from test_graph import exact_det
 from vertiport_auction.generator import GeneratorConfig, generate, single_slot_config
 from vertiport_auction.graph import (
@@ -25,7 +30,7 @@ from vertiport_auction.graph import (
     build_graph,
     flow_objective,
     flow_to_allocation,
-    truncated_incidence,
+
 )
 from vertiport_auction.mechanism import (
     RULE_NO_ZEROING,

@@ -87,6 +87,7 @@ class TestSolve:
                                                + stats["bound_solves"])
         assert {"nodes_explored", "pruned_infeasible", "pruned_bound",
                 "wall_time"} <= set(stats)
+        assert isinstance(stats["augmentations"], int) and stats["augmentations"] > 0
 
     def test_strategies_print_same_objective(self, generated_file, capsys):
         assert main(["solve", generated_file, "--strategy", "bnb",

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_flow_correspondence, make_port, stay, transit
+from conftest import (
+    assert_flow_correspondence,
+    edges_of_class,
+    incidence,
+    make_port,
+    stay,
+    transit,
+    truncated_incidence,
+)
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
     SINK,
@@ -21,9 +29,7 @@ from vertiport_auction.graph import (
     delta_of_allocation,
     flow_objective,
     flow_to_allocation,
-    incidence,
     park,
-    truncated_incidence,
 )
 from vertiport_auction.model import (
     Aircraft,
@@ -82,7 +88,7 @@ class TestBuildGraph:
         assert set(graph.vertices) == {
             park("v1", 1), arr("v1", 1), dep("v1", 1), SOURCE, SINK,
         }
-        by_class = {cls: graph.edges_of_class(cls) for cls in
+        by_class = {cls: edges_of_class(graph, cls) for cls in
                     ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9")}
         assert len(by_class["E1"]) == 1 and len(by_class["E2"]) == 1
         assert len(by_class["E8"]) == 2  # parking cap 2
@@ -108,24 +114,24 @@ class TestBuildGraph:
         graph = build_graph(inst, bids)
         ac_vertices = [v for v in graph.vertices if v[0] == "acdep"]
         assert ac_vertices == [acdep("op1", "a1", 0), acdep("op1", "a1", 2)]
-        assert len(graph.edges_of_class("E5")) == 2
+        assert len(edges_of_class(graph, "E5")) == 2
 
     def test_edge_shapes_and_weights(self, second_price):
         instance, bids = second_price
         graph = build_graph(instance, bids)
-        e5 = {e.key: e for e in graph.edges_of_class("E5")}
+        e5 = {e.key: e for e in edges_of_class(graph, "E5")}
         assert e5[("op1", "a1", 1)].weight == 10
         assert e5[("op2", "a1", 1)].weight == 6
-        for e in graph.edges_of_class("E1"):
+        for e in edges_of_class(graph, "E1"):
             assert e.tail == arr(*e.key) and e.head == park(*e.key)
-        for e in graph.edges_of_class("E4"):
+        for e in edges_of_class(graph, "E4"):
             assert isinstance(e.lower, AffineBound)
             assert e.lower == e.upper
 
     def test_zero_capacity_pruning(self, second_price):
         instance, bids = second_price
         graph = build_graph(instance, bids)
-        caps = {e.key: e.upper for e in graph.edges_of_class("E1")}
+        caps = {e.key: e.upper for e in edges_of_class(graph, "E1")}
         assert caps[("v2", 3)] == 1   # the contested slot
         assert caps[("v2", 1)] == 0   # no route arrives there: pruned
         assert caps[("v1", 1)] == 0
@@ -149,7 +155,7 @@ class TestIncidence:
         graph = build_graph(empty_instance, {})
         matrix = incidence(graph)
         index = {v: i for i, v in enumerate(graph.vertices)}
-        e1 = graph.edges_of_class("E1")[0]
+        e1 = edges_of_class(graph, "E1")[0]
         column = [row[e1.index] for row in matrix]
         assert column[index[e1.tail]] == -1
         assert column[index[e1.head]] == 1
@@ -196,7 +202,7 @@ class TestAllocationToFlow:
                 assert solution.flow(e) == 0
         # Parking bundles carry the initial occupancy in prefix form.
         bundles = {}
-        for e in graph.edges_of_class("E3"):
+        for e in edges_of_class(graph, "E3"):
             bundles.setdefault(e.key[:-1], []).append(e)
         assert len(bundles) == len(instance.vertiports) * (instance.horizon - 1)
         for (port_id, _), members in bundles.items():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_circulation, make_port, stay, transit
+from conftest import assert_circulation, edges_of_class, make_port, stay, transit
 from test_acceptance import corpus_config
 from vertiport_auction.flow import min_cost_flow
 from vertiport_auction.generator import GeneratorConfig, generate
@@ -237,12 +237,18 @@ class TestSolve:
 
     @pytest.mark.parametrize("strategy", ["bnb", "enumerate"])
     def test_stats_count_every_flow_solve(self, monkeypatch, strategy):
-        calls = {"solve_fixed_delta": 0, "relaxation_bound": 0}
-        for name in calls:
+        calls = {"solve_fixed_delta": 0, "relaxation_bound": 0, "pushed": 0}
+        for name in ("solve_fixed_delta", "relaxation_bound"):
             def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(solver, name, counted)
+
+        def kernel(*args, _fn=solver.min_cost_flow):
+            state, pushed = _fn(*args)
+            calls["pushed"] += pushed
+            return state, pushed
+        monkeypatch.setattr(solver, "min_cost_flow", kernel)
         for seed in range(6):
             document = generate(GeneratorConfig(seed=seed))
             calls.update(dict.fromkeys(calls, 0))
@@ -251,6 +257,7 @@ class TestSolve:
             stats = result.stats
             assert calls["solve_fixed_delta"] == stats.leaf_solves
             assert calls["relaxation_bound"] == stats.bound_solves
+            assert calls["pushed"] == stats.augmentations > 0
             if strategy == "enumerate":
                 assert stats.bound_solves == 0
                 assert stats.pruned_infeasible == stats.pruned_bound == 0
@@ -360,70 +367,133 @@ def _network_simplex(graph, lower, upper):
             for e, lo in zip(graph.edges, lower)]
 
 
-def _perturbed(graph, lower, upper, rng):
-    """A copy of the bounds with a few entries tightened or loosened; some
-    cross (lower > upper) and some force more E6 movers than exist."""
+def _restricted(graph, lower, upper, rng):
+    """A narrowing of the bounds: one to three lowers raised or uppers
+    cut by one unit each, sometimes past each other, and now and then
+    one more E6 mover forced."""
     lower, upper = list(lower), list(upper)
-    for k in rng.sample(range(len(lower)), 3):
-        change = rng.choice((-1, 1))
+    for k in rng.sample(range(len(lower)), rng.randint(1, 3)):
         if rng.random() < 0.5:
-            lower[k] = max(0, lower[k] + change)
+            lower[k] += 1
         else:
-            upper[k] = max(0, upper[k] + change)
+            upper[k] -= 1
     if rng.random() < 0.3:
-        e6 = rng.choice(graph.edges_of_class("E6"))
-        lower[e6.index] = upper[e6.index] = upper[e6.index] + 1
+        lower[rng.choice(edges_of_class(graph, "E6")).index] += 1
     return lower, upper
 
 
+def _assert_certified(graph, state, lower, upper):
+    """`state` is a circulation within the bounds whose potentials give
+    every residual arc with capacity a non-negative reduced cost, read
+    off the graph's own edges and gains, the return edge included."""
+    flows, returned = state.flows[:-1], state.flows[-1]
+    assert_circulation(graph, flows, lower, upper)
+    index = {v: position for position, v in enumerate(graph.vertices)}
+    arcs = [(index[e.tail], index[e.head], -gain, lo, up, f) for e, gain, lo, up, f
+            in zip(graph.edges, graph.gains, lower, upper, flows)]
+    arcs.append((index[SINK], index[SOURCE], 0, 0, graph.instance.total_aircraft(),
+                 returned))
+    assert returned == sum(f for e, f in zip(graph.edges, flows) if e.head == SINK)
+    p = state.potential
+    for tail, head, cost, lo, up, f in arcs:
+        reduced = cost + p[tail] - p[head]
+        assert f == up or reduced >= 0
+        assert f == lo or reduced <= 0
+
+
+def _assert_kernel_agrees(graph, lower, upper, start):
+    """Warm from `start` and cold, the kernel matches `network_simplex` in
+    feasibility and gain and returns certified states.  Returns the warm
+    state and the paths each solve pushed."""
+    reference = _network_simplex(graph, lower, upper)
+    states, pushes = zip(*(min_cost_flow(graph.network, lower, upper, begin)
+                           for begin in (start, graph.network.cold)))
+    for state in states:
+        assert (state is None) == (reference is None)
+        if state is not None:
+            _assert_certified(graph, state, lower, upper)
+            assert flow_gain(graph, state.flows[:-1]) == flow_gain(graph, reference)
+    return states[0], pushes
+
+
+@pytest.fixture(scope="module")
+def kernel_graphs():
+    """Graphs of acceptance-corpus seeds 0-39 and one solve-large-shape
+    instance."""
+    documents = [generate(corpus_config(seed)) for seed in range(40)]
+    documents.append(generate(GeneratorConfig(seed=0, **SOLVE_LARGE)))
+    return [build_graph(document.instance, document.bids) for document in documents]
+
+
+@pytest.fixture(scope="module")
+def issued_solves(kernel_graphs):
+    """Every flow solve `bnb` issues on `kernel_graphs`, as (graph, lower,
+    upper, the state it started from)."""
+    issued = []
+    kernel = solver.min_cost_flow
+
+    def recorded(network, lower, upper, start):
+        issued.append((graph, lower, upper, start))
+        return kernel(network, lower, upper, start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "min_cost_flow", recorded)
+        for graph in kernel_graphs:
+            solve(graph, strategy="bnb")
+    return issued
+
+
 class TestFlowKernel:
-    def test_matches_network_simplex(self, monkeypatch):
+    def test_root_and_children_match_network_simplex(self, kernel_graphs):
+        """The relaxed root forces no units, so its cold solve routes only
+        what saturating a negative-cost return arc sets moving; deciding
+        one aircraft then starts from the root's state."""
         pytest.importorskip("networkx")
-        issued = []
-        resolve = solver._resolved_bounds
+        for graph in kernel_graphs:
+            root, _ = _assert_kernel_agrees(
+                graph, *solver._resolved_bounds(graph, {}), graph.network.cold)
+            pair, taus = next(iter(graph.departure_times.items()))
+            for tau in taus:
+                _assert_kernel_agrees(
+                    graph, *solver._resolved_bounds(graph, {pair: tau}), root)
 
-        def recorded(graph, partial):
-            lower, upper = resolve(graph, partial)
-            issued.append((graph, lower, upper))
-            return lower, upper
+    def test_matches_network_simplex(self, issued_solves):
+        pytest.importorskip("networkx")
+        warm_pushes = cold_pushes = warm_starts = 0
+        for graph, lower, upper, start in issued_solves:
+            _, (warm, cold) = _assert_kernel_agrees(graph, lower, upper, start)
+            warm_pushes, cold_pushes = warm_pushes + warm, cold_pushes + cold
+            warm_starts += start is not graph.network.cold
+        assert len(issued_solves) >= 200
+        assert warm_starts >= 0.5 * len(issued_solves)
+        assert warm_pushes < cold_pushes
 
-        monkeypatch.setattr(solver, "_resolved_bounds", recorded)
-        documents = [generate(corpus_config(seed)) for seed in range(40)]
-        documents.append(generate(GeneratorConfig(seed=0, **SOLVE_LARGE)))
-        for document in documents:
-            solve(build_graph(document.instance, document.bids), strategy="bnb")
+    def test_restrictions_match_network_simplex(self, issued_solves):
+        pytest.importorskip("networkx")
         rng = random.Random(0)
-        cases = issued + [(graph,) + _perturbed(graph, lower, upper, rng)
-                          for graph, lower, upper in issued for _ in range(3)]
-        infeasible = 0
-        for graph, lower, upper in cases:
-            flows = min_cost_flow(graph.network, lower, upper)
-            reference = _network_simplex(graph, lower, upper)
-            assert (flows is None) == (reference is None)
-            if flows is None:
-                infeasible += 1
+        cases = infeasible = 0
+        for graph, lower, upper, start in issued_solves:
+            state, _ = min_cost_flow(graph.network, lower, upper, start)
+            if state is None:
                 continue
-            assert_circulation(graph, flows, lower, upper)
-            assert flow_gain(graph, flows) == flow_gain(graph, reference)
-        assert len(issued) >= 200
-        assert 0.1 * len(cases) <= infeasible <= 0.9 * len(cases)
+            for _ in range(2):
+                restricted = _restricted(graph, lower, upper, rng)
+                warm, _ = _assert_kernel_agrees(graph, *restricted, state)
+                cases += 1
+                infeasible += warm is None
+        assert 0.1 * cases <= infeasible <= 0.9 * cases
 
     def test_zero_aircraft_return_capacity(self, empty_instance):
         graph = build_graph(empty_instance, {})
         assert graph.network.return_capacity == 0
         lower, upper = solver._resolved_bounds(graph, {})
+        root, _ = _assert_kernel_agrees(graph, lower, upper, graph.network.cold)
         rng = random.Random(1)
-        cases = [(lower, upper)] + [_perturbed(graph, lower, upper, rng)
-                                    for _ in range(30)]
         outcomes = set()
-        for lo, up in cases:
-            flows = min_cost_flow(graph.network, lo, up)
-            reference = _network_simplex(graph, lo, up)
-            assert (flows is None) == (reference is None)
-            outcomes.add(flows is None)
-            if flows is not None:
-                assert_circulation(graph, flows, lo, up)
-                assert flow_gain(graph, flows) == flow_gain(graph, reference)
+        for _ in range(30):
+            warm, _ = _assert_kernel_agrees(
+                graph, *_restricted(graph, lower, upper, rng), root)
+            outcomes.add(warm is None)
         assert outcomes == {True, False}
 
 
