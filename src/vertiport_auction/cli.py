@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
 
@@ -44,15 +45,19 @@ def _approx(value: Fraction) -> str:
 
 
 def _load(path: str) -> InstanceDocument:
+    """The parsed document, validated; exits with the documented code if
+    it cannot be read, parsed or validated."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise SystemExit(_fail(EXIT_IO, f"cannot read {path}: {exc}"))
     try:
-        return parse(text)
+        document = parse(text)
     except DocumentError as exc:
         raise SystemExit(_fail(EXIT_INVALID, f"invalid document: {exc}"))
+    _validate(document)
+    return document
 
 
 def _fail(code: int, message: str) -> int:
@@ -60,7 +65,7 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _validated(document: InstanceDocument) -> Optional[int]:
+def _validate(document: InstanceDocument) -> None:
     instance = document.instance
     reports = [validate_instance(instance)]
     for name, profile in (("bids", document.bids), ("valuations", document.valuations)):
@@ -70,8 +75,7 @@ def _validated(document: InstanceDocument) -> Optional[int]:
         if not report.ok:
             for violation in report.violations:
                 print(f"violation: {violation}", file=sys.stderr)
-            return EXIT_INVALID
-    return None
+            raise SystemExit(EXIT_INVALID)
 
 
 def _bids_or_fail(document: InstanceDocument) -> Profile:
@@ -84,18 +88,12 @@ def _bids_or_fail(document: InstanceDocument) -> Profile:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     document = _load(args.file)
-    code = _validated(document)
-    if code is not None:
-        return code
     print("ok")
     return EXIT_OK
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     document = _load(args.file)
-    code = _validated(document)
-    if code is not None:
-        return code
     bids = _bids_or_fail(document)
     result = solve(build_graph(document.instance, bids), strategy=args.strategy)
     if args.out == "json":
@@ -104,16 +102,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "allocation": {
                 f"{i}/{j}": key for (i, j), key in sorted(result.allocation.items())
             },
-            "stats": {
-                "nodes_explored": result.stats.nodes_explored,
-                "fixed_delta_solves": result.stats.fixed_delta_solves,
-                "leaf_solves": result.stats.leaf_solves,
-                "bound_solves": result.stats.bound_solves,
-                "pruned_infeasible": result.stats.pruned_infeasible,
-                "pruned_bound": result.stats.pruned_bound,
-                "augmentations": result.stats.augmentations,
-                "wall_time": result.stats.wall_time,
-            },
+            "stats": {"fixed_delta_solves": result.stats.fixed_delta_solves,
+                      **asdict(result.stats)},
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -127,15 +117,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
                       f"({entry.depart_time}->{entry.destination}@{entry.arrive_time})")
         print(f"stats: {result.stats.nodes_explored} nodes, "
               f"{result.stats.fixed_delta_solves} flow solves, "
+              f"{result.stats.pruned_completion} ended by completion, "
               f"{result.stats.wall_time:.3f}s")
     return EXIT_OK
 
 
 def cmd_auction(args: argparse.Namespace) -> int:
     document = _load(args.file)
-    code = _validated(document)
-    if code is not None:
-        return code
     bids = _bids_or_fail(document)
     outcome = run_auction(document.instance, bids, strategy=args.strategy)
     print(f"cleared welfare: {_approx(outcome.cleared_welfare)}")
@@ -156,9 +144,6 @@ def cmd_auction(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     document = _load(args.file)
-    code = _validated(document)
-    if code is not None:
-        return code
     bids = _bids_or_fail(document)
     instance = document.instance
     budget = EnumerationBudget(args.budget)
@@ -210,9 +195,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_properties(args: argparse.Namespace) -> int:
     document = _load(args.file)
-    code = _validated(document)
-    if code is not None:
-        return code
     if document.valuations is None:
         return _fail(EXIT_INVALID, "properties check needs a valuations section")
     instance = document.instance

@@ -116,7 +116,10 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
     """Cheapest circulation with lower[k] <= flow[k] <= upper[k] on every
     edge but the return edge, from `start` (`network.cold`, or the state
     of a solve whose bounds contain these); None if there is none.  Also
-    returns the number of augmenting paths pushed."""
+    returns the number of augmenting paths pushed.  Raises ValueError if
+    a Dijkstra round pops more entries than the invariant allows, as on a
+    negative-cost residual cycle; a start that breaks the invariant
+    otherwise goes unnoticed and can give a flow that is not optimal."""
     flows = [u if f > u else (low if f < low else f)
              for f, low, u in zip(start.flows, lower, upper)]
     back = start.flows[-1]
@@ -151,7 +154,9 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         heapify(heap)
         deficits = {v for v, units in excess.items() if units < 0}
         target, cutoff = None, inf  # nearest deficit found so far
-        while heap:
+        for _ in range(len(heap) + len(arc_head)):  # each vertex settles once
+            if not heap:
+                break
             d, u = heappop(heap)
             if d > dist[u]:
                 continue
@@ -167,6 +172,9 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
                         heappush(heap, (reach, v))
                         if v in deficits:
                             target, cutoff = v, reach
+        else:
+            if heap:
+                raise ValueError("start state is not certified: Dijkstra did not settle")
         if target is None:
             return None, pushed
         span = dist[target]

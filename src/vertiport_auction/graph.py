@@ -2,8 +2,9 @@
 
 Builds the auxiliary graph whose max-weight flows correspond one-to-one
 with feasible allocations: three vertiport replicas (parking, arrival,
-departure) per slot, one vertex per (aircraft, departure time), a
-source and a sink.  Edge classes E1..E9:
+departure) per slot, one initial-fleet vertex per vertiport, one vertex
+per (aircraft, departure time), a source and a sink.  Edge classes
+E1..E10:
 
   E1 arrival gate       Arr(r,t)  -> Park(r,t)   cap [0, A(r,t)]
   E2 departure gate     Park(r,t) -> Dep(r,t)    cap [0, D(r,t)]
@@ -11,20 +12,27 @@ source and a sink.  Edge classes E1..E9:
                         q-th weight -lambda*(g(q) - g(q-1))
   E4 departure choice   Dep(o,tau) -> AcDep(i,j,tau)  bound = delta
   E5 route grant        AcDep(i,j,d_k) -> Arr(dest_k, a_k)  weight rho*b
-  E6 initial movers     Source -> Park(r,1)  bound = initial - stayers
-  E7 stay grant         Source -> AcDep(i,j,0)  bound = delta0, weight rho*b_stay
+  E6 initial movers     Init(r) -> Park(r,1)  cap [0, initial(r)]
+  E7 stay grant         Init(o) -> AcDep(i,j,0)  bound = delta0, weight rho*b_stay
   E8 terminal bundle    Park(r,H) -> Sink   like E3 at slot H
   E9 stay return        AcDep(i,j,0) -> Park(o,1)  bound = delta0
+  E10 initial fleet     Source -> Init(r)  bound = initial(r)
 
-Bounds on E4/E6/E7/E9 are affine in the binary departure-time selectors
-delta and resolve to integers once a departure-time assignment is fixed,
-so one graph serves every branch node of the solver.  `build_graph`
+Conservation at Init(r) splits the aircraft based at r into stayers
+(E7) and movers (E6).  The bounds on E4/E7/E9 are departure-time
+selectors delta (`Selector`) and resolve to integers once a
+departure-time assignment is fixed, so one graph serves every branch
+node of the solver.  Undecided, an aircraft's selectors relax to
+[0, 1], but E10 still fixes the units each vertiport starts with: a
+relaxed flow cannot move a unit to another vertiport, though a
+stayer's unit, back in Park(o,1) by E9, may still fly a route.  `build_graph`
 compiles what every branch node needs once: the residual network of
 the flow kernel (`flow.Network`: vertex-index tails and heads, costs
 -gain, a return edge of one unit per aircraft, and a cold start state
 whose potentials come from a topological order), the relaxed
 bounds with the change each (aircraft, tau) decision makes to them,
-the E3/E8 bundles and lookup tables.
+the E4/E7 edge of each (aircraft, tau), the E3/E8 bundles and lookup
+tables.
 
 Tie-break.  The solver maximizes one exact integer gain per edge,
 
@@ -73,6 +81,7 @@ from .model import (
 PARK = "park"
 ARR = "arr"
 DEP = "dep"
+INIT = "init"
 AC_DEP = "acdep"
 SOURCE = ("source",)
 SINK = ("sink",)
@@ -80,9 +89,9 @@ SINK = ("sink",)
 Vertex = Tuple
 DeltaKey = Tuple[str, str, int]  # (operator id, aircraft id, tau)
 DeltaAssignment = Mapping[Tuple[str, str], int]  # (operator, aircraft) -> tau
-#: Per-edge bound changes of one decision: ((edge, raise lower by), ...),
-#: ((edge, cut upper by), ...).
-BoundSteps = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]
+#: Per-edge bound changes of one decision: (edges whose lower bound
+#: rises to 1, edges whose upper bound falls to 0).
+BoundSteps = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def park(r: str, t: int) -> Vertex:
@@ -101,21 +110,24 @@ def acdep(i: str, j: str, tau: int) -> Vertex:
     return (AC_DEP, i, j, tau)
 
 
+def init(r: str) -> Vertex:
+    return (INIT, r)
+
+
 @dataclass(frozen=True)
-class AffineBound:
-    """Integer bound of the form constant + sum(coeff * delta[key])."""
+class Selector:
+    """Bound delta[key]: 1 if the aircraft departs at tau, else 0."""
 
-    constant: int
-    coeffs: Tuple[Tuple[DeltaKey, int], ...] = ()
+    key: DeltaKey
 
 
-Bound = Union[int, AffineBound]
+Bound = Union[int, Selector]
 
 
 @dataclass(frozen=True)
 class Edge:
     index: int
-    cls: str  # "E1".."E9"
+    cls: str  # "E1".."E10"
     key: Tuple
     tail: Vertex
     head: Vertex
@@ -140,7 +152,9 @@ class AuxGraph:
     # ((operator, aircraft), tau) -> what deciding it does to the bounds.
     decisions: Mapping[Tuple[Tuple[str, str], int], BoundSteps] = field(
         compare=False, repr=False)
-    departure_times: Mapping[Tuple[str, str], Tuple[int, ...]] = field(
+    # (operator, aircraft) -> {tau: the edge its unit takes to depart at
+    # tau, E7 for the stay time 0 and E4 otherwise}.
+    departure_times: Mapping[Tuple[str, str], Mapping[int, int]] = field(
         compare=False, repr=False)
     # Edge indices of each E3/E8 parallel bundle, by position q.
     bundles: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
@@ -167,7 +181,7 @@ class FlowSolution:
 def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     """Construct the auxiliary graph for `instance` under `bids`.
 
-    Edge indexing is deterministic: class E1..E9, then lexicographic key,
+    Edge indexing is deterministic: class E1..E10, then lexicographic key,
     then bundle position.
     """
     h = instance.horizon
@@ -181,6 +195,7 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     for port in instance.vertiports:
         for t in range(1, h + 1):
             vertices.extend([park(port.id, t), arr(port.id, t), dep(port.id, t)])
+    vertices.extend(init(port.id) for port in instance.vertiports)
     for operator, craft in instance.iter_aircraft():
         for tau in craft.departure_times():
             vertices.append(acdep(operator.id, craft.id, tau))
@@ -232,7 +247,7 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
         for tau in craft.departure_times():
             if tau == 0:
                 continue
-            bound = AffineBound(0, (((operator.id, craft.id, tau), 1),))
+            bound = Selector((operator.id, craft.id, tau))
             add("E4", (operator.id, craft.id, tau), dep(craft.origin, tau),
                 acdep(operator.id, craft.id, tau), bound, bound, zero)
     for a, (operator, craft) in enumerate(fleet):
@@ -245,17 +260,13 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
                 arr(entry.destination, entry.arrive_time), 0, 1, weight,
                 bonus=grant_bonus(a, craft, entry))
     for port in instance.vertiports:
-        coeffs = tuple(
-            ((operator.id, craft.id, 0), -1)
-            for operator, craft in instance.iter_aircraft()
-            if craft.origin == port.id
-        )
-        bound = AffineBound(initial_occupancy(instance, port.id), coeffs)
-        add("E6", (port.id,), SOURCE, park(port.id, 1), bound, bound, zero)
+        add("E6", (port.id,), init(port.id), park(port.id, 1), 0,
+            initial_occupancy(instance, port.id), zero)
     for a, (operator, craft) in enumerate(fleet):
-        bound = AffineBound(0, (((operator.id, craft.id, 0), 1),))
+        bound = Selector((operator.id, craft.id, 0))
         weight = operator.weight * bids[(operator.id, craft.id, craft.stay_key)]
-        add("E7", (operator.id, craft.id), SOURCE, acdep(operator.id, craft.id, 0),
+        add("E7", (operator.id, craft.id), init(craft.origin),
+            acdep(operator.id, craft.id, 0),
             bound, bound, weight,
             bonus=grant_bonus(a, craft, craft.option(craft.stay_key)))
     for port in instance.vertiports:
@@ -264,9 +275,12 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
             weight = -lam * (g[q] - g[q - 1])
             add("E8", (port.id, q), park(port.id, h), SINK, 0, 1, weight, q)
     for operator, craft in instance.iter_aircraft():
-        bound = AffineBound(0, (((operator.id, craft.id, 0), 1),))
+        bound = Selector((operator.id, craft.id, 0))
         add("E9", (operator.id, craft.id), acdep(operator.id, craft.id, 0),
             park(craft.origin, 1), bound, bound, zero)
+    for port in instance.vertiports:
+        count = initial_occupancy(instance, port.id)
+        add("E10", (port.id,), SOURCE, init(port.id), count, count, zero)
 
     scale = lcm(*(e.weight.denominator for e in edges), 1)
     unit = scale * most_times ** n * largest_menu ** n
@@ -279,7 +293,12 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     network = compile_network(
         len(vertices), [index[e.tail] for e in edges], [index[e.head] for e in edges],
         [-gain for gain in gains], index[SOURCE], index[SINK], n)
-    times = {(operator.id, craft.id): craft.departure_times() for operator, craft in fleet}
+    times: Dict[Tuple[str, str], Dict[int, int]] = {
+        (operator.id, craft.id): {} for operator, craft in fleet}
+    for e in edges:
+        if e.cls in ("E4", "E7"):
+            i, j, tau = e.lower.key
+            times[i, j][tau] = e.index
     lower, upper, decisions = _bound_templates(edges, times)
     bundles: Dict[Tuple, List[Edge]] = {}
     for e in edges:
@@ -296,41 +315,37 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
 
 
 def _bound_templates(edges: Sequence[Edge],
-                     times: Mapping[Tuple[str, str], Tuple[int, ...]]
+                     times: Mapping[Tuple[str, str], Mapping[int, int]]
                      ) -> Tuple[Tuple[int, ...], Tuple[int, ...],
                                 Dict[Tuple[Tuple[str, str], int], BoundSteps]]:
     """Relaxed per-edge bounds, every aircraft undecided, and the change
     deciding each aircraft at each of its departure times makes to them.
 
-    In an affine bound, an aircraft contributes c(tau), the coefficient
-    of its selector at tau (0 if absent).  Undecided, it contributes its
-    least c to the lower bound and its greatest to the upper: a valid
-    superset of every completion.  Deciding it at tau raises the lower
-    bound by c(tau) - min c and cuts the upper by max c - c(tau), so a
-    full assignment resolves every bound exactly.
+    An edge bounded by a selector delta[i, j, tau] on both sides relaxes
+    to [0, 1] while aircraft (i, j) is undecided, a valid superset of
+    every completion; to [1, 1] if tau is its only departure time.
+    Deciding the aircraft at tau raises the lower bound to 1, and
+    deciding it at any other time cuts the upper bound to 0, so a full
+    assignment resolves every bound exactly.
     """
-    relaxed: Tuple[List[int], List[int]] = ([], [])
+    lower: List[int] = []
+    upper: List[int] = []
     steps = {(pair, tau): ([], []) for pair, taus in times.items() for tau in taus}
     for e in edges:
-        for side, bound in enumerate((e.lower, e.upper)):
-            if isinstance(bound, int):
-                relaxed[side].append(bound)
-                continue
-            if side == 0 or bound is not e.lower:  # else reuse: one object
-                rows: Dict[Tuple[str, str], List[int]] = {}  # c by tau position
-                for (i, j, tau), coeff in bound.coeffs:
-                    taus = times[i, j]
-                    rows.setdefault((i, j), [0] * len(taus))[taus.index(tau)] += coeff
-            value = bound.constant
-            for pair, row in rows.items():
-                extreme = max(row) if side else min(row)
-                value += extreme
-                for tau, c in zip(times[pair], row):
-                    if c != extreme:
-                        steps[pair, tau][side].append((e.index, abs(c - extreme)))
-            relaxed[side].append(value)
+        if not isinstance(e.lower, Selector):
+            lower.append(e.lower)
+            upper.append(e.upper)
+            continue
+        i, j, tau = e.lower.key
+        taus = times[i, j]
+        lower.append(int(len(taus) == 1))
+        upper.append(1)
+        if len(taus) > 1:
+            for other in taus:
+                raises, cuts = steps[(i, j), other]
+                (raises if other == tau else cuts).append(e.index)
     decisions = {key: (tuple(raises), tuple(cuts)) for key, (raises, cuts) in steps.items()}
-    return tuple(relaxed[0]), tuple(relaxed[1]), decisions
+    return tuple(lower), tuple(upper), decisions
 
 
 def delta_of_allocation(instance: Instance, allocation: Allocation
@@ -376,6 +391,8 @@ def allocation_to_flow(graph: AuxGraph, allocation: Allocation) -> FlowSolution:
         elif e.cls in ("E7", "E9"):
             i, j = e.key
             flows[e.index] = 1 if delta[(i, j)] == 0 else 0
+        elif e.cls == "E10":  # every aircraft based at r
+            flows[e.index] = e.lower
     return FlowSolution(tuple(flows), delta)
 
 

@@ -7,9 +7,8 @@ successive-shortest-path kernel in `flow`, on the residual network
 `build_graph` compiled.  Every augmentation moves whole units, so the
 flows are integral, and all arithmetic is on Python ints.  A
 branch-and-bound node's solve starts from the optimal flow and
-potentials of its nearest solved ancestor, whose bounds contain its
-own (the compiled cold state if none was solved); enumeration solves
-every leaf cold.
+potentials of its parent, whose bounds contain its own (the root from
+the compiled cold state); enumeration solves every leaf cold.
 
 The gains encode welfare and the tie-break in one number (see the
 `graph` module docstring): the maximum-gain allocation is unique and is
@@ -19,19 +18,20 @@ exhaustive enumeration of departure-time combinations (the reference
 path) and depth-first branch-and-bound with an admissible
 flow-relaxation bound, return the same objective and allocation.
 
-Prune rule.  Branch-and-bound solves the flow relaxation of a partial
+Node rule.  Branch-and-bound solves the flow relaxation of the partial
 assignment (undecided aircraft relaxed, see `_resolved_bounds`) at
-every internal node strictly between the root and the last branching
-level, incumbent or not; at the root and at the last level it does so
-only once an incumbent exists.  Before an incumbent the bound can prune
-only by infeasibility, the root is infeasible only when the whole
-instance is, and the children of the last level are leaves that cost
-one flow solve each, the same as the bound that would save them.  A
-node is pruned when its relaxation is infeasible (no completion
-exists) or, once an incumbent exists, when its bound does not exceed
-the incumbent's gain.  Both prunes discard only non-optimal or empty
-subtrees and the optimum is unique, so the result does not depend on
-when bounds are taken.
+every internal node, the root included, and the fixed-delta flow at
+every leaf.  An internal node ends in one of three ways, or branches:
+infeasible (no completion exists), bound (its gain does not exceed the
+incumbent's), or completion: its flow gives every aircraft exactly one
+unit on its E4/E7 edges.  That flow spells a completion, each aircraft
+at the time of its unit, and lies within that completion's resolved
+bounds: E4, E7 and E9 (equal to E7 by conservation at AcDep(i,j,0))
+carry exactly that unit, and no other bound depends on delta.  So it is
+the best completion of the node, and it is offered as the incumbent.
+Each end discards only subtrees that are empty or hold nothing better
+than what is kept, and the optimum is unique, so the result does not
+depend on the order of the search.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ class SolveStats:
     bound_solves: int = 0
     pruned_infeasible: int = 0
     pruned_bound: int = 0
+    pruned_completion: int = 0  # relaxed flow spelled a completion
     augmentations: int = 0  # paths pushed, over every flow solve
     wall_time: float = 0.0
 
@@ -108,10 +109,10 @@ def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment
     lower, upper = list(graph.relaxed_lower), list(graph.relaxed_upper)
     for decision in partial_delta.items():
         raises, cuts = graph.decisions[decision]
-        for k, amount in raises:
-            lower[k] += amount
-        for k, amount in cuts:
-            upper[k] -= amount
+        for k in raises:
+            lower[k] = 1
+        for k in cuts:
+            upper[k] = 0
     return lower, upper
 
 
@@ -169,11 +170,26 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
 
 
 def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
-                     start: Optional[FlowStart] = None) -> Optional[int]:
+                     start: Optional[FlowStart] = None
+                     ) -> Optional[Tuple[int, List[int]]]:
     """Admissible upper bound, in gain units, for every completion of
-    `partial_delta`, or None when no completion is feasible."""
+    `partial_delta`, with the relaxed flow that attains it; None when no
+    completion is feasible."""
     flows = _min_cost_flow(graph, partial_delta, start)
-    return None if flows is None else flow_gain(graph, flows)
+    return None if flows is None else (flow_gain(graph, flows), flows)
+
+
+def _spelled_completion(graph: AuxGraph, flows: List[int]
+                        ) -> Optional[Dict[Tuple[str, str], int]]:
+    """The departure-time assignment a relaxed flow spells, if it gives
+    every aircraft exactly one unit on its E4/E7 edges; else None."""
+    delta = {}
+    for pair, carriers in graph.departure_times.items():
+        carried = [tau for tau, k in carriers.items() if flows[k]]
+        if len(carried) != 1:
+            return None
+        delta[pair] = carried[0]
+    return delta
 
 
 @dataclass
@@ -232,7 +248,6 @@ def _branch_order(graph: AuxGraph) -> List[Tuple[Tuple[str, str], List[int]]]:
 
 def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     order = _branch_order(graph)
-    last = len(order) - 1
     best = _Incumbent()
 
     def visit(depth: int, partial: Dict[Tuple[str, str], int],
@@ -243,15 +258,21 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
             stats.leaf_solves += 1
             best.offer(graph, solve_fixed_delta(graph, partial, start=start))
             return
-        if best.gain is not None or 0 < depth < last:
-            stats.bound_solves += 1
-            bound = relaxation_bound(graph, partial, start=start)
-            if bound is None:
-                stats.pruned_infeasible += 1
-                return
-            if best.gain is not None and bound <= best.gain:
-                stats.pruned_bound += 1
-                return
+        stats.bound_solves += 1
+        relaxed = relaxation_bound(graph, partial, start=start)
+        if relaxed is None:
+            stats.pruned_infeasible += 1
+            return
+        bound, flows = relaxed
+        if best.gain is not None and bound <= best.gain:
+            stats.pruned_bound += 1
+            return
+        spelled = _spelled_completion(graph, flows)
+        if spelled is not None:
+            stats.pruned_completion += 1
+            _canonicalize_bundles(graph, flows)
+            best.offer(graph, FlowSolution(tuple(flows), spelled))
+            return
         pair, taus = order[depth]
         for tau in taus:
             partial[pair] = tau

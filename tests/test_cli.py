@@ -76,6 +76,7 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "objective: 10" in out
         assert "op1/a1: route 1" in out
+        assert "1 ended by completion" in out
 
     def test_json_output(self, second_price_file, capsys):
         assert main(["solve", second_price_file, "--out", "json"]) == EXIT_OK
@@ -88,6 +89,8 @@ class TestSolve:
         assert {"nodes_explored", "pruned_infeasible", "pruned_bound",
                 "wall_time"} <= set(stats)
         assert isinstance(stats["augmentations"], int) and stats["augmentations"] > 0
+        # op1 wins: op2's relaxed flow keeps it home, which ends that node.
+        assert stats["pruned_completion"] == 1
 
     def test_strategies_print_same_objective(self, generated_file, capsys):
         assert main(["solve", generated_file, "--strategy", "bnb",

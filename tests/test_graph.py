@@ -20,7 +20,7 @@ from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
     SINK,
     SOURCE,
-    AffineBound,
+    Selector,
     acdep,
     allocation_to_flow,
     arr,
@@ -29,6 +29,7 @@ from vertiport_auction.graph import (
     delta_of_allocation,
     flow_objective,
     flow_to_allocation,
+    init,
     park,
 )
 from vertiport_auction.model import (
@@ -68,16 +69,17 @@ class TestBuildGraph:
     def test_two_port_single_aircraft_vertex_count(self, single_mover):
         instance, bids = single_mover
         graph = build_graph(instance, bids)
-        # 3 replicas x 2 ports x 3 slots + |{0, 2}| aircraft vertices
-        # + source + sink.
-        assert len(graph.vertices) == 3 * 2 * 3 + 2 + 2 == 22
+        # 3 replicas x 2 ports x 3 slots + one Init per port
+        # + |{0, 2}| aircraft vertices + source + sink.
+        assert len(graph.vertices) == 3 * 2 * 3 + 2 + 2 + 2 == 24
+        assert init("v1") in graph.vertices and init("v2") in graph.vertices
 
     def test_size_formula_random(self):
         for seed in range(10):
             document = generate(GeneratorConfig(seed=seed))
             instance = document.instance
             graph = build_graph(instance, document.bids)
-            expected = 3 * len(instance.vertiports) * instance.horizon + sum(
+            expected = (3 * instance.horizon + 1) * len(instance.vertiports) + sum(
                 len(craft.departure_times())
                 for _, craft in instance.iter_aircraft()
             ) + 2
@@ -86,16 +88,18 @@ class TestBuildGraph:
     def test_no_aircraft_single_slot(self, empty_instance):
         graph = build_graph(empty_instance, {})
         assert set(graph.vertices) == {
-            park("v1", 1), arr("v1", 1), dep("v1", 1), SOURCE, SINK,
+            park("v1", 1), arr("v1", 1), dep("v1", 1), init("v1"), SOURCE, SINK,
         }
         by_class = {cls: edges_of_class(graph, cls) for cls in
-                    ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9")}
+                    ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10")}
         assert len(by_class["E1"]) == 1 and len(by_class["E2"]) == 1
         assert len(by_class["E8"]) == 2  # parking cap 2
         for cls in ("E3", "E4", "E5", "E7", "E9"):
             assert by_class[cls] == []
-        # The source edge carries no aircraft here.
-        assert by_class["E6"][0].lower == AffineBound(0)
+        # The source and initial-fleet edges carry no aircraft here.
+        (e10,), (e6,) = by_class["E10"], by_class["E6"]
+        assert (e10.tail, e10.head, e10.lower, e10.upper) == (SOURCE, init("v1"), 0, 0)
+        assert (e6.tail, e6.head, e6.lower, e6.upper) == (init("v1"), park("v1", 1), 0, 0)
 
     def test_shared_departure_time_merges_vertices(self):
         inst = Instance(
@@ -125,7 +129,7 @@ class TestBuildGraph:
         for e in edges_of_class(graph, "E1"):
             assert e.tail == arr(*e.key) and e.head == park(*e.key)
         for e in edges_of_class(graph, "E4"):
-            assert isinstance(e.lower, AffineBound)
+            assert isinstance(e.lower, Selector)
             assert e.lower == e.upper
 
     def test_zero_capacity_pruning(self, second_price):
@@ -225,9 +229,11 @@ class TestAllocationToFlow:
         solution = allocation_to_flow(graph, {("op1", "a1"): 1})
         nonzero = [e for e in graph.edges if solution.flow(e)]
         classes = sorted(e.cls for e in nonzero)
-        # Source -> Park(v1,1) -> Dep(v1,2) -> AcDep -> Arr(v2,3)
+        # Source -> Init(v1) -> Park(v1,1) -> Dep(v1,2) -> AcDep -> Arr(v2,3)
         # -> Park(v2,3) -> Sink plus the Park(v1,1)->Park(v1,2) hop.
-        assert classes == ["E1", "E2", "E3", "E4", "E5", "E6", "E8"]
+        assert classes == ["E1", "E10", "E2", "E3", "E4", "E5", "E6", "E8"]
+        assert [(e.key, solution.flow(e)) for e in nonzero if e.cls == "E10"] == [
+            (("v1",), 1)]
 
     def test_infeasible_rejected(self, second_price):
         instance, bids = second_price

@@ -13,10 +13,17 @@ from hypothesis import strategies as st
 
 from conftest import assert_circulation, edges_of_class, make_port, stay, transit
 from test_acceptance import corpus_config
-from vertiport_auction.flow import min_cost_flow
+from vertiport_auction.flow import FlowState, min_cost_flow
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction import solver
-from vertiport_auction.graph import SINK, SOURCE, build_graph, flow_gain, flow_objective
+from vertiport_auction.graph import (
+    SINK,
+    SOURCE,
+    FlowSolution,
+    build_graph,
+    flow_gain,
+    flow_objective,
+)
 from vertiport_auction.model import (
     Aircraft,
     Instance,
@@ -260,7 +267,10 @@ class TestSolve:
             assert calls["pushed"] == stats.augmentations > 0
             if strategy == "enumerate":
                 assert stats.bound_solves == 0
-                assert stats.pruned_infeasible == stats.pruned_bound == 0
+                assert (stats.pruned_infeasible == stats.pruned_bound
+                        == stats.pruned_completion == 0)
+            else:  # one flow solve per node, the root included
+                assert stats.nodes_explored == stats.fixed_delta_solves
 
 
 #: The benchmark's auction-mid shape: 3 vertiports, 3 operators x 2
@@ -301,8 +311,8 @@ def _resolve(bound, delta):
     """Value of an edge bound under a full departure-time assignment."""
     if isinstance(bound, int):
         return bound
-    return bound.constant + sum(coeff for (i, j, tau), coeff in bound.coeffs
-                                if delta[(i, j)] == tau)
+    i, j, tau = bound.key
+    return int(delta[(i, j)] == tau)
 
 
 class TestResolvedBounds:
@@ -334,13 +344,71 @@ class TestResolvedBounds:
 
 
 class TestRelaxationBound:
+    def test_relaxation_conserves_the_fleet(self):
+        """Each vertiport keeps its own units in the relaxation.  a1 at v1
+        can fly at 1 or 2, and b1 at v2 cannot leave.  Had b1's unit been
+        free to reappear at v1, a1 would collect its stay bid and both
+        route bids (11).  The relaxation credits a1's one unit to its stay
+        and to its best route (7): conservation at Init(v1) stops the
+        second unit, not the double credit of the first."""
+        inst = Instance(
+            horizon=3,
+            congestion_ratio=F(0),
+            vertiports=(
+                make_port("v1", (2, 2, 2), (0, 0, 0), (1, 1, 0)),
+                make_port("v2", (2, 2, 2), (0, 1, 1), (1, 0, 0)),
+            ),
+            operators=(
+                Operator("op1", F(1), (Aircraft("a1", "v1", (
+                    stay(origin="v1"), transit(1, 1, "v2", 2),
+                    transit(2, 2, "v2", 3))),)),
+                Operator("op2", F(1), (Aircraft("b1", "v2", (
+                    stay(origin="v2"), transit(1, 1, "v1", 2))),)),
+            ),
+        )
+        bids = {("op1", "a1", 0): F(1), ("op1", "a1", 1): F(4),
+                ("op1", "a1", 2): F(6), ("op2", "b1", 0): F(0),
+                ("op2", "b1", 1): F(0)}
+        graph = build_graph(inst, bids)
+        _, flows = relaxation_bound(graph, {})
+        assert flow_objective(graph, FlowSolution(tuple(flows), {})) == 7
+        result = solve(graph)
+        assert result.objective == 6
+        assert result.allocation == {("op1", "a1"): 2, ("op2", "b1"): 0}
+
+    def test_root_completion_ends_the_search(self):
+        """A stay bid of 1 and a route bid of 1 that congestion at the
+        destination outweighs: the root's relaxed flow keeps the aircraft
+        home, which spells a completion, so one flow solve is the whole
+        search and the bound is the optimum."""
+        inst = Instance(
+            horizon=3,
+            congestion_ratio=F(2),
+            vertiports=(
+                make_port("v1", (1, 1, 1), (0, 0, 0), (0, 1, 0)),
+                make_port("v2", (1, 1, 1), (0, 0, 1), (0, 0, 0),
+                          ((F(0), F(1)),) * 3),
+            ),
+            operators=(Operator("op1", F(1), (
+                Aircraft("a1", "v1", (stay(origin="v1"),
+                                      transit(1, 2, "v2", 3))),)),),
+        )
+        bids = {("op1", "a1", 0): F(1), ("op1", "a1", 1): F(1)}
+        graph = build_graph(inst, bids)
+        bound, _ = relaxation_bound(graph, {})
+        result = solve(graph)
+        assert result.allocation == {("op1", "a1"): 0}
+        assert bound == flow_gain(graph, result.flow.flows)
+        assert result.stats.fixed_delta_solves == 1
+        assert result.stats.pruned_completion == 1
+
     def test_bound_dominates_every_completion(self):
         for seed in range(8):
             document = generate(GeneratorConfig(seed=seed, operators=(2, 2)))
             graph = build_graph(document.instance, document.bids)
-            bound = relaxation_bound(graph, {})
-            best = flow_gain(graph, solve(graph).flow.flows)
-            assert bound is not None and bound >= best
+            bound, flows = relaxation_bound(graph, {})
+            assert bound == flow_gain(graph, flows)
+            assert bound >= flow_gain(graph, solve(graph).flow.flows)
 
 
 def _network_simplex(graph, lower, upper):
@@ -418,10 +486,11 @@ def _assert_kernel_agrees(graph, lower, upper, start):
 
 @pytest.fixture(scope="module")
 def kernel_graphs():
-    """Graphs of acceptance-corpus seeds 0-39 and one solve-large-shape
-    instance."""
+    """Graphs of acceptance-corpus seeds 0-39 and of the benchmark's
+    solve-large corpus (solve-large shape, seeds 0-3)."""
     documents = [generate(corpus_config(seed)) for seed in range(40)]
-    documents.append(generate(GeneratorConfig(seed=0, **SOLVE_LARGE)))
+    documents += [generate(GeneratorConfig(seed=seed, **SOLVE_LARGE))
+                  for seed in range(4)]
     return [build_graph(document.instance, document.bids) for document in documents]
 
 
@@ -443,11 +512,43 @@ def issued_solves(kernel_graphs):
     return issued
 
 
+@pytest.fixture(scope="module")
+def fathomed_nodes(kernel_graphs):
+    """Every node `bnb` ends by completion on `kernel_graphs`, as (graph,
+    the relaxed flow, the assignment it spells)."""
+    fathomed = []
+    spell = solver._spelled_completion
+
+    def recorded(graph, flows):
+        delta = spell(graph, flows)
+        if delta is not None:
+            fathomed.append((graph, list(flows), delta))
+        return delta
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_spelled_completion", recorded)
+        for graph in kernel_graphs:  # the search alone: nothing read back
+            solver._solve_bnb(graph, solver.SolveStats())
+    return fathomed
+
+
+def test_fathomed_flows_are_completion_optima(fathomed_nodes):
+    """A relaxed flow that ends a node lies within the resolved bounds of
+    the full assignment it spells, and no flow within them gains more."""
+    assert len(fathomed_nodes) >= 20
+    for graph, flows, delta in fathomed_nodes:
+        assert set(delta) == set(graph.departure_times)
+        assert_circulation(graph, flows, *solver._resolved_bounds(graph, delta))
+        leaf = solve_fixed_delta(graph, delta)
+        assert flow_gain(graph, leaf.flows) == flow_gain(graph, flows)
+
+
 class TestFlowKernel:
     def test_root_and_children_match_network_simplex(self, kernel_graphs):
-        """The relaxed root forces no units, so its cold solve routes only
-        what saturating a negative-cost return arc sets moving; deciding
-        one aircraft then starts from the root's state."""
+        """The relaxed root forces only the initial fleet out of the
+        source (E10), so its cold solve routes those units and what
+        saturating a negative-cost return arc sets moving; deciding one
+        aircraft then starts from the root's state."""
         pytest.importorskip("networkx")
         for graph in kernel_graphs:
             root, _ = _assert_kernel_agrees(
@@ -482,6 +583,16 @@ class TestFlowKernel:
                 cases += 1
                 infeasible += warm is None
         assert 0.1 * cases <= infeasible <= 0.9 * cases
+
+    def test_uncertified_start_raises(self, kernel_graphs):
+        """Zero potentials leave negative reduced costs on the cold
+        flow's residual arcs.  On acceptance-corpus seed 2 they close a
+        negative-cost cycle, and the kernel raises instead of looping."""
+        graph = kernel_graphs[2]
+        cold = graph.network.cold
+        start = FlowState(cold.flows, (0,) * len(cold.potential))
+        with pytest.raises(ValueError, match="not certified"):
+            min_cost_flow(graph.network, *solver._resolved_bounds(graph, {}), start)
 
     def test_zero_aircraft_return_capacity(self, empty_instance):
         graph = build_graph(empty_instance, {})
