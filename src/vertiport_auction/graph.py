@@ -2,37 +2,37 @@
 
 Builds the auxiliary graph whose max-weight flows correspond one-to-one
 with feasible allocations: three vertiport replicas (parking, arrival,
-departure) per slot, one initial-fleet vertex per vertiport, one vertex
-per (aircraft, departure time), a source and a sink.  Edge classes
-E1..E10:
+departure) per slot, one vertex per (aircraft, departure time other than
+the stay time 0), a source and a sink.  Edge classes:
 
   E1 arrival gate       Arr(r,t)  -> Park(r,t)   cap [0, A(r,t)]
   E2 departure gate     Park(r,t) -> Dep(r,t)    cap [0, D(r,t)]
   E3 parking bundle     Park(r,t) -> Park(r,t+1) C(r,t) unit edges,
                         q-th weight -lambda*(g(q) - g(q-1))
   E4 departure choice   Dep(o,tau) -> AcDep(i,j,tau)  bound = delta
-  E5 route grant        AcDep(i,j,d_k) -> Arr(dest_k, a_k)  weight rho*b
-  E6 initial movers     Init(r) -> Park(r,1)  cap [0, initial(r)]
-  E7 stay grant         Init(o) -> AcDep(i,j,0)  bound = delta0, weight rho*b_stay
+  E5 route grant        AcDep(i,j,d_k) -> Arr(dest_k, a_k)
+                        weight rho*(b_k - b_stay)
+  E6 initial fleet      Source -> Park(r,1)  bound = initial(r)
   E8 terminal bundle    Park(r,H) -> Sink   like E3 at slot H
-  E9 stay return        AcDep(i,j,0) -> Park(o,1)  bound = delta0
-  E10 initial fleet     Source -> Init(r)  bound = initial(r)
 
-Conservation at Init(r) splits the aircraft based at r into stayers
-(E7) and movers (E6).  The bounds on E4/E7/E9 are departure-time
-selectors delta (`Selector`) and resolve to integers once a
-departure-time assignment is fixed, so one graph serves every branch
-node of the solver.  Undecided, an aircraft's selectors relax to
-[0, 1], but E10 still fixes the units each vertiport starts with: a
-relaxed flow cannot move a unit to another vertiport, though a
-stayer's unit, back in Park(o,1) by E9, may still fly a route.  `build_graph`
-compiles what every branch node needs once: the residual network of
-the flow kernel (`flow.Network`: vertex-index tails and heads, costs
--gain, a return edge of one unit per aircraft, and a cold start state
-whose potentials come from a topological order), the relaxed
-bounds with the change each (aircraft, tau) decision makes to them,
-the E4/E7 edge of each (aircraft, tau), the E3/E8 bundles and lookup
-tables.
+Every aircraft based at r enters at Park(r,1) by E6; an aircraft
+departs at tau exactly when its E4 edge at tau carries its unit, and
+stays exactly when none of its E4 edges does.  The stay bid is folded
+into the route weights, so a stay moves and gains nothing in the graph
+and `AuxGraph.stay_welfare`, the fleet's weighted stay bids, is added
+back to every flow's weight; some E5 weights are negative.  The bounds
+on E4 are departure-time selectors delta (`Selector`) and resolve to
+integers once a departure-time assignment is fixed, so one graph serves
+every branch node of the solver.  Undecided, an aircraft's selectors
+relax to [0, 1], but E6 still fixes the units each vertiport starts
+with: a relaxed flow cannot move a unit to another vertiport, and a unit
+is credited for one aircraft's route at most once.  `build_graph`
+compiles what every branch node needs once: the residual network of the
+flow kernel (`flow.Network`: vertex-index tails and heads, costs -gain,
+a return edge of one unit per aircraft, and a cold start state whose
+potentials come from a topological order), the relaxed bounds with the
+change each (aircraft, tau) decision makes to them, the E4 edge of each
+(aircraft, tau), the E3/E8 bundles and lookup tables.
 
 Tie-break.  The solver maximizes one exact integer gain per edge,
 
@@ -40,18 +40,21 @@ Tie-break.  The solver maximizes one exact integer gain per edge,
 
 where S is the lcm of the weight denominators and P = R^n * M^n, with n
 the number of aircraft, R the most departure times and M the largest
-menu of any aircraft.  Only E5 and E7 edges carry a bonus.  For the
-aircraft with canonical index a (in `Instance.iter_aircraft` order)
-granted the menu key of rank rk in its sorted menu, departing at the
-time of rank rtau among its departure times (stay: time 0, rank 0),
+menu of any aircraft.  For the aircraft with canonical index a (in
+`Instance.iter_aircraft` order) granted the menu key of rank rk in its
+sorted menu, departing at the time of rank rtau among its departure
+times (stay: time 0, rank 0), let
 
-  bonus = M^n * R^(n-1-a) * (R-1-rtau) + M^(n-1-a) * (M-1-rk).
+  grant(a, rtau, rk) = M^n * R^(n-1-a) * (R-1-rtau) + M^(n-1-a) * (M-1-rk).
 
-Every feasible flow grants each aircraft exactly one E5 or E7 edge, so a
-flow's bonuses sum to at most P - 1 and spell its departure-time vector,
-then its menu-key vector, as base-R and base-M numbers in which smaller
-entries score higher.  A nonzero welfare difference is a multiple of 1/S,
-worth at least P in gain.  So the maximum-gain flow is the welfare optimum whose
+Only E5 edges carry a bonus, the grant of their route minus the grant of
+the aircraft's stay.  Every feasible flow grants each aircraft at most
+one E5 edge, and an aircraft with none stays, so a flow's bonuses plus
+the constant sum of the fleet's stay grants are its grants, which sum
+to at most P - 1 and spell its departure-time vector, then its menu-key
+vector, as base-R and base-M numbers in which smaller entries score
+higher.  A nonzero welfare difference is a multiple of 1/S, worth at
+least P in gain.  So the maximum-gain flow is the welfare optimum whose
 (departure-time vector, menu-key vector) is lexicographically smallest
 among tied optima, and distinct allocations never tie in gain.
 """
@@ -81,7 +84,6 @@ from .model import (
 PARK = "park"
 ARR = "arr"
 DEP = "dep"
-INIT = "init"
 AC_DEP = "acdep"
 SOURCE = ("source",)
 SINK = ("sink",)
@@ -110,10 +112,6 @@ def acdep(i: str, j: str, tau: int) -> Vertex:
     return (AC_DEP, i, j, tau)
 
 
-def init(r: str) -> Vertex:
-    return (INIT, r)
-
-
 @dataclass(frozen=True)
 class Selector:
     """Bound delta[key]: 1 if the aircraft departs at tau, else 0."""
@@ -127,7 +125,7 @@ Bound = Union[int, Selector]
 @dataclass(frozen=True)
 class Edge:
     index: int
-    cls: str  # "E1".."E10"
+    cls: str  # "E1".."E6", "E8"
     key: Tuple
     tail: Vertex
     head: Vertex
@@ -144,6 +142,8 @@ class AuxGraph:
     vertices: Tuple[Vertex, ...]
     edges: Tuple[Edge, ...]
     gains: Tuple[int, ...]  # per edge; see the module docstring
+    # The fleet's weighted stay bids, folded out of the E5 weights.
+    stay_welfare: Fraction
     # Compiled by `build_graph` for the solver.
     network: Network = field(compare=False, repr=False)
     # Per-edge bounds with every aircraft undecided.
@@ -152,8 +152,8 @@ class AuxGraph:
     # ((operator, aircraft), tau) -> what deciding it does to the bounds.
     decisions: Mapping[Tuple[Tuple[str, str], int], BoundSteps] = field(
         compare=False, repr=False)
-    # (operator, aircraft) -> {tau: the edge its unit takes to depart at
-    # tau, E7 for the stay time 0 and E4 otherwise}.
+    # (operator, aircraft) -> {tau: the E4 edge its unit takes to depart
+    # at tau}, for every departure time but the stay time 0.
     departure_times: Mapping[Tuple[str, str], Mapping[int, int]] = field(
         compare=False, repr=False)
     # Edge indices of each E3/E8 parallel bundle, by position q.
@@ -181,7 +181,7 @@ class FlowSolution:
 def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     """Construct the auxiliary graph for `instance` under `bids`.
 
-    Edge indexing is deterministic: class E1..E10, then lexicographic key,
+    Edge indexing is deterministic: class E1..E8, then lexicographic key,
     then bundle position.
     """
     h = instance.horizon
@@ -195,9 +195,8 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     for port in instance.vertiports:
         for t in range(1, h + 1):
             vertices.extend([park(port.id, t), arr(port.id, t), dep(port.id, t)])
-    vertices.extend(init(port.id) for port in instance.vertiports)
     for operator, craft in instance.iter_aircraft():
-        for tau in craft.departure_times():
+        for tau in craft.departure_times()[1:]:  # all but the stay time 0
             vertices.append(acdep(operator.id, craft.id, tau))
     vertices.extend([SOURCE, SINK])
 
@@ -244,43 +243,32 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
                 add("E3", (port.id, t, q), park(port.id, t), park(port.id, t + 1),
                     0, 1, weight, q)
     for operator, craft in instance.iter_aircraft():
-        for tau in craft.departure_times():
-            if tau == 0:
-                continue
+        for tau in craft.departure_times()[1:]:
             bound = Selector((operator.id, craft.id, tau))
             add("E4", (operator.id, craft.id, tau), dep(craft.origin, tau),
                 acdep(operator.id, craft.id, tau), bound, bound, zero)
+    stay_welfare = zero
     for a, (operator, craft) in enumerate(fleet):
+        stay_bid = bids[(operator.id, craft.id, craft.stay_key)]
+        stay_bonus = grant_bonus(a, craft, craft.option(craft.stay_key))
+        stay_welfare += operator.weight * stay_bid
         for entry in craft.menu:
             if entry.is_stay:
                 continue
-            weight = operator.weight * bids[(operator.id, craft.id, entry.key)]
+            bid = bids[(operator.id, craft.id, entry.key)]
             add("E5", (operator.id, craft.id, entry.key),
                 acdep(operator.id, craft.id, entry.depart_time),
-                arr(entry.destination, entry.arrive_time), 0, 1, weight,
-                bonus=grant_bonus(a, craft, entry))
+                arr(entry.destination, entry.arrive_time), 0, 1,
+                operator.weight * (bid - stay_bid),
+                bonus=grant_bonus(a, craft, entry) - stay_bonus)
     for port in instance.vertiports:
-        add("E6", (port.id,), init(port.id), park(port.id, 1), 0,
-            initial_occupancy(instance, port.id), zero)
-    for a, (operator, craft) in enumerate(fleet):
-        bound = Selector((operator.id, craft.id, 0))
-        weight = operator.weight * bids[(operator.id, craft.id, craft.stay_key)]
-        add("E7", (operator.id, craft.id), init(craft.origin),
-            acdep(operator.id, craft.id, 0),
-            bound, bound, weight,
-            bonus=grant_bonus(a, craft, craft.option(craft.stay_key)))
+        count = initial_occupancy(instance, port.id)
+        add("E6", (port.id,), SOURCE, park(port.id, 1), count, count, zero)
     for port in instance.vertiports:
         for q in range(1, port.parking_cap[h - 1] + 1):
             g = port.congestion_cost[h - 1]
             weight = -lam * (g[q] - g[q - 1])
             add("E8", (port.id, q), park(port.id, h), SINK, 0, 1, weight, q)
-    for operator, craft in instance.iter_aircraft():
-        bound = Selector((operator.id, craft.id, 0))
-        add("E9", (operator.id, craft.id), acdep(operator.id, craft.id, 0),
-            park(craft.origin, 1), bound, bound, zero)
-    for port in instance.vertiports:
-        count = initial_occupancy(instance, port.id)
-        add("E10", (port.id,), SOURCE, init(port.id), count, count, zero)
 
     scale = lcm(*(e.weight.denominator for e in edges), 1)
     unit = scale * most_times ** n * largest_menu ** n
@@ -296,8 +284,8 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     times: Dict[Tuple[str, str], Dict[int, int]] = {
         (operator.id, craft.id): {} for operator, craft in fleet}
     for e in edges:
-        if e.cls in ("E4", "E7"):
-            i, j, tau = e.lower.key
+        if e.cls == "E4":
+            i, j, tau = e.key
             times[i, j][tau] = e.index
     lower, upper, decisions = _bound_templates(edges, times)
     bundles: Dict[Tuple, List[Edge]] = {}
@@ -305,7 +293,7 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
         if e.cls in ("E3", "E8"):
             bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
     return AuxGraph(
-        instance, bids, tuple(vertices), tuple(edges), gains,
+        instance, bids, tuple(vertices), tuple(edges), gains, stay_welfare,
         network=network, relaxed_lower=lower, relaxed_upper=upper,
         decisions=decisions, departure_times=times,
         bundles=tuple(tuple(e.index for e in sorted(members, key=lambda e: e.q))
@@ -321,31 +309,21 @@ def _bound_templates(edges: Sequence[Edge],
     """Relaxed per-edge bounds, every aircraft undecided, and the change
     deciding each aircraft at each of its departure times makes to them.
 
-    An edge bounded by a selector delta[i, j, tau] on both sides relaxes
-    to [0, 1] while aircraft (i, j) is undecided, a valid superset of
-    every completion; to [1, 1] if tau is its only departure time.
-    Deciding the aircraft at tau raises the lower bound to 1, and
-    deciding it at any other time cuts the upper bound to 0, so a full
-    assignment resolves every bound exactly.
+    An aircraft's E4 edges, bounded by the selectors delta[i, j, tau],
+    relax to [0, 1] while it is undecided, a valid superset of every
+    completion, since it may also stay and use none of them.  Deciding
+    it at tau raises the lower bound of its E4 edge at tau to 1 and cuts
+    the upper bounds of the others to 0; deciding that it stays (tau 0)
+    cuts them all.  So a full assignment resolves every bound exactly.
     """
-    lower: List[int] = []
-    upper: List[int] = []
-    steps = {(pair, tau): ([], []) for pair, taus in times.items() for tau in taus}
-    for e in edges:
-        if not isinstance(e.lower, Selector):
-            lower.append(e.lower)
-            upper.append(e.upper)
-            continue
-        i, j, tau = e.lower.key
-        taus = times[i, j]
-        lower.append(int(len(taus) == 1))
-        upper.append(1)
-        if len(taus) > 1:
-            for other in taus:
-                raises, cuts = steps[(i, j), other]
-                (raises if other == tau else cuts).append(e.index)
-    decisions = {key: (tuple(raises), tuple(cuts)) for key, (raises, cuts) in steps.items()}
-    return tuple(lower), tuple(upper), decisions
+    lower = tuple(0 if isinstance(e.lower, Selector) else e.lower for e in edges)
+    upper = tuple(1 if isinstance(e.upper, Selector) else e.upper for e in edges)
+    decisions = {
+        (pair, tau): (tuple(k for other, k in carriers.items() if other == tau),
+                      tuple(k for other, k in carriers.items() if other != tau))
+        for pair, carriers in times.items() for tau in (0, *carriers)
+    }
+    return lower, upper, decisions
 
 
 def delta_of_allocation(instance: Instance, allocation: Allocation
@@ -384,21 +362,14 @@ def allocation_to_flow(graph: AuxGraph, allocation: Allocation) -> FlowSolution:
         elif e.cls == "E5":
             i, j, k = e.key
             flows[e.index] = 1 if allocation[(i, j)] == k else 0
-        elif e.cls == "E6":  # every aircraft at r that does not stay
-            flows[e.index] = sum(
-                count for (r, _), count in departures.items() if r == e.key[0]
-            )
-        elif e.cls in ("E7", "E9"):
-            i, j = e.key
-            flows[e.index] = 1 if delta[(i, j)] == 0 else 0
-        elif e.cls == "E10":  # every aircraft based at r
+        elif e.cls == "E6":  # every aircraft based at r
             flows[e.index] = e.lower
     return FlowSolution(tuple(flows), delta)
 
 
 def flow_objective(graph: AuxGraph, solution: FlowSolution) -> Fraction:
-    """Exact weighted flow value."""
-    total = Fraction(0)
+    """Exact weighted flow value: the welfare of the allocation it spells."""
+    total = graph.stay_welfare
     for e in graph.edges:
         if solution.flows[e.index]:
             total += e.weight * solution.flows[e.index]
@@ -411,7 +382,8 @@ def flow_gain(graph: AuxGraph, flows: Sequence[int]) -> int:
 
 
 def flow_to_allocation(graph: AuxGraph, solution: FlowSolution) -> Allocation:
-    """Read the canonical allocation off the E5/E9 unit flows."""
+    """Read the canonical allocation off the E5 unit flows: an aircraft
+    granted no route stays."""
     instance = graph.instance
     allocation: Dict[Tuple[str, str], int] = {}
     for operator, craft in instance.iter_aircraft():
@@ -427,14 +399,9 @@ def flow_to_allocation(graph: AuxGraph, solution: FlowSolution) -> Allocation:
                 )
             if value == 1:
                 granted.append(entry.key)
-        if solution.delta[key] == 0:
-            if granted:
-                raise ValueError(f"aircraft {key} both stays and departs")
-            allocation[key] = craft.stay_key
-        else:
-            if len(granted) != 1:
-                raise ValueError(f"aircraft {key} granted {len(granted)} routes")
-            allocation[key] = granted[0]
+        if len(granted) > 1:
+            raise ValueError(f"aircraft {key} granted {len(granted)} routes")
+        allocation[key] = granted[0] if granted else craft.stay_key
     check_allocation(instance, allocation)
     return allocation
 

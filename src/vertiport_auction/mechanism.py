@@ -21,7 +21,6 @@ from .model import (
     OperatorId,
     Profile,
     granted_value,
-    social_welfare,
     validate_instance,
     validate_profile,
 )
@@ -47,16 +46,6 @@ def pseudo_bids(excluded: OperatorId, bids: Profile) -> Dict[Tuple[str, str, int
         triple: (Fraction(0) if triple[0] == excluded else value)
         for triple, value in bids.items()
     }
-
-
-def remaining_welfare(instance: Instance, allocation: Allocation, bids: Profile,
-                      operator_id: OperatorId) -> Fraction:
-    """Weighted bids of everyone but `operator_id`, minus the full
-    congestion term (which still counts that operator's aircraft).
-    """
-    weight = instance.operator(operator_id).weight
-    return (social_welfare(instance, allocation, bids)
-            - weight * granted_value(instance, allocation, bids, operator_id))
 
 
 def payment(instance: Instance, bids: Profile, operator_id: OperatorId,

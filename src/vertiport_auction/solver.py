@@ -23,15 +23,18 @@ assignment (undecided aircraft relaxed, see `_resolved_bounds`) at
 every internal node, the root included, and the fixed-delta flow at
 every leaf.  An internal node ends in one of three ways, or branches:
 infeasible (no completion exists), bound (its gain does not exceed the
-incumbent's), or completion: its flow gives every aircraft exactly one
-unit on its E4/E7 edges.  That flow spells a completion, each aircraft
-at the time of its unit, and lies within that completion's resolved
-bounds: E4, E7 and E9 (equal to E7 by conservation at AcDep(i,j,0))
-carry exactly that unit, and no other bound depends on delta.  So it is
-the best completion of the node, and it is offered as the incumbent.
-Each end discards only subtrees that are empty or hold nothing better
-than what is kept, and the optimum is unique, so the result does not
-depend on the order of the search.
+incumbent's), or completion: its flow gives every aircraft at most one
+unit on its E4 edges.  That flow spells a completion, each aircraft at
+the time of its unit and staying without one, and it lies as it stands
+within that completion's resolved bounds: E4 is the only edge whose
+bounds depend on delta, and its flow is exactly the spelled unit.  A
+decided aircraft spells its own decision, since its bounds force or
+forbid those units.  So the flow is a feasible completion of the node
+that gains as much as the relaxation, which bounds every completion:
+it is the best one, and it is offered as the incumbent with the gain
+the relaxation already computed.  Each end discards only subtrees that
+are empty or hold nothing better than what is kept, and the optimum is
+unique, so the result does not depend on the order of the search.
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
     if set(delta) != set(times):
         raise SolverError("delta must assign every aircraft exactly once")
     for pair, tau in delta.items():
-        if tau not in times[pair]:
+        if tau and tau not in times[pair]:
             raise SolverError(f"aircraft {pair} has no departure time {tau}")
     flows = _min_cost_flow(graph, delta, start)
     if flows is None:
@@ -182,13 +185,14 @@ def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
 def _spelled_completion(graph: AuxGraph, flows: List[int]
                         ) -> Optional[Dict[Tuple[str, str], int]]:
     """The departure-time assignment a relaxed flow spells, if it gives
-    every aircraft exactly one unit on its E4/E7 edges; else None."""
+    every aircraft at most one unit on its E4 edges (none: it stays);
+    else None."""
     delta = {}
     for pair, carriers in graph.departure_times.items():
         carried = [tau for tau, k in carriers.items() if flows[k]]
-        if len(carried) != 1:
+        if len(carried) > 1:
             return None
-        delta[pair] = carried[0]
+        delta[pair] = carried[0] if carried else 0
     return delta
 
 
@@ -199,10 +203,13 @@ class _Incumbent:
     gain: Optional[int] = None
     flow: Optional[FlowSolution] = None
 
-    def offer(self, graph: AuxGraph, flow: Optional[FlowSolution]) -> None:
+    def offer(self, graph: AuxGraph, flow: Optional[FlowSolution],
+              gain: Optional[int] = None) -> None:
+        """Keep `flow` if it gains more; `gain` is computed if not given."""
         if flow is None:
             return
-        gain = flow_gain(graph, flow.flows)
+        if gain is None:
+            gain = flow_gain(graph, flow.flows)
         if self.gain is None or gain > self.gain:
             self.gain = gain
             self.flow = flow
@@ -271,7 +278,7 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
         if spelled is not None:
             stats.pruned_completion += 1
             _canonicalize_bundles(graph, flows)
-            best.offer(graph, FlowSolution(tuple(flows), spelled))
+            best.offer(graph, FlowSolution(tuple(flows), spelled), bound)
             return
         pair, taus = order[depth]
         for tau in taus:

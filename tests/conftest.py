@@ -25,6 +25,7 @@ from vertiport_auction.model import (
     Operator,
     RouteOption,
     Vertiport,
+    granted_value,
     social_welfare,
 )
 from vertiport_auction.oracle import enumerate_feasible, oracle_optimal, oracle_payment
@@ -136,6 +137,41 @@ def single_mover():
 
 
 @pytest.fixture
+def reluctant_movers():
+    """Two aircraft at v1 whose every route bid is below their stay bid,
+    so every route gains less than staying; two aircraft parked at v1
+    from slot 2 cost 10 a slot, so one must leave.
+
+    a1 (stay 8, routes 4 and 5) and b1 (stay 7, route 3) compete for one
+    arrival at v2.  a1 leaves on route 2, giving up 3 where b1 would give
+    up 4: welfare 12, and op2 pays the 3 its b1 keeps op1's a1 from.
+    """
+    crowded = (Fraction(0), Fraction(0), Fraction(10))
+    instance = Instance(
+        horizon=3,
+        congestion_ratio=Fraction(1),
+        vertiports=(
+            make_port("v1", (2, 2, 2), (0, 0, 0), (1, 1, 0),
+                      ((Fraction(0),) * 3, crowded, crowded)),
+            make_port("v2", (1, 1, 1), (0, 0, 1), (0, 0, 0)),
+        ),
+        operators=(
+            Operator("op1", Fraction(1), (Aircraft("a1", "v1", (
+                stay(origin="v1"), transit(1, 1, "v2", 3),
+                transit(2, 2, "v2", 3))),)),
+            Operator("op2", Fraction(1), (Aircraft("b1", "v1", (
+                stay(origin="v1"), transit(1, 2, "v2", 3))),)),
+        ),
+    )
+    bids = {
+        ("op1", "a1", 0): Fraction(8), ("op1", "a1", 1): Fraction(4),
+        ("op1", "a1", 2): Fraction(5),
+        ("op2", "b1", 0): Fraction(7), ("op2", "b1", 1): Fraction(3),
+    }
+    return instance, bids
+
+
+@pytest.fixture
 def empty_instance():
     """One vertiport, no aircraft."""
     return Instance(
@@ -165,6 +201,15 @@ def truncated_incidence(graph):
     """Incidence matrix without the source and sink rows."""
     return [row for v, row in zip(graph.vertices, incidence(graph))
             if v not in (SOURCE, SINK)]
+
+
+def remaining_welfare(instance, allocation, bids, operator_id):
+    """Weighted bids of everyone but `operator_id`, minus the full
+    congestion term (which still counts that operator's aircraft).
+    """
+    weight = instance.operator(operator_id).weight
+    return (social_welfare(instance, allocation, bids)
+            - weight * granted_value(instance, allocation, bids, operator_id))
 
 
 def assert_matches_oracle(instance, bids):

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from conftest import (
     assert_flow_correspondence,
     assert_matches_oracle,
+    remaining_welfare,
     truncated_incidence,
     validated_instances,
 )
@@ -35,7 +36,6 @@ from vertiport_auction.graph import (
 from vertiport_auction.mechanism import (
     RULE_NO_ZEROING,
     pseudo_bids,
-    remaining_welfare,
     run_auction,
     sample_misreports,
 )

@@ -29,7 +29,6 @@ from vertiport_auction.graph import (
     delta_of_allocation,
     flow_objective,
     flow_to_allocation,
-    init,
     park,
 )
 from vertiport_auction.model import (
@@ -69,18 +68,19 @@ class TestBuildGraph:
     def test_two_port_single_aircraft_vertex_count(self, single_mover):
         instance, bids = single_mover
         graph = build_graph(instance, bids)
-        # 3 replicas x 2 ports x 3 slots + one Init per port
-        # + |{0, 2}| aircraft vertices + source + sink.
-        assert len(graph.vertices) == 3 * 2 * 3 + 2 + 2 + 2 == 24
-        assert init("v1") in graph.vertices and init("v2") in graph.vertices
+        # 3 replicas x 2 ports x 3 slots + one aircraft vertex for the
+        # departure time 2 (the stay time 0 has none) + source + sink.
+        assert len(graph.vertices) == 3 * 2 * 3 + 1 + 2 == 21
+        assert [v for v in graph.vertices if v[0] == "acdep"] == [
+            acdep("op1", "a1", 2)]
 
     def test_size_formula_random(self):
         for seed in range(10):
             document = generate(GeneratorConfig(seed=seed))
             instance = document.instance
             graph = build_graph(instance, document.bids)
-            expected = (3 * instance.horizon + 1) * len(instance.vertiports) + sum(
-                len(craft.departure_times())
+            expected = 3 * instance.horizon * len(instance.vertiports) + sum(
+                len(craft.departure_times()) - 1
                 for _, craft in instance.iter_aircraft()
             ) + 2
             assert len(graph.vertices) == expected
@@ -88,18 +88,18 @@ class TestBuildGraph:
     def test_no_aircraft_single_slot(self, empty_instance):
         graph = build_graph(empty_instance, {})
         assert set(graph.vertices) == {
-            park("v1", 1), arr("v1", 1), dep("v1", 1), init("v1"), SOURCE, SINK,
+            park("v1", 1), arr("v1", 1), dep("v1", 1), SOURCE, SINK,
         }
+        assert {e.cls for e in graph.edges} == {"E1", "E2", "E6", "E8"}
         by_class = {cls: edges_of_class(graph, cls) for cls in
-                    ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10")}
+                    ("E1", "E2", "E3", "E4", "E5", "E6", "E8")}
         assert len(by_class["E1"]) == 1 and len(by_class["E2"]) == 1
         assert len(by_class["E8"]) == 2  # parking cap 2
-        for cls in ("E3", "E4", "E5", "E7", "E9"):
+        for cls in ("E3", "E4", "E5"):
             assert by_class[cls] == []
-        # The source and initial-fleet edges carry no aircraft here.
-        (e10,), (e6,) = by_class["E10"], by_class["E6"]
-        assert (e10.tail, e10.head, e10.lower, e10.upper) == (SOURCE, init("v1"), 0, 0)
-        assert (e6.tail, e6.head, e6.lower, e6.upper) == (init("v1"), park("v1", 1), 0, 0)
+        # The initial-fleet edge carries no aircraft here.
+        (e6,) = by_class["E6"]
+        assert (e6.tail, e6.head, e6.lower, e6.upper) == (SOURCE, park("v1", 1), 0, 0)
 
     def test_shared_departure_time_merges_vertices(self):
         inst = Instance(
@@ -117,7 +117,7 @@ class TestBuildGraph:
         bids = {("op1", "a1", k): F(k) for k in range(3)}
         graph = build_graph(inst, bids)
         ac_vertices = [v for v in graph.vertices if v[0] == "acdep"]
-        assert ac_vertices == [acdep("op1", "a1", 0), acdep("op1", "a1", 2)]
+        assert ac_vertices == [acdep("op1", "a1", 2)]
         assert len(edges_of_class(graph, "E5")) == 2
 
     def test_edge_shapes_and_weights(self, second_price):
@@ -198,12 +198,10 @@ class TestAllocationToFlow:
         graph = build_graph(instance, bids)
         solution = allocation_to_flow(graph, all_stay_allocation(instance))
         for e in graph.edges:
-            if e.cls == "E5":
+            if e.cls in ("E2", "E4", "E5"):
                 assert solution.flow(e) == 0
-            elif e.cls in ("E7", "E9"):
-                assert solution.flow(e) == 1
             elif e.cls == "E6":
-                assert solution.flow(e) == 0
+                assert solution.flow(e) == initial_occupancy(instance, e.key[0])
         # Parking bundles carry the initial occupancy in prefix form.
         bundles = {}
         for e in edges_of_class(graph, "E3"):
@@ -229,10 +227,10 @@ class TestAllocationToFlow:
         solution = allocation_to_flow(graph, {("op1", "a1"): 1})
         nonzero = [e for e in graph.edges if solution.flow(e)]
         classes = sorted(e.cls for e in nonzero)
-        # Source -> Init(v1) -> Park(v1,1) -> Dep(v1,2) -> AcDep -> Arr(v2,3)
+        # Source -> Park(v1,1) -> Dep(v1,2) -> AcDep -> Arr(v2,3)
         # -> Park(v2,3) -> Sink plus the Park(v1,1)->Park(v1,2) hop.
-        assert classes == ["E1", "E10", "E2", "E3", "E4", "E5", "E6", "E8"]
-        assert [(e.key, solution.flow(e)) for e in nonzero if e.cls == "E10"] == [
+        assert classes == ["E1", "E2", "E3", "E4", "E5", "E6", "E8"]
+        assert [(e.key, solution.flow(e)) for e in nonzero if e.cls == "E6"] == [
             (("v1",), 1)]
 
     def test_infeasible_rejected(self, second_price):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_port, stay, transit
+from conftest import assert_matches_oracle, make_port, remaining_welfare, stay, transit
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import build_graph
 from vertiport_auction.mechanism import (
@@ -14,7 +14,6 @@ from vertiport_auction.mechanism import (
     MechanismOutcome,
     payment,
     pseudo_bids,
-    remaining_welfare,
     run_auction,
     sample_misreports,
 )
@@ -116,6 +115,14 @@ class TestPayment:
         cleared = solve(build_graph(instance, bids))
         with pytest.raises(ValueError, match="unknown payment rule"):
             payment(instance, bids, "op1", cleared, rule="vickrey")
+
+    def test_routes_below_stay_bids_match_oracle(self, reluctant_movers):
+        instance, bids = reluctant_movers
+        assert_matches_oracle(instance, bids)
+        outcome = run_auction(instance, bids)
+        assert outcome.allocation == {("op1", "a1"): 2, ("op2", "b1"): 0}
+        assert outcome.cleared_welfare == 12
+        assert outcome.payments == {"op1": 0, "op2": 3}
 
     def test_pseudo_bid_neutrality(self, second_price):
         # In the inner optimization for op1, any routing of op1's

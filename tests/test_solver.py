@@ -15,6 +15,7 @@ from conftest import assert_circulation, edges_of_class, make_port, stay, transi
 from test_acceptance import corpus_config
 from vertiport_auction.flow import FlowState, min_cost_flow
 from vertiport_auction.generator import GeneratorConfig, generate
+from vertiport_auction.mechanism import pseudo_bids
 from vertiport_auction import solver
 from vertiport_auction.graph import (
     SINK,
@@ -293,18 +294,23 @@ class TestPruning:
         assert result.objective == reference.objective
 
     def test_infeasible_subtrees_pruned_before_leaves(self):
-        # 178 flow solves with bounds from the first level; a search
-        # that bounds only after its first incumbent needs 6,877.
+        # Auction-mid clearing (None) and counterfactual graphs whose
+        # search branches: 93 flow solves with bounds from the root on,
+        # where enumeration solves 2,538 leaves.
         total = 0
-        for seed in range(4):
-            document = generate(GeneratorConfig(seed=seed, **SOLVE_LARGE))
-            result = solve(build_graph(document.instance, document.bids))
+        for seed, excluded in ((1, None), (1, "op1"), (2, None), (2, "op1"),
+                               (2, "op3"), (6, None), (6, "op2"), (6, "op3"),
+                               (7, "op3")):
+            document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
+            bids = (document.bids if excluded is None
+                    else pseudo_bids(excluded, document.bids))
+            result = solve(build_graph(document.instance, bids))
             assert result.stats.pruned_infeasible > 0
             total += result.stats.fixed_delta_solves
             assert is_feasible(document.instance, result.allocation).feasible
             assert result.objective == social_welfare(
-                document.instance, result.allocation, document.bids)
-        assert total <= 400
+                document.instance, result.allocation, bids)
+        assert total <= 200
 
 
 def _resolve(bound, delta):
@@ -345,12 +351,12 @@ class TestResolvedBounds:
 
 class TestRelaxationBound:
     def test_relaxation_conserves_the_fleet(self):
-        """Each vertiport keeps its own units in the relaxation.  a1 at v1
-        can fly at 1 or 2, and b1 at v2 cannot leave.  Had b1's unit been
-        free to reappear at v1, a1 would collect its stay bid and both
-        route bids (11).  The relaxation credits a1's one unit to its stay
-        and to its best route (7): conservation at Init(v1) stops the
-        second unit, not the double credit of the first."""
+        """Each vertiport keeps its own units in the relaxation, and each
+        unit is credited once.  a1 at v1 can fly at 1 or 2, and b1 at v2
+        cannot leave.  Had b1's unit been free to reappear at v1, a1 would
+        collect its stay bid and both route bids (11); had a1's one unit
+        been paid both for staying and for its best route, 7.  The root
+        relaxation is the optimum, 6, and ends the search."""
         inst = Instance(
             horizon=3,
             congestion_ratio=F(0),
@@ -370,11 +376,13 @@ class TestRelaxationBound:
                 ("op1", "a1", 2): F(6), ("op2", "b1", 0): F(0),
                 ("op2", "b1", 1): F(0)}
         graph = build_graph(inst, bids)
-        _, flows = relaxation_bound(graph, {})
-        assert flow_objective(graph, FlowSolution(tuple(flows), {})) == 7
+        bound, flows = relaxation_bound(graph, {})
+        assert flow_objective(graph, FlowSolution(tuple(flows), {})) == 6
         result = solve(graph)
         assert result.objective == 6
         assert result.allocation == {("op1", "a1"): 2, ("op2", "b1"): 0}
+        assert bound == flow_gain(graph, result.flow.flows)
+        assert result.stats.fixed_delta_solves == 1
 
     def test_root_completion_ends_the_search(self):
         """A stay bid of 1 and a route bid of 1 that congestion at the
@@ -398,6 +406,22 @@ class TestRelaxationBound:
         bound, _ = relaxation_bound(graph, {})
         result = solve(graph)
         assert result.allocation == {("op1", "a1"): 0}
+        assert bound == flow_gain(graph, result.flow.flows)
+        assert result.stats.fixed_delta_solves == 1
+        assert result.stats.pruned_completion == 1
+
+    def test_paying_route_is_not_credited_twice(self, single_mover):
+        """Stay bid 4, route bid 9.  A relaxation that paid one unit for
+        staying and for flying would bound the search at 13 and branch;
+        with the stay folded into the route gain the root relaxation flies
+        the aircraft, which spells the optimum, 9, in one flow solve."""
+        instance, _ = single_mover
+        bids = {("op1", "a1", 0): F(4), ("op1", "a1", 1): F(9)}
+        graph = build_graph(instance, bids)
+        bound, flows = relaxation_bound(graph, {})
+        assert flow_objective(graph, FlowSolution(tuple(flows), {})) == 9
+        result = solve(graph)
+        assert (result.allocation, result.objective) == ({("op1", "a1"): 1}, 9)
         assert bound == flow_gain(graph, result.flow.flows)
         assert result.stats.fixed_delta_solves == 1
         assert result.stats.pruned_completion == 1
@@ -438,15 +462,16 @@ def _network_simplex(graph, lower, upper):
 def _restricted(graph, lower, upper, rng):
     """A narrowing of the bounds: one to three lowers raised or uppers
     cut by one unit each, sometimes past each other, and now and then
-    one more E6 mover forced."""
+    one more departure forced through an open gate (E2)."""
     lower, upper = list(lower), list(upper)
     for k in rng.sample(range(len(lower)), rng.randint(1, 3)):
         if rng.random() < 0.5:
             lower[k] += 1
         else:
             upper[k] -= 1
-    if rng.random() < 0.3:
-        lower[rng.choice(edges_of_class(graph, "E6")).index] += 1
+    gates = [e.index for e in edges_of_class(graph, "E2") if upper[e.index]]
+    if gates and rng.random() < 0.3:
+        lower[rng.choice(gates)] += 1
     return lower, upper
 
 
@@ -486,12 +511,22 @@ def _assert_kernel_agrees(graph, lower, upper, start):
 
 @pytest.fixture(scope="module")
 def kernel_graphs():
-    """Graphs of acceptance-corpus seeds 0-39 and of the benchmark's
-    solve-large corpus (solve-large shape, seeds 0-3)."""
+    """Graphs of acceptance-corpus seeds 0-39, of the benchmark's
+    solve-large corpus (solve-large shape, seeds 0-3), and the auction-mid
+    clearing and counterfactual graphs (seeds 0-51) whose search branches:
+    most searches end at the root."""
     documents = [generate(corpus_config(seed)) for seed in range(40)]
     documents += [generate(GeneratorConfig(seed=seed, **SOLVE_LARGE))
                   for seed in range(4)]
-    return [build_graph(document.instance, document.bids) for document in documents]
+    graphs = [build_graph(document.instance, document.bids) for document in documents]
+    for seed in range(52):
+        document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
+        for bids in [document.bids] + [pseudo_bids(operator.id, document.bids)
+                                       for operator in document.instance.operators]:
+            graph = build_graph(document.instance, bids)
+            if solve(graph).stats.nodes_explored > 1:
+                graphs.append(graph)
+    return graphs
 
 
 @pytest.fixture(scope="module")
@@ -546,7 +581,7 @@ def test_fathomed_flows_are_completion_optima(fathomed_nodes):
 class TestFlowKernel:
     def test_root_and_children_match_network_simplex(self, kernel_graphs):
         """The relaxed root forces only the initial fleet out of the
-        source (E10), so its cold solve routes those units and what
+        source (E6), so its cold solve routes those units and what
         saturating a negative-cost return arc sets moving; deciding one
         aircraft then starts from the root's state."""
         pytest.importorskip("networkx")
@@ -583,6 +618,28 @@ class TestFlowKernel:
                 cases += 1
                 infeasible += warm is None
         assert 0.1 * cases <= infeasible <= 0.9 * cases
+
+    def test_negative_route_gains_match_network_simplex(self, reluctant_movers):
+        """Every route gains less than staying, and the optimum flies one
+        of them.  For the clearing and each counterfactual profile, the
+        root solve (here the whole search) and each single decision warm
+        from it match."""
+        pytest.importorskip("networkx")
+        instance, bids = reluctant_movers
+        for profile in [bids] + [pseudo_bids(operator.id, bids)
+                                 for operator in instance.operators]:
+            graph = build_graph(instance, profile)
+            root, _ = _assert_kernel_agrees(
+                graph, *solver._resolved_bounds(graph, {}), graph.network.cold)
+            for decision in graph.decisions:
+                _assert_kernel_agrees(
+                    graph, *solver._resolved_bounds(graph, dict([decision])), root)
+        graph = build_graph(instance, bids)
+        assert all(gain < 0 for e, gain in zip(graph.edges, graph.gains)
+                   if e.cls == "E5")
+        flows = solve(graph).flow
+        assert [e.key for e in edges_of_class(graph, "E5") if flows.flow(e)] == [
+            ("op1", "a1", 2)]
 
     def test_uncertified_start_raises(self, kernel_graphs):
         """Zero potentials leave negative reduced costs on the cold
