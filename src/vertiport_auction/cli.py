@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: validate, solve, auction, oracle-check, gen, properties.
-Exit codes: 0 success, 1 validation failure, 2 solver/oracle mismatch or
-property violation, 3 I/O error.
+Exit codes: 0 success, 1 validation failure (of a document or of an
+option's value), 2 solver/oracle mismatch or property violation, 3 I/O
+error, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from .model import (
     validate_instance,
     validate_profile,
 )
-from .oracle import EnumerationBudget, oracle_optimal, oracle_payment
+from .oracle import (
+    BudgetExceededError,
+    EnumerationBudget,
+    oracle_optimal,
+    oracle_payment,
+)
 from .serialize import DocumentError, InstanceDocument, parse, render
 from .solver import solve
 
@@ -38,6 +44,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MISMATCH = 2
 EXIT_IO = 3
+EXIT_BUDGET = 4
 
 
 def _approx(value: Fraction) -> str:
@@ -143,12 +150,15 @@ def cmd_auction(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    try:
+        budget = EnumerationBudget(args.budget)
+    except ValueError as exc:
+        return _fail(EXIT_INVALID, f"--budget {args.budget}: {exc}")
     document = _load(args.file)
     bids = _bids_or_fail(document)
     instance = document.instance
-    budget = EnumerationBudget(args.budget)
-    result = solve(build_graph(instance, bids), strategy=args.strategy)
     _, oracle_welfare = oracle_optimal(instance, bids, budget)
+    result = solve(build_graph(instance, bids), strategy=args.strategy)
     ok = True
     if result.objective != oracle_welfare:
         ok = False
@@ -170,16 +180,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    config = GeneratorConfig(
-        seed=args.seed,
-        vertiports=(args.vertiports, args.vertiports) if args.vertiports
-        else GeneratorConfig.vertiports,
-        operators=(args.operators, args.operators) if args.operators
-        else GeneratorConfig.operators,
-        horizon=(args.horizon, args.horizon) if args.horizon
-        else GeneratorConfig.horizon,
-    )
-    document = generate(config)
+    sizes = {}
+    for name in ("vertiports", "operators", "horizon"):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if value < 1:
+            return _fail(EXIT_INVALID, f"--{name} must be at least 1, got {value}")
+        sizes[name] = (value, value)
+    document = generate(GeneratorConfig(seed=args.seed, **sizes))
     text = render(document)
     if args.out:
         try:
@@ -194,6 +203,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_properties(args: argparse.Namespace) -> int:
+    if args.misreports < 0:
+        return _fail(EXIT_INVALID,
+                     f"--misreports must be at least 0, got {args.misreports}")
     document = _load(args.file)
     if document.valuations is None:
         return _fail(EXIT_INVALID, "properties check needs a valuations section")
@@ -286,6 +298,8 @@ def main(argv: Optional[list] = None) -> int:
         return code if isinstance(code, int) else EXIT_IO
     except DocumentError as exc:
         return _fail(EXIT_INVALID, f"invalid document: {exc}")
+    except BudgetExceededError as exc:
+        return _fail(EXIT_BUDGET, f"budget exceeded: {exc}")
 
 
 if __name__ == "__main__":

@@ -9,30 +9,35 @@ the stay time 0), a source and a sink.  Edge classes:
   E2 departure gate     Park(r,t) -> Dep(r,t)    cap [0, D(r,t)]
   E3 parking bundle     Park(r,t) -> Park(r,t+1) C(r,t) unit edges,
                         q-th weight -lambda*(g(q) - g(q-1))
-  E4 departure choice   Dep(o,tau) -> AcDep(i,j,tau)  bound = delta
+  E4 departure choice   Dep(o,tau) -> AcDep(i,j,tau)  cap [0, 1]
   E5 route grant        AcDep(i,j,d_k) -> Arr(dest_k, a_k)
                         weight rho*(b_k - b_stay)
   E6 initial fleet      Source -> Park(r,1)  bound = initial(r)
   E8 terminal bundle    Park(r,H) -> Sink   like E3 at slot H
 
-Every aircraft based at r enters at Park(r,1) by E6; an aircraft
-departs at tau exactly when its E4 edge at tau carries its unit, and
-stays exactly when none of its E4 edges does.  The stay bid is folded
-into the route weights, so a stay moves and gains nothing in the graph
-and `AuxGraph.stay_welfare`, the fleet's weighted stay bids, is added
-back to every flow's weight; some E5 weights are negative.  The bounds
-on E4 are departure-time selectors delta (`Selector`) and resolve to
-integers once a departure-time assignment is fixed, so one graph serves
-every branch node of the solver.  Undecided, an aircraft's selectors
-relax to [0, 1], but E6 still fixes the units each vertiport starts
-with: a relaxed flow cannot move a unit to another vertiport, and a unit
-is credited for one aircraft's route at most once.  `build_graph`
-compiles what every branch node needs once: the residual network of the
-flow kernel (`flow.Network`: vertex-index tails and heads, costs -gain,
-a return edge of one unit per aircraft, and a cold start state whose
-potentials come from a topological order), the relaxed bounds with the
-change each (aircraft, tau) decision makes to them, the E4 edge of each
-(aircraft, tau), the E3/E8 bundles and lookup tables.
+Every aircraft based at r enters at Park(r,1) by E6; an aircraft departs
+at tau exactly when its E4 edge at tau carries its unit, and stays
+exactly when none of its E4 edges does.  The stay bid is folded into the
+route weights, so a stay moves and gains nothing in the graph and
+`AuxGraph.stay_welfare`, the fleet's weighted stay bids, is added back
+to every flow's weight; some E5 weights are negative.  Every bound is a
+plain integer, and the graph's bounds are those of the relaxation with
+every aircraft undecided: E4 is [0, 1].  The departure-time decision
+delta is encoded once, as `AuxGraph.departure_times`, the E4 edge of
+each (aircraft, tau); deciding an aircraft at tau raises the lower bound
+of that edge to 1 and cuts its other E4 edges to 0 (the stay, tau 0,
+cuts them all), so one graph serves every branch node of the solver, and
+no selector object stands for delta in any bound.  The solver branches
+on an aircraft whose relaxed flow carries two or more E4 units (see the
+`solver` module docstring).  Relaxed, E6 still fixes the units each
+vertiport starts with: a relaxed flow cannot move a unit to another
+vertiport, and a unit is credited for one aircraft's route at most once.
+`build_graph` compiles what every branch node needs once: the residual
+network of the flow kernel (`flow.Network`: vertex-index tails and
+heads, costs -gain, a return edge of one unit per aircraft, and a cold
+start state whose potentials come from a topological order), the relaxed
+bounds, the E4 edge of each (aircraft, tau), the E3/E8 bundles and
+lookup tables.
 
 Tie-break.  The solver maximizes one exact integer gain per edge,
 
@@ -64,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .flow import Network, compile_network
 from .model import (
@@ -89,11 +94,7 @@ SOURCE = ("source",)
 SINK = ("sink",)
 
 Vertex = Tuple
-DeltaKey = Tuple[str, str, int]  # (operator id, aircraft id, tau)
 DeltaAssignment = Mapping[Tuple[str, str], int]  # (operator, aircraft) -> tau
-#: Per-edge bound changes of one decision: (edges whose lower bound
-#: rises to 1, edges whose upper bound falls to 0).
-BoundSteps = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def park(r: str, t: int) -> Vertex:
@@ -113,24 +114,14 @@ def acdep(i: str, j: str, tau: int) -> Vertex:
 
 
 @dataclass(frozen=True)
-class Selector:
-    """Bound delta[key]: 1 if the aircraft departs at tau, else 0."""
-
-    key: DeltaKey
-
-
-Bound = Union[int, Selector]
-
-
-@dataclass(frozen=True)
 class Edge:
     index: int
     cls: str  # "E1".."E6", "E8"
     key: Tuple
     tail: Vertex
     head: Vertex
-    lower: Bound
-    upper: Bound
+    lower: int
+    upper: int
     weight: Fraction
     q: Optional[int] = None  # bundle position for E3/E8
 
@@ -146,25 +137,15 @@ class AuxGraph:
     stay_welfare: Fraction
     # Compiled by `build_graph` for the solver.
     network: Network = field(compare=False, repr=False)
-    # Per-edge bounds with every aircraft undecided.
+    # Per-edge bounds with every aircraft undecided: each edge's own.
     relaxed_lower: Tuple[int, ...] = field(compare=False, repr=False)
     relaxed_upper: Tuple[int, ...] = field(compare=False, repr=False)
-    # ((operator, aircraft), tau) -> what deciding it does to the bounds.
-    decisions: Mapping[Tuple[Tuple[str, str], int], BoundSteps] = field(
-        compare=False, repr=False)
     # (operator, aircraft) -> {tau: the E4 edge its unit takes to depart
-    # at tau}, for every departure time but the stay time 0.
+    # at tau}, tau ascending, for every departure time but the stay time 0.
     departure_times: Mapping[Tuple[str, str], Mapping[int, int]] = field(
         compare=False, repr=False)
     # Edge indices of each E3/E8 parallel bundle, by position q.
     bundles: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
-    e5_edges: Mapping[Tuple[str, str, int], Edge] = field(compare=False, repr=False)
-
-    def e5_edge(self, i: str, j: str, k: int) -> Edge:
-        edge = self.e5_edges.get((i, j, k))
-        if edge is None:
-            raise KeyError(f"no E5 edge for ({i}, {j}, {k})")
-        return edge
 
 
 @dataclass(frozen=True)
@@ -214,8 +195,8 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     edges: List[Edge] = []
     bonuses: List[int] = []
 
-    def add(cls: str, key: Tuple, tail: Vertex, head: Vertex, lower: Bound,
-            upper: Bound, weight: Fraction, q: Optional[int] = None,
+    def add(cls: str, key: Tuple, tail: Vertex, head: Vertex, lower: int,
+            upper: int, weight: Fraction, q: Optional[int] = None,
             bonus: int = 0) -> None:
         edges.append(Edge(len(edges), cls, key, tail, head, lower, upper, weight, q))
         bonuses.append(bonus)
@@ -244,9 +225,8 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
                     0, 1, weight, q)
     for operator, craft in instance.iter_aircraft():
         for tau in craft.departure_times()[1:]:
-            bound = Selector((operator.id, craft.id, tau))
             add("E4", (operator.id, craft.id, tau), dep(craft.origin, tau),
-                acdep(operator.id, craft.id, tau), bound, bound, zero)
+                acdep(operator.id, craft.id, tau), 0, 1, zero)
     stay_welfare = zero
     for a, (operator, craft) in enumerate(fleet):
         stay_bid = bids[(operator.id, craft.id, craft.stay_key)]
@@ -287,43 +267,17 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
         if e.cls == "E4":
             i, j, tau = e.key
             times[i, j][tau] = e.index
-    lower, upper, decisions = _bound_templates(edges, times)
     bundles: Dict[Tuple, List[Edge]] = {}
     for e in edges:
         if e.cls in ("E3", "E8"):
             bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
     return AuxGraph(
         instance, bids, tuple(vertices), tuple(edges), gains, stay_welfare,
-        network=network, relaxed_lower=lower, relaxed_upper=upper,
-        decisions=decisions, departure_times=times,
+        network=network, relaxed_lower=tuple(e.lower for e in edges),
+        relaxed_upper=tuple(e.upper for e in edges), departure_times=times,
         bundles=tuple(tuple(e.index for e in sorted(members, key=lambda e: e.q))
                       for members in bundles.values()),
-        e5_edges={e.key: e for e in edges if e.cls == "E5"},
     )
-
-
-def _bound_templates(edges: Sequence[Edge],
-                     times: Mapping[Tuple[str, str], Mapping[int, int]]
-                     ) -> Tuple[Tuple[int, ...], Tuple[int, ...],
-                                Dict[Tuple[Tuple[str, str], int], BoundSteps]]:
-    """Relaxed per-edge bounds, every aircraft undecided, and the change
-    deciding each aircraft at each of its departure times makes to them.
-
-    An aircraft's E4 edges, bounded by the selectors delta[i, j, tau],
-    relax to [0, 1] while it is undecided, a valid superset of every
-    completion, since it may also stay and use none of them.  Deciding
-    it at tau raises the lower bound of its E4 edge at tau to 1 and cuts
-    the upper bounds of the others to 0; deciding that it stays (tau 0)
-    cuts them all.  So a full assignment resolves every bound exactly.
-    """
-    lower = tuple(0 if isinstance(e.lower, Selector) else e.lower for e in edges)
-    upper = tuple(1 if isinstance(e.upper, Selector) else e.upper for e in edges)
-    decisions = {
-        (pair, tau): (tuple(k for other, k in carriers.items() if other == tau),
-                      tuple(k for other, k in carriers.items() if other != tau))
-        for pair, carriers in times.items() for tau in (0, *carriers)
-    }
-    return lower, upper, decisions
 
 
 def delta_of_allocation(instance: Instance, allocation: Allocation
@@ -385,23 +339,23 @@ def flow_to_allocation(graph: AuxGraph, solution: FlowSolution) -> Allocation:
     """Read the canonical allocation off the E5 unit flows: an aircraft
     granted no route stays."""
     instance = graph.instance
+    granted: Dict[Tuple[str, str], List[int]] = {}
+    for e in graph.edges:
+        if e.cls != "E5":
+            continue
+        i, j, k = e.key
+        value = solution.flow(e)
+        if value not in (0, 1):
+            raise ValueError(f"non-binary route flow for aircraft {(i, j)}, menu {k}")
+        if value == 1:
+            granted.setdefault((i, j), []).append(k)
     allocation: Dict[Tuple[str, str], int] = {}
     for operator, craft in instance.iter_aircraft():
         key = (operator.id, craft.id)
-        granted = []
-        for entry in craft.menu:
-            if entry.is_stay:
-                continue
-            value = solution.flow(graph.e5_edge(operator.id, craft.id, entry.key))
-            if value not in (0, 1):
-                raise ValueError(
-                    f"non-binary route flow for aircraft {key}, menu {entry.key}"
-                )
-            if value == 1:
-                granted.append(entry.key)
-        if len(granted) > 1:
-            raise ValueError(f"aircraft {key} granted {len(granted)} routes")
-        allocation[key] = granted[0] if granted else craft.stay_key
+        routes = granted.get(key, [])
+        if len(routes) > 1:
+            raise ValueError(f"aircraft {key} granted {len(routes)} routes")
+        allocation[key] = routes[0] if routes else craft.stay_key
     check_allocation(instance, allocation)
     return allocation
 

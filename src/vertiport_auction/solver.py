@@ -18,23 +18,33 @@ exhaustive enumeration of departure-time combinations (the reference
 path) and depth-first branch-and-bound with an admissible
 flow-relaxation bound, return the same objective and allocation.
 
-Node rule.  Branch-and-bound solves the flow relaxation of the partial
-assignment (undecided aircraft relaxed, see `_resolved_bounds`) at
-every internal node, the root included, and the fixed-delta flow at
-every leaf.  An internal node ends in one of three ways, or branches:
-infeasible (no completion exists), bound (its gain does not exceed the
-incumbent's), or completion: its flow gives every aircraft at most one
-unit on its E4 edges.  That flow spells a completion, each aircraft at
-the time of its unit and staying without one, and it lies as it stands
-within that completion's resolved bounds: E4 is the only edge whose
-bounds depend on delta, and its flow is exactly the spelled unit.  A
-decided aircraft spells its own decision, since its bounds force or
-forbid those units.  So the flow is a feasible completion of the node
-that gains as much as the relaxation, which bounds every completion:
-it is the best one, and it is offered as the incumbent with the gain
-the relaxation already computed.  Each end discards only subtrees that
-are empty or hold nothing better than what is kept, and the optimum is
-unique, so the result does not depend on the order of the search.
+Node rule.  Every branch-and-bound node, the root included, is one
+solve of the flow relaxation of its partial assignment (undecided
+aircraft relaxed, see `_resolved_bounds`).  A node ends in one of three
+ways, or branches: infeasible (no completion exists), bound (its gain
+does not exceed the incumbent's), or completion: its flow gives every
+aircraft at most one unit on its E4 edges.  That flow spells a
+completion, each aircraft at the time of its unit and staying without
+one, and it lies as it stands within that completion's resolved bounds:
+E4 is the only edge whose bounds depend on delta, and its flow is
+exactly the spelled unit.  A decided aircraft spells its own decision,
+since its bounds force or forbid those units.  So the flow is a
+feasible completion of the node that gains as much as the relaxation,
+which bounds every completion: it is the best one, and it is offered as
+the incumbent with the gain the relaxation already computed.
+
+Split rule.  A node that does not end branches on the aircraft its
+relaxed flow splits: the first, in `AuxGraph.departure_times` order,
+that carries two or more E4 units.  That aircraft is undecided, since a
+decided one carries exactly its decision, so every root-to-node path
+decides each aircraft at most once and is at most the fleet size deep;
+there is no separate leaf case, and no departure-time selector object:
+a decision is applied straight to the E4 edges `departure_times` names.
+The children take the aircraft's departure times in ascending order,
+the stay (tau 0) last.  Each end discards only subtrees that are empty
+or hold nothing better than what is kept, the children's assignments
+cover the node's, and the optimum is unique, so the result does not
+depend on the order of the search.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ from .model import Allocation, Instance, Profile, validate_instance
 @dataclass
 class SolveStats:
     nodes_explored: int = 0
-    leaf_solves: int = 0
+    leaf_solves: int = 0  # enumerate only: one per assignment
     bound_solves: int = 0
     pruned_infeasible: int = 0
     pruned_bound: int = 0
@@ -105,17 +115,21 @@ def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment
     """Per-edge integer (lower, upper) bounds under a (possibly partial)
     assignment.
 
-    Aircraft absent from `partial_delta` are undecided: each of their
-    bounds relaxes to the range it takes over their departure times, a
-    valid superset of every completion (see `graph._bound_templates`).
+    Aircraft absent from `partial_delta` are undecided: their E4 edges
+    keep the relaxed [0, 1], a valid superset of every completion, since
+    the aircraft may also stay and use none of them.  Deciding an
+    aircraft at tau raises the lower bound of its E4 edge at tau to 1 and
+    cuts the upper bounds of its other E4 edges to 0; deciding that it
+    stays (tau 0) cuts them all.  So a full assignment resolves every
+    bound exactly.
     """
     lower, upper = list(graph.relaxed_lower), list(graph.relaxed_upper)
-    for decision in partial_delta.items():
-        raises, cuts = graph.decisions[decision]
-        for k in raises:
-            lower[k] = 1
-        for k in cuts:
-            upper[k] = 0
+    for pair, tau in partial_delta.items():
+        for other, k in graph.departure_times[pair].items():
+            if other == tau:
+                lower[k] = 1
+            else:
+                upper[k] = 0
     return lower, upper
 
 
@@ -183,22 +197,24 @@ def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
 
 
 def _spelled_completion(graph: AuxGraph, flows: List[int]
-                        ) -> Optional[Dict[Tuple[str, str], int]]:
-    """The departure-time assignment a relaxed flow spells, if it gives
-    every aircraft at most one unit on its E4 edges (none: it stays);
-    else None."""
+                        ) -> Tuple[Optional[Dict[Tuple[str, str], int]],
+                                   Optional[Tuple[str, str]]]:
+    """(delta, None) if a relaxed flow gives every aircraft at most one
+    unit on its E4 edges, delta being the assignment it spells (none: the
+    aircraft stays); else (None, the first aircraft, in
+    `departure_times` order, that carries two or more)."""
     delta = {}
     for pair, carriers in graph.departure_times.items():
         carried = [tau for tau, k in carriers.items() if flows[k]]
         if len(carried) > 1:
-            return None
+            return None, pair
         delta[pair] = carried[0] if carried else 0
-    return delta
+    return delta, None
 
 
 @dataclass
 class _Incumbent:
-    """Best leaf so far.  Distinct allocations never tie in gain."""
+    """Best completion so far.  Distinct allocations never tie in gain."""
 
     gain: Optional[int] = None
     flow: Optional[FlowSolution] = None
@@ -225,47 +241,13 @@ def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     return best
 
 
-def _branch_order(graph: AuxGraph) -> List[Tuple[Tuple[str, str], List[int]]]:
-    """Aircraft by descending bid spread; taus by descending best bid.
-
-    An aircraft's stay time 0 comes last unless its stay bid is at least
-    its best bid at some other departure time; generated stay bids are
-    drawn ten times smaller, so the stay time is usually tried last and
-    the always-feasible all-stay completion is reached late.
-    """
-    instance = graph.instance
-    ordered = []
-    for operator, craft in instance.iter_aircraft():
-        bids = {
-            entry.key: graph.bids[(operator.id, craft.id, entry.key)]
-            for entry in craft.menu
-        }
-        spread = max(bids.values()) - min(bids.values())
-        best_by_tau = {}
-        for entry in craft.menu:
-            bid = bids[entry.key]
-            prev = best_by_tau.get(entry.depart_time)
-            if prev is None or bid > prev:
-                best_by_tau[entry.depart_time] = bid
-        taus = sorted(best_by_tau, key=lambda tau: (-best_by_tau[tau], tau))
-        ordered.append(((operator.id, craft.id), taus, spread))
-    ordered.sort(key=lambda item: (-item[2], item[0]))
-    return [(pair, taus) for pair, taus, _ in ordered]
-
-
 def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
-    order = _branch_order(graph)
     best = _Incumbent()
 
-    def visit(depth: int, partial: Dict[Tuple[str, str], int],
-              state: FlowState) -> None:
+    def visit(partial: Dict[Tuple[str, str], int], state: FlowState) -> None:
         stats.nodes_explored += 1
-        start = FlowStart(state, stats)
-        if depth == len(order):
-            stats.leaf_solves += 1
-            best.offer(graph, solve_fixed_delta(graph, partial, start=start))
-            return
         stats.bound_solves += 1
+        start = FlowStart(state, stats)
         relaxed = relaxation_bound(graph, partial, start=start)
         if relaxed is None:
             stats.pruned_infeasible += 1
@@ -274,19 +256,18 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
         if best.gain is not None and bound <= best.gain:
             stats.pruned_bound += 1
             return
-        spelled = _spelled_completion(graph, flows)
-        if spelled is not None:
+        spelled, split = _spelled_completion(graph, flows)
+        if split is None:
             stats.pruned_completion += 1
             _canonicalize_bundles(graph, flows)
             best.offer(graph, FlowSolution(tuple(flows), spelled), bound)
             return
-        pair, taus = order[depth]
-        for tau in taus:
-            partial[pair] = tau
-            visit(depth + 1, partial, start.state)
-            del partial[pair]
+        for tau in (*graph.departure_times[split], 0):
+            partial[split] = tau
+            visit(partial, start.state)
+        del partial[split]
 
-    visit(0, {}, graph.network.cold)
+    visit({}, graph.network.cold)
     return best
 
 

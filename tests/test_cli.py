@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_port, stay, transit
 from vertiport_auction.cli import (
+    EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_IO,
     EXIT_MISMATCH,
@@ -146,6 +147,21 @@ class TestOracleCheck:
         assert "objective match: 5" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_non_positive_budget_exit_1(self, second_price_file, capsys, budget):
+        assert main(["oracle-check", second_price_file,
+                     "--budget", budget]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "budget must be positive" in err
+
+    def test_exhausted_budget_exit_4(self, second_price_file, capsys):
+        # Two aircraft with two menu entries each: 4 candidates.
+        assert main(["oracle-check", second_price_file,
+                     "--budget", "3"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exceeds budget 3" in err
+
+
 class TestGen:
     def test_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -168,6 +184,14 @@ class TestGen:
         assert len(data["instance"]["vertiports"]) == 2
         assert len(data["instance"]["operators"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--vertiports", "--operators", "--horizon"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_dimension_exit_1(self, capsys, flag, value):
+        assert main(["gen", "--seed", "0", flag, value]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"{flag} must be at least 1, got {value}" in captured.err
+
     def test_unwritable_out_exit_3(self, tmp_path):
         assert main(["gen", "--seed", "0",
                      "--out", str(tmp_path / "no" / "dir.json")]) == EXIT_IO
@@ -183,6 +207,13 @@ class TestProperties:
         assert main(["properties", second_price_file, "--misreports", "6",
                      "--mutated-payment"]) == EXIT_MISMATCH
         assert "IC violation" in capsys.readouterr().out
+
+    def test_negative_misreports_exit_1(self, second_price_file, capsys):
+        assert main(["properties", second_price_file,
+                     "--misreports", "-1"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "no IC/IR violations" not in captured.out
+        assert "--misreports must be at least 0, got -1" in captured.err
 
     def test_needs_valuations(self, tmp_path, second_price, capsys):
         instance, bids = second_price

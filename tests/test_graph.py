@@ -20,7 +20,6 @@ from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
     SINK,
     SOURCE,
-    Selector,
     acdep,
     allocation_to_flow,
     arr,
@@ -128,9 +127,8 @@ class TestBuildGraph:
         assert e5[("op2", "a1", 1)].weight == 6
         for e in edges_of_class(graph, "E1"):
             assert e.tail == arr(*e.key) and e.head == park(*e.key)
-        for e in edges_of_class(graph, "E4"):
-            assert isinstance(e.lower, Selector)
-            assert e.lower == e.upper
+        for e in edges_of_class(graph, "E4"):  # relaxed: every aircraft undecided
+            assert (e.lower, e.upper) == (0, 1)
 
     def test_zero_capacity_pruning(self, second_price):
         instance, bids = second_price

@@ -281,6 +281,10 @@ AUCTION_MID = dict(vertiports=(3, 3), operators=(3, 3), fleet_size=(2, 2),
 #: The benchmark's solve-large shape: 2 operators x 4-5 aircraft.
 SOLVE_LARGE = dict(vertiports=(3, 3), operators=(2, 2), fleet_size=(4, 5),
                    transit_routes=(2, 2), horizon=(4, 4))
+#: A shape whose searches branch deeper: 3 operators x 3 aircraft, 3-4
+#: transit routes each, horizon 5.
+DEEP = dict(vertiports=(3, 3), operators=(3, 3), fleet_size=(3, 3),
+            transit_routes=(3, 4), horizon=(5, 5))
 
 
 class TestPruning:
@@ -295,29 +299,39 @@ class TestPruning:
 
     def test_infeasible_subtrees_pruned_before_leaves(self):
         # Auction-mid clearing (None) and counterfactual graphs whose
-        # search branches: 93 flow solves with bounds from the root on,
-        # where enumeration solves 2,538 leaves.
+        # search branches: 36 flow solves, one per node, where enumeration
+        # solves 2,538 leaves; branching on the aircraft the relaxation
+        # splits, none of them meets an infeasible child.  On the deeper
+        # shape some children are infeasible, and each ends at its own
+        # relaxation, before any node below it.
         total = 0
-        for seed, excluded in ((1, None), (1, "op1"), (2, None), (2, "op1"),
-                               (2, "op3"), (6, None), (6, "op2"), (6, "op3"),
-                               (7, "op3")):
-            document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
+        cases = [(AUCTION_MID, seed, excluded, False) for seed, excluded in (
+            (1, None), (1, "op1"), (2, None), (2, "op1"), (2, "op3"),
+            (6, None), (6, "op2"), (6, "op3"), (7, "op3"))]
+        cases += [(DEEP, seed, excluded, True) for seed, excluded in (
+            (3, None), (7, "op2"), (10, None), (19, "op1"))]
+        for shape, seed, excluded, meets_infeasible in cases:
+            document = generate(GeneratorConfig(seed=seed, **shape))
             bids = (document.bids if excluded is None
                     else pseudo_bids(excluded, document.bids))
             result = solve(build_graph(document.instance, bids))
-            assert result.stats.pruned_infeasible > 0
-            total += result.stats.fixed_delta_solves
+            if meets_infeasible:
+                assert result.stats.pruned_infeasible > 0
+            else:
+                total += result.stats.fixed_delta_solves
             assert is_feasible(document.instance, result.allocation).feasible
             assert result.objective == social_welfare(
                 document.instance, result.allocation, bids)
-        assert total <= 200
+        assert total <= 36
 
 
-def _resolve(bound, delta):
-    """Value of an edge bound under a full departure-time assignment."""
-    if isinstance(bound, int):
+def _resolve(edge, bound, delta):
+    """Value of an edge's bound under a full departure-time assignment:
+    an E4 edge carries its aircraft's unit exactly when the aircraft
+    departs at the edge's time; every other bound is the edge's own."""
+    if edge.cls != "E4":
         return bound
-    i, j, tau = bound.key
+    i, j, tau = edge.key
     return int(delta[(i, j)] == tau)
 
 
@@ -328,8 +342,8 @@ class TestResolvedBounds:
             graph = build_graph(document.instance, document.bids)
             for delta in enumerate_deltas(document.instance):
                 lower, upper = solver._resolved_bounds(graph, delta)
-                assert lower == [_resolve(e.lower, delta) for e in graph.edges]
-                assert upper == [_resolve(e.upper, delta) for e in graph.edges]
+                assert lower == [_resolve(e, e.lower, delta) for e in graph.edges]
+                assert upper == [_resolve(e, e.upper, delta) for e in graph.edges]
 
     def test_partial_assignment_contains_every_completion(self):
         for seed in range(6):
@@ -345,8 +359,8 @@ class TestResolvedBounds:
                         if any(completion[p] != tau for p, tau in partial.items()):
                             continue
                         for e in graph.edges:
-                            assert (lower[e.index] <= _resolve(e.lower, completion)
-                                    and _resolve(e.upper, completion) <= upper[e.index])
+                            assert (lower[e.index] <= _resolve(e, e.lower, completion)
+                                    and _resolve(e, e.upper, completion) <= upper[e.index])
 
 
 class TestRelaxationBound:
@@ -513,13 +527,13 @@ def _assert_kernel_agrees(graph, lower, upper, start):
 def kernel_graphs():
     """Graphs of acceptance-corpus seeds 0-39, of the benchmark's
     solve-large corpus (solve-large shape, seeds 0-3), and the auction-mid
-    clearing and counterfactual graphs (seeds 0-51) whose search branches:
+    clearing and counterfactual graphs (seeds 0-99) whose search branches:
     most searches end at the root."""
     documents = [generate(corpus_config(seed)) for seed in range(40)]
     documents += [generate(GeneratorConfig(seed=seed, **SOLVE_LARGE))
                   for seed in range(4)]
     graphs = [build_graph(document.instance, document.bids) for document in documents]
-    for seed in range(52):
+    for seed in range(100):
         document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
         for bids in [document.bids] + [pseudo_bids(operator.id, document.bids)
                                        for operator in document.instance.operators]:
@@ -555,10 +569,10 @@ def fathomed_nodes(kernel_graphs):
     spell = solver._spelled_completion
 
     def recorded(graph, flows):
-        delta = spell(graph, flows)
-        if delta is not None:
+        delta, split = spell(graph, flows)
+        if split is None:
             fathomed.append((graph, list(flows), delta))
-        return delta
+        return delta, split
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_spelled_completion", recorded)
@@ -576,6 +590,69 @@ def test_fathomed_flows_are_completion_optima(fathomed_nodes):
         assert_circulation(graph, flows, *solver._resolved_bounds(graph, delta))
         leaf = solve_fixed_delta(graph, delta)
         assert flow_gain(graph, leaf.flows) == flow_gain(graph, flows)
+
+
+def _searched_nodes(graph):
+    """Every node `bnb` visits on `graph`, in visiting order, as (its
+    partial assignment, its relaxed flow or None when infeasible)."""
+    nodes = []
+    bound = solver.relaxation_bound
+
+    def recorded(graph, partial_delta, **kwargs):
+        relaxed = bound(graph, partial_delta, **kwargs)
+        nodes.append((dict(partial_delta), relaxed and list(relaxed[1])))
+        return relaxed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "relaxation_bound", recorded)
+        solver._solve_bnb(graph, solver.SolveStats())
+    return nodes
+
+
+def test_bnb_splits_an_undecided_aircraft_its_relaxation_splits(kernel_graphs):
+    """Each child decides one aircraft that its parent left undecided and
+    whose units the parent's relaxed flow spreads over two or more E4
+    edges; the children of a node take every departure time of that
+    aircraft, ascending, then the stay.  So no path is deeper than the
+    fleet.  The tree is rebuilt from the visiting order alone: a node's
+    parent is the deepest node on the current path whose assignment it
+    extends by exactly one decision."""
+    graphs = list(kernel_graphs)
+    for seed in range(20):
+        document = generate(GeneratorConfig(seed=seed, **DEEP))
+        graphs += [build_graph(document.instance, bids) for bids in
+                   [document.bids] + [pseudo_bids(operator.id, document.bids)
+                                      for operator in document.instance.operators]]
+    splits = deepest = 0
+    for graph in graphs:
+        times = graph.departure_times
+        path = []  # (partial, flows, [(split, tau) of each child so far])
+
+        def close(node):
+            children = node[2]
+            if children:
+                split = children[0][0]
+                assert children == [(split, tau) for tau in (*times[split], 0)]
+
+        for position, (partial, flows) in enumerate(_searched_nodes(graph)):
+            while path and not (len(partial) == len(path[-1][0]) + 1
+                                and path[-1][0].items() <= partial.items()):
+                close(path.pop())
+            if path:
+                parent, parent_flows, children = path[-1]
+                (split,) = set(partial) - set(parent)
+                assert split not in parent
+                assert sum(1 for k in times[split].values() if parent_flows[k]) >= 2
+                children.append((split, partial[split]))
+                splits += 1
+            else:  # only the root has no parent
+                assert position == 0 and partial == {}
+            path.append((partial, flows, []))
+            assert len(path) - 1 <= len(times)
+            deepest = max(deepest, len(path) - 1)
+        while path:
+            close(path.pop())
+    assert splits >= 500 and deepest >= 4
 
 
 class TestFlowKernel:
@@ -631,9 +708,10 @@ class TestFlowKernel:
             graph = build_graph(instance, profile)
             root, _ = _assert_kernel_agrees(
                 graph, *solver._resolved_bounds(graph, {}), graph.network.cold)
-            for decision in graph.decisions:
-                _assert_kernel_agrees(
-                    graph, *solver._resolved_bounds(graph, dict([decision])), root)
+            for pair, taus in graph.departure_times.items():
+                for tau in (*taus, 0):
+                    _assert_kernel_agrees(
+                        graph, *solver._resolved_bounds(graph, {pair: tau}), root)
         graph = build_graph(instance, bids)
         assert all(gain < 0 for e, gain in zip(graph.edges, graph.gains)
                    if e.cls == "E5")
