@@ -158,15 +158,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     bids = _bids_or_fail(document)
     instance = document.instance
     _, oracle_welfare = oracle_optimal(instance, bids, budget)
-    result = solve(build_graph(instance, bids), strategy=args.strategy)
+    outcome = run_auction(instance, bids, strategy=args.strategy)
     ok = True
-    if result.objective != oracle_welfare:
+    if outcome.cleared_welfare != oracle_welfare:
         ok = False
-        print(f"objective mismatch: solver {result.objective} "
+        print(f"objective mismatch: solver {outcome.cleared_welfare} "
               f"!= oracle {oracle_welfare}")
     else:
-        print(f"objective match: {_approx(result.objective)}")
-    outcome = run_auction(instance, bids, strategy=args.strategy)
+        print(f"objective match: {_approx(outcome.cleared_welfare)}")
     for operator in instance.operators:
         expected = oracle_payment(instance, bids, operator.id, budget)
         actual = outcome.payments[operator.id]

@@ -3,9 +3,11 @@
 The auxiliary graph is acyclic apart from the return edge that closes
 its circulation (time only moves forward), every cost and bound is an
 integer, and the return edge, sink -> source, costs 0 and carries at
-most one unit per aircraft.  `compile_network` turns such a graph into
-a residual-network template once; `min_cost_flow` solves one bound
-vector on it by successive shortest paths (Ahuja, Magnanti & Orlin,
+most one unit per aircraft.  `compile_topology` turns such a graph's
+edges into residual arcs and a topological order once; `price_network`
+gives the arcs one cost vector and its cold state, once per cost vector;
+`min_cost_flow` solves one bound vector on a priced network by
+successive shortest paths (Ahuja, Magnanti & Orlin,
 *Network Flows*, 1993, ch. 9-10), starting from a given flow and
 potentials.
 
@@ -18,7 +20,7 @@ clamping leaves capacity only on residual arcs that had it before, so
 the invariant still holds and only the imbalances clamping created need
 routing: the state of a solved branch node starts every solve below it.
 
-Cold start.  The compiled `Network.cold` state is the zero flow and the
+Cold start.  The priced `Network.cold` state is the zero flow and the
 shortest distances in the DAG from a root with a 0-cost arc to every
 vertex.  Under them every edge's forward arc has a non-negative reduced
 cost, and clamping the zero flow to the lower bounds leaves the reverse
@@ -57,8 +59,9 @@ class FlowState(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Network:
-    """Residual-network template of a DAG closed by a return edge.
+class Topology:
+    """The cost-free part of the residual network of a DAG closed by a
+    return edge.
 
     Edge k owns arc 2k (tail -> head) and its reverse 2k+1, so arc a's
     reverse is a ^ 1; the return edge sink -> source is the last edge.
@@ -70,16 +73,26 @@ class Network:
     sink: int
     return_capacity: int
     arc_head: Tuple[int, ...]
+    arcs: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arc id, head) out of each vertex
+    order: Tuple[int, ...]  # the DAG's vertices, topologically sorted
+    out_edges: Tuple[Tuple[int, ...], ...]  # DAG edges out of each vertex
+
+
+@dataclass(frozen=True)
+class Network:
+    """A topology priced by one cost vector: its residual arcs with
+    their costs, and the cold start state those costs certify."""
+
+    topology: Topology
     adjacency: Tuple[Tuple[Arc, ...], ...]  # arcs out of each vertex
     cold: FlowState
 
 
-def compile_network(vertex_count: int, tails: Sequence[int], heads: Sequence[int],
-                    costs: Sequence[int], source: int, sink: int,
-                    return_capacity: int) -> Network:
-    """Residual template of the edges (tails[k], heads[k]) with `costs`,
-    closed by a sink -> source edge of `return_capacity`.  The edges
-    must form a DAG."""
+def compile_topology(vertex_count: int, tails: Sequence[int], heads: Sequence[int],
+                     source: int, sink: int, return_capacity: int) -> Topology:
+    """Residual arcs of the edges (tails[k], heads[k]), closed by a
+    sink -> source edge of `return_capacity`, and a topological order of
+    the edges' vertices.  The edges must form a DAG."""
     n = vertex_count
     out: List[List[int]] = [[] for _ in range(n)]
     indegree = [0] * n
@@ -94,21 +107,38 @@ def compile_network(vertex_count: int, tails: Sequence[int], heads: Sequence[int
                 order.append(heads[k])
     if len(order) != n:
         raise ValueError("flow network edges must form a DAG")
-    potential = [0] * n
-    for u in order:
-        for k in out[u]:
-            potential[heads[k]] = min(potential[heads[k]], potential[u] + costs[k])
 
     tails, heads = tuple(tails) + (sink,), tuple(heads) + (source,)
     arc_head = [0] * (2 * len(tails))
-    adjacency: List[List[Arc]] = [[] for _ in range(n)]
-    for k, (u, v, c) in enumerate(zip(tails, heads, tuple(costs) + (0,))):
+    arcs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(zip(tails, heads)):
         arc_head[2 * k], arc_head[2 * k + 1] = v, u
-        adjacency[u].append((2 * k, v, c))
-        adjacency[v].append((2 * k + 1, u, -c))
-    return Network(tails, heads, source, sink, return_capacity, tuple(arc_head),
-                   tuple(map(tuple, adjacency)),
-                   FlowState((0,) * len(tails), tuple(potential)))
+        arcs[u].append((2 * k, v))
+        arcs[v].append((2 * k + 1, u))
+    return Topology(tails, heads, source, sink, return_capacity, tuple(arc_head),
+                    tuple(map(tuple, arcs)), tuple(order), tuple(map(tuple, out)))
+
+
+def price_network(topology: Topology, costs: Sequence[int]) -> Network:
+    """`topology` with one cost per DAG edge (the return edge costs 0),
+    and its cold state: the zero flow and, as potentials, the shortest
+    distances in the DAG from a root with a 0-cost arc to every vertex,
+    found in one pass over the topological order."""
+    potential = [0] * len(topology.arcs)
+    heads, out_edges = topology.heads, topology.out_edges
+    for u in topology.order:
+        base = potential[u]
+        for k in out_edges[u]:
+            reach = base + costs[k]
+            if reach < potential[heads[k]]:
+                potential[heads[k]] = reach
+    arc_cost = [0] * len(topology.arc_head)
+    arc_cost[0:-2:2] = costs
+    arc_cost[1:-2:2] = [-c for c in costs]
+    adjacency = tuple(tuple([(a, v, arc_cost[a]) for a, v in arcs])
+                      for arcs in topology.arcs)
+    return Network(topology, adjacency,
+                   FlowState((0,) * len(topology.tails), tuple(potential)))
 
 
 def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
@@ -120,27 +150,28 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
     a Dijkstra round pops more entries than the invariant allows, as on a
     negative-cost residual cycle; a start that breaks the invariant
     otherwise goes unnoticed and can give a flow that is not optimal."""
+    topology = network.topology
     flows = [u if f > u else (low if f < low else f)
              for f, low, u in zip(start.flows, lower, upper)]
     back = start.flows[-1]
-    if start.potential[network.sink] < start.potential[network.source]:
-        back = network.return_capacity  # the return arc's reduced cost is < 0
+    if start.potential[topology.sink] < start.potential[topology.source]:
+        back = topology.return_capacity  # the return arc's reduced cost is < 0
     flows.append(back)
     m = len(lower)
-    cap = [0] * len(network.arc_head)
+    cap = [0] * len(topology.arc_head)
     cap[0:2 * m:2] = map(sub, upper, flows)
     cap[1:2 * m:2] = map(sub, flows, lower)
-    cap[-2:] = network.return_capacity - back, back
+    cap[-2:] = topology.return_capacity - back, back
     if min(cap) < 0:  # some lower bound exceeds its upper bound
         return None, 0
     excess: Dict[int, int] = defaultdict(int)  # inflow minus outflow
     for k in compress(count(), map(ne, flows, start.flows)):
         change = flows[k] - start.flows[k]
-        excess[network.heads[k]] += change
-        excess[network.tails[k]] -= change
+        excess[topology.heads[k]] += change
+        excess[topology.tails[k]] -= change
 
     potential = list(start.potential)
-    adjacency, arc_head = network.adjacency, network.arc_head
+    adjacency, arc_head = network.adjacency, topology.arc_head
     inf = float("inf")
     pushed = 0
     while True:

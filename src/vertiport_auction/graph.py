@@ -32,12 +32,18 @@ on an aircraft whose relaxed flow carries two or more E4 units (see the
 `solver` module docstring).  Relaxed, E6 still fixes the units each
 vertiport starts with: a relaxed flow cannot move a unit to another
 vertiport, and a unit is credited for one aircraft's route at most once.
-`build_graph` compiles what every branch node needs once: the residual
-network of the flow kernel (`flow.Network`: vertex-index tails and
-heads, costs -gain, a return edge of one unit per aircraft, and a cold
-start state whose potentials come from a topological order), the relaxed
-bounds, the E4 edge of each (aircraft, tau), the E3/E8 bundles and
-lookup tables.
+A graph is built in two stages, and every branch node of a solve shares
+the result.  `compile_template` reads no bid: it lays out the vertices
+and every edge, computes the E1-E4, E6 and E8 weights and the E5
+tie-break bonuses, and compiles the relaxed bounds, the E4 edge of each
+(aircraft, tau), the E3/E8 bundles and the flow kernel's topology
+(`flow.Topology`: vertex-index tails and heads, a return edge of one
+unit per aircraft, residual arcs and a topological order).
+`price_graph` reads one bid profile: the E5 weights and `stay_welfare`,
+then the scale S, the gains, the arc costs (-gain) and the cold
+potentials, in one pass over the cached order (`flow.Network`).  So an
+auction compiles one template and prices its clearing profile and each
+payment counterfactual on it; `build_graph` is the two stages in a row.
 
 Tie-break.  The solver maximizes one exact integer gain per edge,
 
@@ -69,9 +75,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .flow import Network, compile_network
+from .flow import Network, Topology, compile_topology, price_network
 from .model import (
     Aircraft,
     Allocation,
@@ -113,8 +119,7 @@ def acdep(i: str, j: str, tau: int) -> Vertex:
     return (AC_DEP, i, j, tau)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     index: int
     cls: str  # "E1".."E6", "E8"
     key: Tuple
@@ -135,7 +140,7 @@ class AuxGraph:
     gains: Tuple[int, ...]  # per edge; see the module docstring
     # The fleet's weighted stay bids, folded out of the E5 weights.
     stay_welfare: Fraction
-    # Compiled by `build_graph` for the solver.
+    # The template's topology priced by -gains, for the solver.
     network: Network = field(compare=False, repr=False)
     # Per-edge bounds with every aircraft undecided: each edge's own.
     relaxed_lower: Tuple[int, ...] = field(compare=False, repr=False)
@@ -159,8 +164,37 @@ class FlowSolution:
         return self.flows[edge.index]
 
 
-def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
-    """Construct the auxiliary graph for `instance` under `bids`.
+@dataclass(frozen=True)
+class GraphTemplate:
+    """The auxiliary graph of an instance with the bids left out.
+
+    Only the E5 weights, `stay_welfare` and what they set, the scale S,
+    the gains, the arc costs and the cold potentials, depend on the
+    bids; `price_graph` computes those for one profile.  So one template
+    serves every profile on its instance: an auction's clearing solve
+    and each of its payment counterfactuals.
+    """
+
+    instance: Instance
+    vertices: Tuple[Vertex, ...]
+    edges: Tuple[Edge, ...]  # E5 weights read 0 until priced
+    # Per E5 edge: the edge, its operator's weight, the aircraft's stay
+    # bid key and the edge's tie-break bonus.
+    routes: Tuple[Tuple[Edge, Fraction, Tuple[str, str, int], int], ...]
+    # Per aircraft: its operator's weight and its stay bid key.
+    stays: Tuple[Tuple[Fraction, Tuple[str, str, int]], ...]
+    scale: int  # lcm of the bid-independent weights' denominators
+    tie_unit: int  # P = R^n * M^n
+    scaled_weights: Tuple[int, ...]  # weight * scale per edge (E5: 0)
+    topology: Topology
+    relaxed_lower: Tuple[int, ...]
+    relaxed_upper: Tuple[int, ...]
+    departure_times: Mapping[Tuple[str, str], Mapping[int, int]]
+    bundles: Tuple[Tuple[int, ...], ...]
+
+
+def compile_template(instance: Instance) -> GraphTemplate:
+    """Everything of the auxiliary graph of `instance` that no bid sets.
 
     Edge indexing is deterministic: class E1..E8, then lexicographic key,
     then bundle position.
@@ -193,13 +227,11 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
             departure_used.add((craft.origin, entry.depart_time))
 
     edges: List[Edge] = []
-    bonuses: List[int] = []
 
     def add(cls: str, key: Tuple, tail: Vertex, head: Vertex, lower: int,
-            upper: int, weight: Fraction, q: Optional[int] = None,
-            bonus: int = 0) -> None:
+            upper: int, weight: Fraction, q: Optional[int] = None) -> Edge:
         edges.append(Edge(len(edges), cls, key, tail, head, lower, upper, weight, q))
-        bonuses.append(bonus)
+        return edges[-1]
 
     def grant_bonus(a: int, craft: Aircraft, entry: RouteOption) -> int:
         rtau = craft.departure_times().index(entry.depart_time)
@@ -220,47 +252,41 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
         for t in range(1, h):
             for q in range(1, port.parking_cap[t - 1] + 1):
                 g = port.congestion_cost[t - 1]
-                weight = -lam * (g[q] - g[q - 1])
+                weight = lam * (g[q - 1] - g[q])
                 add("E3", (port.id, t, q), park(port.id, t), park(port.id, t + 1),
                     0, 1, weight, q)
     for operator, craft in instance.iter_aircraft():
         for tau in craft.departure_times()[1:]:
             add("E4", (operator.id, craft.id, tau), dep(craft.origin, tau),
                 acdep(operator.id, craft.id, tau), 0, 1, zero)
-    stay_welfare = zero
+    routes = []
+    stays = []
     for a, (operator, craft) in enumerate(fleet):
-        stay_bid = bids[(operator.id, craft.id, craft.stay_key)]
+        stay_key = (operator.id, craft.id, craft.stay_key)
         stay_bonus = grant_bonus(a, craft, craft.option(craft.stay_key))
-        stay_welfare += operator.weight * stay_bid
+        stays.append((operator.weight, stay_key))
         for entry in craft.menu:
             if entry.is_stay:
                 continue
-            bid = bids[(operator.id, craft.id, entry.key)]
-            add("E5", (operator.id, craft.id, entry.key),
-                acdep(operator.id, craft.id, entry.depart_time),
-                arr(entry.destination, entry.arrive_time), 0, 1,
-                operator.weight * (bid - stay_bid),
-                bonus=grant_bonus(a, craft, entry) - stay_bonus)
+            edge = add("E5", (operator.id, craft.id, entry.key),
+                       acdep(operator.id, craft.id, entry.depart_time),
+                       arr(entry.destination, entry.arrive_time), 0, 1, zero)
+            routes.append((edge, operator.weight, stay_key,
+                           grant_bonus(a, craft, entry) - stay_bonus))
     for port in instance.vertiports:
         count = initial_occupancy(instance, port.id)
         add("E6", (port.id,), SOURCE, park(port.id, 1), count, count, zero)
     for port in instance.vertiports:
         for q in range(1, port.parking_cap[h - 1] + 1):
             g = port.congestion_cost[h - 1]
-            weight = -lam * (g[q] - g[q - 1])
+            weight = lam * (g[q - 1] - g[q])
             add("E8", (port.id, q), park(port.id, h), SINK, 0, 1, weight, q)
 
     scale = lcm(*(e.weight.denominator for e in edges), 1)
-    unit = scale * most_times ** n * largest_menu ** n
-    gains = tuple(
-        e.weight.numerator * (unit // e.weight.denominator) + bonus
-        for e, bonus in zip(edges, bonuses)
-    )
-
     index = {v: position for position, v in enumerate(vertices)}
-    network = compile_network(
+    topology = compile_topology(
         len(vertices), [index[e.tail] for e in edges], [index[e.head] for e in edges],
-        [-gain for gain in gains], index[SOURCE], index[SINK], n)
+        index[SOURCE], index[SINK], n)
     times: Dict[Tuple[str, str], Dict[int, int]] = {
         (operator.id, craft.id): {} for operator, craft in fleet}
     for e in edges:
@@ -271,13 +297,49 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     for e in edges:
         if e.cls in ("E3", "E8"):
             bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
-    return AuxGraph(
-        instance, bids, tuple(vertices), tuple(edges), gains, stay_welfare,
-        network=network, relaxed_lower=tuple(e.lower for e in edges),
+    return GraphTemplate(
+        instance, tuple(vertices), tuple(edges), tuple(routes), tuple(stays), scale,
+        most_times ** n * largest_menu ** n,
+        tuple(e.weight.numerator * (scale // e.weight.denominator) for e in edges),
+        topology, relaxed_lower=tuple(e.lower for e in edges),
         relaxed_upper=tuple(e.upper for e in edges), departure_times=times,
         bundles=tuple(tuple(e.index for e in sorted(members, key=lambda e: e.q))
                       for members in bundles.values()),
     )
+
+
+def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
+    """The auxiliary graph of `template`'s instance under `bids`: each E5
+    edge weighs its operator's weight times its bid less its aircraft's
+    stay bid, and S, the gains, the arc costs and the cold potentials
+    follow from those weights.  Nothing of `template` is changed or
+    carried over from another profile: S is the lcm of this profile's
+    weight denominators."""
+    weights = [weight * (bids[e.key] - bids[stay_key])
+               for e, weight, stay_key, _ in template.routes]
+    scale = lcm(template.scale, *(weight.denominator for weight in weights))
+    unit = scale * template.tie_unit
+    multiplier = unit // template.scale
+    gains = [w * multiplier for w in template.scaled_weights]
+    edges = list(template.edges)
+    for (e, _, _, bonus), weight in zip(template.routes, weights):
+        edges[e.index] = Edge(e.index, e.cls, e.key, e.tail, e.head, e.lower, e.upper,
+                              weight)
+        gains[e.index] = weight.numerator * (unit // weight.denominator) + bonus
+    stay_welfare = Fraction(0)
+    for weight, stay_key in template.stays:
+        stay_welfare += weight * bids[stay_key]
+    return AuxGraph(
+        template.instance, bids, template.vertices, tuple(edges), tuple(gains),
+        stay_welfare, network=price_network(template.topology, [-g for g in gains]),
+        relaxed_lower=template.relaxed_lower, relaxed_upper=template.relaxed_upper,
+        departure_times=template.departure_times, bundles=template.bundles,
+    )
+
+
+def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
+    """Construct the auxiliary graph for `instance` under `bids`."""
+    return price_graph(compile_template(instance), bids)
 
 
 def delta_of_allocation(instance: Instance, allocation: Allocation

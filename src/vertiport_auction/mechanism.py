@@ -5,6 +5,10 @@ best remaining welfare the others could achieve if that operator's bids
 were zeroed out (its aircraft stay in the instance and can be relocated
 for free, which is what makes the exchange setting priceable) and the
 remaining welfare they actually get under the cleared allocation.
+
+An auction compiles its instance's graph template once and prices the
+clearing profile and every counterfactual profile on it (see
+`graph.GraphTemplate`): |F|+1 pricings and solves, one compile.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
-from .graph import build_graph
+from .graph import GraphTemplate, compile_template, price_graph
+# Not called here, but kept a module global: perfbench/tracing.py wraps
+# mechanism.build_graph by name.
+from .graph import build_graph  # noqa: F401
 from .model import (
     Allocation,
     Instance,
@@ -48,10 +55,12 @@ def pseudo_bids(excluded: OperatorId, bids: Profile) -> Dict[Tuple[str, str, int
     }
 
 
-def payment(instance: Instance, bids: Profile, operator_id: OperatorId,
+def payment(template: GraphTemplate, bids: Profile, operator_id: OperatorId,
             cleared: SolveResult, strategy: str = "bnb",
             rule: str = RULE_EXTERNALITY) -> Fraction:
-    """Externality charged to `operator_id` given the cleared solve."""
+    """Externality charged to `operator_id` given the cleared solve, its
+    counterfactual priced on the template of the auction's instance."""
+    instance = template.instance
     operator = instance.operator(operator_id)
     if rule == RULE_EXTERNALITY:
         counterfactual_bids = pseudo_bids(operator_id, bids)
@@ -59,7 +68,7 @@ def payment(instance: Instance, bids: Profile, operator_id: OperatorId,
         counterfactual_bids = dict(bids)
     else:
         raise ValueError(f"unknown payment rule {rule!r}")
-    inner = solve(build_graph(instance, counterfactual_bids), strategy=strategy)
+    inner = solve(price_graph(template, counterfactual_bids), strategy=strategy)
     # A solve's objective is its allocation's welfare under the bids it saw.
     inner_value = inner.objective - operator.weight * granted_value(
         instance, inner.allocation, counterfactual_bids, operator_id)
@@ -70,16 +79,18 @@ def payment(instance: Instance, bids: Profile, operator_id: OperatorId,
 
 def run_auction(instance: Instance, bids: Profile, strategy: str = "bnb",
                 rule: str = RULE_EXTERNALITY) -> MechanismOutcome:
-    """Clear the auction and price every operator (|F|+1 solver runs)."""
+    """Clear the auction and price every operator: one template, |F|+1
+    pricings and solver runs."""
     report = validate_instance(instance)
     if not report.ok:
         raise ValueError(f"invalid instance: {report.violations}")
     report = validate_profile(instance, bids, "bids")
     if not report.ok:
         raise ValueError(f"invalid bids: {report.violations}")
-    cleared = solve(build_graph(instance, bids), strategy=strategy)
+    template = compile_template(instance)
+    cleared = solve(price_graph(template, bids), strategy=strategy)
     payments = {
-        operator.id: payment(instance, bids, operator.id, cleared,
+        operator.id: payment(template, bids, operator.id, cleared,
                              strategy=strategy, rule=rule)
         for operator in instance.operators
     }

@@ -4,11 +4,11 @@ Branches over the per-aircraft departure-time binaries; each fixed
 assignment leaves a max-gain flow with integer bounds, solved exactly
 as a min-cost circulation over the graph's integer edge gains by the
 successive-shortest-path kernel in `flow`, on the residual network
-`build_graph` compiled.  Every augmentation moves whole units, so the
+`graph.price_graph` priced.  Every augmentation moves whole units, so the
 flows are integral, and all arithmetic is on Python ints.  A
 branch-and-bound node's solve starts from the optimal flow and
 potentials of its parent, whose bounds contain its own (the root from
-the compiled cold state); enumeration solves every leaf cold.
+the priced cold state); enumeration solves every leaf cold.
 
 The gains encode welfare and the tie-break in one number (see the
 `graph` module docstring): the maximum-gain allocation is unique and is

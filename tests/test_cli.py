@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import make_port, stay, transit
+from vertiport_auction import cli, mechanism
 from vertiport_auction.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -128,6 +129,18 @@ class TestOracleCheck:
 
     def test_generated_matches(self, generated_file):
         assert main(["oracle-check", generated_file]) == EXIT_OK
+
+    def test_solves_only_the_auction(self, second_price_file, monkeypatch):
+        # The objective is the auction's cleared welfare: |F|+1 solves,
+        # the clearing solve and one counterfactual per operator.
+        calls = []
+        for module in (cli, mechanism):
+            def counted(*args, _fn=module.solve, **kwargs):
+                calls.append(args)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, "solve", counted)
+        assert main(["oracle-check", second_price_file]) == EXIT_OK
+        assert len(calls) == 2 + 1
 
     def test_slot_one_departure_with_congestion_matches(self, tmp_path, capsys):
         # The departer frees v1 from slot 1, so slot 1 has no congestion.

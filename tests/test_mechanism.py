@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_matches_oracle, make_port, remaining_welfare, stay, transit
+from conftest import (
+    assert_matches_oracle,
+    make_port,
+    remaining_welfare,
+    stay,
+    transit,
+    validated_instances,
+)
+from test_acceptance import corpus_config
+from test_solver import AUCTION_MID
+from vertiport_auction import graph, mechanism
 from vertiport_auction.generator import GeneratorConfig, generate
-from vertiport_auction.graph import build_graph
+from vertiport_auction.graph import build_graph, compile_template, price_graph
 from vertiport_auction.mechanism import (
     RULE_NO_ZEROING,
     MechanismOutcome,
@@ -93,28 +103,32 @@ class TestRemainingWelfare:
 class TestPayment:
     def test_single_operator_pays_nothing(self, single_mover):
         instance, bids = single_mover
-        cleared = solve(build_graph(instance, bids))
-        assert payment(instance, bids, "op1", cleared) == 0
+        template = compile_template(instance)
+        cleared = solve(price_graph(template, bids))
+        assert payment(template, bids, "op1", cleared) == 0
 
     def test_second_price_recovery(self, second_price):
         instance, bids = second_price
-        cleared = solve(build_graph(instance, bids))
-        assert payment(instance, bids, "op1", cleared) == 6
-        assert payment(instance, bids, "op2", cleared) == 0
+        template = compile_template(instance)
+        cleared = solve(price_graph(template, bids))
+        assert payment(template, bids, "op1", cleared) == 6
+        assert payment(template, bids, "op2", cleared) == 0
 
     def test_invariant_to_own_bid_scaling(self, second_price):
         instance, bids = second_price
         doubled = dict(bids)
         doubled[("op1", "a1", 1)] = F(20)
-        cleared = solve(build_graph(instance, doubled))
+        template = compile_template(instance)
+        cleared = solve(price_graph(template, doubled))
         assert cleared.allocation == {("op1", "a1"): 1, ("op2", "a1"): 0}
-        assert payment(instance, doubled, "op1", cleared) == 6
+        assert payment(template, doubled, "op1", cleared) == 6
 
     def test_unknown_rule_rejected(self, second_price):
         instance, bids = second_price
-        cleared = solve(build_graph(instance, bids))
+        template = compile_template(instance)
+        cleared = solve(price_graph(template, bids))
         with pytest.raises(ValueError, match="unknown payment rule"):
-            payment(instance, bids, "op1", cleared, rule="vickrey")
+            payment(template, bids, "op1", cleared, rule="vickrey")
 
     def test_routes_below_stay_bids_match_oracle(self, reluctant_movers):
         instance, bids = reluctant_movers
@@ -191,6 +205,73 @@ class TestRunAuction:
                             strategy="enumerate")
             assert a.allocation == b.allocation
             assert a.payments == b.payments
+
+
+def _priced_like_fresh(instance, bids):
+    """Price the clearing profile, then each operator's pseudo-bids, on
+    one template, as an auction does: each priced graph equals a fresh
+    `build_graph` on the same profile.  Returns the priced graphs."""
+    template = compile_template(instance)
+    priced = []
+    for profile in [bids] + [pseudo_bids(operator.id, bids)
+                             for operator in instance.operators]:
+        shared, fresh = price_graph(template, profile), build_graph(instance, profile)
+        assert shared.edges == fresh.edges  # weights included
+        assert shared.gains == fresh.gains
+        assert shared.stay_welfare == fresh.stay_welfare
+        assert shared.network.adjacency == fresh.network.adjacency
+        assert shared.network.cold == fresh.network.cold
+        assert shared.relaxed_lower == fresh.relaxed_lower
+        assert shared.relaxed_upper == fresh.relaxed_upper
+        priced.append(shared)
+    return priced
+
+
+class TestSharedTemplate:
+    def test_one_template_per_auction(self, monkeypatch):
+        """An auction compiles one template, in the mechanism or anywhere
+        below it, and prices the clearing profile and each operator's
+        counterfactual on it; no solve falls back to its own build."""
+        counts = {"compile_template": 0, "price_graph": 0}
+        for module in (graph, mechanism):
+            for name in counts:
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    counts[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+        for seed in range(5):
+            document = generate(GeneratorConfig(seed=seed))
+            counts.update(dict.fromkeys(counts, 0))
+            run_auction(document.instance, document.bids)
+            assert counts == {
+                "compile_template": 1,
+                "price_graph": len(document.instance.operators) + 1}
+
+    def test_auction_mid_profiles_price_like_fresh_builds(self):
+        for seed in range(100):
+            document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
+            _priced_like_fresh(document.instance, document.bids)
+
+    def test_acceptance_profiles_price_like_fresh_builds(self):
+        for seed in range(60):
+            document = generate(corpus_config(seed))
+            _priced_like_fresh(document.instance, document.bids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(validated_instances())
+    def test_validated_profiles_price_like_fresh_builds(self, drawn):
+        _priced_like_fresh(*drawn)
+
+    def test_scale_shrinks_when_zeroing_drops_a_denominator(self, second_price):
+        # op1's route bid is the only weight with denominator 3, so the
+        # clearing graph's S is 3 and op1's counterfactual's is 1: op2's
+        # route gain, bid 6 less stay 0, drops from 6 * 3 * P to 6 * 1 * P.
+        instance, bids = second_price
+        bids = {**bids, ("op1", "a1", 1): F(31, 3)}
+        clearing, without_op1, _ = _priced_like_fresh(instance, bids)
+        (route,) = [e.index for e in clearing.edges if e.key == ("op2", "a1", 1)]
+        tie_unit = compile_template(instance).tie_unit
+        assert clearing.gains[route] - without_op1.gains[route] == 6 * 2 * tie_unit
 
 
 class TestSampleMisreports:

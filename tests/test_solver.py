@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from conftest import assert_circulation, edges_of_class, make_port, stay, transi
 from test_acceptance import corpus_config
 from vertiport_auction.flow import FlowState, min_cost_flow
 from vertiport_auction.generator import GeneratorConfig, generate
-from vertiport_auction.mechanism import pseudo_bids
-from vertiport_auction import solver
+from vertiport_auction.mechanism import pseudo_bids, run_auction
+from vertiport_auction import mechanism, solver
 from vertiport_auction.graph import (
     SINK,
     SOURCE,
@@ -543,6 +544,36 @@ def kernel_graphs():
     return graphs
 
 
+def test_auction_solves_do_the_work_of_fresh_builds(kernel_graphs, monkeypatch):
+    """Every clearing and payment solve of an auction, priced on the
+    auction's one template, does the same search as a solve of a fresh
+    `build_graph` on its profile: the same nodes, flow solves, paths and
+    prunes.  The auctions run on each kernel graph's profile and on the
+    deeper shape, where infeasible children occur."""
+    seen = []
+
+    def recorded(graph, strategy="bnb", _solve=mechanism.solve):
+        result = _solve(graph, strategy=strategy)
+        seen.append((graph.bids, result.stats))
+        return result
+
+    monkeypatch.setattr(mechanism, "solve", recorded)
+    auctions = [(graph.instance, graph.bids) for graph in kernel_graphs]
+    for seed in range(20):
+        document = generate(GeneratorConfig(seed=seed, **DEEP))
+        auctions.append((document.instance, document.bids))
+    infeasible = 0
+    for instance, bids in auctions:
+        seen.clear()
+        run_auction(instance, bids)
+        assert len(seen) == len(instance.operators) + 1
+        for profile, stats in seen:
+            fresh = solve(build_graph(instance, profile)).stats
+            assert replace(stats, wall_time=0) == replace(fresh, wall_time=0)
+            infeasible += stats.pruned_infeasible
+    assert infeasible > 0
+
+
 @pytest.fixture(scope="module")
 def issued_solves(kernel_graphs):
     """Every flow solve `bnb` issues on `kernel_graphs`, as (graph, lower,
@@ -731,7 +762,7 @@ class TestFlowKernel:
 
     def test_zero_aircraft_return_capacity(self, empty_instance):
         graph = build_graph(empty_instance, {})
-        assert graph.network.return_capacity == 0
+        assert graph.network.topology.return_capacity == 0
         lower, upper = solver._resolved_bounds(graph, {})
         root, _ = _assert_kernel_agrees(graph, lower, upper, graph.network.cold)
         rng = random.Random(1)
