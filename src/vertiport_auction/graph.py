@@ -34,8 +34,8 @@ vertiport starts with: a relaxed flow cannot move a unit to another
 vertiport, and a unit is credited for one aircraft's route at most once.
 A graph is built in two stages, and every branch node of a solve shares
 the result.  `compile_template` reads no bid: it lays out the vertices
-and every edge, computes the E1-E4, E6 and E8 weights and the E5
-tie-break bonuses, and compiles the relaxed bounds, the E4 edge of each
+and every edge, computes the E3/E8 weights and the E5 tie-break
+bonuses, and compiles the relaxed bounds, the E4 edge of each
 (aircraft, tau), the E3/E8 bundles and the flow kernel's topology
 (`flow.Topology`: vertex-index tails and heads, a return edge of one
 unit per aircraft, residual arcs and a topological order).
@@ -44,6 +44,21 @@ then the scale S, the gains, the arc costs (-gain) and the cold
 potentials, in one pass over the cached order (`flow.Network`).  So an
 auction compiles one template and prices its clearing profile and each
 payment counterfactual on it; `build_graph` is the two stages in a row.
+
+Integer pricing.  An edge's weight lives only in its integer gain; no
+weight is held as a `Fraction`.  With a congestion row brought to
+integer numerators G over its lcm L, an E3/E8 weight is the pair
+(lambda.num * (G(q-1) - G(q)), lambda.den * L); an E5 weight
+w * (b - s), s the stay bid, is (w.num * (b.num * s.den - s.num * b.den),
+w.den * b.den * s.den).  Each pair is reduced by its gcd, so S, the lcm
+of the reduced denominators, and every gain are those of the same
+weights in `Fraction`s.  `stay_welfare`, whose denominator need not
+divide S, is one `Fraction` built from an integer numerator and
+denominator, and a flow's welfare is
+
+  stay_welfare + (gain - its E5 bonuses) / (S * P),
+
+one `Fraction` per solve (`flow_objective`; `AuxGraph.unit` is S * P).
 
 Tie-break.  The solver maximizes one exact integer gain per edge,
 
@@ -74,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .flow import Network, Topology, compile_topology, price_network
@@ -86,9 +101,7 @@ from .model import (
     RouteOption,
     check_allocation,
     initial_occupancy,
-    is_feasible,
-    movements,
-    occupancy_table,
+    over_common_denominator,
 )
 
 # Vertex tags.  Vertices are plain tuples so they double as dict keys.
@@ -101,6 +114,7 @@ SINK = ("sink",)
 
 Vertex = Tuple
 DeltaAssignment = Mapping[Tuple[str, str], int]  # (operator, aircraft) -> tau
+BidKey = Tuple[str, str, int]  # (operator, aircraft, menu key)
 
 
 def park(r: str, t: int) -> Vertex:
@@ -127,7 +141,6 @@ class Edge(NamedTuple):
     head: Vertex
     lower: int
     upper: int
-    weight: Fraction
     q: Optional[int] = None  # bundle position for E3/E8
 
 
@@ -140,6 +153,7 @@ class AuxGraph:
     gains: Tuple[int, ...]  # per edge; see the module docstring
     # The fleet's weighted stay bids, folded out of the E5 weights.
     stay_welfare: Fraction
+    unit: int  # S * P: a gain's welfare part is welfare * unit
     # The template's topology priced by -gains, for the solver.
     network: Network = field(compare=False, repr=False)
     # Per-edge bounds with every aircraft undecided: each edge's own.
@@ -151,6 +165,8 @@ class AuxGraph:
         compare=False, repr=False)
     # Edge indices of each E3/E8 parallel bundle, by position q.
     bundles: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
+    # (E5 edge index, tie-break bonus) per E5 edge.
+    bonuses: Tuple[Tuple[int, int], ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -177,13 +193,12 @@ class GraphTemplate:
 
     instance: Instance
     vertices: Tuple[Vertex, ...]
-    edges: Tuple[Edge, ...]  # E5 weights read 0 until priced
-    # Per E5 edge: the edge, its operator's weight, the aircraft's stay
-    # bid key and the edge's tie-break bonus.
-    routes: Tuple[Tuple[Edge, Fraction, Tuple[str, str, int], int], ...]
-    # Per aircraft: its operator's weight and its stay bid key.
-    stays: Tuple[Tuple[Fraction, Tuple[str, str, int]], ...]
-    scale: int  # lcm of the bid-independent weights' denominators
+    edges: Tuple[Edge, ...]
+    # Per aircraft: its operator's weight, its stay bid key, and per E5
+    # edge of its routes the edge index, bid key and tie-break bonus.
+    aircraft: Tuple[Tuple[Fraction, BidKey, Tuple[Tuple[int, BidKey, int], ...]], ...]
+    bonuses: Tuple[Tuple[int, int], ...]  # (E5 edge index, bonus)
+    scale: int  # lcm of the E3/E8 weights' reduced denominators
     tie_unit: int  # P = R^n * M^n
     scaled_weights: Tuple[int, ...]  # weight * scale per edge (E5: 0)
     topology: Topology
@@ -227,11 +242,25 @@ def compile_template(instance: Instance) -> GraphTemplate:
             departure_used.add((craft.origin, entry.depart_time))
 
     edges: List[Edge] = []
+    # Reduced (numerator, denominator) of each E3/E8 edge's weight; every
+    # other edge but E5 weighs 0.
+    weights: Dict[int, Tuple[int, int]] = {}
 
     def add(cls: str, key: Tuple, tail: Vertex, head: Vertex, lower: int,
-            upper: int, weight: Fraction, q: Optional[int] = None) -> Edge:
-        edges.append(Edge(len(edges), cls, key, tail, head, lower, upper, weight, q))
+            upper: int, q: Optional[int] = None) -> Edge:
+        edges.append(Edge(len(edges), cls, key, tail, head, lower, upper, q))
         return edges[-1]
+
+    def add_bundle(cls: str, key: Tuple, tail: Vertex, head: Vertex, cap: int,
+                   row: Sequence[Fraction]) -> None:
+        """`cap` unit edges, the q-th weighing lambda * (g(q-1) - g(q))."""
+        numerators, denominator = over_common_denominator(row)
+        denominator *= lam.denominator
+        for q in range(1, cap + 1):
+            num = lam.numerator * (numerators[q - 1] - numerators[q])
+            common = gcd(num, denominator)
+            edge = add(cls, key + (q,), tail, head, 0, 1, q)
+            weights[edge.index] = (num // common, denominator // common)
 
     def grant_bonus(a: int, craft: Aircraft, entry: RouteOption) -> int:
         rtau = craft.departure_times().index(entry.depart_time)
@@ -239,50 +268,47 @@ def compile_template(instance: Instance) -> GraphTemplate:
         return (largest_menu ** n * most_times ** (n - 1 - a) * (most_times - 1 - rtau)
                 + largest_menu ** (n - 1 - a) * (largest_menu - 1 - rk))
 
-    zero = Fraction(0)
     for port in instance.vertiports:
         for t in range(1, h + 1):
             cap = port.arrival_cap[t - 1] if (port.id, t) in arrival_used else 0
-            add("E1", (port.id, t), arr(port.id, t), park(port.id, t), 0, cap, zero)
+            add("E1", (port.id, t), arr(port.id, t), park(port.id, t), 0, cap)
     for port in instance.vertiports:
         for t in range(1, h + 1):
             cap = port.departure_cap[t - 1] if (port.id, t) in departure_used else 0
-            add("E2", (port.id, t), park(port.id, t), dep(port.id, t), 0, cap, zero)
+            add("E2", (port.id, t), park(port.id, t), dep(port.id, t), 0, cap)
     for port in instance.vertiports:
         for t in range(1, h):
-            for q in range(1, port.parking_cap[t - 1] + 1):
-                g = port.congestion_cost[t - 1]
-                weight = lam * (g[q - 1] - g[q])
-                add("E3", (port.id, t, q), park(port.id, t), park(port.id, t + 1),
-                    0, 1, weight, q)
+            add_bundle("E3", (port.id, t), park(port.id, t), park(port.id, t + 1),
+                       port.parking_cap[t - 1], port.congestion_cost[t - 1])
     for operator, craft in instance.iter_aircraft():
         for tau in craft.departure_times()[1:]:
             add("E4", (operator.id, craft.id, tau), dep(craft.origin, tau),
-                acdep(operator.id, craft.id, tau), 0, 1, zero)
-    routes = []
-    stays = []
+                acdep(operator.id, craft.id, tau), 0, 1)
+    aircraft = []
     for a, (operator, craft) in enumerate(fleet):
-        stay_key = (operator.id, craft.id, craft.stay_key)
         stay_bonus = grant_bonus(a, craft, craft.option(craft.stay_key))
-        stays.append((operator.weight, stay_key))
+        routes = []
         for entry in craft.menu:
             if entry.is_stay:
                 continue
             edge = add("E5", (operator.id, craft.id, entry.key),
                        acdep(operator.id, craft.id, entry.depart_time),
-                       arr(entry.destination, entry.arrive_time), 0, 1, zero)
-            routes.append((edge, operator.weight, stay_key,
+                       arr(entry.destination, entry.arrive_time), 0, 1)
+            routes.append((edge.index, edge.key,
                            grant_bonus(a, craft, entry) - stay_bonus))
+        aircraft.append((operator.weight, (operator.id, craft.id, craft.stay_key),
+                         tuple(routes)))
     for port in instance.vertiports:
         count = initial_occupancy(instance, port.id)
-        add("E6", (port.id,), SOURCE, park(port.id, 1), count, count, zero)
+        add("E6", (port.id,), SOURCE, park(port.id, 1), count, count)
     for port in instance.vertiports:
-        for q in range(1, port.parking_cap[h - 1] + 1):
-            g = port.congestion_cost[h - 1]
-            weight = lam * (g[q - 1] - g[q])
-            add("E8", (port.id, q), park(port.id, h), SINK, 0, 1, weight, q)
+        add_bundle("E8", (port.id,), park(port.id, h), SINK,
+                   port.parking_cap[h - 1], port.congestion_cost[h - 1])
 
-    scale = lcm(*(e.weight.denominator for e in edges), 1)
+    scale = lcm(1, *(den for _, den in weights.values()))
+    scaled_weights = [0] * len(edges)
+    for k, (num, den) in weights.items():
+        scaled_weights[k] = num * (scale // den)
     index = {v: position for position, v in enumerate(vertices)}
     topology = compile_topology(
         len(vertices), [index[e.tail] for e in edges], [index[e.head] for e in edges],
@@ -298,9 +324,9 @@ def compile_template(instance: Instance) -> GraphTemplate:
         if e.cls in ("E3", "E8"):
             bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
     return GraphTemplate(
-        instance, tuple(vertices), tuple(edges), tuple(routes), tuple(stays), scale,
-        most_times ** n * largest_menu ** n,
-        tuple(e.weight.numerator * (scale // e.weight.denominator) for e in edges),
+        instance, tuple(vertices), tuple(edges), tuple(aircraft),
+        tuple((k, bonus) for _, _, routes in aircraft for k, _, bonus in routes),
+        scale, most_times ** n * largest_menu ** n, tuple(scaled_weights),
         topology, relaxed_lower=tuple(e.lower for e in edges),
         relaxed_upper=tuple(e.upper for e in edges), departure_times=times,
         bundles=tuple(tuple(e.index for e in sorted(members, key=lambda e: e.q))
@@ -315,25 +341,33 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     follow from those weights.  Nothing of `template` is changed or
     carried over from another profile: S is the lcm of this profile's
     weight denominators."""
-    weights = [weight * (bids[e.key] - bids[stay_key])
-               for e, weight, stay_key, _ in template.routes]
-    scale = lcm(template.scale, *(weight.denominator for weight in weights))
+    stays = []  # per aircraft: weight * stay bid as (numerator, denominator)
+    priced = []  # per E5 edge: (index, reduced weight numerator, denominator, bonus)
+    for weight, stay_key, routes in template.aircraft:
+        wn, wd = weight.numerator, weight.denominator
+        stay = bids[stay_key]
+        sn, sd = stay.numerator, stay.denominator
+        stays.append((wn * sn, wd * sd))
+        for k, key, bonus in routes:
+            bid = bids[key]
+            num = wn * (bid.numerator * sd - sn * bid.denominator)
+            den = wd * bid.denominator * sd
+            common = gcd(num, den)
+            priced.append((k, num // common, den // common, bonus))
+    scale = lcm(template.scale, *(den for _, _, den, _ in priced))
     unit = scale * template.tie_unit
     multiplier = unit // template.scale
     gains = [w * multiplier for w in template.scaled_weights]
-    edges = list(template.edges)
-    for (e, _, _, bonus), weight in zip(template.routes, weights):
-        edges[e.index] = Edge(e.index, e.cls, e.key, e.tail, e.head, e.lower, e.upper,
-                              weight)
-        gains[e.index] = weight.numerator * (unit // weight.denominator) + bonus
-    stay_welfare = Fraction(0)
-    for weight, stay_key in template.stays:
-        stay_welfare += weight * bids[stay_key]
+    for k, num, den, bonus in priced:
+        gains[k] = num * (unit // den) + bonus
+    stay_den = lcm(1, *(den for _, den in stays))
+    stay_welfare = Fraction(sum(num * (stay_den // den) for num, den in stays), stay_den)
     return AuxGraph(
-        template.instance, bids, template.vertices, tuple(edges), tuple(gains),
-        stay_welfare, network=price_network(template.topology, [-g for g in gains]),
+        template.instance, bids, template.vertices, template.edges, tuple(gains),
+        stay_welfare, unit, network=price_network(template.topology, [-g for g in gains]),
         relaxed_lower=template.relaxed_lower, relaxed_upper=template.relaxed_upper,
         departure_times=template.departure_times, bundles=template.bundles,
+        bonuses=template.bonuses,
     )
 
 
@@ -342,54 +376,12 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     return price_graph(compile_template(instance), bids)
 
 
-def delta_of_allocation(instance: Instance, allocation: Allocation
-                        ) -> Dict[Tuple[str, str], int]:
-    """Departure-time assignment induced by a canonical allocation."""
-    delta: Dict[Tuple[str, str], int] = {}
-    for operator, craft in instance.iter_aircraft():
-        entry = craft.option(allocation[(operator.id, craft.id)])
-        delta[(operator.id, craft.id)] = entry.depart_time
-    return delta
-
-
-def allocation_to_flow(graph: AuxGraph, allocation: Allocation) -> FlowSolution:
-    """Direct construction of the unique flow matching `allocation`."""
-    instance = graph.instance
-    report = is_feasible(instance, allocation)
-    if not report.feasible:
-        raise ValueError(f"allocation infeasible: {report.violations}")
-    delta = delta_of_allocation(instance, allocation)
-    arrivals, departures = movements(instance, allocation)
-    occupancy = occupancy_table(instance, allocation)
-
-    flows = [0] * len(graph.edges)
-    for e in graph.edges:
-        if e.cls == "E1":
-            flows[e.index] = arrivals.get(e.key, 0)
-        elif e.cls == "E2":
-            flows[e.index] = departures.get(e.key, 0)
-        elif e.cls in ("E3", "E8"):
-            r = e.key[0]
-            t = e.key[1] if e.cls == "E3" else instance.horizon
-            flows[e.index] = 1 if e.q <= occupancy[(r, t)] else 0
-        elif e.cls == "E4":
-            i, j, tau = e.key
-            flows[e.index] = 1 if delta[(i, j)] == tau else 0
-        elif e.cls == "E5":
-            i, j, k = e.key
-            flows[e.index] = 1 if allocation[(i, j)] == k else 0
-        elif e.cls == "E6":  # every aircraft based at r
-            flows[e.index] = e.lower
-    return FlowSolution(tuple(flows), delta)
-
-
 def flow_objective(graph: AuxGraph, solution: FlowSolution) -> Fraction:
-    """Exact weighted flow value: the welfare of the allocation it spells."""
-    total = graph.stay_welfare
-    for e in graph.edges:
-        if solution.flows[e.index]:
-            total += e.weight * solution.flows[e.index]
-    return total
+    """Exact weighted flow value: the welfare of the allocation it spells,
+    `stay_welfare` plus the flow's gain less its E5 bonuses over S * P."""
+    flows = solution.flows
+    carried = sum(bonus * flows[k] for k, bonus in graph.bonuses if flows[k])
+    return graph.stay_welfare + Fraction(flow_gain(graph, flows) - carried, graph.unit)
 
 
 def flow_gain(graph: AuxGraph, flows: Sequence[int]) -> int:

@@ -49,8 +49,9 @@ class MechanismOutcome:
 
 def pseudo_bids(excluded: OperatorId, bids: Profile) -> Dict[Tuple[str, str, int], Fraction]:
     """Copy of `bids` with every entry of `excluded` (stay included) zeroed."""
+    zero = Fraction(0)
     return {
-        triple: (Fraction(0) if triple[0] == excluded else value)
+        triple: (zero if triple[0] == excluded else value)
         for triple, value in bids.items()
     }
 

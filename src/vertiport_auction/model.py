@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
+from math import lcm
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 OperatorId = str
 AircraftId = str
@@ -38,6 +39,14 @@ Profile = Mapping[Tuple[OperatorId, AircraftId, MenuKey], Fraction]
 
 #: (operator id, aircraft id) -> chosen menu key.  Canonical form.
 Allocation = Mapping[Tuple[OperatorId, AircraftId], MenuKey]
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """`values` as integer numerators over their least common denominator."""
+    denominators = [v.denominator for v in values]
+    denominator = lcm(*denominators)
+    return ([v.numerator * (denominator // d) for v, d in zip(values, denominators)],
+            denominator)
 
 
 def _first_by(items: Iterable, key: Callable) -> Dict:
@@ -245,16 +254,17 @@ def validate_instance(instance: Instance) -> ValidationReport:
                     f"vertiport {port.id}: congestion_cost slot {t} has {len(row)} "
                     f"entries, expected parking_cap+1 = {cap + 1}"
                 )
-            if row and row[0] != 0:
+            scaled, _ = over_common_denominator(row)
+            if scaled and scaled[0] != 0:
                 problems.append(
                     f"vertiport {port.id}: congestion_cost slot {t} must start at 0"
                 )
-            if any(v < 0 for v in row):
+            if any(v < 0 for v in scaled):
                 problems.append(
                     f"vertiport {port.id}: congestion_cost slot {t} has a negative entry"
                 )
-            for q in range(1, len(row) - 1):
-                if row[q + 1] - row[q] < row[q] - row[q - 1]:
+            for q in range(1, len(scaled) - 1):
+                if scaled[q + 1] - scaled[q] < scaled[q] - scaled[q - 1]:
                     problems.append(
                         f"vertiport {port.id}: congestion_cost not discrete convex "
                         f"at slot {t}, q={q}"

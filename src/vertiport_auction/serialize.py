@@ -44,6 +44,8 @@ class InstanceDocument:
 
 
 def parse_rational(raw: Any, path: str) -> Fraction:
+    if isinstance(raw, bool):
+        raise DocumentError(path, f"expected a rational, got {raw!r}")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):

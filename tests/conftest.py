@@ -3,6 +3,7 @@ outcomes, a strategy drawing arbitrary validated instances, and the
 exact solver/mechanism/flow comparisons against the oracle."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from vertiport_auction import solver
 from vertiport_auction.graph import (
     SINK,
     SOURCE,
-    allocation_to_flow,
+    FlowSolution,
     build_graph,
     flow_objective,
     flow_to_allocation,
@@ -26,6 +27,9 @@ from vertiport_auction.model import (
     RouteOption,
     Vertiport,
     granted_value,
+    is_feasible,
+    movements,
+    occupancy_table,
     social_welfare,
 )
 from vertiport_auction.oracle import enumerate_feasible, oracle_optimal, oracle_payment
@@ -184,6 +188,103 @@ def empty_instance():
 
 def edges_of_class(graph, cls):
     return [e for e in graph.edges if e.cls == cls]
+
+
+def delta_of_allocation(instance, allocation):
+    """Departure-time assignment induced by a canonical allocation."""
+    delta = {}
+    for operator, craft in instance.iter_aircraft():
+        entry = craft.option(allocation[(operator.id, craft.id)])
+        delta[(operator.id, craft.id)] = entry.depart_time
+    return delta
+
+
+def allocation_to_flow(graph, allocation):
+    """Direct construction of the unique flow matching `allocation`."""
+    instance = graph.instance
+    report = is_feasible(instance, allocation)
+    if not report.feasible:
+        raise ValueError(f"allocation infeasible: {report.violations}")
+    delta = delta_of_allocation(instance, allocation)
+    arrivals, departures = movements(instance, allocation)
+    occupancy = occupancy_table(instance, allocation)
+
+    flows = [0] * len(graph.edges)
+    for e in graph.edges:
+        if e.cls == "E1":
+            flows[e.index] = arrivals.get(e.key, 0)
+        elif e.cls == "E2":
+            flows[e.index] = departures.get(e.key, 0)
+        elif e.cls in ("E3", "E8"):
+            r = e.key[0]
+            t = e.key[1] if e.cls == "E3" else instance.horizon
+            flows[e.index] = 1 if e.q <= occupancy[(r, t)] else 0
+        elif e.cls == "E4":
+            i, j, tau = e.key
+            flows[e.index] = 1 if delta[(i, j)] == tau else 0
+        elif e.cls == "E5":
+            i, j, k = e.key
+            flows[e.index] = 1 if allocation[(i, j)] == k else 0
+        elif e.cls == "E6":  # every aircraft based at r
+            flows[e.index] = e.lower
+    return FlowSolution(tuple(flows), delta)
+
+
+def reference_pricing(graph):
+    """(gains, S * P, stay welfare) of `graph`'s edges under its bids,
+    priced in `Fraction`s from the `graph` module docstring's formulas:
+    lambda * (g(q-1) - g(q)) per E3/E8 edge, w * (b - b_stay) per E5
+    edge, S the lcm of the reduced weight denominators, and
+    gain = weight * S * P + bonus."""
+    instance, bids = graph.instance, graph.bids
+    lam = Fraction(instance.congestion_ratio)
+    ports = {port.id: port for port in instance.vertiports}
+    fleet = list(instance.iter_aircraft())
+    n = len(fleet)
+    most_times = max((len(c.departure_times()) for _, c in fleet), default=1)
+    largest_menu = max((len(c.menu) for _, c in fleet), default=1)
+    rank = {(operator.id, craft.id): a for a, (operator, craft) in enumerate(fleet)}
+
+    def grant(operator, craft, key):
+        a = rank[operator.id, craft.id]
+        rtau = craft.departure_times().index(craft.option(key).depart_time)
+        rk = [entry.key for entry in craft.menu].index(key)
+        return (largest_menu ** n * most_times ** (n - 1 - a) * (most_times - 1 - rtau)
+                + largest_menu ** (n - 1 - a) * (largest_menu - 1 - rk))
+
+    weights, bonuses = [], []
+    for e in graph.edges:
+        weight, bonus = Fraction(0), 0
+        if e.cls in ("E3", "E8"):
+            t = e.key[1] if e.cls == "E3" else instance.horizon
+            row = [Fraction(g) for g in ports[e.key[0]].congestion_cost[t - 1]]
+            weight = lam * (row[e.q - 1] - row[e.q])
+        elif e.cls == "E5":
+            i, j, k = e.key
+            operator = instance.operator(i)
+            craft = operator.aircraft(j)
+            weight = Fraction(operator.weight) * (
+                Fraction(bids[i, j, k]) - Fraction(bids[i, j, craft.stay_key]))
+            bonus = grant(operator, craft, k) - grant(operator, craft, craft.stay_key)
+        weights.append(weight)
+        bonuses.append(bonus)
+    unit = lcm(1, *(w.denominator for w in weights)) * (
+        most_times ** n * largest_menu ** n)
+    scaled = [w * unit for w in weights]
+    assert all(x.denominator == 1 for x in scaled)
+    stay_welfare = Fraction(0)
+    for operator, craft in fleet:
+        stay_welfare += Fraction(operator.weight) * Fraction(
+            bids[operator.id, craft.id, craft.stay_key])
+    return (tuple(x.numerator + bonus for x, bonus in zip(scaled, bonuses)), unit,
+            stay_welfare)
+
+
+def assert_priced_like_reference(graph):
+    gains, unit, stay_welfare = reference_pricing(graph)
+    assert graph.gains == gains
+    assert graph.unit == unit
+    assert type(graph.stay_welfare) is Fraction and graph.stay_welfare == stay_welfare
 
 
 def incidence(graph):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    allocation_to_flow,
     assert_flow_correspondence,
     assert_matches_oracle,
     remaining_welfare,
@@ -27,11 +28,9 @@ from conftest import (
 from test_graph import exact_det
 from vertiport_auction.generator import GeneratorConfig, generate, single_slot_config
 from vertiport_auction.graph import (
-    allocation_to_flow,
     build_graph,
     flow_objective,
     flow_to_allocation,
-
 )
 from vertiport_auction.mechanism import (
     RULE_NO_ZEROING,

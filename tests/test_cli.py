@@ -61,6 +61,15 @@ class TestValidate:
         assert main(["validate", str(bad)]) == EXIT_INVALID
         assert "lambda" in capsys.readouterr().err
 
+    def test_boolean_rational_exit_1_with_path(self, tmp_path, generated_file,
+                                               capsys):
+        data = json.loads(open(generated_file).read())
+        data["instance"]["operators"][0]["weight"] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_INVALID
+        assert "$.instance.operators[0].weight" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section", ["bids", "valuations"])
     def test_profile_violation_exit_1(self, tmp_path, generated_file, capsys,
                                       section):

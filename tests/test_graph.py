@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    allocation_to_flow,
     assert_flow_correspondence,
+    delta_of_allocation,
     edges_of_class,
     incidence,
     make_port,
@@ -21,11 +23,9 @@ from vertiport_auction.graph import (
     SINK,
     SOURCE,
     acdep,
-    allocation_to_flow,
     arr,
     build_graph,
     dep,
-    delta_of_allocation,
     flow_objective,
     flow_to_allocation,
     park,
@@ -122,9 +122,13 @@ class TestBuildGraph:
     def test_edge_shapes_and_weights(self, second_price):
         instance, bids = second_price
         graph = build_graph(instance, bids)
-        e5 = {e.key: e for e in edges_of_class(graph, "E5")}
-        assert e5[("op1", "a1", 1)].weight == 10
-        assert e5[("op2", "a1", 1)].weight == 6
+        e5 = {e.key: graph.gains[e.index] for e in edges_of_class(graph, "E5")}
+        # S = 1 and P = R^n * M^n = 2^2 * 2^2; each route gains its weight
+        # 10 or 6 times S * P plus its grant less the stay's: 0 - 10 for
+        # the first aircraft, 0 - 5 for the second (module docstring).
+        assert graph.unit == 16
+        assert e5 == {("op1", "a1", 1): 10 * 16 - 10, ("op2", "a1", 1): 6 * 16 - 5}
+        assert sorted(bonus for _, bonus in graph.bonuses) == [-10, -5]
         for e in edges_of_class(graph, "E1"):
             assert e.tail == arr(*e.key) and e.head == park(*e.key)
         for e in edges_of_class(graph, "E4"):  # relaxed: every aircraft undecided
@@ -149,7 +153,7 @@ class TestBuildGraph:
             for members in bundles.values():
                 members.sort(key=lambda e: e.q)
                 for a, b in zip(members, members[1:]):
-                    assert b.weight <= a.weight
+                    assert graph.gains[b.index] <= graph.gains[a.index]
 
 
 class TestIncidence:

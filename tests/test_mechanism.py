@@ -1,5 +1,6 @@
 """Mechanism: pseudo-bids, externality payments, auction outcomes."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_matches_oracle,
+    assert_priced_like_reference,
     make_port,
     remaining_welfare,
     stay,
@@ -210,15 +212,18 @@ class TestRunAuction:
 def _priced_like_fresh(instance, bids):
     """Price the clearing profile, then each operator's pseudo-bids, on
     one template, as an auction does: each priced graph equals a fresh
-    `build_graph` on the same profile.  Returns the priced graphs."""
+    `build_graph` on the same profile, and its gains, S * P and stay
+    welfare equal the `Fraction` reference's.  Returns the priced graphs."""
     template = compile_template(instance)
     priced = []
     for profile in [bids] + [pseudo_bids(operator.id, bids)
                              for operator in instance.operators]:
         shared, fresh = price_graph(template, profile), build_graph(instance, profile)
-        assert shared.edges == fresh.edges  # weights included
+        assert shared.edges == fresh.edges
         assert shared.gains == fresh.gains
+        assert shared.unit == fresh.unit
         assert shared.stay_welfare == fresh.stay_welfare
+        assert_priced_like_reference(shared)
         assert shared.network.adjacency == fresh.network.adjacency
         assert shared.network.cold == fresh.network.cold
         assert shared.relaxed_lower == fresh.relaxed_lower
@@ -261,6 +266,28 @@ class TestSharedTemplate:
     @given(validated_instances())
     def test_validated_profiles_price_like_fresh_builds(self, drawn):
         _priced_like_fresh(*drawn)
+
+    def test_plain_int_profiles_price_like_reference(self):
+        """Plain `int` lambda, weights and bids price, solve and pay
+        exactly as the equal `Fraction`s do."""
+        for seed in range(20):
+            document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
+            instance = document.instance
+
+            def with_numerators(number):
+                return replace(instance, congestion_ratio=number(
+                    instance.congestion_ratio.numerator), operators=tuple(
+                        replace(operator, weight=number(operator.weight.numerator))
+                        for operator in instance.operators))
+
+            ints, fractions = with_numerators(int), with_numerators(F)
+            int_bids = {key: value.numerator for key, value in document.bids.items()}
+            assert {type(value) for value in int_bids.values()} == {int}
+            fraction_bids = {key: F(value) for key, value in int_bids.items()}
+            for a, b in zip(_priced_like_fresh(ints, int_bids),
+                            _priced_like_fresh(fractions, fraction_bids)):
+                assert (a.gains, a.unit, a.stay_welfare) == (b.gains, b.unit, b.stay_welfare)
+            assert run_auction(ints, int_bids) == run_auction(fractions, fraction_bids)
 
     def test_scale_shrinks_when_zeroing_drops_a_denominator(self, second_price):
         # op1's route bid is the only weight with denominator 3, so the

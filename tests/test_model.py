@@ -104,6 +104,67 @@ class TestValidateInstance:
                    for v in validate_instance(inst).violations)
 
 
+def _reference_congestion_violations(rows):
+    """What `validate_instance` reports on `one_port_instance(rows)`,
+    found by `Fraction` arithmetic on the rows as given."""
+    problems = []
+    for t, row in enumerate(rows, start=1):
+        if row[0] != 0:
+            problems.append(f"vertiport v1: congestion_cost slot {t} must start at 0")
+        if any(v < 0 for v in row):
+            problems.append(f"vertiport v1: congestion_cost slot {t} has a negative entry")
+        for q in range(1, len(row) - 1):
+            if row[q + 1] - row[q] < row[q] - row[q - 1]:
+                problems.append(f"vertiport v1: congestion_cost not discrete convex "
+                                f"at slot {t}, q={q}")
+    return problems
+
+
+_ENTRIES = st.builds(F, st.integers(-3, 12), st.integers(1, 6))
+
+
+@st.composite
+def congestion_rows(draw):
+    """1-5 entries with denominators 1-6: free entries, or running sums
+    from 0 of increments that are sorted (convex) or not."""
+    size = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return [draw(_ENTRIES) for _ in range(size)]
+    increments = draw(st.lists(_ENTRIES, min_size=size - 1, max_size=size - 1))
+    if draw(st.booleans()):
+        increments.sort()
+    row = [F(0)]
+    for increment in increments:
+        row.append(row[-1] + increment)
+    return row
+
+
+class TestIntegerValidation:
+    """The congestion checks run on each row brought to integers over its
+    lcm; they must report what `Fraction` arithmetic finds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(congestion_rows(), min_size=1, max_size=3))
+    def test_same_violations_as_fraction_reference(self, rows):
+        report = validate_instance(one_port_instance(rows))
+        assert list(report.violations) == _reference_congestion_violations(rows)
+
+    @pytest.mark.parametrize("row, problem", [
+        ((0, F(1, 3), F(2, 3)), None),  # equal increments
+        ((0, F(1, 2), F(5, 6)), "not discrete convex at slot 1, q=1"),  # 1/6 drop
+        ((0, F(-1, 3), 1), "has a negative entry"),
+        ((F(1, 2), 1, F(3, 2)), "must start at 0"),
+    ])
+    def test_boundary_rows(self, row, problem):
+        report = validate_instance(one_port_instance([row]))
+        assert list(report.violations) == _reference_congestion_violations(
+            [tuple(F(v) for v in row)])
+        if problem is None:
+            assert report.ok
+        else:
+            assert len(report.violations) == 1 and problem in report.violations[0]
+
+
 class TestValidateProfile:
     def test_dense_profile_ok(self, single_mover):
         instance, bids = single_mover

@@ -63,6 +63,12 @@ class TestRationals:
         with pytest.raises(DocumentError):
             parse_rational(0.5, "$")
 
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_booleans_rejected_with_path(self, raw):
+        # bool is an int subclass; JSON true must not read as 1.
+        with pytest.raises(DocumentError, match=r"\$\.weight"):
+            parse_rational(raw, "$.weight")
+
 
 class TestParse:
     def test_minimal_document(self):

@@ -23,8 +23,10 @@ from vertiport_auction.graph import (
     SOURCE,
     FlowSolution,
     build_graph,
+    compile_template,
     flow_gain,
     flow_objective,
+    price_graph,
 )
 from vertiport_auction.model import (
     Aircraft,
@@ -324,6 +326,49 @@ class TestPruning:
             assert result.objective == social_welfare(
                 document.instance, result.allocation, bids)
         assert total <= 36
+
+
+def _fraction_constructions(fn, *args):
+    """(`Fraction`s constructed while `fn(*args)` runs, its result).  Counts
+    calls of `Fraction.__new__` and, on Python versions whose arithmetic
+    builds its results without it, of `Fraction._from_coprime_ints`."""
+    codes = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return count, result
+
+
+def test_pricing_and_search_construct_constant_fractions():
+    """Pricing and search run on ints: on auction-mid-shape profiles,
+    clearing and counterfactual, some of whose searches branch,
+    `price_graph` constructs at most 1 `Fraction` (`stay_welfare`) and
+    `solve` at most 2 (the objective: the gain's welfare part over
+    S * P, then `stay_welfare` added), whatever the fleet or the nodes."""
+    branched = 0
+    for seed in range(4):
+        document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
+        template = compile_template(document.instance)
+        for bids in [document.bids] + [pseudo_bids(operator.id, document.bids)
+                                       for operator in document.instance.operators]:
+            constructed, graph = _fraction_constructions(price_graph, template, bids)
+            assert constructed <= 1
+            constructed, result = _fraction_constructions(solve, graph)
+            assert constructed <= 2
+            branched += result.stats.nodes_explored > 1
+    assert branched > 0
 
 
 def _resolve(edge, bound, delta):
