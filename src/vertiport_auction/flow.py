@@ -1,32 +1,33 @@
-"""Exact min-cost circulation on a compiled DAG, in plain Python ints.
+"""Exact min-cost circulation on a compiled network, in plain Python ints.
 
-The auxiliary graph is acyclic apart from the return edge that closes
-its circulation (time only moves forward), every cost and bound is an
-integer, and the return edge, sink -> source, costs 0 and carries at
-most one unit per aircraft.  `compile_topology` turns such a graph's
-edges into residual arcs and a topological order once; `price_network`
-gives the arcs one cost vector and its cold state, once per cost vector;
-`min_cost_flow` solves one bound vector on a priced network by
-successive shortest paths (Ahuja, Magnanti & Orlin,
-*Network Flows*, 1993, ch. 9-10), starting from a given flow and
-potentials.
+Every cost and bound of the auxiliary graph is an integer, and its
+vertices are numbered so that every edge runs from a lower to a higher
+index except edges whose flow is fixed (lower bound = upper bound),
+which close the circulation.  `compile_topology` turns such a graph's
+edges into residual arcs once; `price_network` gives the arcs one cost
+vector and its cold state, once per cost vector; `min_cost_flow` solves
+one bound vector on a priced network by successive shortest paths
+(Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9-10), starting
+from a given flow and potentials.
 
-State.  A `FlowState` is a flow on every edge, the return edge
-included, and vertex potentials under which every residual arc with
-capacity has a non-negative reduced cost c(u, v) + p(u) - p(v).  A
-solve clamps the start flow into the new bounds.  When the new bounds
-narrow those the start state was solved for (lowers raised, uppers cut),
-clamping leaves capacity only on residual arcs that had it before, so
-the invariant still holds and only the imbalances clamping created need
-routing: the state of a solved branch node starts every solve below it.
+State.  A `FlowState` is a flow on every edge and vertex potentials
+under which every residual arc with capacity has a non-negative reduced
+cost c(u, v) + p(u) - p(v).  A solve clamps the start flow into the new
+bounds.  When the new bounds narrow those the start state was solved
+for (lowers raised, uppers cut), clamping leaves capacity only on
+residual arcs that had it before, so the invariant still holds and only
+the imbalances clamping created need routing: the state of a solved
+branch node starts every solve below it.
 
 Cold start.  The priced `Network.cold` state is the zero flow and the
-shortest distances in the DAG from a root with a 0-cost arc to every
-vertex.  Under them every edge's forward arc has a non-negative reduced
-cost, and clamping the zero flow to the lower bounds leaves the reverse
-arcs empty.  Only the return arc's, p(sink) - p(source), can be
-negative; the solve saturates it when it is, and routes the imbalance
-that creates with the others.
+shortest distances, over the edges that are not fixed, from a root with
+a 0-cost arc to every vertex; index order is a topological order of
+those edges.  Under them every such edge's forward arc has a
+non-negative reduced cost, and clamping the zero flow to the lower
+bounds leaves their reverse arcs empty.  A fixed edge's arcs have no
+capacity under any bounds within its own, so their reduced costs do not
+matter; clamping sets its flow, and the solve routes the imbalances
+that creates.
 
 Routing.  Each round runs Dijkstra on reduced costs from every vertex
 with excess at once and stops at the nearest vertex with a deficit.  The
@@ -52,7 +53,7 @@ Arc = Tuple[int, int, int]  # (arc id, head vertex, cost)
 
 
 class FlowState(NamedTuple):
-    """Flow per edge, the return edge last, and certifying potentials."""
+    """Flow per edge and certifying potentials."""
 
     flows: Sequence[int]
     potential: Sequence[int]
@@ -60,22 +61,17 @@ class FlowState(NamedTuple):
 
 @dataclass(frozen=True)
 class Topology:
-    """The cost-free part of the residual network of a DAG closed by a
-    return edge.
+    """The cost-free part of the residual network of a circulation.
 
     Edge k owns arc 2k (tail -> head) and its reverse 2k+1, so arc a's
-    reverse is a ^ 1; the return edge sink -> source is the last edge.
+    reverse is a ^ 1.
     """
 
     tails: Tuple[int, ...]
     heads: Tuple[int, ...]
-    source: int
-    sink: int
-    return_capacity: int
     arc_head: Tuple[int, ...]
     arcs: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arc id, head) out of each vertex
-    order: Tuple[int, ...]  # the DAG's vertices, topologically sorted
-    out_edges: Tuple[Tuple[int, ...], ...]  # DAG edges out of each vertex
+    out_edges: Tuple[Tuple[int, ...], ...]  # edges not fixed out of each vertex
 
 
 @dataclass(frozen=True)
@@ -89,52 +85,42 @@ class Network:
 
 
 def compile_topology(vertex_count: int, tails: Sequence[int], heads: Sequence[int],
-                     source: int, sink: int, return_capacity: int) -> Topology:
-    """Residual arcs of the edges (tails[k], heads[k]), closed by a
-    sink -> source edge of `return_capacity`, and a topological order of
-    the edges' vertices.  The edges must form a DAG."""
-    n = vertex_count
-    out: List[List[int]] = [[] for _ in range(n)]
-    indegree = [0] * n
-    for k, (u, v) in enumerate(zip(tails, heads)):
-        out[u].append(k)
-        indegree[v] += 1
-    order = [v for v in range(n) if not indegree[v]]
-    for u in order:  # Kahn's algorithm; `order` grows while it is read
-        for k in out[u]:
-            indegree[heads[k]] -= 1
-            if not indegree[heads[k]]:
-                order.append(heads[k])
-    if len(order) != n:
-        raise ValueError("flow network edges must form a DAG")
-
-    tails, heads = tuple(tails) + (sink,), tuple(heads) + (source,)
+                     lower: Sequence[int], upper: Sequence[int]) -> Topology:
+    """Residual arcs of the edges (tails[k], heads[k]) with bounds
+    [lower[k], upper[k]].  Every edge that is not fixed (lower[k] !=
+    upper[k]) must run from a lower to a higher vertex index; raises
+    ValueError otherwise."""
+    out: List[List[int]] = [[] for _ in range(vertex_count)]
     arc_head = [0] * (2 * len(tails))
-    arcs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    arcs: List[List[Tuple[int, int]]] = [[] for _ in range(vertex_count)]
     for k, (u, v) in enumerate(zip(tails, heads)):
+        if lower[k] != upper[k]:
+            if u >= v:
+                raise ValueError(f"edge {k} ({u} -> {v}) is not fixed and runs backward")
+            out[u].append(k)
         arc_head[2 * k], arc_head[2 * k + 1] = v, u
         arcs[u].append((2 * k, v))
         arcs[v].append((2 * k + 1, u))
-    return Topology(tails, heads, source, sink, return_capacity, tuple(arc_head),
-                    tuple(map(tuple, arcs)), tuple(order), tuple(map(tuple, out)))
+    return Topology(tuple(tails), tuple(heads), tuple(arc_head),
+                    tuple(map(tuple, arcs)), tuple(map(tuple, out)))
 
 
 def price_network(topology: Topology, costs: Sequence[int]) -> Network:
-    """`topology` with one cost per DAG edge (the return edge costs 0),
-    and its cold state: the zero flow and, as potentials, the shortest
-    distances in the DAG from a root with a 0-cost arc to every vertex,
-    found in one pass over the topological order."""
+    """`topology` with one cost per edge, and its cold state: the zero
+    flow and, as potentials, the shortest distances over the edges that
+    are not fixed from a root with a 0-cost arc to every vertex, found in
+    one pass over the vertices in index order."""
     potential = [0] * len(topology.arcs)
-    heads, out_edges = topology.heads, topology.out_edges
-    for u in topology.order:
+    heads = topology.heads
+    for u, out in enumerate(topology.out_edges):
         base = potential[u]
-        for k in out_edges[u]:
+        for k in out:
             reach = base + costs[k]
             if reach < potential[heads[k]]:
                 potential[heads[k]] = reach
     arc_cost = [0] * len(topology.arc_head)
-    arc_cost[0:-2:2] = costs
-    arc_cost[1:-2:2] = [-c for c in costs]
+    arc_cost[0::2] = costs
+    arc_cost[1::2] = [-c for c in costs]
     adjacency = tuple(tuple([(a, v, arc_cost[a]) for a, v in arcs])
                       for arcs in topology.arcs)
     return Network(topology, adjacency,
@@ -144,25 +130,19 @@ def price_network(topology: Topology, costs: Sequence[int]) -> Network:
 def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
                   start: FlowState) -> Tuple[Optional[FlowState], int]:
     """Cheapest circulation with lower[k] <= flow[k] <= upper[k] on every
-    edge but the return edge, from `start` (`network.cold`, or the state
-    of a solve whose bounds contain these); None if there is none.  Also
-    returns the number of augmenting paths pushed.  Raises ValueError if
-    a Dijkstra round pops more entries than the invariant allows, as on a
+    edge, from `start` (`network.cold`, or the state of a solve whose
+    bounds contain these); None if there is none.  Also returns the
+    number of augmenting paths pushed.  Raises ValueError if a Dijkstra
+    round pops more entries than the invariant allows, as on a
     negative-cost residual cycle; a start that breaks the invariant
     otherwise goes unnoticed and can give a flow that is not optimal."""
     topology = network.topology
     flows = [u if f > u else (low if f < low else f)
              for f, low, u in zip(start.flows, lower, upper)]
-    back = start.flows[-1]
-    if start.potential[topology.sink] < start.potential[topology.source]:
-        back = topology.return_capacity  # the return arc's reduced cost is < 0
-    flows.append(back)
-    m = len(lower)
     cap = [0] * len(topology.arc_head)
-    cap[0:2 * m:2] = map(sub, upper, flows)
-    cap[1:2 * m:2] = map(sub, flows, lower)
-    cap[-2:] = topology.return_capacity - back, back
-    if min(cap) < 0:  # some lower bound exceeds its upper bound
+    cap[0::2] = map(sub, upper, flows)
+    cap[1::2] = map(sub, flows, lower)
+    if min(cap, default=0) < 0:  # some lower bound exceeds its upper bound
         return None, 0
     excess: Dict[int, int] = defaultdict(int)  # inflow minus outflow
     for k in compress(count(), map(ne, flows, start.flows)):
@@ -227,5 +207,4 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         excess[target] += push
         pushed += 1
     flows = [low + c for low, c in zip(lower, cap[1::2])]
-    flows.append(cap[-1])
     return FlowState(flows, potential), pushed

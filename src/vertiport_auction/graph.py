@@ -3,7 +3,7 @@
 Builds the auxiliary graph whose max-weight flows correspond one-to-one
 with feasible allocations: three vertiport replicas (parking, arrival,
 departure) per slot, one vertex per (aircraft, departure time other than
-the stay time 0), a source and a sink.  Edge classes:
+the stay time 0), and a sink.  Edge classes:
 
   E1 arrival gate       Arr(r,t)  -> Park(r,t)   cap [0, A(r,t)]
   E2 departure gate     Park(r,t) -> Dep(r,t)    cap [0, D(r,t)]
@@ -12,10 +12,15 @@ the stay time 0), a source and a sink.  Edge classes:
   E4 departure choice   Dep(o,tau) -> AcDep(i,j,tau)  cap [0, 1]
   E5 route grant        AcDep(i,j,d_k) -> Arr(dest_k, a_k)
                         weight rho*(b_k - b_stay)
-  E6 initial fleet      Source -> Park(r,1)  bound = initial(r)
+  E6 initial fleet      Sink -> Park(r,1)  bound = initial(r)
   E8 terminal bundle    Park(r,H) -> Sink   like E3 at slot H
 
-Every aircraft based at r enters at Park(r,1) by E6; an aircraft departs
+E6 closes the circulation: every aircraft based at r leaves the sink
+for Park(r,1) by E6, and its unit returns to the sink by E8.  Vertices
+are numbered in time order, for each slot the Arr/Park/Dep vertices of
+every vertiport and then the AcDep vertices, the sink last, so every
+edge but the fixed E6 runs from a lower to a higher index (a validated
+route departs before it arrives).  An aircraft departs
 at tau exactly when its E4 edge at tau carries its unit, and stays
 exactly when none of its E4 edges does.  The stay bid is folded into the
 route weights, so a stay moves and gains nothing in the graph and
@@ -37,11 +42,11 @@ the result.  `compile_template` reads no bid: it lays out the vertices
 and every edge, computes the E3/E8 weights and the E5 tie-break
 bonuses, and compiles the relaxed bounds, the E4 edge of each
 (aircraft, tau), the E3/E8 bundles and the flow kernel's topology
-(`flow.Topology`: vertex-index tails and heads, a return edge of one
-unit per aircraft, residual arcs and a topological order).
+(`flow.Topology`: vertex-index tails and heads and residual arcs).
 `price_graph` reads one bid profile: the E5 weights and `stay_welfare`,
 then the scale S, the gains, the arc costs (-gain) and the cold
-potentials, in one pass over the cached order (`flow.Network`).  So an
+potentials, in one pass over the vertices in index order
+(`flow.Network`).  So an
 auction compiles one template and prices its clearing profile and each
 payment counterfactual on it; `build_graph` is the two stages in a row.
 
@@ -109,7 +114,6 @@ PARK = "park"
 ARR = "arr"
 DEP = "dep"
 AC_DEP = "acdep"
-SOURCE = ("source",)
 SINK = ("sink",)
 
 Vertex = Tuple
@@ -222,13 +226,13 @@ def compile_template(instance: Instance) -> GraphTemplate:
     largest_menu = max((len(craft.menu) for _, craft in fleet), default=1)
 
     vertices: List[Vertex] = []
-    for port in instance.vertiports:
-        for t in range(1, h + 1):
-            vertices.extend([park(port.id, t), arr(port.id, t), dep(port.id, t)])
-    for operator, craft in instance.iter_aircraft():
-        for tau in craft.departure_times()[1:]:  # all but the stay time 0
-            vertices.append(acdep(operator.id, craft.id, tau))
-    vertices.extend([SOURCE, SINK])
+    for t in range(1, h + 1):
+        for port in instance.vertiports:
+            vertices.extend([arr(port.id, t), park(port.id, t), dep(port.id, t)])
+        for operator, craft in fleet:
+            if t in craft.departure_times():
+                vertices.append(acdep(operator.id, craft.id, t))
+    vertices.append(SINK)
 
     # Vertiport-time pairs that can actually receive / emit a route,
     # for the zero-capacity pruning of dangling arrival/departure gates.
@@ -300,7 +304,7 @@ def compile_template(instance: Instance) -> GraphTemplate:
                          tuple(routes)))
     for port in instance.vertiports:
         count = initial_occupancy(instance, port.id)
-        add("E6", (port.id,), SOURCE, park(port.id, 1), count, count)
+        add("E6", (port.id,), SINK, park(port.id, 1), count, count)
     for port in instance.vertiports:
         add_bundle("E8", (port.id,), park(port.id, h), SINK,
                    port.parking_cap[h - 1], port.congestion_cost[h - 1])
@@ -310,9 +314,10 @@ def compile_template(instance: Instance) -> GraphTemplate:
     for k, (num, den) in weights.items():
         scaled_weights[k] = num * (scale // den)
     index = {v: position for position, v in enumerate(vertices)}
+    lower, upper = tuple(e.lower for e in edges), tuple(e.upper for e in edges)
     topology = compile_topology(
         len(vertices), [index[e.tail] for e in edges], [index[e.head] for e in edges],
-        index[SOURCE], index[SINK], n)
+        lower, upper)
     times: Dict[Tuple[str, str], Dict[int, int]] = {
         (operator.id, craft.id): {} for operator, craft in fleet}
     for e in edges:
@@ -327,8 +332,7 @@ def compile_template(instance: Instance) -> GraphTemplate:
         instance, tuple(vertices), tuple(edges), tuple(aircraft),
         tuple((k, bonus) for _, _, routes in aircraft for k, _, bonus in routes),
         scale, most_times ** n * largest_menu ** n, tuple(scaled_weights),
-        topology, relaxed_lower=tuple(e.lower for e in edges),
-        relaxed_upper=tuple(e.upper for e in edges), departure_times=times,
+        topology, relaxed_lower=lower, relaxed_upper=upper, departure_times=times,
         bundles=tuple(tuple(e.index for e in sorted(members, key=lambda e: e.q))
                       for members in bundles.values()),
     )
@@ -376,12 +380,13 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     return price_graph(compile_template(instance), bids)
 
 
-def flow_objective(graph: AuxGraph, solution: FlowSolution) -> Fraction:
+def flow_objective(graph: AuxGraph, solution: FlowSolution, gain: int) -> Fraction:
     """Exact weighted flow value: the welfare of the allocation it spells,
-    `stay_welfare` plus the flow's gain less its E5 bonuses over S * P."""
+    `stay_welfare` plus the flow's gain (`flow_gain`) less its E5 bonuses
+    over S * P."""
     flows = solution.flows
     carried = sum(bonus * flows[k] for k, bonus in graph.bonuses if flows[k])
-    return graph.stay_welfare + Fraction(flow_gain(graph, flows) - carried, graph.unit)
+    return graph.stay_welfare + Fraction(gain - carried, graph.unit)
 
 
 def flow_gain(graph: AuxGraph, flows: Sequence[int]) -> int:

@@ -198,9 +198,6 @@ class Instance:
               key: MenuKey) -> RouteOption:
         return self.operator(operator_id).aircraft(aircraft_id).option(key)
 
-    def total_aircraft(self) -> int:
-        return sum(len(op.fleet) for op in self.operators)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -325,9 +322,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
 
     # Slack condition: initial occupants fit in parking at every slot.
     for port in instance.vertiports:
-        occupied = sum(
-            1 for _, craft in instance.iter_aircraft() if craft.origin == port.id
-        )
+        occupied = initial_occupancy(instance, port.id)
         for t in range(1, min(h, len(port.parking_cap)) + 1):
             if port.parking_cap[t - 1] - occupied < 0:
                 problems.append(
@@ -365,13 +360,6 @@ def check_allocation(instance: Instance, allocation: Allocation) -> None:
     for operator, craft in instance.iter_aircraft():
         key = allocation[(operator.id, craft.id)]
         craft.option(key)  # raises KeyError on bad key
-
-
-def all_stay_allocation(instance: Instance) -> Allocation:
-    return {
-        (operator.id, craft.id): craft.stay_key
-        for operator, craft in instance.iter_aircraft()
-    }
 
 
 def initial_occupancy(instance: Instance, vertiport_id: VertiportId) -> int:

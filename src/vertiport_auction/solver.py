@@ -164,7 +164,7 @@ def _min_cost_flow(graph: AuxGraph, partial_delta: DeltaAssignment,
     if state is None:
         return None
     start.state = state
-    return state.flows[:-1]
+    return list(state.flows)  # a copy: _canonicalize_bundles changes it in place
 
 
 def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
@@ -290,7 +290,7 @@ def solve(graph: AuxGraph, strategy: str = "bnb") -> SolveResult:
     stats.wall_time = time.perf_counter() - start
     return SolveResult(
         flow=best.flow,
-        objective=flow_objective(graph, best.flow),
+        objective=flow_objective(graph, best.flow, best.gain),
         allocation=flow_to_allocation(graph, best.flow),
         delta=dict(best.flow.delta),
         stats=stats,

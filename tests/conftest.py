@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from vertiport_auction import solver
 from vertiport_auction.graph import (
     SINK,
-    SOURCE,
     FlowSolution,
     build_graph,
+    flow_gain,
     flow_objective,
     flow_to_allocation,
 )
@@ -190,6 +190,16 @@ def edges_of_class(graph, cls):
     return [e for e in graph.edges if e.cls == cls]
 
 
+def total_aircraft(instance):
+    return sum(len(operator.fleet) for operator in instance.operators)
+
+
+def all_stay_allocation(instance):
+    """Every aircraft granted its stay."""
+    return {(operator.id, craft.id): craft.stay_key
+            for operator, craft in instance.iter_aircraft()}
+
+
 def delta_of_allocation(instance, allocation):
     """Departure-time assignment induced by a canonical allocation."""
     delta = {}
@@ -299,9 +309,8 @@ def incidence(graph):
 
 
 def truncated_incidence(graph):
-    """Incidence matrix without the source and sink rows."""
-    return [row for v, row in zip(graph.vertices, incidence(graph))
-            if v not in (SOURCE, SINK)]
+    """Incidence matrix without the sink row."""
+    return [row for v, row in zip(graph.vertices, incidence(graph)) if v != SINK]
 
 
 def remaining_welfare(instance, allocation, bids, operator_id):
@@ -327,16 +336,13 @@ def assert_matches_oracle(instance, bids):
 
 
 def assert_circulation(graph, flows, lower, upper):
-    """Within bounds, balanced everywhere but at the source and sink, and
-    closed by a return flow of at most one unit per aircraft."""
+    """One flow per edge, within bounds and balanced at every vertex."""
+    assert len(flows) == len(graph.edges)
     assert all(lo <= f <= up for f, lo, up in zip(flows, lower, upper))
     balance = dict.fromkeys(graph.vertices, 0)
     for e, f in zip(graph.edges, flows):
         balance[e.tail] -= f
         balance[e.head] += f
-    returned = balance[SINK]
-    assert 0 <= returned <= graph.instance.total_aircraft()
-    assert balance.pop(SOURCE) == -returned and balance.pop(SINK) == returned
     assert not any(balance.values())
 
 
@@ -349,7 +355,8 @@ def assert_flow_correspondence(instance, bids):
         flow = allocation_to_flow(graph, x)
         assert_circulation(graph, flow.flows,
                            *solver._resolved_bounds(graph, flow.delta))
-        assert flow_objective(graph, flow) == social_welfare(instance, x, bids)
+        gain = flow_gain(graph, flow.flows)
+        assert flow_objective(graph, flow, gain) == social_welfare(instance, x, bids)
         assert flow_to_allocation(graph, flow) == x
 
 

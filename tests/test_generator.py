@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import total_aircraft
 from vertiport_auction.generator import (
     GeneratorConfig,
     generate,
@@ -86,5 +87,5 @@ class TestSingleSlotConfig:
     def test_caps_are_slack_dominating(self):
         instance = generate(single_slot_config(3)).instance
         for port in instance.vertiports:
-            assert all(c >= instance.total_aircraft()
+            assert all(c >= total_aircraft(instance)
                        for c in port.arrival_cap + port.departure_cap)

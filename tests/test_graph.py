@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_stay_allocation,
     allocation_to_flow,
     assert_flow_correspondence,
     delta_of_allocation,
@@ -21,11 +22,11 @@ from conftest import (
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
     SINK,
-    SOURCE,
     acdep,
     arr,
     build_graph,
     dep,
+    flow_gain,
     flow_objective,
     flow_to_allocation,
     park,
@@ -34,7 +35,6 @@ from vertiport_auction.model import (
     Aircraft,
     Instance,
     Operator,
-    all_stay_allocation,
     initial_occupancy,
     social_welfare,
 )
@@ -68,8 +68,8 @@ class TestBuildGraph:
         instance, bids = single_mover
         graph = build_graph(instance, bids)
         # 3 replicas x 2 ports x 3 slots + one aircraft vertex for the
-        # departure time 2 (the stay time 0 has none) + source + sink.
-        assert len(graph.vertices) == 3 * 2 * 3 + 1 + 2 == 21
+        # departure time 2 (the stay time 0 has none) + sink.
+        assert len(graph.vertices) == 3 * 2 * 3 + 1 + 1 == 20
         assert [v for v in graph.vertices if v[0] == "acdep"] == [
             acdep("op1", "a1", 2)]
 
@@ -81,13 +81,13 @@ class TestBuildGraph:
             expected = 3 * instance.horizon * len(instance.vertiports) + sum(
                 len(craft.departure_times()) - 1
                 for _, craft in instance.iter_aircraft()
-            ) + 2
+            ) + 1
             assert len(graph.vertices) == expected
 
     def test_no_aircraft_single_slot(self, empty_instance):
         graph = build_graph(empty_instance, {})
         assert set(graph.vertices) == {
-            park("v1", 1), arr("v1", 1), dep("v1", 1), SOURCE, SINK,
+            park("v1", 1), arr("v1", 1), dep("v1", 1), SINK,
         }
         assert {e.cls for e in graph.edges} == {"E1", "E2", "E6", "E8"}
         by_class = {cls: edges_of_class(graph, cls) for cls in
@@ -98,7 +98,7 @@ class TestBuildGraph:
             assert by_class[cls] == []
         # The initial-fleet edge carries no aircraft here.
         (e6,) = by_class["E6"]
-        assert (e6.tail, e6.head, e6.lower, e6.upper) == (SOURCE, park("v1", 1), 0, 0)
+        assert (e6.tail, e6.head, e6.lower, e6.upper) == (SINK, park("v1", 1), 0, 0)
 
     def test_shared_departure_time_merges_vertices(self):
         inst = Instance(
@@ -173,11 +173,11 @@ class TestIncidence:
         assert all(sum(column) == 0 for column in zip(*matrix))
         assert {v for row in matrix for v in row} <= {-1, 0, 1}
 
-    def test_truncated_drops_source_and_sink(self, second_price):
+    def test_truncated_drops_sink(self, second_price):
         instance, bids = second_price
         graph = build_graph(instance, bids)
         matrix = truncated_incidence(graph)
-        assert len(matrix) == len(graph.vertices) - 2
+        assert len(matrix) == len(graph.vertices) - 1
         assert all(len(row) == len(graph.edges) for row in matrix)
 
     def test_sampled_submatrix_determinants(self, second_price):
@@ -220,7 +220,8 @@ class TestAllocationToFlow:
         graph = build_graph(instance, bids)
         for x in enumerate_feasible(instance):
             solution = allocation_to_flow(graph, x)
-            assert flow_objective(graph, solution) == social_welfare(
+            gain = flow_gain(graph, solution.flows)
+            assert flow_objective(graph, solution, gain) == social_welfare(
                 instance, x, bids)
 
     def test_single_transit_path(self, single_mover):
@@ -229,8 +230,8 @@ class TestAllocationToFlow:
         solution = allocation_to_flow(graph, {("op1", "a1"): 1})
         nonzero = [e for e in graph.edges if solution.flow(e)]
         classes = sorted(e.cls for e in nonzero)
-        # Source -> Park(v1,1) -> Dep(v1,2) -> AcDep -> Arr(v2,3)
-        # -> Park(v2,3) -> Sink plus the Park(v1,1)->Park(v1,2) hop.
+        # Sink -> Park(v1,1) -> Park(v1,2) -> Dep(v1,2) -> AcDep
+        # -> Arr(v2,3) -> Park(v2,3) -> Sink.
         assert classes == ["E1", "E2", "E3", "E4", "E5", "E6", "E8"]
         assert [(e.key, solution.flow(e)) for e in nonzero if e.cls == "E6"] == [
             (("v1",), 1)]

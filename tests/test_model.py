@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_port, stay, transit
+from conftest import all_stay_allocation, make_port, stay, total_aircraft, transit
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.model import (
     Aircraft,
     Instance,
     Operator,
-    all_stay_allocation,
     congestion_total,
     granted_value,
     initial_occupancy,
@@ -408,7 +407,7 @@ def test_occupancy_conservation(seed):
     """Parked plus airborne aircraft always sum to the fleet size."""
     document = generate(GeneratorConfig(seed=seed))
     instance = document.instance
-    total = instance.total_aircraft()
+    total = total_aircraft(instance)
     x = {}
     for operator, craft in instance.iter_aircraft():
         keys = [entry.key for entry in craft.menu]

@@ -19,8 +19,6 @@ from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.mechanism import pseudo_bids, run_auction
 from vertiport_auction import mechanism, solver
 from vertiport_auction.graph import (
-    SINK,
-    SOURCE,
     FlowSolution,
     build_graph,
     compile_template,
@@ -34,6 +32,7 @@ from vertiport_auction.model import (
     Operator,
     is_feasible,
     social_welfare,
+    validate_instance,
 )
 from vertiport_auction.solver import (
     SolverError,
@@ -82,14 +81,23 @@ class TestSolveFixedDelta:
         graph = build_graph(empty_instance, {})
         solution = solve_fixed_delta(graph, {})
         assert all(v == 0 for v in solution.flows)
-        assert flow_objective(graph, solution) == 0
+        assert flow_objective(graph, solution, flow_gain(graph, solution.flows)) == 0
+
+    def test_no_vertiports_no_edges(self):
+        """An instance without vertiports validates and builds a graph
+        with no edges, whose only flow is the empty circulation."""
+        inst = Instance(horizon=1, congestion_ratio=F(0), vertiports=(), operators=())
+        assert validate_instance(inst).ok
+        graph = build_graph(inst, {})
+        assert graph.edges == ()
+        assert solve(graph).objective == 0
 
     def test_stay_collects_stay_bid(self, single_mover):
         instance, _ = single_mover
         bids = {("op1", "a1", 0): F(4), ("op1", "a1", 1): F(9)}
         graph = build_graph(instance, bids)
         solution = solve_fixed_delta(graph, {("op1", "a1"): 0})
-        assert flow_objective(graph, solution) == 4
+        assert flow_objective(graph, solution, flow_gain(graph, solution.flows)) == 4
 
     def test_blocked_departure_infeasible(self):
         inst = Instance(
@@ -192,7 +200,8 @@ class TestSolve:
             result = solve(graph)
             assert result.objective == social_welfare(
                 document.instance, result.allocation, document.bids)
-            assert result.objective == flow_objective(graph, result.flow)
+            assert result.objective == flow_objective(
+                graph, result.flow, flow_gain(graph, result.flow.flows))
 
     def test_tie_broken_lexicographically(self):
         # Two identical routes to interchangeable destinations: the
@@ -437,7 +446,8 @@ class TestRelaxationBound:
                 ("op2", "b1", 1): F(0)}
         graph = build_graph(inst, bids)
         bound, flows = relaxation_bound(graph, {})
-        assert flow_objective(graph, FlowSolution(tuple(flows), {})) == 6
+        assert flow_objective(
+            graph, FlowSolution(tuple(flows), {}), flow_gain(graph, flows)) == 6
         result = solve(graph)
         assert result.objective == 6
         assert result.allocation == {("op1", "a1"): 2, ("op2", "b1"): 0}
@@ -479,7 +489,8 @@ class TestRelaxationBound:
         bids = {("op1", "a1", 0): F(4), ("op1", "a1", 1): F(9)}
         graph = build_graph(instance, bids)
         bound, flows = relaxation_bound(graph, {})
-        assert flow_objective(graph, FlowSolution(tuple(flows), {})) == 9
+        assert flow_objective(
+            graph, FlowSolution(tuple(flows), {}), flow_gain(graph, flows)) == 9
         result = solve(graph)
         assert (result.allocation, result.objective) == ({("op1", "a1"): 1}, 9)
         assert bound == flow_gain(graph, result.flow.flows)
@@ -496,9 +507,8 @@ class TestRelaxationBound:
 
 
 def _network_simplex(graph, lower, upper):
-    """Reference max-gain flow from `networkx.network_simplex` under the
-    same bounds: lower bounds shifted into node demands, a sink-to-source
-    return edge of one unit per aircraft closing the circulation."""
+    """Reference max-gain circulation from `networkx.network_simplex`
+    under the same bounds, lower bounds shifted into node demands."""
     nx = pytest.importorskip("networkx")
     g = nx.MultiDiGraph()
     for v in graph.vertices:
@@ -510,7 +520,6 @@ def _network_simplex(graph, lower, upper):
         if lo:
             g.nodes[e.tail]["demand"] += lo
             g.nodes[e.head]["demand"] -= lo
-    g.add_edge(SINK, SOURCE, key="return", capacity=graph.instance.total_aircraft(), weight=0)
     try:
         _, flow_dict = nx.network_simplex(g)
     except nx.NetworkXUnfeasible:
@@ -538,18 +547,12 @@ def _restricted(graph, lower, upper, rng):
 def _assert_certified(graph, state, lower, upper):
     """`state` is a circulation within the bounds whose potentials give
     every residual arc with capacity a non-negative reduced cost, read
-    off the graph's own edges and gains, the return edge included."""
-    flows, returned = state.flows[:-1], state.flows[-1]
-    assert_circulation(graph, flows, lower, upper)
+    off the graph's own edges and gains."""
+    assert_circulation(graph, state.flows, lower, upper)
     index = {v: position for position, v in enumerate(graph.vertices)}
-    arcs = [(index[e.tail], index[e.head], -gain, lo, up, f) for e, gain, lo, up, f
-            in zip(graph.edges, graph.gains, lower, upper, flows)]
-    arcs.append((index[SINK], index[SOURCE], 0, 0, graph.instance.total_aircraft(),
-                 returned))
-    assert returned == sum(f for e, f in zip(graph.edges, flows) if e.head == SINK)
     p = state.potential
-    for tail, head, cost, lo, up, f in arcs:
-        reduced = cost + p[tail] - p[head]
+    for e, gain, lo, up, f in zip(graph.edges, graph.gains, lower, upper, state.flows):
+        reduced = -gain + p[index[e.tail]] - p[index[e.head]]
         assert f == up or reduced >= 0
         assert f == lo or reduced <= 0
 
@@ -565,7 +568,7 @@ def _assert_kernel_agrees(graph, lower, upper, start):
         assert (state is None) == (reference is None)
         if state is not None:
             _assert_certified(graph, state, lower, upper)
-            assert flow_gain(graph, state.flows[:-1]) == flow_gain(graph, reference)
+            assert flow_gain(graph, state.flows) == flow_gain(graph, reference)
     return states[0], pushes
 
 
@@ -732,11 +735,42 @@ def test_bnb_splits_an_undecided_aircraft_its_relaxation_splits(kernel_graphs):
 
 
 class TestFlowKernel:
+    def test_only_the_fixed_e6_edges_run_backward(self, kernel_graphs):
+        """Vertex indices are a topological order of every edge but E6,
+        whose flow is fixed, and the kernel's topology uses them."""
+        for graph in kernel_graphs:
+            index = {v: position for position, v in enumerate(graph.vertices)}
+            topology = graph.network.topology
+            for e in graph.edges:
+                tail, head = index[e.tail], index[e.head]
+                assert (topology.tails[e.index], topology.heads[e.index]) == (tail, head)
+                if e.cls == "E6":
+                    assert e.lower == e.upper and tail > head
+                else:
+                    assert tail < head
+
+    def test_backward_route_rejected(self):
+        """A route that does not depart before it arrives fails
+        validation; building its graph anyway raises instead of pricing
+        an E5 edge that runs backward in time."""
+        instance = Instance(
+            horizon=3,
+            congestion_ratio=F(0),
+            vertiports=(make_port("v1", (1, 1, 1), (1, 1, 1), (1, 1, 1)),
+                        make_port("v2", (1, 1, 1), (1, 1, 1), (1, 1, 1))),
+            operators=(Operator("op1", F(1), (
+                Aircraft("a1", "v1", (stay(origin="v1"), transit(1, 3, "v2", 2))),)),),
+        )
+        bids = {("op1", "a1", 0): F(0), ("op1", "a1", 1): F(1)}
+        assert not validate_instance(instance).ok
+        with pytest.raises(ValueError, match="runs backward"):
+            build_graph(instance, bids)
+
     def test_root_and_children_match_network_simplex(self, kernel_graphs):
-        """The relaxed root forces only the initial fleet out of the
-        source (E6), so its cold solve routes those units and what
-        saturating a negative-cost return arc sets moving; deciding one
-        aircraft then starts from the root's state."""
+        """The relaxed root forces only the initial fleet from the sink
+        to Park(r,1) (E6), so its cold solve routes those units back to
+        the sink; deciding one aircraft then starts from the root's
+        state."""
         pytest.importorskip("networkx")
         for graph in kernel_graphs:
             root, _ = _assert_kernel_agrees(
@@ -805,9 +839,8 @@ class TestFlowKernel:
         with pytest.raises(ValueError, match="not certified"):
             min_cost_flow(graph.network, *solver._resolved_bounds(graph, {}), start)
 
-    def test_zero_aircraft_return_capacity(self, empty_instance):
+    def test_zero_aircraft_kernel(self, empty_instance):
         graph = build_graph(empty_instance, {})
-        assert graph.network.topology.return_capacity == 0
         lower, upper = solver._resolved_bounds(graph, {})
         root, _ = _assert_kernel_agrees(graph, lower, upper, graph.network.cold)
         rng = random.Random(1)
