@@ -25,6 +25,8 @@ from .mechanism import (
     sample_misreports,
 )
 from .model import (
+    Allocation,
+    Instance,
     Profile,
     granted_value,
     utility,
@@ -49,6 +51,16 @@ EXIT_BUDGET = 4
 
 def _approx(value: Fraction) -> str:
     return f"{value} (~{float(value):.6f})"
+
+
+def _print_allocation(instance: Instance, allocation: Allocation) -> None:
+    """One line per aircraft: `stay` or `route k (depart->dest@arrive)`."""
+    for (i, j), key in sorted(allocation.items()):
+        entry = instance.route(i, j, key)
+        label = "stay" if entry.is_stay else (
+            f"route {key} ({entry.depart_time}->{entry.destination}"
+            f"@{entry.arrive_time})")
+        print(f"  {i}/{j}: {label}")
 
 
 def _load(path: str) -> InstanceDocument:
@@ -115,13 +127,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"objective: {_approx(result.objective)}")
-        for (i, j), key in sorted(result.allocation.items()):
-            entry = document.instance.route(i, j, key)
-            if entry.is_stay:
-                print(f"  {i}/{j}: stay")
-            else:
-                print(f"  {i}/{j}: route {key} "
-                      f"({entry.depart_time}->{entry.destination}@{entry.arrive_time})")
+        _print_allocation(document.instance, result.allocation)
         print(f"stats: {result.stats.nodes_explored} nodes, "
               f"{result.stats.fixed_delta_solves} flow solves, "
               f"{result.stats.pruned_completion} ended by completion, "
@@ -134,12 +140,7 @@ def cmd_auction(args: argparse.Namespace) -> int:
     bids = _bids_or_fail(document)
     outcome = run_auction(document.instance, bids, strategy=args.strategy)
     print(f"cleared welfare: {_approx(outcome.cleared_welfare)}")
-    for (i, j), key in sorted(outcome.allocation.items()):
-        entry = document.instance.route(i, j, key)
-        label = "stay" if entry.is_stay else (
-            f"route {key} ({entry.depart_time}->{entry.destination}"
-            f"@{entry.arrive_time})")
-        print(f"  {i}/{j}: {label}")
+    _print_allocation(document.instance, outcome.allocation)
     for operator in document.instance.operators:
         line = f"payment {operator.id}: {_approx(outcome.payments[operator.id])}"
         if document.valuations is not None:

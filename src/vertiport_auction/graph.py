@@ -40,13 +40,14 @@ vertiport, and a unit is credited for one aircraft's route at most once.
 A graph is built in two stages, and every branch node of a solve shares
 the result.  `compile_template` reads no bid: it lays out the vertices
 and every edge, computes the E3/E8 weights and the E5 tie-break
-bonuses, and compiles the relaxed bounds, the E4 edge of each
-(aircraft, tau), the E3/E8 bundles and the flow kernel's topology
-(`flow.Topology`: vertex-index tails and heads and residual arcs).
-`price_graph` reads one bid profile: the E5 weights and `stay_welfare`,
-then the scale S, the gains, the arc costs (-gain) and the cold
-potentials, in one pass over the vertices in index order
-(`flow.Network`).  So an
+bonuses, and records, as it adds the edges, the E4 edge of each
+(aircraft, tau) and the E3/E8 bundles; it then compiles the relaxed
+bounds and the flow kernel's topology (`flow.Topology`: vertex-index
+tails and heads and residual arcs).  `price_graph` reads one bid
+profile: the E5 weights and `stay_welfare`, then the scale S, the
+gains, the arc costs (-gain) and the cold potentials, in one pass over
+the vertices in index order (`flow.Network`).  An `AuxGraph` is its
+template, the same field objects, plus those priced fields.  So an
 auction compiles one template and prices its clearing profile and each
 payment counterfactual on it; `build_graph` is the two stages in a row.
 
@@ -149,31 +150,6 @@ class Edge(NamedTuple):
 
 
 @dataclass(frozen=True)
-class AuxGraph:
-    instance: Instance
-    bids: Profile
-    vertices: Tuple[Vertex, ...]
-    edges: Tuple[Edge, ...]
-    gains: Tuple[int, ...]  # per edge; see the module docstring
-    # The fleet's weighted stay bids, folded out of the E5 weights.
-    stay_welfare: Fraction
-    unit: int  # S * P: a gain's welfare part is welfare * unit
-    # The template's topology priced by -gains, for the solver.
-    network: Network = field(compare=False, repr=False)
-    # Per-edge bounds with every aircraft undecided: each edge's own.
-    relaxed_lower: Tuple[int, ...] = field(compare=False, repr=False)
-    relaxed_upper: Tuple[int, ...] = field(compare=False, repr=False)
-    # (operator, aircraft) -> {tau: the E4 edge its unit takes to depart
-    # at tau}, tau ascending, for every departure time but the stay time 0.
-    departure_times: Mapping[Tuple[str, str], Mapping[int, int]] = field(
-        compare=False, repr=False)
-    # Edge indices of each E3/E8 parallel bundle, by position q.
-    bundles: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
-    # (E5 edge index, tie-break bonus) per E5 edge.
-    bonuses: Tuple[Tuple[int, int], ...] = field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class FlowSolution:
     """Integral edge flows plus the departure-time assignment they obey."""
 
@@ -201,22 +177,42 @@ class GraphTemplate:
     # Per aircraft: its operator's weight, its stay bid key, and per E5
     # edge of its routes the edge index, bid key and tie-break bonus.
     aircraft: Tuple[Tuple[Fraction, BidKey, Tuple[Tuple[int, BidKey, int], ...]], ...]
-    bonuses: Tuple[Tuple[int, int], ...]  # (E5 edge index, bonus)
     scale: int  # lcm of the E3/E8 weights' reduced denominators
     tie_unit: int  # P = R^n * M^n
     scaled_weights: Tuple[int, ...]  # weight * scale per edge (E5: 0)
     topology: Topology
+    # Per-edge bounds with every aircraft undecided: each edge's own.
     relaxed_lower: Tuple[int, ...]
     relaxed_upper: Tuple[int, ...]
+    # (operator, aircraft) -> {tau: the E4 edge its unit takes to depart
+    # at tau}, tau ascending, for every departure time but the stay time 0.
     departure_times: Mapping[Tuple[str, str], Mapping[int, int]]
+    # Edge indices of each nonempty E3/E8 parallel bundle, by position q.
     bundles: Tuple[Tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class AuxGraph(GraphTemplate):
+    """A template priced by one bid profile (`price_graph`): the template's
+    own fields, shared with it, plus what the bids set."""
+
+    bids: Profile
+    gains: Tuple[int, ...]  # per edge; see the module docstring
+    # The fleet's weighted stay bids, folded out of the E5 weights.
+    stay_welfare: Fraction
+    unit: int  # S * P: a gain's welfare part is welfare * unit
+    # The template's topology priced by -gains, for the solver.
+    network: Network = field(compare=False, repr=False)
 
 
 def compile_template(instance: Instance) -> GraphTemplate:
     """Everything of the auxiliary graph of `instance` that no bid sets.
 
     Edge indexing is deterministic: class E1..E8, then lexicographic key,
-    then bundle position.
+    then bundle position.  Raises ValueError, naming the aircraft and menu
+    key, for a route whose departure or arrival has no vertex (a time
+    outside the horizon or an unknown vertiport), which a validated
+    instance never has.
     """
     h = instance.horizon
     lam = instance.congestion_ratio
@@ -233,6 +229,7 @@ def compile_template(instance: Instance) -> GraphTemplate:
             if t in craft.departure_times():
                 vertices.append(acdep(operator.id, craft.id, t))
     vertices.append(SINK)
+    index = {v: position for position, v in enumerate(vertices)}
 
     # Vertiport-time pairs that can actually receive / emit a route,
     # for the zero-capacity pruning of dangling arrival/departure gates.
@@ -242,10 +239,17 @@ def compile_template(instance: Instance) -> GraphTemplate:
         for entry in craft.menu:
             if entry.is_stay:
                 continue
+            if (arr(entry.destination, entry.arrive_time) not in index
+                    or dep(craft.origin, entry.depart_time) not in index):
+                raise ValueError(
+                    f"aircraft {(operator.id, craft.id)}, menu key {entry.key}: route "
+                    f"{craft.origin}@{entry.depart_time} -> "
+                    f"{entry.destination}@{entry.arrive_time} has no vertex in the graph")
             arrival_used.add((entry.destination, entry.arrive_time))
             departure_used.add((craft.origin, entry.depart_time))
 
     edges: List[Edge] = []
+    bundles: List[Tuple[int, ...]] = []  # nonempty E3/E8 bundles, q ascending
     # Reduced (numerator, denominator) of each E3/E8 edge's weight; every
     # other edge but E5 weighs 0.
     weights: Dict[int, Tuple[int, int]] = {}
@@ -260,11 +264,15 @@ def compile_template(instance: Instance) -> GraphTemplate:
         """`cap` unit edges, the q-th weighing lambda * (g(q-1) - g(q))."""
         numerators, denominator = over_common_denominator(row)
         denominator *= lam.denominator
+        members = []
         for q in range(1, cap + 1):
             num = lam.numerator * (numerators[q - 1] - numerators[q])
             common = gcd(num, denominator)
             edge = add(cls, key + (q,), tail, head, 0, 1, q)
             weights[edge.index] = (num // common, denominator // common)
+            members.append(edge.index)
+        if members:
+            bundles.append(tuple(members))
 
     def grant_bonus(a: int, craft: Aircraft, entry: RouteOption) -> int:
         rtau = craft.departure_times().index(entry.depart_time)
@@ -284,10 +292,12 @@ def compile_template(instance: Instance) -> GraphTemplate:
         for t in range(1, h):
             add_bundle("E3", (port.id, t), park(port.id, t), park(port.id, t + 1),
                        port.parking_cap[t - 1], port.congestion_cost[t - 1])
-    for operator, craft in instance.iter_aircraft():
-        for tau in craft.departure_times()[1:]:
-            add("E4", (operator.id, craft.id, tau), dep(craft.origin, tau),
-                acdep(operator.id, craft.id, tau), 0, 1)
+    times: Dict[Tuple[str, str], Dict[int, int]] = {}
+    for operator, craft in fleet:
+        times[operator.id, craft.id] = {
+            tau: add("E4", (operator.id, craft.id, tau), dep(craft.origin, tau),
+                     acdep(operator.id, craft.id, tau), 0, 1).index
+            for tau in craft.departure_times()[1:]}
     aircraft = []
     for a, (operator, craft) in enumerate(fleet):
         stay_bonus = grant_bonus(a, craft, craft.option(craft.stay_key))
@@ -313,28 +323,15 @@ def compile_template(instance: Instance) -> GraphTemplate:
     scaled_weights = [0] * len(edges)
     for k, (num, den) in weights.items():
         scaled_weights[k] = num * (scale // den)
-    index = {v: position for position, v in enumerate(vertices)}
     lower, upper = tuple(e.lower for e in edges), tuple(e.upper for e in edges)
     topology = compile_topology(
         len(vertices), [index[e.tail] for e in edges], [index[e.head] for e in edges],
         lower, upper)
-    times: Dict[Tuple[str, str], Dict[int, int]] = {
-        (operator.id, craft.id): {} for operator, craft in fleet}
-    for e in edges:
-        if e.cls == "E4":
-            i, j, tau = e.key
-            times[i, j][tau] = e.index
-    bundles: Dict[Tuple, List[Edge]] = {}
-    for e in edges:
-        if e.cls in ("E3", "E8"):
-            bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
     return GraphTemplate(
-        instance, tuple(vertices), tuple(edges), tuple(aircraft),
-        tuple((k, bonus) for _, _, routes in aircraft for k, _, bonus in routes),
-        scale, most_times ** n * largest_menu ** n, tuple(scaled_weights),
-        topology, relaxed_lower=lower, relaxed_upper=upper, departure_times=times,
-        bundles=tuple(tuple(e.index for e in sorted(members, key=lambda e: e.q))
-                      for members in bundles.values()),
+        instance, tuple(vertices), tuple(edges), tuple(aircraft), scale,
+        most_times ** n * largest_menu ** n, tuple(scaled_weights), topology,
+        relaxed_lower=lower, relaxed_upper=upper, departure_times=times,
+        bundles=tuple(bundles),
     )
 
 
@@ -342,9 +339,9 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     """The auxiliary graph of `template`'s instance under `bids`: each E5
     edge weighs its operator's weight times its bid less its aircraft's
     stay bid, and S, the gains, the arc costs and the cold potentials
-    follow from those weights.  Nothing of `template` is changed or
-    carried over from another profile: S is the lcm of this profile's
-    weight denominators."""
+    follow from those weights.  The graph holds `template`'s own fields;
+    nothing of them is changed, and nothing is carried over from another
+    profile: S is the lcm of this profile's weight denominators."""
     stays = []  # per aircraft: weight * stay bid as (numerator, denominator)
     priced = []  # per E5 edge: (index, reduced weight numerator, denominator, bonus)
     for weight, stay_key, routes in template.aircraft:
@@ -367,11 +364,8 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     stay_den = lcm(1, *(den for _, den in stays))
     stay_welfare = Fraction(sum(num * (stay_den // den) for num, den in stays), stay_den)
     return AuxGraph(
-        template.instance, bids, template.vertices, template.edges, tuple(gains),
-        stay_welfare, unit, network=price_network(template.topology, [-g for g in gains]),
-        relaxed_lower=template.relaxed_lower, relaxed_upper=template.relaxed_upper,
-        departure_times=template.departure_times, bundles=template.bundles,
-        bonuses=template.bonuses,
+        **vars(template), bids=bids, gains=tuple(gains), stay_welfare=stay_welfare,
+        unit=unit, network=price_network(template.topology, [-g for g in gains]),
     )
 
 
@@ -385,7 +379,8 @@ def flow_objective(graph: AuxGraph, solution: FlowSolution, gain: int) -> Fracti
     `stay_welfare` plus the flow's gain (`flow_gain`) less its E5 bonuses
     over S * P."""
     flows = solution.flows
-    carried = sum(bonus * flows[k] for k, bonus in graph.bonuses if flows[k])
+    carried = sum(bonus * flows[k] for _, _, routes in graph.aircraft
+                  for k, _, bonus in routes if flows[k])
     return graph.stay_welfare + Fraction(gain - carried, graph.unit)
 
 

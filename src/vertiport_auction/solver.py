@@ -53,7 +53,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .flow import FlowState, min_cost_flow
 from .graph import (
@@ -90,7 +90,6 @@ class SolveResult:
     flow: FlowSolution
     objective: Fraction
     allocation: Allocation
-    delta: Mapping[Tuple[str, str], int]
     stats: SolveStats
 
 
@@ -133,45 +132,36 @@ def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment
     return lower, upper
 
 
-def _canonicalize_bundles(graph: AuxGraph, flows: List[int]) -> None:
-    """Push parallel-bundle flow into prefix (lowest-q) form, in place.
+def _canonicalize_bundles(graph: AuxGraph, flows: Sequence[int]) -> Tuple[int, ...]:
+    """A copy of `flows` with parallel-bundle flow pushed into prefix
+    (lowest-q) form.
 
     Gains are non-increasing in q, so this never lowers the gain.
     """
+    flows = list(flows)
     for members in graph.bundles:
         total = sum(flows[k] for k in members)
         for position, k in enumerate(members):
             flows[k] = 1 if position < total else 0
+    return tuple(flows)
 
 
-@dataclass
-class FlowStart:
-    """Where a flow solve starts: `state` is `network.cold` or the state
-    of a solve whose bounds contain its own (see `flow`).  A feasible
-    solve leaves its own state there; every solve adds the paths it
-    pushed to `stats`."""
-
-    state: FlowState
-    stats: SolveStats
-
-
-def _min_cost_flow(graph: AuxGraph, partial_delta: DeltaAssignment,
-                   start: Optional[FlowStart]) -> Optional[List[int]]:
-    start = start or FlowStart(graph.network.cold, SolveStats())
+def _min_cost_flow(graph: AuxGraph, partial_delta: DeltaAssignment, start: FlowState,
+                   stats: Optional[SolveStats]) -> Optional[FlowState]:
+    """The kernel's solve of `partial_delta`'s resolved bounds from
+    `start`; adds the paths it pushed to `stats` if given."""
     state, pushed = min_cost_flow(
-        graph.network, *_resolved_bounds(graph, partial_delta), start.state)
-    start.stats.augmentations += pushed
-    if state is None:
-        return None
-    start.state = state
-    return list(state.flows)  # a copy: _canonicalize_bundles changes it in place
+        graph.network, *_resolved_bounds(graph, partial_delta), start)
+    if stats is not None:
+        stats.augmentations += pushed
+    return state
 
 
 def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
-                      start: Optional[FlowStart] = None) -> Optional[FlowSolution]:
+                      stats: Optional[SolveStats] = None) -> Optional[FlowSolution]:
     """Maximum-gain integral flow for a fully fixed departure-time
     assignment, or None when the fixed bounds admit no balanced flow.
-    A solve starts cold unless given a `start`.
+    The solve starts cold.
     """
     times = graph.departure_times
     if set(delta) != set(times):
@@ -179,24 +169,27 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
     for pair, tau in delta.items():
         if tau and tau not in times[pair]:
             raise SolverError(f"aircraft {pair} has no departure time {tau}")
-    flows = _min_cost_flow(graph, delta, start)
-    if flows is None:
+    state = _min_cost_flow(graph, delta, graph.network.cold, stats)
+    if state is None:
         return None
-    _canonicalize_bundles(graph, flows)
-    return FlowSolution(tuple(flows), dict(delta))
+    return FlowSolution(_canonicalize_bundles(graph, state.flows), dict(delta))
 
 
 def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
-                     start: Optional[FlowStart] = None
-                     ) -> Optional[Tuple[int, List[int]]]:
+                     start: Optional[FlowState] = None,
+                     stats: Optional[SolveStats] = None
+                     ) -> Optional[Tuple[int, FlowState]]:
     """Admissible upper bound, in gain units, for every completion of
-    `partial_delta`, with the relaxed flow that attains it; None when no
-    completion is feasible."""
-    flows = _min_cost_flow(graph, partial_delta, start)
-    return None if flows is None else (flow_gain(graph, flows), flows)
+    `partial_delta`, with the solved state whose flow attains it; None
+    when no completion is feasible.  The solve starts from `start`, the
+    state of a solve whose bounds contain these (see `flow`), or cold."""
+    if start is None:
+        start = graph.network.cold
+    state = _min_cost_flow(graph, partial_delta, start, stats)
+    return None if state is None else (flow_gain(graph, state.flows), state)
 
 
-def _spelled_completion(graph: AuxGraph, flows: List[int]
+def _spelled_completion(graph: AuxGraph, flows: Sequence[int]
                         ) -> Tuple[Optional[Dict[Tuple[str, str], int]],
                                    Optional[Tuple[str, str]]]:
     """(delta, None) if a relaxed flow gives every aircraft at most one
@@ -219,13 +212,8 @@ class _Incumbent:
     gain: Optional[int] = None
     flow: Optional[FlowSolution] = None
 
-    def offer(self, graph: AuxGraph, flow: Optional[FlowSolution],
-              gain: Optional[int] = None) -> None:
-        """Keep `flow` if it gains more; `gain` is computed if not given."""
-        if flow is None:
-            return
-        if gain is None:
-            gain = flow_gain(graph, flow.flows)
+    def offer(self, flow: FlowSolution, gain: int) -> None:
+        """Keep `flow`, which gains `gain`, if it gains more."""
         if self.gain is None or gain > self.gain:
             self.gain = gain
             self.flow = flow
@@ -236,8 +224,9 @@ def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     for delta in enumerate_deltas(graph.instance):
         stats.nodes_explored += 1
         stats.leaf_solves += 1
-        best.offer(graph, solve_fixed_delta(
-            graph, delta, start=FlowStart(graph.network.cold, stats)))
+        flow = solve_fixed_delta(graph, delta, stats=stats)
+        if flow is not None:
+            best.offer(flow, flow_gain(graph, flow.flows))
     return best
 
 
@@ -247,24 +236,23 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     def visit(partial: Dict[Tuple[str, str], int], state: FlowState) -> None:
         stats.nodes_explored += 1
         stats.bound_solves += 1
-        start = FlowStart(state, stats)
-        relaxed = relaxation_bound(graph, partial, start=start)
+        relaxed = relaxation_bound(graph, partial, start=state, stats=stats)
         if relaxed is None:
             stats.pruned_infeasible += 1
             return
-        bound, flows = relaxed
+        bound, state = relaxed
         if best.gain is not None and bound <= best.gain:
             stats.pruned_bound += 1
             return
-        spelled, split = _spelled_completion(graph, flows)
+        spelled, split = _spelled_completion(graph, state.flows)
         if split is None:
             stats.pruned_completion += 1
-            _canonicalize_bundles(graph, flows)
-            best.offer(graph, FlowSolution(tuple(flows), spelled), bound)
+            best.offer(FlowSolution(_canonicalize_bundles(graph, state.flows), spelled),
+                       bound)
             return
         for tau in (*graph.departure_times[split], 0):
             partial[split] = tau
-            visit(partial, start.state)
+            visit(partial, state)
         del partial[split]
 
     visit({}, graph.network.cold)
@@ -292,7 +280,6 @@ def solve(graph: AuxGraph, strategy: str = "bnb") -> SolveResult:
         flow=best.flow,
         objective=flow_objective(graph, best.flow, best.gain),
         allocation=flow_to_allocation(graph, best.flow),
-        delta=dict(best.flow.delta),
         stats=stats,
     )
 

@@ -124,6 +124,7 @@ class TestAuction:
         assert main(["auction", second_price_file]) == EXIT_OK
         out = capsys.readouterr().out
         assert "cleared welfare: 10" in out
+        assert "op1/a1: route 1 (" in out
         assert "payment op1: 6" in out
         assert "payment op2: 0" in out
         assert "utility: 4" in out  # winner: value 10 minus payment 6

@@ -128,7 +128,8 @@ class TestBuildGraph:
         # the first aircraft, 0 - 5 for the second (module docstring).
         assert graph.unit == 16
         assert e5 == {("op1", "a1", 1): 10 * 16 - 10, ("op2", "a1", 1): 6 * 16 - 5}
-        assert sorted(bonus for _, bonus in graph.bonuses) == [-10, -5]
+        assert sorted(bonus for _, _, routes in graph.aircraft
+                      for _, _, bonus in routes) == [-10, -5]
         for e in edges_of_class(graph, "E1"):
             assert e.tail == arr(*e.key) and e.head == park(*e.key)
         for e in edges_of_class(graph, "E4"):  # relaxed: every aircraft undecided

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_circulation, edges_of_class, make_port, stay, transit
+from conftest import (
+    assert_circulation,
+    edges_of_class,
+    make_port,
+    stay,
+    transit,
+    validated_instances,
+)
 from test_acceptance import corpus_config
 from vertiport_auction.flow import FlowState, min_cost_flow
 from vertiport_auction.generator import GeneratorConfig, generate
@@ -445,7 +452,8 @@ class TestRelaxationBound:
                 ("op1", "a1", 2): F(6), ("op2", "b1", 0): F(0),
                 ("op2", "b1", 1): F(0)}
         graph = build_graph(inst, bids)
-        bound, flows = relaxation_bound(graph, {})
+        bound, state = relaxation_bound(graph, {})
+        flows = state.flows
         assert flow_objective(
             graph, FlowSolution(tuple(flows), {}), flow_gain(graph, flows)) == 6
         result = solve(graph)
@@ -488,7 +496,8 @@ class TestRelaxationBound:
         instance, _ = single_mover
         bids = {("op1", "a1", 0): F(4), ("op1", "a1", 1): F(9)}
         graph = build_graph(instance, bids)
-        bound, flows = relaxation_bound(graph, {})
+        bound, state = relaxation_bound(graph, {})
+        flows = state.flows
         assert flow_objective(
             graph, FlowSolution(tuple(flows), {}), flow_gain(graph, flows)) == 9
         result = solve(graph)
@@ -501,8 +510,8 @@ class TestRelaxationBound:
         for seed in range(8):
             document = generate(GeneratorConfig(seed=seed, operators=(2, 2)))
             graph = build_graph(document.instance, document.bids)
-            bound, flows = relaxation_bound(graph, {})
-            assert bound == flow_gain(graph, flows)
+            bound, state = relaxation_bound(graph, {})
+            assert bound == flow_gain(graph, state.flows)
             assert bound >= flow_gain(graph, solve(graph).flow.flows)
 
 
@@ -671,6 +680,49 @@ def test_fathomed_flows_are_completion_optima(fathomed_nodes):
         assert flow_gain(graph, leaf.flows) == flow_gain(graph, flows)
 
 
+def _scanned_indexes(graph):
+    """`departure_times` and `bundles` derived by scanning the finished
+    edge list: the reference for the indexes `compile_template` records
+    while it adds the edges."""
+    times = {(operator.id, craft.id): {}
+             for operator, craft in graph.instance.iter_aircraft()}
+    for e in graph.edges:
+        if e.cls == "E4":
+            i, j, tau = e.key
+            times[i, j][tau] = e.index
+    bundles = {}
+    for e in graph.edges:
+        if e.cls in ("E3", "E8"):
+            bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
+    return times, tuple(tuple(e.index for e in sorted(members, key=lambda e: e.q))
+                        for members in bundles.values())
+
+
+def _assert_one_pass_template(instance, bids):
+    """The recorded indexes equal the scanned ones, in the same order
+    (the split rule reads `departure_times` in order), and a priced graph
+    holds its template's own objects."""
+    template = compile_template(instance)
+    graph = price_graph(template, bids)
+    times, bundles = _scanned_indexes(graph)
+    assert ([(pair, list(taus.items())) for pair, taus in graph.departure_times.items()]
+            == [(pair, list(taus.items())) for pair, taus in times.items()])
+    assert graph.bundles == bundles
+    for name in ("edges", "topology", "departure_times", "bundles"):
+        assert getattr(graph, name) is getattr(template, name)
+
+
+def test_template_indexes_match_edge_scans(kernel_graphs):
+    for graph in kernel_graphs:
+        _assert_one_pass_template(graph.instance, graph.bids)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(validated_instances())
+def test_template_indexes_match_edge_scans_on_drawn_instances(drawn):
+    _assert_one_pass_template(*drawn)
+
+
 def _searched_nodes(graph):
     """Every node `bnb` visits on `graph`, in visiting order, as (its
     partial assignment, its relaxed flow or None when infeasible)."""
@@ -679,7 +731,7 @@ def _searched_nodes(graph):
 
     def recorded(graph, partial_delta, **kwargs):
         relaxed = bound(graph, partial_delta, **kwargs)
-        nodes.append((dict(partial_delta), relaxed and list(relaxed[1])))
+        nodes.append((dict(partial_delta), relaxed and list(relaxed[1].flows)))
         return relaxed
 
     with pytest.MonkeyPatch.context() as patch:
@@ -764,6 +816,28 @@ class TestFlowKernel:
         bids = {("op1", "a1", 0): F(0), ("op1", "a1", 1): F(1)}
         assert not validate_instance(instance).ok
         with pytest.raises(ValueError, match="runs backward"):
+            build_graph(instance, bids)
+
+    @pytest.mark.parametrize("route", [(1, "v2", 5), (4, "v2", 5), (1, "v9", 2)],
+                             ids=["arrival_past_horizon", "departure_past_horizon",
+                                  "unknown_destination"])
+    def test_route_without_vertices_rejected(self, route):
+        """A route that arrives or departs after the horizon, or lands at
+        an unknown vertiport, fails validation; building its graph anyway
+        raises a ValueError naming the aircraft and menu key, not a
+        KeyError from the vertex index."""
+        depart, destination, arrive = route
+        instance = Instance(
+            horizon=3,
+            congestion_ratio=F(0),
+            vertiports=(make_port("v1", (1, 1, 1), (1, 1, 1), (1, 1, 1)),
+                        make_port("v2", (1, 1, 1), (1, 1, 1), (1, 1, 1))),
+            operators=(Operator("op1", F(1), (Aircraft("a1", "v1", (
+                stay(origin="v1"), transit(1, depart, destination, arrive))),)),),
+        )
+        bids = {("op1", "a1", 0): F(0), ("op1", "a1", 1): F(1)}
+        assert not validate_instance(instance).ok
+        with pytest.raises(ValueError, match=r"\('op1', 'a1'\), menu key 1"):
             build_graph(instance, bids)
 
     def test_root_and_children_match_network_simplex(self, kernel_graphs):
