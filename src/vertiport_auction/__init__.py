@@ -20,7 +20,7 @@ from .model import (  # noqa: F401
     utility,
     validate_instance,
 )
-from .graph import AuxGraph, FlowSolution, build_graph  # noqa: F401
+from .graph import AuxGraph, build_graph  # noqa: F401
 from .solver import SolveResult, optimal_allocation, solve  # noqa: F401
 from .mechanism import MechanismOutcome, run_auction  # noqa: F401
 from .oracle import EnumerationBudget, oracle_optimal, oracle_payment  # noqa: F401

@@ -28,7 +28,6 @@ from .model import (
     Allocation,
     Instance,
     Profile,
-    granted_value,
     utility,
     validate_instance,
     validate_profile,
@@ -215,24 +214,22 @@ def cmd_properties(args: argparse.Namespace) -> int:
     violations = 0
 
     truthful = run_auction(instance, values, rule=rule)
-    for operator in instance.operators:
-        gain = utility(instance, truthful, operator.id, values)
+    truthful_utility = {operator.id: utility(instance, truthful, operator.id, values)
+                        for operator in instance.operators}
+    for operator_id, gain in truthful_utility.items():
         if gain < 0:
             violations += 1
-            print(f"IR violation: operator {operator.id} has truthful utility {gain}")
+            print(f"IR violation: operator {operator_id} has truthful utility {gain}")
 
     for operator in instance.operators:
-        truthful_utility = utility(instance, truthful, operator.id, values)
         for misreport in sample_misreports(instance, values, operator.id,
                                            args.misreports, args.seed):
             outcome = run_auction(instance, misreport, rule=rule)
-            lied_value = granted_value(instance, outcome.allocation, values,
-                                       operator.id)
-            lied_utility = lied_value - outcome.payments[operator.id]
-            if lied_utility > truthful_utility:
+            lied_utility = utility(instance, outcome, operator.id, values)
+            if lied_utility > truthful_utility[operator.id]:
                 violations += 1
                 print(f"IC violation: operator {operator.id} gains "
-                      f"{lied_utility - truthful_utility} by misreporting")
+                      f"{lied_utility - truthful_utility[operator.id]} by misreporting")
     if violations:
         print(f"{violations} violation(s)")
         return EXIT_MISMATCH

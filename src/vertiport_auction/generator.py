@@ -14,7 +14,7 @@ unlikely.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -29,6 +29,9 @@ from .model import (
 )
 from .serialize import InstanceDocument
 
+# Operator weights, drawn uniformly: 1 half the time, 2 and 1/2 a quarter each.
+WEIGHT_CHOICES = ("1", "1", "2", "1/2")
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -41,12 +44,10 @@ class GeneratorConfig:
     arrival_cap: Tuple[int, int] = (0, 2)
     departure_cap: Tuple[int, int] = (0, 2)
     extra_parking: Tuple[int, int] = (0, 2)  # on top of initial occupancy
-    congestion_shape: str = "quadratic"  # or "linear": marginal increments
     value_denominator: int = 997
     max_value_numerator: int = 10_000
     lambda_range: Tuple[int, int] = (0, 2)  # integer part; a random
     # fractional part with the value denominator is added on top
-    weight_choices: Tuple[str, ...] = ("1", "1", "2", "1/2")
 
     def __post_init__(self) -> None:
         for name in ("vertiports", "operators", "fleet_size", "transit_routes",
@@ -62,17 +63,17 @@ def _draw(rng: random.Random, bounds: Tuple[int, int]) -> int:
     return rng.randint(*bounds)
 
 
-def _congestion_row(rng: random.Random, cap: int, shape: str,
+def _congestion_row(rng: random.Random, cap: int,
                     denominator: int) -> Tuple[Fraction, ...]:
-    """Convex table over 0..cap via non-decreasing marginal increments."""
+    """Convex (quadratic) table over 0..cap: the marginal increment starts
+    at `base` and grows by `slope` per unit."""
     base = Fraction(rng.randint(0, 200), denominator)
     slope = Fraction(rng.randint(0, 200), denominator)
     row = [Fraction(0)]
     increment = base
     for q in range(1, cap + 1):
         row.append(row[-1] + increment)
-        if shape == "quadratic":
-            increment += slope
+        increment += slope
     return tuple(row)
 
 
@@ -106,7 +107,7 @@ def generate(config: GeneratorConfig) -> InstanceDocument:
             fleet.append(Aircraft(id=f"a{a + 1}", origin=origin, menu=tuple(menu)))
         operators.append(Operator(
             id=f"op{o + 1}",
-            weight=Fraction(rng.choice(config.weight_choices)),
+            weight=Fraction(rng.choice(WEIGHT_CHOICES)),
             fleet=tuple(fleet),
         ))
 
@@ -121,8 +122,7 @@ def generate(config: GeneratorConfig) -> InstanceDocument:
             departure_cap=tuple(_draw(rng, config.departure_cap) for _ in range(h)),
             parking_cap=parking,
             congestion_cost=tuple(
-                _congestion_row(rng, parking[t], config.congestion_shape,
-                                config.value_denominator)
+                _congestion_row(rng, parking[t], config.value_denominator)
                 for t in range(h)
             ),
         ))

@@ -51,6 +51,11 @@ template, the same field objects, plus those priced fields.  So an
 auction compiles one template and prices its clearing profile and each
 payment counterfactual on it; `build_graph` is the two stages in a row.
 
+A flow is a tuple of one integer per edge, in index order: the solver's
+answer is one (see the `solver` module docstring), and
+`flow_to_allocation` reads its allocation off the E5 entries, aircraft
+by aircraft, through `GraphTemplate.aircraft`.
+
 Integer pricing.  An edge's weight lives only in its integer gain; no
 weight is held as a `Fraction`.  With a congestion row brought to
 integer numerators G over its lcm L, an E3/E8 weight is the pair
@@ -93,10 +98,10 @@ among tied optima, and distinct allocations never tie in gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .flow import Network, Topology, compile_topology, price_network
 from .model import (
@@ -141,23 +146,11 @@ def acdep(i: str, j: str, tau: int) -> Vertex:
 class Edge(NamedTuple):
     index: int
     cls: str  # "E1".."E6", "E8"
-    key: Tuple
+    key: Tuple  # E3/E8: ends with the bundle position q
     tail: Vertex
     head: Vertex
     lower: int
     upper: int
-    q: Optional[int] = None  # bundle position for E3/E8
-
-
-@dataclass(frozen=True)
-class FlowSolution:
-    """Integral edge flows plus the departure-time assignment they obey."""
-
-    flows: Tuple[int, ...]
-    delta: Mapping[Tuple[str, str], int]
-
-    def flow(self, edge: Edge) -> int:
-        return self.flows[edge.index]
 
 
 @dataclass(frozen=True)
@@ -255,8 +248,8 @@ def compile_template(instance: Instance) -> GraphTemplate:
     weights: Dict[int, Tuple[int, int]] = {}
 
     def add(cls: str, key: Tuple, tail: Vertex, head: Vertex, lower: int,
-            upper: int, q: Optional[int] = None) -> Edge:
-        edges.append(Edge(len(edges), cls, key, tail, head, lower, upper, q))
+            upper: int) -> Edge:
+        edges.append(Edge(len(edges), cls, key, tail, head, lower, upper))
         return edges[-1]
 
     def add_bundle(cls: str, key: Tuple, tail: Vertex, head: Vertex, cap: int,
@@ -268,7 +261,7 @@ def compile_template(instance: Instance) -> GraphTemplate:
         for q in range(1, cap + 1):
             num = lam.numerator * (numerators[q - 1] - numerators[q])
             common = gcd(num, denominator)
-            edge = add(cls, key + (q,), tail, head, 0, 1, q)
+            edge = add(cls, key + (q,), tail, head, 0, 1)
             weights[edge.index] = (num // common, denominator // common)
             members.append(edge.index)
         if members:
@@ -339,9 +332,10 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     """The auxiliary graph of `template`'s instance under `bids`: each E5
     edge weighs its operator's weight times its bid less its aircraft's
     stay bid, and S, the gains, the arc costs and the cold potentials
-    follow from those weights.  The graph holds `template`'s own fields;
-    nothing of them is changed, and nothing is carried over from another
-    profile: S is the lcm of this profile's weight denominators."""
+    follow from those weights.  The graph holds `template`'s own
+    `GraphTemplate` fields; nothing of them is changed, and nothing is
+    carried over from another profile, so a priced graph reprices as its
+    template: S is the lcm of this profile's weight denominators."""
     stays = []  # per aircraft: weight * stay bid as (numerator, denominator)
     priced = []  # per E5 edge: (index, reduced weight numerator, denominator, bonus)
     for weight, stay_key, routes in template.aircraft:
@@ -363,8 +357,9 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
         gains[k] = num * (unit // den) + bonus
     stay_den = lcm(1, *(den for _, den in stays))
     stay_welfare = Fraction(sum(num * (stay_den // den) for num, den in stays), stay_den)
+    shared = {f.name: getattr(template, f.name) for f in fields(GraphTemplate)}
     return AuxGraph(
-        **vars(template), bids=bids, gains=tuple(gains), stay_welfare=stay_welfare,
+        **shared, bids=bids, gains=tuple(gains), stay_welfare=stay_welfare,
         unit=unit, network=price_network(template.topology, [-g for g in gains]),
     )
 
@@ -374,11 +369,10 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
     return price_graph(compile_template(instance), bids)
 
 
-def flow_objective(graph: AuxGraph, solution: FlowSolution, gain: int) -> Fraction:
+def flow_objective(graph: AuxGraph, flows: Sequence[int], gain: int) -> Fraction:
     """Exact weighted flow value: the welfare of the allocation it spells,
     `stay_welfare` plus the flow's gain (`flow_gain`) less its E5 bonuses
     over S * P."""
-    flows = solution.flows
     carried = sum(bonus * flows[k] for _, _, routes in graph.aircraft
                   for k, _, bonus in routes if flows[k])
     return graph.stay_welfare + Fraction(gain - carried, graph.unit)
@@ -389,27 +383,20 @@ def flow_gain(graph: AuxGraph, flows: Sequence[int]) -> int:
     return sum(gain * flow for gain, flow in zip(graph.gains, flows) if flow)
 
 
-def flow_to_allocation(graph: AuxGraph, solution: FlowSolution) -> Allocation:
-    """Read the canonical allocation off the E5 unit flows: an aircraft
-    granted no route stays."""
-    instance = graph.instance
-    granted: Dict[Tuple[str, str], List[int]] = {}
-    for e in graph.edges:
-        if e.cls != "E5":
-            continue
-        i, j, k = e.key
-        value = solution.flow(e)
-        if value not in (0, 1):
-            raise ValueError(f"non-binary route flow for aircraft {(i, j)}, menu {k}")
-        if value == 1:
-            granted.setdefault((i, j), []).append(k)
+def flow_to_allocation(graph: AuxGraph, flows: Sequence[int]) -> Allocation:
+    """Read the canonical allocation off the E5 unit flows, aircraft by
+    aircraft in `Instance.iter_aircraft` order: an aircraft granted no
+    route stays."""
     allocation: Dict[Tuple[str, str], int] = {}
-    for operator, craft in instance.iter_aircraft():
-        key = (operator.id, craft.id)
-        routes = granted.get(key, [])
-        if len(routes) > 1:
-            raise ValueError(f"aircraft {key} granted {len(routes)} routes")
-        allocation[key] = routes[0] if routes else craft.stay_key
-    check_allocation(instance, allocation)
+    for _, (i, j, stay_key), routes in graph.aircraft:
+        granted = []
+        for k, (_, _, key), _ in routes:
+            if flows[k] not in (0, 1):
+                raise ValueError(f"non-binary route flow for aircraft {(i, j)}, menu {key}")
+            if flows[k]:
+                granted.append(key)
+        if len(granted) > 1:
+            raise ValueError(f"aircraft {(i, j)} granted {len(granted)} routes")
+        allocation[i, j] = granted[0] if granted else stay_key
+    check_allocation(graph.instance, allocation)
     return allocation
-

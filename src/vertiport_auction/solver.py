@@ -8,7 +8,10 @@ successive-shortest-path kernel in `flow`, on the residual network
 flows are integral, and all arithmetic is on Python ints.  A
 branch-and-bound node's solve starts from the optimal flow and
 potentials of its parent, whose bounds contain its own (the root from
-the priced cold state); enumeration solves every leaf cold.
+the priced cold state); enumeration solves every leaf cold.  A solve's
+answer, `SolveResult.flow`, is the canonical flow tuple
+(`_canonicalize_bundles`: each E3/E8 bundle's flow in prefix form), the
+only form of a flow the solver returns.
 
 The gains encode welfare and the tie-break in one number (see the
 `graph` module docstring): the maximum-gain allocation is unique and is
@@ -59,7 +62,6 @@ from .flow import FlowState, min_cost_flow
 from .graph import (
     AuxGraph,
     DeltaAssignment,
-    FlowSolution,
     build_graph,
     flow_gain,
     flow_objective,
@@ -87,7 +89,7 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
-    flow: FlowSolution
+    flow: Tuple[int, ...]  # canonical: bundle flows in prefix form
     objective: Fraction
     allocation: Allocation
     stats: SolveStats
@@ -158,10 +160,11 @@ def _min_cost_flow(graph: AuxGraph, partial_delta: DeltaAssignment, start: FlowS
 
 
 def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
-                      stats: Optional[SolveStats] = None) -> Optional[FlowSolution]:
-    """Maximum-gain integral flow for a fully fixed departure-time
-    assignment, or None when the fixed bounds admit no balanced flow.
-    The solve starts cold.
+                      stats: Optional[SolveStats] = None
+                      ) -> Optional[Tuple[int, ...]]:
+    """Canonical maximum-gain integral flow for a fully fixed
+    departure-time assignment, or None when the fixed bounds admit no
+    balanced flow.  The solve starts cold.
     """
     times = graph.departure_times
     if set(delta) != set(times):
@@ -170,9 +173,7 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
         if tau and tau not in times[pair]:
             raise SolverError(f"aircraft {pair} has no departure time {tau}")
     state = _min_cost_flow(graph, delta, graph.network.cold, stats)
-    if state is None:
-        return None
-    return FlowSolution(_canonicalize_bundles(graph, state.flows), dict(delta))
+    return None if state is None else _canonicalize_bundles(graph, state.flows)
 
 
 def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
@@ -189,20 +190,15 @@ def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
     return None if state is None else (flow_gain(graph, state.flows), state)
 
 
-def _spelled_completion(graph: AuxGraph, flows: Sequence[int]
-                        ) -> Tuple[Optional[Dict[Tuple[str, str], int]],
-                                   Optional[Tuple[str, str]]]:
-    """(delta, None) if a relaxed flow gives every aircraft at most one
-    unit on its E4 edges, delta being the assignment it spells (none: the
-    aircraft stays); else (None, the first aircraft, in
-    `departure_times` order, that carries two or more)."""
-    delta = {}
+def _split_aircraft(graph: AuxGraph, flows: Sequence[int]
+                    ) -> Optional[Tuple[str, str]]:
+    """The first aircraft, in `departure_times` order, that a relaxed flow
+    gives two or more units on its E4 edges; None when the flow spells a
+    completion."""
     for pair, carriers in graph.departure_times.items():
-        carried = [tau for tau, k in carriers.items() if flows[k]]
-        if len(carried) > 1:
-            return None, pair
-        delta[pair] = carried[0] if carried else 0
-    return delta, None
+        if sum(flows[k] for k in carriers.values()) > 1:
+            return pair
+    return None
 
 
 @dataclass
@@ -210,9 +206,9 @@ class _Incumbent:
     """Best completion so far.  Distinct allocations never tie in gain."""
 
     gain: Optional[int] = None
-    flow: Optional[FlowSolution] = None
+    flow: Optional[Tuple[int, ...]] = None
 
-    def offer(self, flow: FlowSolution, gain: int) -> None:
+    def offer(self, flow: Tuple[int, ...], gain: int) -> None:
         """Keep `flow`, which gains `gain`, if it gains more."""
         if self.gain is None or gain > self.gain:
             self.gain = gain
@@ -226,7 +222,7 @@ def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
         stats.leaf_solves += 1
         flow = solve_fixed_delta(graph, delta, stats=stats)
         if flow is not None:
-            best.offer(flow, flow_gain(graph, flow.flows))
+            best.offer(flow, flow_gain(graph, flow))
     return best
 
 
@@ -244,11 +240,10 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
         if best.gain is not None and bound <= best.gain:
             stats.pruned_bound += 1
             return
-        spelled, split = _spelled_completion(graph, state.flows)
+        split = _split_aircraft(graph, state.flows)
         if split is None:
             stats.pruned_completion += 1
-            best.offer(FlowSolution(_canonicalize_bundles(graph, state.flows), spelled),
-                       bound)
+            best.offer(_canonicalize_bundles(graph, state.flows), bound)
             return
         for tau in (*graph.departure_times[split], 0):
             partial[split] = tau

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from vertiport_auction import solver
 from vertiport_auction.graph import (
     SINK,
-    FlowSolution,
     build_graph,
     flow_gain,
     flow_objective,
@@ -228,7 +227,7 @@ def allocation_to_flow(graph, allocation):
         elif e.cls in ("E3", "E8"):
             r = e.key[0]
             t = e.key[1] if e.cls == "E3" else instance.horizon
-            flows[e.index] = 1 if e.q <= occupancy[(r, t)] else 0
+            flows[e.index] = 1 if e.key[-1] <= occupancy[(r, t)] else 0
         elif e.cls == "E4":
             i, j, tau = e.key
             flows[e.index] = 1 if delta[(i, j)] == tau else 0
@@ -237,7 +236,7 @@ def allocation_to_flow(graph, allocation):
             flows[e.index] = 1 if allocation[(i, j)] == k else 0
         elif e.cls == "E6":  # every aircraft based at r
             flows[e.index] = e.lower
-    return FlowSolution(tuple(flows), delta)
+    return tuple(flows)
 
 
 def reference_pricing(graph):
@@ -268,7 +267,7 @@ def reference_pricing(graph):
         if e.cls in ("E3", "E8"):
             t = e.key[1] if e.cls == "E3" else instance.horizon
             row = [Fraction(g) for g in ports[e.key[0]].congestion_cost[t - 1]]
-            weight = lam * (row[e.q - 1] - row[e.q])
+            weight = lam * (row[e.key[-1] - 1] - row[e.key[-1]])
         elif e.cls == "E5":
             i, j, k = e.key
             operator = instance.operator(i)
@@ -353,9 +352,9 @@ def assert_flow_correspondence(instance, bids):
     graph = build_graph(instance, bids)
     for x in enumerate_feasible(instance):
         flow = allocation_to_flow(graph, x)
-        assert_circulation(graph, flow.flows,
-                           *solver._resolved_bounds(graph, flow.delta))
-        gain = flow_gain(graph, flow.flows)
+        assert_circulation(graph, flow, *solver._resolved_bounds(
+            graph, delta_of_allocation(instance, x)))
+        gain = flow_gain(graph, flow)
         assert flow_objective(graph, flow, gain) == social_welfare(instance, x, bids)
         assert flow_to_allocation(graph, flow) == x
 

@@ -267,7 +267,7 @@ def test_criterion_5_flow_bijection(corpus, capsys):
             flow = allocation_to_flow(graph, x)
             if flow_to_allocation(graph, flow) != x:
                 roundtrip_failures += 1
-            gain = flow_gain(graph, flow.flows)
+            gain = flow_gain(graph, flow)
             if flow_objective(graph, flow, gain) != social_welfare(
                     instance, x, document.bids):
                 objective_mismatches += 1
@@ -288,7 +288,7 @@ def test_criterion_6_integrality_and_unimodularity(corpus, capsys):
             if solution is None:
                 continue
             solves += 1
-            if not all(isinstance(v, int) for v in solution.flows):
+            if not all(isinstance(v, int) for v in solution):
                 non_integer += 1
     rng = random.Random(0)
     bad_dets = 0

@@ -30,6 +30,7 @@ from vertiport_auction.graph import (
     flow_objective,
     flow_to_allocation,
     park,
+    price_graph,
 )
 from vertiport_auction.model import (
     Aircraft,
@@ -152,7 +153,7 @@ class TestBuildGraph:
                 if e.cls in ("E3", "E8"):
                     bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
             for members in bundles.values():
-                members.sort(key=lambda e: e.q)
+                members.sort(key=lambda e: e.key[-1])
                 for a, b in zip(members, members[1:]):
                     assert graph.gains[b.index] <= graph.gains[a.index]
 
@@ -202,17 +203,17 @@ class TestAllocationToFlow:
         solution = allocation_to_flow(graph, all_stay_allocation(instance))
         for e in graph.edges:
             if e.cls in ("E2", "E4", "E5"):
-                assert solution.flow(e) == 0
+                assert solution[e.index] == 0
             elif e.cls == "E6":
-                assert solution.flow(e) == initial_occupancy(instance, e.key[0])
+                assert solution[e.index] == initial_occupancy(instance, e.key[0])
         # Parking bundles carry the initial occupancy in prefix form.
         bundles = {}
         for e in edges_of_class(graph, "E3"):
             bundles.setdefault(e.key[:-1], []).append(e)
         assert len(bundles) == len(instance.vertiports) * (instance.horizon - 1)
         for (port_id, _), members in bundles.items():
-            members.sort(key=lambda e: e.q)
-            flows = [solution.flow(e) for e in members]
+            members.sort(key=lambda e: e.key[-1])
+            flows = [solution[e.index] for e in members]
             count = initial_occupancy(instance, port_id)
             assert flows == [1] * count + [0] * (len(members) - count)
 
@@ -221,7 +222,7 @@ class TestAllocationToFlow:
         graph = build_graph(instance, bids)
         for x in enumerate_feasible(instance):
             solution = allocation_to_flow(graph, x)
-            gain = flow_gain(graph, solution.flows)
+            gain = flow_gain(graph, solution)
             assert flow_objective(graph, solution, gain) == social_welfare(
                 instance, x, bids)
 
@@ -229,12 +230,12 @@ class TestAllocationToFlow:
         instance, bids = single_mover
         graph = build_graph(instance, bids)
         solution = allocation_to_flow(graph, {("op1", "a1"): 1})
-        nonzero = [e for e in graph.edges if solution.flow(e)]
+        nonzero = [e for e in graph.edges if solution[e.index]]
         classes = sorted(e.cls for e in nonzero)
         # Sink -> Park(v1,1) -> Park(v1,2) -> Dep(v1,2) -> AcDep
         # -> Arr(v2,3) -> Park(v2,3) -> Sink.
         assert classes == ["E1", "E2", "E3", "E4", "E5", "E6", "E8"]
-        assert [(e.key, solution.flow(e)) for e in nonzero if e.cls == "E6"] == [
+        assert [(e.key, solution[e.index]) for e in nonzero if e.cls == "E6"] == [
             (("v1",), 1)]
 
     def test_infeasible_rejected(self, second_price):
@@ -260,6 +261,24 @@ class TestFlowToAllocation:
                 assert flow_to_allocation(
                     graph, allocation_to_flow(graph, x)) == x
 
+    def test_non_binary_route_flow_rejected(self, single_mover):
+        instance, bids = single_mover
+        graph = build_graph(instance, bids)
+        flows = list(allocation_to_flow(graph, {("op1", "a1"): 1}))
+        flows[edges_of_class(graph, "E5")[0].index] = 2
+        with pytest.raises(ValueError, match="non-binary route flow"):
+            flow_to_allocation(graph, flows)
+
+    def test_two_routes_rejected(self, reluctant_movers):
+        instance, bids = reluctant_movers
+        graph = build_graph(instance, bids)
+        flows = list(allocation_to_flow(
+            graph, {("op1", "a1"): 1, ("op2", "b1"): 0}))
+        route = {e.key: e.index for e in edges_of_class(graph, "E5")}
+        flows[route["op1", "a1", 2]] = 1
+        with pytest.raises(ValueError, match="granted 2 routes"):
+            flow_to_allocation(graph, flows)
+
     def test_delta_of_allocation(self, exchange):
         instance, _ = exchange
         delta = delta_of_allocation(instance, {("op1", "a1"): 1,
@@ -273,6 +292,19 @@ def test_allocation_to_flow_is_bounded_circulation(name, request):
     fixture = request.getfixturevalue(name)
     instance, bids = fixture if isinstance(fixture, tuple) else (fixture, {})
     assert_flow_correspondence(instance, bids)
+
+
+def test_priced_graph_reprices_as_its_template():
+    """A priced graph handed to `price_graph` is read as its template: it
+    reprices to the graph `build_graph` makes for the new bids."""
+    for seed in range(5):
+        document = generate(GeneratorConfig(seed=seed))
+        instance, bids = document.instance, document.bids
+        other = {key: 2 * value + 1 for key, value in bids.items()}
+        repriced = price_graph(build_graph(instance, bids), other)
+        fresh = build_graph(instance, other)
+        assert repriced == fresh
+        assert repriced.network == fresh.network
 
 
 @settings(max_examples=20, deadline=None)

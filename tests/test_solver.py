@@ -26,7 +26,6 @@ from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.mechanism import pseudo_bids, run_auction
 from vertiport_auction import mechanism, solver
 from vertiport_auction.graph import (
-    FlowSolution,
     build_graph,
     compile_template,
     flow_gain,
@@ -87,8 +86,8 @@ class TestSolveFixedDelta:
     def test_empty_instance_zero_flow(self, empty_instance):
         graph = build_graph(empty_instance, {})
         solution = solve_fixed_delta(graph, {})
-        assert all(v == 0 for v in solution.flows)
-        assert flow_objective(graph, solution, flow_gain(graph, solution.flows)) == 0
+        assert all(v == 0 for v in solution)
+        assert flow_objective(graph, solution, flow_gain(graph, solution)) == 0
 
     def test_no_vertiports_no_edges(self):
         """An instance without vertiports validates and builds a graph
@@ -104,7 +103,7 @@ class TestSolveFixedDelta:
         bids = {("op1", "a1", 0): F(4), ("op1", "a1", 1): F(9)}
         graph = build_graph(instance, bids)
         solution = solve_fixed_delta(graph, {("op1", "a1"): 0})
-        assert flow_objective(graph, solution, flow_gain(graph, solution.flows)) == 4
+        assert flow_objective(graph, solution, flow_gain(graph, solution)) == 4
 
     def test_blocked_departure_infeasible(self):
         inst = Instance(
@@ -132,7 +131,7 @@ class TestSolveFixedDelta:
                 solution = solve_fixed_delta(graph, delta)
                 if solution is None:
                     continue
-                assert all(isinstance(v, int) for v in solution.flows)
+                assert all(isinstance(v, int) for v in solution)
 
     def test_malformed_delta_rejected(self, single_mover):
         instance, bids = single_mover
@@ -152,8 +151,8 @@ class TestSolveFixedDelta:
             if e.cls in ("E3", "E8"):
                 bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
         for members in bundles.values():
-            members.sort(key=lambda e: e.q)
-            flows = [solution.flow(e) for e in members]
+            members.sort(key=lambda e: e.key[-1])
+            flows = [solution[e.index] for e in members]
             assert flows == sorted(flows, reverse=True)
 
 
@@ -208,7 +207,7 @@ class TestSolve:
             assert result.objective == social_welfare(
                 document.instance, result.allocation, document.bids)
             assert result.objective == flow_objective(
-                graph, result.flow, flow_gain(graph, result.flow.flows))
+                graph, result.flow, flow_gain(graph, result.flow))
 
     def test_tie_broken_lexicographically(self):
         # Two identical routes to interchangeable destinations: the
@@ -454,12 +453,11 @@ class TestRelaxationBound:
         graph = build_graph(inst, bids)
         bound, state = relaxation_bound(graph, {})
         flows = state.flows
-        assert flow_objective(
-            graph, FlowSolution(tuple(flows), {}), flow_gain(graph, flows)) == 6
+        assert flow_objective(graph, flows, flow_gain(graph, flows)) == 6
         result = solve(graph)
         assert result.objective == 6
         assert result.allocation == {("op1", "a1"): 2, ("op2", "b1"): 0}
-        assert bound == flow_gain(graph, result.flow.flows)
+        assert bound == flow_gain(graph, result.flow)
         assert result.stats.fixed_delta_solves == 1
 
     def test_root_completion_ends_the_search(self):
@@ -484,7 +482,7 @@ class TestRelaxationBound:
         bound, _ = relaxation_bound(graph, {})
         result = solve(graph)
         assert result.allocation == {("op1", "a1"): 0}
-        assert bound == flow_gain(graph, result.flow.flows)
+        assert bound == flow_gain(graph, result.flow)
         assert result.stats.fixed_delta_solves == 1
         assert result.stats.pruned_completion == 1
 
@@ -498,11 +496,10 @@ class TestRelaxationBound:
         graph = build_graph(instance, bids)
         bound, state = relaxation_bound(graph, {})
         flows = state.flows
-        assert flow_objective(
-            graph, FlowSolution(tuple(flows), {}), flow_gain(graph, flows)) == 9
+        assert flow_objective(graph, flows, flow_gain(graph, flows)) == 9
         result = solve(graph)
         assert (result.allocation, result.objective) == ({("op1", "a1"): 1}, 9)
-        assert bound == flow_gain(graph, result.flow.flows)
+        assert bound == flow_gain(graph, result.flow)
         assert result.stats.fixed_delta_solves == 1
         assert result.stats.pruned_completion == 1
 
@@ -512,7 +509,7 @@ class TestRelaxationBound:
             graph = build_graph(document.instance, document.bids)
             bound, state = relaxation_bound(graph, {})
             assert bound == flow_gain(graph, state.flows)
-            assert bound >= flow_gain(graph, solve(graph).flow.flows)
+            assert bound >= flow_gain(graph, solve(graph).flow)
 
 
 def _network_simplex(graph, lower, upper):
@@ -654,16 +651,18 @@ def fathomed_nodes(kernel_graphs):
     """Every node `bnb` ends by completion on `kernel_graphs`, as (graph,
     the relaxed flow, the assignment it spells)."""
     fathomed = []
-    spell = solver._spelled_completion
+    split_aircraft = solver._split_aircraft
 
     def recorded(graph, flows):
-        delta, split = spell(graph, flows)
+        split = split_aircraft(graph, flows)
         if split is None:
+            delta = {pair: next((tau for tau, k in carriers.items() if flows[k]), 0)
+                     for pair, carriers in graph.departure_times.items()}
             fathomed.append((graph, list(flows), delta))
-        return delta, split
+        return split
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_spelled_completion", recorded)
+        patch.setattr(solver, "_split_aircraft", recorded)
         for graph in kernel_graphs:  # the search alone: nothing read back
             solver._solve_bnb(graph, solver.SolveStats())
     return fathomed
@@ -677,7 +676,7 @@ def test_fathomed_flows_are_completion_optima(fathomed_nodes):
         assert set(delta) == set(graph.departure_times)
         assert_circulation(graph, flows, *solver._resolved_bounds(graph, delta))
         leaf = solve_fixed_delta(graph, delta)
-        assert flow_gain(graph, leaf.flows) == flow_gain(graph, flows)
+        assert flow_gain(graph, leaf) == flow_gain(graph, flows)
 
 
 def _scanned_indexes(graph):
@@ -694,8 +693,9 @@ def _scanned_indexes(graph):
     for e in graph.edges:
         if e.cls in ("E3", "E8"):
             bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
-    return times, tuple(tuple(e.index for e in sorted(members, key=lambda e: e.q))
-                        for members in bundles.values())
+    return times, tuple(
+        tuple(e.index for e in sorted(members, key=lambda e: e.key[-1]))
+        for members in bundles.values())
 
 
 def _assert_one_pass_template(instance, bids):
@@ -900,7 +900,7 @@ class TestFlowKernel:
         assert all(gain < 0 for e, gain in zip(graph.edges, graph.gains)
                    if e.cls == "E5")
         flows = solve(graph).flow
-        assert [e.key for e in edges_of_class(graph, "E5") if flows.flow(e)] == [
+        assert [e.key for e in edges_of_class(graph, "E5") if flows[e.index]] == [
             ("op1", "a1", 2)]
 
     def test_uncertified_start_raises(self, kernel_graphs):
@@ -997,4 +997,4 @@ def test_solve_deterministic(seed):
     b = solve(graph)
     assert a.objective == b.objective
     assert a.allocation == b.allocation
-    assert a.flow.flows == b.flow.flows
+    assert a.flow == b.flow
