@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: validate, solve, auction, oracle-check, gen, properties.
-Exit codes: 0 success, 1 validation failure (of a document or of an
-option's value), 2 solver/oracle mismatch or property violation, 3 I/O
+Exit codes: 0 success, 1 validation failure (of a document or of the
+command line), 2 solver/oracle mismatch or property violation, 3 I/O
 error, 4 budget exceeded.
 """
 
@@ -287,7 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help and --version exit 0, usage errors 2
+        if exc.code:
+            return EXIT_INVALID
+        raise
     try:
         return args.func(args)
     except SystemExit as exc:

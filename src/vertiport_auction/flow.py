@@ -4,11 +4,12 @@ Every cost and bound of the auxiliary graph is an integer, and its
 vertices are numbered so that every edge runs from a lower to a higher
 index except edges whose flow is fixed (lower bound = upper bound),
 which close the circulation.  `compile_topology` turns such a graph's
-edges into residual arcs once; `price_network` gives the arcs one cost
-vector and its cold state, once per cost vector; `min_cost_flow` solves
-one bound vector on a priced network by successive shortest paths
-(Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9-10), starting
-from a given flow and potentials.
+edges into residual arcs once; `price_network`, once per cost vector,
+adds one cost per arc and the cold state, so a priced network is the
+topology's own arcs plus one cost tuple; `min_cost_flow` solves one
+bound vector on a priced network by successive shortest paths (Ahuja,
+Magnanti & Orlin, *Network Flows*, 1993, ch. 9-10), starting from a
+given flow and potentials.
 
 State.  A `FlowState` is a flow on every edge and vertex potentials
 under which every residual arc with capacity has a non-negative reduced
@@ -49,9 +50,6 @@ from itertools import compress, count
 from operator import ne, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-Arc = Tuple[int, int, int]  # (arc id, head vertex, cost)
-
-
 class FlowState(NamedTuple):
     """Flow per edge and certifying potentials."""
 
@@ -76,11 +74,11 @@ class Topology:
 
 @dataclass(frozen=True)
 class Network:
-    """A topology priced by one cost vector: its residual arcs with
-    their costs, and the cold start state those costs certify."""
+    """A topology priced by one cost vector: the topology's own arcs,
+    one cost per arc, and the cold start state those costs certify."""
 
     topology: Topology
-    adjacency: Tuple[Tuple[Arc, ...], ...]  # arcs out of each vertex
+    arc_cost: Tuple[int, ...]  # arc 2k costs costs[k], its reverse -costs[k]
     cold: FlowState
 
 
@@ -106,10 +104,11 @@ def compile_topology(vertex_count: int, tails: Sequence[int], heads: Sequence[in
 
 
 def price_network(topology: Topology, costs: Sequence[int]) -> Network:
-    """`topology` with one cost per edge, and its cold state: the zero
-    flow and, as potentials, the shortest distances over the edges that
-    are not fixed from a root with a 0-cost arc to every vertex, found in
-    one pass over the vertices in index order."""
+    """`topology`, shared and not copied, with one cost per edge as one
+    cost per residual arc, and its cold state: the zero flow and, as
+    potentials, the shortest distances over the edges that are not fixed
+    from a root with a 0-cost arc to every vertex, found in one pass over
+    the vertices in index order."""
     potential = [0] * len(topology.arcs)
     heads = topology.heads
     for u, out in enumerate(topology.out_edges):
@@ -121,9 +120,7 @@ def price_network(topology: Topology, costs: Sequence[int]) -> Network:
     arc_cost = [0] * len(topology.arc_head)
     arc_cost[0::2] = costs
     arc_cost[1::2] = [-c for c in costs]
-    adjacency = tuple(tuple([(a, v, arc_cost[a]) for a, v in arcs])
-                      for arcs in topology.arcs)
-    return Network(topology, adjacency,
+    return Network(topology, tuple(arc_cost),
                    FlowState((0,) * len(topology.tails), tuple(potential)))
 
 
@@ -132,7 +129,8 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
     """Cheapest circulation with lower[k] <= flow[k] <= upper[k] on every
     edge, from `start` (`network.cold`, or the state of a solve whose
     bounds contain these); None if there is none.  Also returns the
-    number of augmenting paths pushed.  Raises ValueError if a Dijkstra
+    number of augmenting paths pushed.  Dijkstra walks the topology's
+    arcs and reads `network.arc_cost` on those with capacity.  Raises ValueError if a Dijkstra
     round pops more entries than the invariant allows, as on a
     negative-cost residual cycle; a start that breaks the invariant
     otherwise goes unnoticed and can give a flow that is not optimal."""
@@ -151,7 +149,7 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         excess[topology.tails[k]] -= change
 
     potential = list(start.potential)
-    adjacency, arc_head = network.adjacency, topology.arc_head
+    arcs, arc_cost, arc_head = topology.arcs, network.arc_cost, topology.arc_head
     inf = float("inf")
     pushed = 0
     while True:
@@ -174,9 +172,9 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
             if u == target:
                 break
             base = d + potential[u]
-            for a, v, c in adjacency[u]:
+            for a, v in arcs[u]:
                 if cap[a]:
-                    reach = base + c - potential[v]
+                    reach = base + arc_cost[a] - potential[v]
                     if reach < dist[v] and reach < cutoff:
                         dist[v] = reach
                         prev[v] = a

@@ -41,13 +41,15 @@ A graph is built in two stages, and every branch node of a solve shares
 the result.  `compile_template` reads no bid: it lays out the vertices
 and every edge, computes the E3/E8 weights and the E5 tie-break
 bonuses, and records, as it adds the edges, the E4 edge of each
-(aircraft, tau) and the E3/E8 bundles; it then compiles the relaxed
+(aircraft, tau), its only index (no E3/E8 bundle is recorded: nothing
+reads one as a unit); it then compiles the relaxed
 bounds and the flow kernel's topology (`flow.Topology`: vertex-index
 tails and heads and residual arcs).  `price_graph` reads one bid
 profile: the E5 weights and `stay_welfare`, then the scale S, the
-gains, the arc costs (-gain) and the cold potentials, in one pass over
-the vertices in index order (`flow.Network`).  An `AuxGraph` is its
-template, the same field objects, plus those priced fields.  So an
+gains, one cost (-gain) per residual arc of the template's own topology
+and the cold potentials, in one pass over the vertices in index order
+(`flow.Network`).  An `AuxGraph` is its template, the same field
+objects, plus those priced fields.  So an
 auction compiles one template and prices its clearing profile and each
 payment counterfactual on it; `build_graph` is the two stages in a row.
 
@@ -180,8 +182,6 @@ class GraphTemplate:
     # (operator, aircraft) -> {tau: the E4 edge its unit takes to depart
     # at tau}, tau ascending, for every departure time but the stay time 0.
     departure_times: Mapping[Tuple[str, str], Mapping[int, int]]
-    # Edge indices of each nonempty E3/E8 parallel bundle, by position q.
-    bundles: Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,6 @@ def compile_template(instance: Instance) -> GraphTemplate:
             departure_used.add((craft.origin, entry.depart_time))
 
     edges: List[Edge] = []
-    bundles: List[Tuple[int, ...]] = []  # nonempty E3/E8 bundles, q ascending
     # Reduced (numerator, denominator) of each E3/E8 edge's weight; every
     # other edge but E5 weighs 0.
     weights: Dict[int, Tuple[int, int]] = {}
@@ -257,15 +256,11 @@ def compile_template(instance: Instance) -> GraphTemplate:
         """`cap` unit edges, the q-th weighing lambda * (g(q-1) - g(q))."""
         numerators, denominator = over_common_denominator(row)
         denominator *= lam.denominator
-        members = []
         for q in range(1, cap + 1):
             num = lam.numerator * (numerators[q - 1] - numerators[q])
             common = gcd(num, denominator)
             edge = add(cls, key + (q,), tail, head, 0, 1)
             weights[edge.index] = (num // common, denominator // common)
-            members.append(edge.index)
-        if members:
-            bundles.append(tuple(members))
 
     def grant_bonus(a: int, craft: Aircraft, entry: RouteOption) -> int:
         rtau = craft.departure_times().index(entry.depart_time)
@@ -324,7 +319,6 @@ def compile_template(instance: Instance) -> GraphTemplate:
         instance, tuple(vertices), tuple(edges), tuple(aircraft), scale,
         most_times ** n * largest_menu ** n, tuple(scaled_weights), topology,
         relaxed_lower=lower, relaxed_upper=upper, departure_times=times,
-        bundles=tuple(bundles),
     )
 
 

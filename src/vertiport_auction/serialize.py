@@ -1,17 +1,21 @@
 """Canonical JSON serialization of auction documents.
 
-Rationals travel as exact ``"num/den"`` strings, never floats.  Render
+Rationals travel as exact ``"num/den"`` strings, never floats; parse
+also takes ``"num"`` and JSON integers, and nothing else ``Fraction``
+would (no exponent, decimal point, underscore or whitespace).  Render
 is canonical (fixed field order, ids sorted, reduced fractions), so
 ``render(parse(text)) == text`` for canonical documents.  Unknown fields
-are rejected with the path of the offending entry.
+are rejected with the path of the offending entry, and so are repeated
+object keys and profile menu keys that are not canonical decimals.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
     STAY,
@@ -25,6 +29,7 @@ from .model import (
 )
 
 SCHEMA_VERSION = "1"
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # numerator, denominator
 
 
 class DocumentError(ValueError):
@@ -44,16 +49,15 @@ class InstanceDocument:
 
 
 def parse_rational(raw: Any, path: str) -> Fraction:
-    if isinstance(raw, bool):
-        raise DocumentError(path, f"expected a rational, got {raw!r}")
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):  # JSON true must not read as 1
         return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(path, f"not a rational: {raw!r}")
-    raise DocumentError(path, f"expected a rational string, got {type(raw).__name__}")
+    match = _RATIONAL.fullmatch(raw) if isinstance(raw, str) else None
+    try:
+        if match:
+            return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError):  # over int's digit limit, or x/0
+        pass
+    raise DocumentError(path, f"not a rational: {raw!r}")
 
 
 def render_rational(value: Fraction) -> str:
@@ -198,15 +202,28 @@ def _parse_profile(raw: Any, path: str) -> Dict[Tuple[str, str, int], Fraction]:
                     menu_key = int(key)
                 except ValueError:
                     raise DocumentError(kpath, "menu key must be an integer")
+                if key != str(menu_key):
+                    raise DocumentError(kpath, "menu key must be a canonical decimal")
                 profile[(op_id, craft_id, menu_key)] = parse_rational(value, kpath)
     return profile
+
+
+def _unique_keys(pairs: Sequence[Tuple[str, Any]]) -> Dict[str, Any]:
+    """A JSON object's members; raises ValueError on a repeated key, which
+    `json.loads` would otherwise let overwrite the earlier value."""
+    members: Dict[str, Any] = {}
+    for key, value in pairs:
+        if key in members:
+            raise ValueError(f"repeated key {key!r}")
+        members[key] = value
+    return members
 
 
 def parse(text: str) -> InstanceDocument:
     """Parse a document; raises DocumentError with a field path."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # also a repeated key, or an int past the digit limit
         raise DocumentError("$", f"malformed JSON: {exc}")
     data = _expect(raw, "$", ("schema_version", "instance"),
                    ("bids", "valuations"))

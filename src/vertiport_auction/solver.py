@@ -9,9 +9,10 @@ flows are integral, and all arithmetic is on Python ints.  A
 branch-and-bound node's solve starts from the optimal flow and
 potentials of its parent, whose bounds contain its own (the root from
 the priced cold state); enumeration solves every leaf cold.  A solve's
-answer, `SolveResult.flow`, is the canonical flow tuple
-(`_canonicalize_bundles`: each E3/E8 bundle's flow in prefix form), the
-only form of a flow the solver returns.
+answer, `SolveResult.flow`, is the kernel's optimal flow as a tuple.
+Where parallel E3/E8 edges tie in gain, which of them carries a unit is
+the kernel's choice: it feeds no output, since the allocation is read
+off the E5 entries and the objective off the gain.
 
 The gains encode welfare and the tie-break in one number (see the
 `graph` module docstring): the maximum-gain allocation is unique and is
@@ -89,7 +90,7 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
-    flow: Tuple[int, ...]  # canonical: bundle flows in prefix form
+    flow: Tuple[int, ...]  # the kernel's optimal flow, one entry per edge
     objective: Fraction
     allocation: Allocation
     stats: SolveStats
@@ -134,20 +135,6 @@ def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment
     return lower, upper
 
 
-def _canonicalize_bundles(graph: AuxGraph, flows: Sequence[int]) -> Tuple[int, ...]:
-    """A copy of `flows` with parallel-bundle flow pushed into prefix
-    (lowest-q) form.
-
-    Gains are non-increasing in q, so this never lowers the gain.
-    """
-    flows = list(flows)
-    for members in graph.bundles:
-        total = sum(flows[k] for k in members)
-        for position, k in enumerate(members):
-            flows[k] = 1 if position < total else 0
-    return tuple(flows)
-
-
 def _min_cost_flow(graph: AuxGraph, partial_delta: DeltaAssignment, start: FlowState,
                    stats: Optional[SolveStats]) -> Optional[FlowState]:
     """The kernel's solve of `partial_delta`'s resolved bounds from
@@ -162,7 +149,7 @@ def _min_cost_flow(graph: AuxGraph, partial_delta: DeltaAssignment, start: FlowS
 def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
                       stats: Optional[SolveStats] = None
                       ) -> Optional[Tuple[int, ...]]:
-    """Canonical maximum-gain integral flow for a fully fixed
+    """The kernel's maximum-gain integral flow for a fully fixed
     departure-time assignment, or None when the fixed bounds admit no
     balanced flow.  The solve starts cold.
     """
@@ -173,7 +160,7 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
         if tau and tau not in times[pair]:
             raise SolverError(f"aircraft {pair} has no departure time {tau}")
     state = _min_cost_flow(graph, delta, graph.network.cold, stats)
-    return None if state is None else _canonicalize_bundles(graph, state.flows)
+    return None if state is None else tuple(state.flows)
 
 
 def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
@@ -243,7 +230,7 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
         split = _split_aircraft(graph, state.flows)
         if split is None:
             stats.pruned_completion += 1
-            best.offer(_canonicalize_bundles(graph, state.flows), bound)
+            best.offer(tuple(state.flows), bound)
             return
         for tau in (*graph.departure_times[split], 0):
             partial[split] = tau

@@ -1,7 +1,12 @@
 """Command-line surface: subcommands and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +84,35 @@ class TestValidate:
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == EXIT_INVALID
         assert f"violation: {section}: negative value" in capsys.readouterr().err
+
+    def test_exponent_rational_exit_1_quickly(self, tmp_path, generated_file,
+                                              capsys):
+        data = json.loads(open(generated_file).read())
+        data["instance"]["lambda"] = "1e10000000"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert main(["validate", str(bad)]) == EXIT_INVALID
+        assert time.perf_counter() - start < 2
+        assert "$.instance.lambda: not a rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "auction"])
+    def test_huge_exponent_bid_exit_1(self, tmp_path, generated_file, capsys,
+                                      command):
+        data = json.loads(open(generated_file).read())
+        data["bids"]["op1"]["a1"]["0"] = "1e5000"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main([command, str(bad)]) == EXIT_INVALID
+        assert "$.bids.op1.a1.0: not a rational" in capsys.readouterr().err
+
+    def test_non_canonical_menu_key_exit_1(self, tmp_path, generated_file, capsys):
+        text = open(generated_file).read().replace(
+            '"0": ', '"00": "1/1", "0": ', 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == EXIT_INVALID
+        assert "menu key must be a canonical decimal" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -249,3 +283,33 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit):
         main(["--version"])
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["solve", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == EXIT_OK
+    assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "doc.json", "--budget", "abc"],
+    ["gen", "--horizon", "x"],
+    ["solve", "doc.json", "--strategy", "foo"],
+    ["solve"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_error_exit_1(argv, capsys):
+    assert main(argv) == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
+
+def test_usage_error_exit_1_as_a_process():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-m", "vertiport_auction.cli", "gen", "--horizon", "x"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert completed.returncode == EXIT_INVALID, completed.stderr
+    assert "invalid int value: 'x'" in completed.stderr

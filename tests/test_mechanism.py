@@ -224,7 +224,10 @@ def _priced_like_fresh(instance, bids):
         assert shared.unit == fresh.unit
         assert shared.stay_welfare == fresh.stay_welfare
         assert_priced_like_reference(shared)
-        assert shared.network.adjacency == fresh.network.adjacency
+        assert shared.network.arc_cost == fresh.network.arc_cost
+        assert shared.network.topology is template.topology
+        assert shared.network.arc_cost == tuple(
+            cost for gain in shared.gains for cost in (-gain, gain))
         assert shared.network.cold == fresh.network.cold
         assert shared.relaxed_lower == fresh.relaxed_lower
         assert shared.relaxed_upper == fresh.relaxed_upper

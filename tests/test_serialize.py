@@ -1,6 +1,7 @@
 """Document serialization: canonical JSON, exact rationals, strictness."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,27 @@ class TestRationals:
         with pytest.raises(DocumentError, match=r"\$\.weight"):
             parse_rational(raw, "$.weight")
 
+    @pytest.mark.parametrize("raw", ["1e10000000", "1E5", "1/1e3", "inf", "nan"])
+    def test_exponent_forms_rejected_with_path(self, raw):
+        with pytest.raises(DocumentError, match=r"\$\.weight: not a rational"):
+            parse_rational(raw, "$.weight")
+
+    @pytest.mark.parametrize("raw", ["0.5", "1.", ".5", "1/2.0"])
+    def test_decimal_forms_rejected_with_path(self, raw):
+        with pytest.raises(DocumentError, match=r"\$\.weight: not a rational"):
+            parse_rational(raw, "$.weight")
+
+    @pytest.mark.parametrize("raw", [" 1/2", "1/2 ", "1 / 2", "1/2\n", "1_000", "1/+2",
+                                     "1/0"])
+    def test_whitespace_and_other_forms_rejected_with_path(self, raw):
+        with pytest.raises(DocumentError, match=r"\$\.weight: not a rational"):
+            parse_rational(raw, "$.weight")
+
+    @pytest.mark.parametrize("raw, value", [("+5", F(5)), ("-6/4", F(-3, 2)),
+                                            ("007/010", F(7, 10))])
+    def test_signed_and_unreduced_forms_accepted(self, raw, value):
+        assert parse_rational(raw, "$") == value
+
 
 class TestParse:
     def test_minimal_document(self):
@@ -122,6 +144,33 @@ class TestParse:
         raw["bids"] = {"op1": {"a1": {"stay": "1/1"}}}
         with pytest.raises(DocumentError, match="menu key must be an integer"):
             parse(json.dumps(raw))
+
+    @pytest.mark.parametrize("key", ["00", " 0", "+0", "0_0", "-0"])
+    def test_non_canonical_menu_key_in_profile(self, key):
+        raw = minimal_document()
+        raw["bids"] = {"op1": {"a1": {"0": "5/1", key: "1/1"}}}
+        with pytest.raises(DocumentError,
+                           match=re.escape(f"$.bids.op1.a1.{key}: menu key must be "
+                                           "a canonical decimal")):
+            parse(json.dumps(raw))
+
+    def test_repeated_profile_key_rejected(self):
+        text = json.dumps(minimal_document())[:-1] + (
+            ', "bids": {"op1": {"a1": {"0": "5/1", "0": "1/1"}}}}')
+        with pytest.raises(DocumentError, match="repeated key '0'"):
+            parse(text)
+
+    def test_repeated_field_rejected(self):
+        text = json.dumps(minimal_document()).replace(
+            '"horizon": 1', '"horizon": 1, "horizon": 2')
+        with pytest.raises(DocumentError, match="repeated key 'horizon'"):
+            parse(text)
+
+    def test_integer_over_the_digit_limit_rejected(self):
+        text = json.dumps(minimal_document()).replace(
+            '"horizon": 1', '"horizon": 1' + "0" * 5000)
+        with pytest.raises(DocumentError, match=r"\$: malformed JSON"):
+            parse(text)
 
 
 class TestRender:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_circulation,
+    assert_matches_oracle,
     edges_of_class,
     make_port,
     stay,
@@ -30,6 +31,7 @@ from vertiport_auction.graph import (
     compile_template,
     flow_gain,
     flow_objective,
+    flow_to_allocation,
     price_graph,
 )
 from vertiport_auction.model import (
@@ -37,6 +39,7 @@ from vertiport_auction.model import (
     Instance,
     Operator,
     is_feasible,
+    occupancy_table,
     social_welfare,
     validate_instance,
 )
@@ -51,6 +54,18 @@ from vertiport_auction.solver import (
 
 F = Fraction
 
+
+def _assert_bundle_totals(graph, flows, allocation):
+    """Each E3/E8 bundle carries in total its vertiport's occupancy at its
+    slot under `allocation`; which of its parallel edges carry the units
+    is the kernel's choice."""
+    occupancy = occupancy_table(graph.instance, allocation)
+    totals = {}
+    for e in graph.edges:
+        if e.cls in ("E3", "E8"):
+            slot = e.key[:-1] if e.cls == "E3" else (e.key[0], graph.instance.horizon)
+            totals[slot] = totals.get(slot, 0) + flows[e.index]
+    assert totals == {slot: occupancy[slot] for slot in totals}
 
 class TestEnumerateDeltas:
     def test_single_aircraft_two_times(self, single_mover):
@@ -141,19 +156,14 @@ class TestSolveFixedDelta:
         with pytest.raises(SolverError):
             solve_fixed_delta(graph, {("op1", "a1"): 1})  # 1 not in T_dep
 
-    def test_bundle_flows_in_prefix_form(self, second_price):
+    def test_bundle_flows_total_the_occupancy(self, second_price):
         instance, bids = second_price
         graph = build_graph(instance, bids)
-        solution = solve_fixed_delta(
-            graph, {("op1", "a1"): 0, ("op2", "a1"): 0})
-        bundles = {}
-        for e in graph.edges:
-            if e.cls in ("E3", "E8"):
-                bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
-        for members in bundles.values():
-            members.sort(key=lambda e: e.key[-1])
-            flows = [solution[e.index] for e in members]
-            assert flows == sorted(flows, reverse=True)
+        for delta in enumerate_deltas(instance):
+            solution = solve_fixed_delta(graph, delta)
+            if solution is not None:
+                _assert_bundle_totals(
+                    graph, solution, flow_to_allocation(graph, solution))
 
 
 class TestSolve:
@@ -238,6 +248,25 @@ class TestSolve:
             result = solve(build_graph(instance, bids), strategy=strategy)
             # Stay has departure time 0 < 2: lexicographically first.
             assert result.allocation == {("op1", "a1"): 0}
+
+    @pytest.mark.parametrize("seed", [173, 175])
+    def test_kernel_split_of_tied_parking_edges_feeds_no_output(self, seed):
+        """Here `bnb`'s optimal flow fills a zero-congestion parking bundle
+        out of prefix order, so the strategies return different flows of
+        one allocation; allocation, objective and payments still equal
+        the oracle's."""
+        document = generate(GeneratorConfig(
+            seed=seed, value_denominator=1, max_value_numerator=2,
+            lambda_range=(0, 0)))
+        instance, bids = document.instance, document.bids
+        graph = build_graph(instance, bids)
+        results = [solve(graph, strategy=s) for s in ("bnb", "enumerate")]
+        assert results[0].flow != results[1].flow  # the case covered
+        for result in results:
+            _assert_bundle_totals(graph, result.flow, result.allocation)
+        assert_matches_oracle(instance, bids)  # payments under bnb
+        assert (run_auction(instance, bids, strategy="enumerate").payments
+                == run_auction(instance, bids).payments)
 
     def test_raising_a_bid_never_lowers_objective(self):
         for seed in range(8):
@@ -680,35 +709,28 @@ def test_fathomed_flows_are_completion_optima(fathomed_nodes):
 
 
 def _scanned_indexes(graph):
-    """`departure_times` and `bundles` derived by scanning the finished
-    edge list: the reference for the indexes `compile_template` records
-    while it adds the edges."""
+    """`departure_times` derived by scanning the finished edge list: the
+    reference for the index `compile_template` records while it adds the
+    edges."""
     times = {(operator.id, craft.id): {}
              for operator, craft in graph.instance.iter_aircraft()}
     for e in graph.edges:
         if e.cls == "E4":
             i, j, tau = e.key
             times[i, j][tau] = e.index
-    bundles = {}
-    for e in graph.edges:
-        if e.cls in ("E3", "E8"):
-            bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
-    return times, tuple(
-        tuple(e.index for e in sorted(members, key=lambda e: e.key[-1]))
-        for members in bundles.values())
+    return times
 
 
 def _assert_one_pass_template(instance, bids):
-    """The recorded indexes equal the scanned ones, in the same order
-    (the split rule reads `departure_times` in order), and a priced graph
+    """The recorded index equals the scanned one, in the same order (the
+    split rule reads `departure_times` in order), and a priced graph
     holds its template's own objects."""
     template = compile_template(instance)
     graph = price_graph(template, bids)
-    times, bundles = _scanned_indexes(graph)
+    times = _scanned_indexes(graph)
     assert ([(pair, list(taus.items())) for pair, taus in graph.departure_times.items()]
             == [(pair, list(taus.items())) for pair, taus in times.items()])
-    assert graph.bundles == bundles
-    for name in ("edges", "topology", "departure_times", "bundles"):
+    for name in ("edges", "topology", "departure_times"):
         assert getattr(graph, name) is getattr(template, name)
 
 
