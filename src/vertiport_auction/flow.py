@@ -5,11 +5,24 @@ vertices are numbered so that every edge runs from a lower to a higher
 index except edges whose flow is fixed (lower bound = upper bound),
 which close the circulation.  `compile_topology` turns such a graph's
 edges into residual arcs once; `price_network`, once per cost vector,
-adds one cost per arc and the cold state, so a priced network is the
-topology's own arcs plus one cost tuple; `min_cost_flow` solves one
-bound vector on a priced network by successive shortest paths (Ahuja,
-Magnanti & Orlin, *Network Flows*, 1993, ch. 9-10), starting from a
-given flow and potentials.
+adds one cost per arc, the cost rows of the convex edges and the cold
+state, so a priced network is the topology's own arcs plus one cost
+tuple; `min_cost_flow` solves one bound vector on a priced network by
+successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*,
+1993, ch. 9-10), starting from a given flow and potentials.
+
+Convex edges.  An edge may carry a row of per-unit costs instead of one
+cost: its q-th unit costs row[q-1], so carrying f units costs the sum of
+the row's first f entries, and its bounds lie within [0, len(row)].  The
+row must be non-decreasing (a discrete convex cost), which the kernel
+does not check: on any other row a solve can return a flow that is not
+optimal.  This is the convex-cost
+edge of Ahuja, Magnanti & Orlin, ch. 14, kept as one edge rather than
+expanded into parallel unit edges.  At flow f its forward arc costs
+row[f], the next unit, and its reverse arc -row[f-1], minus the last
+unit; a solve sets both from its clamped start flow and again after
+every push across the edge, and a path that crosses a convex edge
+pushes one unit.
 
 State.  A `FlowState` is a flow on every edge and vertex potentials
 under which every residual arc with capacity has a non-negative reduced
@@ -18,23 +31,31 @@ bounds.  When the new bounds narrow those the start state was solved
 for (lowers raised, uppers cut), clamping leaves capacity only on
 residual arcs that had it before, so the invariant still holds and only
 the imbalances clamping created need routing: the state of a solved
-branch node starts every solve below it.
+branch node starts every solve below it.  On a convex edge, clamping
+up to a raised lower bound moves the forward arc to a later unit,
+which costs no less, and clamping down to a cut upper bound moves the
+reverse arc to minus an earlier unit, which costs no more, so narrowing
+keeps the invariant there too.
 
 Cold start.  The priced `Network.cold` state is the zero flow and the
 shortest distances, over the edges that are not fixed, from a root with
-a 0-cost arc to every vertex; index order is a topological order of
-those edges.  Under them every such edge's forward arc has a
-non-negative reduced cost, and clamping the zero flow to the lower
-bounds leaves their reverse arcs empty.  A fixed edge's arcs have no
-capacity under any bounds within its own, so their reduced costs do not
-matter; clamping sets its flow, and the solve routes the imbalances
-that creates.
+a 0-cost arc to every vertex, a convex edge costing its first unit;
+index order is a topological order of those edges.  Under them every
+such edge's forward arc has a non-negative reduced cost, and clamping
+the zero flow to the lower bounds leaves their reverse arcs empty.  A
+fixed edge's arcs have no capacity under any bounds within its own, so
+their reduced costs do not matter; clamping sets its flow, and the
+solve routes the imbalances that creates.
 
 Routing.  Each round runs Dijkstra on reduced costs from every vertex
 with excess at once and stops at the nearest vertex with a deficit.  The
 potentials absorb the distances, capped at the deficit's (which keeps
 every reduced cost non-negative and zeroes them along the path), and
-the path's bottleneck, bounded by its end imbalances, is pushed.  The
+the path's bottleneck, bounded by its end imbalances, is pushed.  Every
+arc of the path then has reduced cost 0.  If the path crosses a convex
+edge it pushes one unit, after which the arc in the pushed direction
+costs the following unit, no less by convexity, and the opposite arc
+minus the pushed unit, at reduced cost 0: the invariant holds.  The
 state stays optimal for its own imbalances, so once none are left it
 is a cheapest feasible circulation.  If some excess cannot reach a
 deficit, the vertices it reaches form a cut whose bounds cannot
@@ -48,7 +69,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
 from operator import ne, sub
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 class FlowState(NamedTuple):
     """Flow per edge and certifying potentials."""
@@ -75,10 +96,14 @@ class Topology:
 @dataclass(frozen=True)
 class Network:
     """A topology priced by one cost vector: the topology's own arcs,
-    one cost per arc, and the cold start state those costs certify."""
+    one cost per arc, the cost rows of the convex edges, and the cold
+    start state those costs certify."""
 
     topology: Topology
-    arc_cost: Tuple[int, ...]  # arc 2k costs costs[k], its reverse -costs[k]
+    # Arc 2k costs costs[k], its reverse -costs[k]; a convex edge's
+    # costs[k] is its first unit's, which a solve reprices from its flow.
+    arc_cost: Tuple[int, ...]
+    rows: Mapping[int, Tuple[int, ...]]  # convex edge -> cost of each unit
     cold: FlowState
 
 
@@ -103,12 +128,18 @@ def compile_topology(vertex_count: int, tails: Sequence[int], heads: Sequence[in
                     tuple(map(tuple, arcs)), tuple(map(tuple, out)))
 
 
-def price_network(topology: Topology, costs: Sequence[int]) -> Network:
-    """`topology`, shared and not copied, with one cost per edge as one
-    cost per residual arc, and its cold state: the zero flow and, as
-    potentials, the shortest distances over the edges that are not fixed
-    from a root with a 0-cost arc to every vertex, found in one pass over
-    the vertices in index order."""
+def price_network(topology: Topology, costs: Sequence[int],
+                  rows: Mapping[int, Tuple[int, ...]]) -> Network:
+    """`topology` and `rows`, shared and not copied, with one cost per
+    edge as one cost per residual arc, each convex edge k costing the
+    units of the non-decreasing rows[k] (its costs[k] is not read), and
+    its cold state: the zero flow and, as potentials, the shortest
+    distances over the edges that are not fixed from a root with a
+    0-cost arc to every vertex, found in one pass over the vertices in
+    index order."""
+    costs = list(costs)
+    for k, row in rows.items():
+        costs[k] = row[0] if row else 0
     potential = [0] * len(topology.arcs)
     heads = topology.heads
     for u, out in enumerate(topology.out_edges):
@@ -120,7 +151,7 @@ def price_network(topology: Topology, costs: Sequence[int]) -> Network:
     arc_cost = [0] * len(topology.arc_head)
     arc_cost[0::2] = costs
     arc_cost[1::2] = [-c for c in costs]
-    return Network(topology, tuple(arc_cost),
+    return Network(topology, tuple(arc_cost), rows,
                    FlowState((0,) * len(topology.tails), tuple(potential)))
 
 
@@ -130,7 +161,8 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
     edge, from `start` (`network.cold`, or the state of a solve whose
     bounds contain these); None if there is none.  Also returns the
     number of augmenting paths pushed.  Dijkstra walks the topology's
-    arcs and reads `network.arc_cost` on those with capacity.  Raises ValueError if a Dijkstra
+    arcs and reads their costs, the convex edges' repriced from the
+    flow, on those with capacity.  Raises ValueError if a Dijkstra
     round pops more entries than the invariant allows, as on a
     negative-cost residual cycle; a start that breaks the invariant
     otherwise goes unnoticed and can give a flow that is not optimal."""
@@ -149,7 +181,17 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         excess[topology.tails[k]] -= change
 
     potential = list(start.potential)
-    arcs, arc_cost, arc_head = topology.arcs, network.arc_cost, topology.arc_head
+    arcs, arc_head, rows = topology.arcs, topology.arc_head, network.rows
+    arc_cost = list(network.arc_cost)
+
+    def reprice(k: int) -> None:
+        """Convex edge k's arcs: the next unit's cost, minus the last's."""
+        row, f = rows[k], lower[k] + cap[2 * k + 1]
+        arc_cost[2 * k] = row[f] if f < len(row) else 0
+        arc_cost[2 * k + 1] = -row[f - 1] if f else 0
+
+    for k in rows:
+        reprice(k)
     inf = float("inf")
     pushed = 0
     while True:
@@ -191,15 +233,18 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
                      for p, d in zip(potential, dist)]
         push = -excess[target]
         v = target
-        while prev[v] >= 0:
-            push = min(push, cap[prev[v]])
-            v = arc_head[prev[v] ^ 1]
+        while prev[v] >= 0:  # one unit across a convex edge
+            a = prev[v]
+            push = min(push, 1 if a >> 1 in rows else cap[a])
+            v = arc_head[a ^ 1]
         origin, push = v, min(push, excess[v])
         v = target
         while v != origin:
             a = prev[v]
             cap[a] -= push
             cap[a ^ 1] += push
+            if a >> 1 in rows:
+                reprice(a >> 1)
             v = arc_head[a ^ 1]
         excess[origin] -= push
         excess[target] += push

@@ -7,18 +7,23 @@ the stay time 0), and a sink.  Edge classes:
 
   E1 arrival gate       Arr(r,t)  -> Park(r,t)   cap [0, A(r,t)]
   E2 departure gate     Park(r,t) -> Dep(r,t)    cap [0, D(r,t)]
-  E3 parking bundle     Park(r,t) -> Park(r,t+1) C(r,t) unit edges,
-                        q-th weight -lambda*(g(q) - g(q-1))
+  E3 parking            Park(r,t) -> Park(r,t+1) cap [0, C(r,t)], convex:
+                        q-th unit weighs -lambda*(g(q) - g(q-1))
   E4 departure choice   Dep(o,tau) -> AcDep(i,j,tau)  cap [0, 1]
   E5 route grant        AcDep(i,j,d_k) -> Arr(dest_k, a_k)
                         weight rho*(b_k - b_stay)
   E6 initial fleet      Sink -> Park(r,1)  bound = initial(r)
-  E8 terminal bundle    Park(r,H) -> Sink   like E3 at slot H
+  E8 terminal parking   Park(r,H) -> Sink   like E3 at slot H
 
 E6 closes the circulation: every aircraft based at r leaves the sink
-for Park(r,1) by E6, and its unit returns to the sink by E8.  Vertices
-are numbered in time order, for each slot the Arr/Park/Dep vertices of
-every vertiport and then the AcDep vertices, the sink last, so every
+for Park(r,1) by E6, and its unit returns to the sink by E8.  An E3/E8
+edge's flow is its vertiport's occupancy at its slot, and the edge
+weighs the sum of its first that many unit weights: minus lambda times
+the congestion cost of that occupancy.  A validated congestion row is
+discrete convex, so the unit weights do not increase, as the flow
+kernel's convex edges need (see `flow`).  Vertices are numbered in
+time order, for each slot the Arr/Park/Dep vertices of every vertiport
+and then the AcDep vertices, the sink last, so every
 edge but the fixed E6 runs from a lower to a higher index (a validated
 route departs before it arrives).  An aircraft departs
 at tau exactly when its E4 edge at tau carries its unit, and stays
@@ -39,14 +44,14 @@ vertiport starts with: a relaxed flow cannot move a unit to another
 vertiport, and a unit is credited for one aircraft's route at most once.
 A graph is built in two stages, and every branch node of a solve shares
 the result.  `compile_template` reads no bid: it lays out the vertices
-and every edge, computes the E3/E8 weights and the E5 tie-break
+and every edge, computes the E3/E8 unit weights and the E5 tie-break
 bonuses, and records, as it adds the edges, the E4 edge of each
-(aircraft, tau), its only index (no E3/E8 bundle is recorded: nothing
-reads one as a unit); it then compiles the relaxed
+(aircraft, tau), its only index; it then compiles the relaxed
 bounds and the flow kernel's topology (`flow.Topology`: vertex-index
 tails and heads and residual arcs).  `price_graph` reads one bid
 profile: the E5 weights and `stay_welfare`, then the scale S, the
-gains, one cost (-gain) per residual arc of the template's own topology
+gains, one cost (-gain) per residual arc of the template's own topology,
+each E3/E8 edge's row of unit costs (-gain per unit, `Network.rows`),
 and the cold potentials, in one pass over the vertices in index order
 (`flow.Network`).  An `AuxGraph` is its template, the same field
 objects, plus those priced fields.  So an
@@ -56,11 +61,15 @@ payment counterfactual on it; `build_graph` is the two stages in a row.
 A flow is a tuple of one integer per edge, in index order: the solver's
 answer is one (see the `solver` module docstring), and
 `flow_to_allocation` reads its allocation off the E5 entries, aircraft
-by aircraft, through `GraphTemplate.aircraft`.
+by aircraft, through `GraphTemplate.aircraft`.  An allocation's
+departures, arrivals and occupancies fix every entry, so it has exactly
+one flow.
 
-Integer pricing.  An edge's weight lives only in its integer gain; no
-weight is held as a `Fraction`.  With a congestion row brought to
-integer numerators G over its lcm L, an E3/E8 weight is the pair
+Integer pricing.  A weight lives only in its integer gain, one per E5
+edge in `AuxGraph.gains` and one per E3/E8 unit, negated, in the
+network's rows; no weight is held as a `Fraction`.  With a
+congestion row brought to integer numerators G over its lcm L, the q-th
+unit of an E3/E8 edge weighs the pair
 (lambda.num * (G(q-1) - G(q)), lambda.den * L); an E5 weight
 w * (b - s), s the stay bid, is (w.num * (b.num * s.den - s.num * b.den),
 w.den * b.den * s.den).  Each pair is reduced by its gcd, so S, the lcm
@@ -73,7 +82,8 @@ denominator, and a flow's welfare is
 
 one `Fraction` per solve (`flow_objective`; `AuxGraph.unit` is S * P).
 
-Tie-break.  The solver maximizes one exact integer gain per edge,
+Tie-break.  The solver maximizes one exact integer gain per edge (per
+unit on E3/E8),
 
   gain(e) = weight(e) * S * P + bonus(e),
 
@@ -148,7 +158,7 @@ def acdep(i: str, j: str, tau: int) -> Vertex:
 class Edge(NamedTuple):
     index: int
     cls: str  # "E1".."E6", "E8"
-    key: Tuple  # E3/E8: ends with the bundle position q
+    key: Tuple
     tail: Vertex
     head: Vertex
     lower: int
@@ -172,9 +182,10 @@ class GraphTemplate:
     # Per aircraft: its operator's weight, its stay bid key, and per E5
     # edge of its routes the edge index, bid key and tie-break bonus.
     aircraft: Tuple[Tuple[Fraction, BidKey, Tuple[Tuple[int, BidKey, int], ...]], ...]
-    scale: int  # lcm of the E3/E8 weights' reduced denominators
+    scale: int  # lcm of the E3/E8 unit weights' reduced denominators
     tie_unit: int  # P = R^n * M^n
-    scaled_weights: Tuple[int, ...]  # weight * scale per edge (E5: 0)
+    # E3/E8 edge -> each unit's weight * scale, in unit order.
+    parking_rows: Mapping[int, Tuple[int, ...]]
     topology: Topology
     # Per-edge bounds with every aircraft undecided: each edge's own.
     relaxed_lower: Tuple[int, ...]
@@ -190,22 +201,25 @@ class AuxGraph(GraphTemplate):
     own fields, shared with it, plus what the bids set."""
 
     bids: Profile
-    gains: Tuple[int, ...]  # per edge; see the module docstring
+    gains: Tuple[int, ...]  # per edge, 0 on E3/E8; see the module docstring
     # The fleet's weighted stay bids, folded out of the E5 weights.
     stay_welfare: Fraction
     unit: int  # S * P: a gain's welfare part is welfare * unit
-    # The template's topology priced by -gains, for the solver.
+    # The template's topology priced by -gains, for the solver; each
+    # E3/E8 edge's units cost minus their gains (`Network.rows`).
     network: Network = field(compare=False, repr=False)
 
 
 def compile_template(instance: Instance) -> GraphTemplate:
     """Everything of the auxiliary graph of `instance` that no bid sets.
 
-    Edge indexing is deterministic: class E1..E8, then lexicographic key,
-    then bundle position.  Raises ValueError, naming the aircraft and menu
-    key, for a route whose departure or arrival has no vertex (a time
-    outside the horizon or an unknown vertiport), which a validated
-    instance never has.
+    Edge indexing is deterministic: class E1..E8, then lexicographic key.
+    Raises ValueError, naming the aircraft and menu key, for a route
+    whose departure or arrival has no vertex (a time outside the horizon
+    or an unknown vertiport), and, naming the edge, for an E3/E8 edge
+    whose unit weights increase (lambda times a congestion row that is
+    not discrete convex), which the flow kernel cannot solve; a
+    validated instance has neither.
     """
     h = instance.horizon
     lam = instance.congestion_ratio
@@ -242,25 +256,25 @@ def compile_template(instance: Instance) -> GraphTemplate:
             departure_used.add((craft.origin, entry.depart_time))
 
     edges: List[Edge] = []
-    # Reduced (numerator, denominator) of each E3/E8 edge's weight; every
-    # other edge but E5 weighs 0.
-    weights: Dict[int, Tuple[int, int]] = {}
+    # Per E3/E8 edge, the reduced (numerator, denominator) of each unit's
+    # weight; every other edge but E5 weighs 0.
+    units: Dict[int, List[Tuple[int, int]]] = {}
 
     def add(cls: str, key: Tuple, tail: Vertex, head: Vertex, lower: int,
             upper: int) -> Edge:
         edges.append(Edge(len(edges), cls, key, tail, head, lower, upper))
         return edges[-1]
 
-    def add_bundle(cls: str, key: Tuple, tail: Vertex, head: Vertex, cap: int,
-                   row: Sequence[Fraction]) -> None:
-        """`cap` unit edges, the q-th weighing lambda * (g(q-1) - g(q))."""
+    def add_parking(cls: str, key: Tuple, tail: Vertex, head: Vertex, cap: int,
+                    row: Sequence[Fraction]) -> None:
+        """One edge of `cap` units, the q-th weighing lambda * (g(q-1) - g(q))."""
         numerators, denominator = over_common_denominator(row)
         denominator *= lam.denominator
+        weights = units[add(cls, key, tail, head, 0, cap).index] = []
         for q in range(1, cap + 1):
             num = lam.numerator * (numerators[q - 1] - numerators[q])
             common = gcd(num, denominator)
-            edge = add(cls, key + (q,), tail, head, 0, 1)
-            weights[edge.index] = (num // common, denominator // common)
+            weights.append((num // common, denominator // common))
 
     def grant_bonus(a: int, craft: Aircraft, entry: RouteOption) -> int:
         rtau = craft.departure_times().index(entry.depart_time)
@@ -278,8 +292,8 @@ def compile_template(instance: Instance) -> GraphTemplate:
             add("E2", (port.id, t), park(port.id, t), dep(port.id, t), 0, cap)
     for port in instance.vertiports:
         for t in range(1, h):
-            add_bundle("E3", (port.id, t), park(port.id, t), park(port.id, t + 1),
-                       port.parking_cap[t - 1], port.congestion_cost[t - 1])
+            add_parking("E3", (port.id, t), park(port.id, t), park(port.id, t + 1),
+                        port.parking_cap[t - 1], port.congestion_cost[t - 1])
     times: Dict[Tuple[str, str], Dict[int, int]] = {}
     for operator, craft in fleet:
         times[operator.id, craft.id] = {
@@ -304,20 +318,23 @@ def compile_template(instance: Instance) -> GraphTemplate:
         count = initial_occupancy(instance, port.id)
         add("E6", (port.id,), SINK, park(port.id, 1), count, count)
     for port in instance.vertiports:
-        add_bundle("E8", (port.id,), park(port.id, h), SINK,
-                   port.parking_cap[h - 1], port.congestion_cost[h - 1])
+        add_parking("E8", (port.id,), park(port.id, h), SINK,
+                    port.parking_cap[h - 1], port.congestion_cost[h - 1])
 
-    scale = lcm(1, *(den for _, den in weights.values()))
-    scaled_weights = [0] * len(edges)
-    for k, (num, den) in weights.items():
-        scaled_weights[k] = num * (scale // den)
+    scale = lcm(1, *(den for row in units.values() for _, den in row))
+    parking_rows = {k: tuple(num * (scale // den) for num, den in row)
+                    for k, row in units.items()}
+    for k, row in parking_rows.items():
+        if any(b > a for a, b in zip(row, row[1:])):
+            raise ValueError(f"{edges[k].cls} {edges[k].key}: unit weights {list(row)} "
+                             "increase, so its congestion cost is not convex")
     lower, upper = tuple(e.lower for e in edges), tuple(e.upper for e in edges)
     topology = compile_topology(
         len(vertices), [index[e.tail] for e in edges], [index[e.head] for e in edges],
         lower, upper)
     return GraphTemplate(
         instance, tuple(vertices), tuple(edges), tuple(aircraft), scale,
-        most_times ** n * largest_menu ** n, tuple(scaled_weights), topology,
+        most_times ** n * largest_menu ** n, parking_rows, topology,
         relaxed_lower=lower, relaxed_upper=upper, departure_times=times,
     )
 
@@ -346,7 +363,9 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     scale = lcm(template.scale, *(den for _, _, den, _ in priced))
     unit = scale * template.tie_unit
     multiplier = unit // template.scale
-    gains = [w * multiplier for w in template.scaled_weights]
+    rows = {k: tuple([-w * multiplier for w in row])
+            for k, row in template.parking_rows.items()}
+    gains = [0] * len(template.edges)
     for k, num, den, bonus in priced:
         gains[k] = num * (unit // den) + bonus
     stay_den = lcm(1, *(den for _, den in stays))
@@ -354,7 +373,7 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     shared = {f.name: getattr(template, f.name) for f in fields(GraphTemplate)}
     return AuxGraph(
         **shared, bids=bids, gains=tuple(gains), stay_welfare=stay_welfare,
-        unit=unit, network=price_network(template.topology, [-g for g in gains]),
+        unit=unit, network=price_network(template.topology, [-g for g in gains], rows),
     )
 
 
@@ -373,8 +392,10 @@ def flow_objective(graph: AuxGraph, flows: Sequence[int], gain: int) -> Fraction
 
 
 def flow_gain(graph: AuxGraph, flows: Sequence[int]) -> int:
-    """Integer gain of a flow: welfare and tie-break in one number."""
-    return sum(gain * flow for gain, flow in zip(graph.gains, flows) if flow)
+    """Integer gain of a flow: welfare and tie-break in one number.  An
+    E3/E8 edge carrying f units gains minus its first f units' costs."""
+    return (sum(gain * flow for gain, flow in zip(graph.gains, flows) if flow)
+            - sum(sum(row[:flows[k]]) for k, row in graph.network.rows.items()))
 
 
 def flow_to_allocation(graph: AuxGraph, flows: Sequence[int]) -> Allocation:

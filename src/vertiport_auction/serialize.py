@@ -223,7 +223,9 @@ def parse(text: str) -> InstanceDocument:
     """Parse a document; raises DocumentError with a field path."""
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # also a repeated key, or an int past the digit limit
+    # ValueError is also a repeated key or an int past the digit limit;
+    # RecursionError is nesting deeper than the decoder's stack.
+    except (ValueError, RecursionError) as exc:
         raise DocumentError("$", f"malformed JSON: {exc}")
     data = _expect(raw, "$", ("schema_version", "instance"),
                    ("bids", "valuations"))

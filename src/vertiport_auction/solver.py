@@ -9,10 +9,8 @@ flows are integral, and all arithmetic is on Python ints.  A
 branch-and-bound node's solve starts from the optimal flow and
 potentials of its parent, whose bounds contain its own (the root from
 the priced cold state); enumeration solves every leaf cold.  A solve's
-answer, `SolveResult.flow`, is the kernel's optimal flow as a tuple.
-Where parallel E3/E8 edges tie in gain, which of them carries a unit is
-the kernel's choice: it feeds no output, since the allocation is read
-off the E5 entries and the objective off the gain.
+answer, `SolveResult.flow`, is the kernel's optimal flow as a tuple:
+the one flow of its allocation (see the `graph` module docstring).
 
 The gains encode welfare and the tie-break in one number (see the
 `graph` module docstring): the maximum-gain allocation is unique and is

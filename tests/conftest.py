@@ -227,7 +227,7 @@ def allocation_to_flow(graph, allocation):
         elif e.cls in ("E3", "E8"):
             r = e.key[0]
             t = e.key[1] if e.cls == "E3" else instance.horizon
-            flows[e.index] = 1 if e.key[-1] <= occupancy[(r, t)] else 0
+            flows[e.index] = occupancy[(r, t)]
         elif e.cls == "E4":
             i, j, tau = e.key
             flows[e.index] = 1 if delta[(i, j)] == tau else 0
@@ -240,11 +240,11 @@ def allocation_to_flow(graph, allocation):
 
 
 def reference_pricing(graph):
-    """(gains, S * P, stay welfare) of `graph`'s edges under its bids,
-    priced in `Fraction`s from the `graph` module docstring's formulas:
-    lambda * (g(q-1) - g(q)) per E3/E8 edge, w * (b - b_stay) per E5
-    edge, S the lcm of the reduced weight denominators, and
-    gain = weight * S * P + bonus."""
+    """(gains, parking gains, S * P, stay welfare) of `graph`'s edges
+    under its bids, priced in `Fraction`s from the `graph` module
+    docstring's formulas: lambda * (g(q-1) - g(q)) per unit q of an E3/E8
+    edge, w * (b - b_stay) per E5 edge, S the lcm of the reduced weight
+    denominators, and gain = weight * S * P + bonus."""
     instance, bids = graph.instance, graph.bids
     lam = Fraction(instance.congestion_ratio)
     ports = {port.id: port for port in instance.vertiports}
@@ -261,13 +261,13 @@ def reference_pricing(graph):
         return (largest_menu ** n * most_times ** (n - 1 - a) * (most_times - 1 - rtau)
                 + largest_menu ** (n - 1 - a) * (largest_menu - 1 - rk))
 
-    weights, bonuses = [], []
+    weights, bonuses, parking = [], [], {}
     for e in graph.edges:
         weight, bonus = Fraction(0), 0
         if e.cls in ("E3", "E8"):
             t = e.key[1] if e.cls == "E3" else instance.horizon
             row = [Fraction(g) for g in ports[e.key[0]].congestion_cost[t - 1]]
-            weight = lam * (row[e.key[-1] - 1] - row[e.key[-1]])
+            parking[e.index] = [lam * (row[q - 1] - row[q]) for q in range(1, e.upper + 1)]
         elif e.cls == "E5":
             i, j, k = e.key
             operator = instance.operator(i)
@@ -277,21 +277,31 @@ def reference_pricing(graph):
             bonus = grant(operator, craft, k) - grant(operator, craft, craft.stay_key)
         weights.append(weight)
         bonuses.append(bonus)
-    unit = lcm(1, *(w.denominator for w in weights)) * (
+    unit = lcm(1, *(w.denominator for w in weights),
+               *(w.denominator for row in parking.values() for w in row)) * (
         most_times ** n * largest_menu ** n)
     scaled = [w * unit for w in weights]
+    parking_gains = {k: tuple(w * unit for w in row) for k, row in parking.items()}
     assert all(x.denominator == 1 for x in scaled)
+    assert all(x.denominator == 1 for row in parking_gains.values() for x in row)
     stay_welfare = Fraction(0)
     for operator, craft in fleet:
         stay_welfare += Fraction(operator.weight) * Fraction(
             bids[operator.id, craft.id, craft.stay_key])
-    return (tuple(x.numerator + bonus for x, bonus in zip(scaled, bonuses)), unit,
-            stay_welfare)
+    return (tuple(x.numerator + bonus for x, bonus in zip(scaled, bonuses)),
+            parking_gains, unit, stay_welfare)
+
+
+def unit_gains(graph):
+    """Each E3/E8 edge's row of unit gains: minus the unit costs of the
+    kernel's convex edge."""
+    return {k: tuple(-cost for cost in row) for k, row in graph.network.rows.items()}
 
 
 def assert_priced_like_reference(graph):
-    gains, unit, stay_welfare = reference_pricing(graph)
+    gains, parking_gains, unit, stay_welfare = reference_pricing(graph)
     assert graph.gains == gains
+    assert unit_gains(graph) == parking_gains
     assert graph.unit == unit
     assert type(graph.stay_welfare) is Fraction and graph.stay_welfare == stay_welfare
 
@@ -323,11 +333,14 @@ def remaining_welfare(instance, allocation, bids, operator_id):
 
 def assert_matches_oracle(instance, bids):
     """Both strategies return the oracle's allocation and objective, and
-    the auction charges every operator the oracle's payment, exactly."""
+    the one flow of that allocation; the auction charges every operator
+    the oracle's payment, exactly."""
     expected = oracle_optimal(instance, bids)
+    graph = build_graph(instance, bids)
     for strategy in ("bnb", "enumerate"):
-        result = solver.solve(build_graph(instance, bids), strategy=strategy)
+        result = solver.solve(graph, strategy=strategy)
         assert (result.allocation, result.objective) == expected, strategy
+        assert result.flow == allocation_to_flow(graph, result.allocation), strategy
     outcome = run_auction(instance, bids)
     for operator in instance.operators:
         assert outcome.payments[operator.id] == oracle_payment(

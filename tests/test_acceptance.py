@@ -255,9 +255,19 @@ def test_criterion_4_incentive_compatibility_sampled(corpus, auctions, capsys):
            f"{violations} profitable deviations")
 
 
+def tied_parking_documents():
+    """Tie-heavy generator draws (integer values in {0, 1, 2}, no
+    congestion, so every parking unit gains 0) whose `bnb` and
+    `enumerate` searches reach their optimum by different paths."""
+    return [generate(GeneratorConfig(seed=seed, value_denominator=1,
+                                     max_value_numerator=2, lambda_range=(0, 0)))
+            for seed in (173, 175)]
+
+
 def test_criterion_5_flow_bijection(corpus, capsys):
     roundtrip_failures = 0
     objective_mismatches = 0
+    flow_mismatches = 0
     allocations = 0
     for document in corpus:
         instance = document.instance
@@ -271,11 +281,20 @@ def test_criterion_5_flow_bijection(corpus, capsys):
             if flow_objective(graph, flow, gain) != social_welfare(
                     instance, x, document.bids):
                 objective_mismatches += 1
-    ok = roundtrip_failures == 0 and objective_mismatches == 0
+    solved = corpus + tied_parking_documents()
+    for document in solved:
+        graph = build_graph(document.instance, document.bids)
+        for strategy in ("bnb", "enumerate"):
+            result = solve(graph, strategy=strategy)
+            if result.flow != allocation_to_flow(graph, result.allocation):
+                flow_mismatches += 1
+    ok = roundtrip_failures == 0 and objective_mismatches == 0 and flow_mismatches == 0
     report(capsys, 5, ok,
            f"{allocations} feasible allocations, "
            f"{roundtrip_failures} roundtrip failures, "
-           f"{objective_mismatches} objective mismatches")
+           f"{objective_mismatches} objective mismatches; "
+           f"{2 * len(solved)} solves, {flow_mismatches} not the flow of "
+           f"their allocation")
 
 
 def test_criterion_6_integrality_and_unimodularity(corpus, capsys):

@@ -106,6 +106,14 @@ class TestValidate:
         assert main([command, str(bad)]) == EXIT_INVALID
         assert "$.bids.op1.a1.0: not a rational" in capsys.readouterr().err
 
+    def test_deep_nesting_exit_1(self, tmp_path, capsys):
+        depth = 100_000
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema_version": "1", "instance": '
+                       + "[" * depth + "]" * depth + "}")
+        assert main(["validate", str(bad)]) == EXIT_INVALID
+        assert "$: malformed JSON" in capsys.readouterr().err
+
     def test_non_canonical_menu_key_exit_1(self, tmp_path, generated_file, capsys):
         text = open(generated_file).read().replace(
             '"0": ', '"00": "1/1", "0": ', 1)

@@ -18,6 +18,7 @@ from conftest import (
     stay,
     transit,
     truncated_incidence,
+    unit_gains,
 )
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
@@ -38,6 +39,7 @@ from vertiport_auction.model import (
     Operator,
     initial_occupancy,
     social_welfare,
+    validate_instance,
 )
 from vertiport_auction.oracle import enumerate_feasible
 
@@ -94,7 +96,9 @@ class TestBuildGraph:
         by_class = {cls: edges_of_class(graph, cls) for cls in
                     ("E1", "E2", "E3", "E4", "E5", "E6", "E8")}
         assert len(by_class["E1"]) == 1 and len(by_class["E2"]) == 1
-        assert len(by_class["E8"]) == 2  # parking cap 2
+        (e8,) = by_class["E8"]  # one edge carries the slot's parking cap 2
+        assert (e8.key, e8.lower, e8.upper) == (("v1",), 0, 2)
+        assert unit_gains(graph) == {e8.index: (0, 0)}
         for cls in ("E3", "E4", "E5"):
             assert by_class[cls] == []
         # The initial-fleet edge carries no aircraft here.
@@ -144,18 +148,49 @@ class TestBuildGraph:
         assert caps[("v2", 1)] == 0   # no route arrives there: pruned
         assert caps[("v1", 1)] == 0
 
-    def test_bundle_weights_non_increasing(self):
+    def test_one_parking_edge_per_slot(self):
+        """Each (vertiport, slot) has one E3 edge (one E8 edge at slot H)
+        keyed by the slot alone, with bounds [0, C(r,t)], and only those
+        edges have a row of unit gains, one per unit."""
+        for seed in range(15):
+            document = generate(GeneratorConfig(seed=seed))
+            instance = document.instance
+            graph = build_graph(instance, document.bids)
+            h = instance.horizon
+            expected = {("E3", (port.id, t)): port.parking_cap[t - 1]
+                        for port in instance.vertiports for t in range(1, h)}
+            expected.update({("E8", (port.id,)): port.parking_cap[h - 1]
+                             for port in instance.vertiports})
+            parking = [e for e in graph.edges if e.cls in ("E3", "E8")]
+            assert {(e.cls, e.key): e.upper for e in parking} == expected
+            assert len(parking) == len(expected)
+            assert all(e.lower == 0 for e in parking)
+            assert {e.index: e.upper for e in parking} == {
+                k: len(row) for k, row in graph.network.rows.items()}
+            assert all(graph.gains[e.index] == 0 for e in parking)
+
+    def test_parking_rows_non_increasing(self):
+        """Each parking row is non-increasing in gain: the congestion
+        cost is discrete convex."""
         for seed in range(15):
             document = generate(GeneratorConfig(seed=seed))
             graph = build_graph(document.instance, document.bids)
-            bundles = {}
-            for e in graph.edges:
-                if e.cls in ("E3", "E8"):
-                    bundles.setdefault((e.cls,) + e.key[:-1], []).append(e)
-            for members in bundles.values():
-                members.sort(key=lambda e: e.key[-1])
-                for a, b in zip(members, members[1:]):
-                    assert graph.gains[b.index] <= graph.gains[a.index]
+            for row in unit_gains(graph).values():
+                assert all(b <= a for a, b in zip(row, row[1:]))
+
+    def test_non_convex_congestion_rejected(self, single_mover):
+        """A congestion row whose increments fall fails validation, and
+        building its graph anyway raises, naming the parking edge,
+        instead of pricing a cost the kernel would minimize wrongly."""
+        instance, bids = single_mover
+        concave = (F(0), F(3), F(4))
+        port = make_port("v2", (2, 2, 2), (0, 0, 1), (0, 0, 0),
+                         ((F(0), F(1), F(2)), concave, (F(0), F(1), F(2))))
+        bent = Instance(instance.horizon, F(1),
+                        (instance.vertiport("v1"), port), instance.operators)
+        assert not validate_instance(bent).ok
+        with pytest.raises(ValueError, match=r"E3 \('v2', 2\): .* not convex"):
+            build_graph(bent, bids)
 
 
 class TestIncidence:
@@ -206,16 +241,11 @@ class TestAllocationToFlow:
                 assert solution[e.index] == 0
             elif e.cls == "E6":
                 assert solution[e.index] == initial_occupancy(instance, e.key[0])
-        # Parking bundles carry the initial occupancy in prefix form.
-        bundles = {}
-        for e in edges_of_class(graph, "E3"):
-            bundles.setdefault(e.key[:-1], []).append(e)
-        assert len(bundles) == len(instance.vertiports) * (instance.horizon - 1)
-        for (port_id, _), members in bundles.items():
-            members.sort(key=lambda e: e.key[-1])
-            flows = [solution[e.index] for e in members]
-            count = initial_occupancy(instance, port_id)
-            assert flows == [1] * count + [0] * (len(members) - count)
+        # Each slot's one parking edge carries the initial occupancy.
+        parking = edges_of_class(graph, "E3")
+        assert len(parking) == len(instance.vertiports) * (instance.horizon - 1)
+        for e in parking:
+            assert solution[e.index] == initial_occupancy(instance, e.key[0])
 
     def test_objective_equals_welfare(self, exchange):
         instance, bids = exchange

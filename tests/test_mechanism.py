@@ -225,9 +225,12 @@ def _priced_like_fresh(instance, bids):
         assert shared.stay_welfare == fresh.stay_welfare
         assert_priced_like_reference(shared)
         assert shared.network.arc_cost == fresh.network.arc_cost
+        assert shared.network.rows == fresh.network.rows
         assert shared.network.topology is template.topology
-        assert shared.network.arc_cost == tuple(
-            cost for gain in shared.gains for cost in (-gain, gain))
+        costs = shared.network.arc_cost
+        assert all(costs[2 * k:2 * k + 2] == (-gain, gain)
+                   for k, gain in enumerate(shared.gains)
+                   if k not in shared.network.rows)
         assert shared.network.cold == fresh.network.cold
         assert shared.relaxed_lower == fresh.relaxed_lower
         assert shared.relaxed_upper == fresh.relaxed_upper

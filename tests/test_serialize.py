@@ -166,6 +166,15 @@ class TestParse:
         with pytest.raises(DocumentError, match="repeated key 'horizon'"):
             parse(text)
 
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")],
+                             ids=["arrays", "objects"])
+    def test_deep_nesting_rejected(self, opening, closing):
+        depth = 100_000
+        text = ('{"schema_version": "1", "instance": '
+                + opening * depth + "0" + closing * depth + "}")
+        with pytest.raises(DocumentError, match=r"\$: malformed JSON"):
+            parse(text)
+
     def test_integer_over_the_digit_limit_rejected(self):
         text = json.dumps(minimal_document()).replace(
             '"horizon": 1', '"horizon": 1' + "0" * 5000)

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_circulation,
-    assert_matches_oracle,
     edges_of_class,
     make_port,
     stay,
     transit,
+    unit_gains,
     validated_instances,
 )
 from test_acceptance import corpus_config
@@ -31,7 +31,6 @@ from vertiport_auction.graph import (
     compile_template,
     flow_gain,
     flow_objective,
-    flow_to_allocation,
     price_graph,
 )
 from vertiport_auction.model import (
@@ -39,7 +38,6 @@ from vertiport_auction.model import (
     Instance,
     Operator,
     is_feasible,
-    occupancy_table,
     social_welfare,
     validate_instance,
 )
@@ -54,18 +52,6 @@ from vertiport_auction.solver import (
 
 F = Fraction
 
-
-def _assert_bundle_totals(graph, flows, allocation):
-    """Each E3/E8 bundle carries in total its vertiport's occupancy at its
-    slot under `allocation`; which of its parallel edges carry the units
-    is the kernel's choice."""
-    occupancy = occupancy_table(graph.instance, allocation)
-    totals = {}
-    for e in graph.edges:
-        if e.cls in ("E3", "E8"):
-            slot = e.key[:-1] if e.cls == "E3" else (e.key[0], graph.instance.horizon)
-            totals[slot] = totals.get(slot, 0) + flows[e.index]
-    assert totals == {slot: occupancy[slot] for slot in totals}
 
 class TestEnumerateDeltas:
     def test_single_aircraft_two_times(self, single_mover):
@@ -156,15 +142,6 @@ class TestSolveFixedDelta:
         with pytest.raises(SolverError):
             solve_fixed_delta(graph, {("op1", "a1"): 1})  # 1 not in T_dep
 
-    def test_bundle_flows_total_the_occupancy(self, second_price):
-        instance, bids = second_price
-        graph = build_graph(instance, bids)
-        for delta in enumerate_deltas(instance):
-            solution = solve_fixed_delta(graph, delta)
-            if solution is not None:
-                _assert_bundle_totals(
-                    graph, solution, flow_to_allocation(graph, solution))
-
 
 class TestSolve:
     def test_zero_bids_zero_objective(self, second_price):
@@ -248,25 +225,6 @@ class TestSolve:
             result = solve(build_graph(instance, bids), strategy=strategy)
             # Stay has departure time 0 < 2: lexicographically first.
             assert result.allocation == {("op1", "a1"): 0}
-
-    @pytest.mark.parametrize("seed", [173, 175])
-    def test_kernel_split_of_tied_parking_edges_feeds_no_output(self, seed):
-        """Here `bnb`'s optimal flow fills a zero-congestion parking bundle
-        out of prefix order, so the strategies return different flows of
-        one allocation; allocation, objective and payments still equal
-        the oracle's."""
-        document = generate(GeneratorConfig(
-            seed=seed, value_denominator=1, max_value_numerator=2,
-            lambda_range=(0, 0)))
-        instance, bids = document.instance, document.bids
-        graph = build_graph(instance, bids)
-        results = [solve(graph, strategy=s) for s in ("bnb", "enumerate")]
-        assert results[0].flow != results[1].flow  # the case covered
-        for result in results:
-            _assert_bundle_totals(graph, result.flow, result.allocation)
-        assert_matches_oracle(instance, bids)  # payments under bnb
-        assert (run_auction(instance, bids, strategy="enumerate").payments
-                == run_auction(instance, bids).payments)
 
     def test_raising_a_bid_never_lowers_objective(self):
         for seed in range(8):
@@ -541,17 +499,36 @@ class TestRelaxationBound:
             assert bound >= flow_gain(graph, solve(graph).flow)
 
 
+def _unit_edges(graph, lower, upper):
+    """Each edge as linear-cost pieces (edge, key, gain, lower, upper):
+    itself, or, for a parking edge (E3/E8), one unit edge per unit it may
+    carry with that unit's gain, the first lower[k] of them forced.  A
+    convex edge's cheapest units come first, so forcing those loses
+    nothing."""
+    rows = unit_gains(graph)
+    for e, gain, lo, up in zip(graph.edges, graph.gains, lower, upper):
+        row = rows.get(e.index)
+        if row is None:
+            yield e, (e.index, 0), gain, lo, up
+        else:
+            for q in range(1, up + 1):
+                yield e, (e.index, q), row[q - 1], int(q <= lo), 1
+
+
 def _network_simplex(graph, lower, upper):
     """Reference max-gain circulation from `networkx.network_simplex`
-    under the same bounds, lower bounds shifted into node demands."""
+    under the same bounds, lower bounds shifted into node demands.  It
+    takes linear costs only, so each parking edge is expanded back into
+    unit edges (`_unit_edges`)."""
     nx = pytest.importorskip("networkx")
+    if any(lo > up for lo, up in zip(lower, upper)):
+        return None
     g = nx.MultiDiGraph()
     for v in graph.vertices:
         g.add_node(v, demand=0)
-    for e, gain, lo, up in zip(graph.edges, graph.gains, lower, upper):
-        if lo > up:
-            return None
-        g.add_edge(e.tail, e.head, key=e.index, capacity=up - lo, weight=-gain)
+    pieces = list(_unit_edges(graph, lower, upper))
+    for e, key, gain, lo, up in pieces:
+        g.add_edge(e.tail, e.head, key=key, capacity=up - lo, weight=-gain)
         if lo:
             g.nodes[e.tail]["demand"] += lo
             g.nodes[e.head]["demand"] -= lo
@@ -559,8 +536,10 @@ def _network_simplex(graph, lower, upper):
         _, flow_dict = nx.network_simplex(g)
     except nx.NetworkXUnfeasible:
         return None
-    return [flow_dict[e.tail][e.head][e.index] + lo
-            for e, lo in zip(graph.edges, lower)]
+    flows = [0] * len(graph.edges)
+    for e, key, _, lo, _ in pieces:
+        flows[e.index] += flow_dict[e.tail][e.head][key] + lo
+    return flows
 
 
 def _restricted(graph, lower, upper, rng):
@@ -582,14 +561,19 @@ def _restricted(graph, lower, upper, rng):
 def _assert_certified(graph, state, lower, upper):
     """`state` is a circulation within the bounds whose potentials give
     every residual arc with capacity a non-negative reduced cost, read
-    off the graph's own edges and gains."""
+    off the graph's own edges and gains: a parking edge's forward arc
+    costs its unit f+1, its reverse arc minus its unit f."""
     assert_circulation(graph, state.flows, lower, upper)
     index = {v: position for position, v in enumerate(graph.vertices)}
     p = state.potential
+    rows = unit_gains(graph)
     for e, gain, lo, up, f in zip(graph.edges, graph.gains, lower, upper, state.flows):
-        reduced = -gain + p[index[e.tail]] - p[index[e.head]]
-        assert f == up or reduced >= 0
-        assert f == lo or reduced <= 0
+        row = rows.get(e.index)
+        slack = p[index[e.tail]] - p[index[e.head]]
+        if f < up:
+            assert -(gain if row is None else row[f]) + slack >= 0
+        if f > lo:
+            assert -(gain if row is None else row[f - 1]) + slack <= 0
 
 
 def _assert_kernel_agrees(graph, lower, upper, start):
