@@ -19,9 +19,10 @@ E6 closes the circulation: every aircraft based at r leaves the sink
 for Park(r,1) by E6, and its unit returns to the sink by E8.  An E3/E8
 edge's flow is its vertiport's occupancy at its slot, and the edge
 weighs the sum of its first that many unit weights: minus lambda times
-the congestion cost of that occupancy.  A validated congestion row is
-discrete convex, so the unit weights do not increase, as the flow
-kernel's convex edges need (see `flow`).  Vertices are numbered in
+the congestion cost of that occupancy.  `compile_template` builds only
+instances that validate, whose congestion rows are discrete convex and
+whose lambda is non-negative, so the unit weights do not increase, as
+the flow kernel's convex edges need (see `flow`).  Vertices are numbered in
 time order, for each slot the Arr/Park/Dep vertices of every vertiport
 and then the AcDep vertices, the sink last, so every
 edge but the fixed E6 runs from a lower to a higher index (a validated
@@ -124,7 +125,7 @@ from .model import (
     RouteOption,
     check_allocation,
     initial_occupancy,
-    over_common_denominator,
+    validate_instance,
 )
 
 # Vertex tags.  Vertices are plain tuples so they double as dict keys.
@@ -214,13 +215,13 @@ def compile_template(instance: Instance) -> GraphTemplate:
     """Everything of the auxiliary graph of `instance` that no bid sets.
 
     Edge indexing is deterministic: class E1..E8, then lexicographic key.
-    Raises ValueError, naming the aircraft and menu key, for a route
-    whose departure or arrival has no vertex (a time outside the horizon
-    or an unknown vertiport), and, naming the edge, for an E3/E8 edge
-    whose unit weights increase (lambda times a congestion row that is
-    not discrete convex), which the flow kernel cannot solve; a
-    validated instance has neither.
+    This is the library's one gate on instances: it raises
+    ``ValueError("invalid instance: ...")`` with the violations
+    `validate_instance` reports, if any, before it builds anything.
     """
+    report = validate_instance(instance)
+    if not report.ok:
+        raise ValueError(f"invalid instance: {report.violations}")
     h = instance.horizon
     lam = instance.congestion_ratio
     fleet = list(instance.iter_aircraft())
@@ -242,18 +243,11 @@ def compile_template(instance: Instance) -> GraphTemplate:
     # for the zero-capacity pruning of dangling arrival/departure gates.
     arrival_used = set()
     departure_used = set()
-    for operator, craft in instance.iter_aircraft():
+    for _, craft in fleet:
         for entry in craft.menu:
-            if entry.is_stay:
-                continue
-            if (arr(entry.destination, entry.arrive_time) not in index
-                    or dep(craft.origin, entry.depart_time) not in index):
-                raise ValueError(
-                    f"aircraft {(operator.id, craft.id)}, menu key {entry.key}: route "
-                    f"{craft.origin}@{entry.depart_time} -> "
-                    f"{entry.destination}@{entry.arrive_time} has no vertex in the graph")
-            arrival_used.add((entry.destination, entry.arrive_time))
-            departure_used.add((craft.origin, entry.depart_time))
+            if not entry.is_stay:
+                arrival_used.add((entry.destination, entry.arrive_time))
+                departure_used.add((craft.origin, entry.depart_time))
 
     edges: List[Edge] = []
     # Per E3/E8 edge, the reduced (numerator, denominator) of each unit's
@@ -266,9 +260,10 @@ def compile_template(instance: Instance) -> GraphTemplate:
         return edges[-1]
 
     def add_parking(cls: str, key: Tuple, tail: Vertex, head: Vertex, cap: int,
-                    row: Sequence[Fraction]) -> None:
-        """One edge of `cap` units, the q-th weighing lambda * (g(q-1) - g(q))."""
-        numerators, denominator = over_common_denominator(row)
+                    row: Tuple[Tuple[int, ...], int]) -> None:
+        """One edge of `cap` units, the q-th weighing lambda * (g(q-1) - g(q)),
+        from g's row over its lcm (`Vertiport.congestion_rows`)."""
+        numerators, denominator = row
         denominator *= lam.denominator
         weights = units[add(cls, key, tail, head, 0, cap).index] = []
         for q in range(1, cap + 1):
@@ -293,7 +288,7 @@ def compile_template(instance: Instance) -> GraphTemplate:
     for port in instance.vertiports:
         for t in range(1, h):
             add_parking("E3", (port.id, t), park(port.id, t), park(port.id, t + 1),
-                        port.parking_cap[t - 1], port.congestion_cost[t - 1])
+                        port.parking_cap[t - 1], port.congestion_rows()[t - 1])
     times: Dict[Tuple[str, str], Dict[int, int]] = {}
     for operator, craft in fleet:
         times[operator.id, craft.id] = {
@@ -319,15 +314,11 @@ def compile_template(instance: Instance) -> GraphTemplate:
         add("E6", (port.id,), SINK, park(port.id, 1), count, count)
     for port in instance.vertiports:
         add_parking("E8", (port.id,), park(port.id, h), SINK,
-                    port.parking_cap[h - 1], port.congestion_cost[h - 1])
+                    port.parking_cap[h - 1], port.congestion_rows()[h - 1])
 
     scale = lcm(1, *(den for row in units.values() for _, den in row))
     parking_rows = {k: tuple(num * (scale // den) for num, den in row)
                     for k, row in units.items()}
-    for k, row in parking_rows.items():
-        if any(b > a for a, b in zip(row, row[1:])):
-            raise ValueError(f"{edges[k].cls} {edges[k].key}: unit weights {list(row)} "
-                             "increase, so its congestion cost is not convex")
     lower, upper = tuple(e.lower for e in edges), tuple(e.upper for e in edges)
     topology = compile_topology(
         len(vertices), [index[e.tail] for e in edges], [index[e.head] for e in edges],

@@ -19,16 +19,16 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from .graph import GraphTemplate, compile_template, price_graph
-# Not called here, but kept a module global: perfbench/tracing.py wraps
-# mechanism.build_graph by name.
+# Not called here, but kept module globals: perfbench/tracing.py wraps
+# mechanism.build_graph and mechanism.validate_instance by name.
 from .graph import build_graph  # noqa: F401
+from .model import validate_instance  # noqa: F401
 from .model import (
     Allocation,
     Instance,
     OperatorId,
     Profile,
     granted_value,
-    validate_instance,
     validate_profile,
 )
 from .solver import SolveResult, solve
@@ -81,14 +81,12 @@ def payment(template: GraphTemplate, bids: Profile, operator_id: OperatorId,
 def run_auction(instance: Instance, bids: Profile, strategy: str = "bnb",
                 rule: str = RULE_EXTERNALITY) -> MechanismOutcome:
     """Clear the auction and price every operator: one template, |F|+1
-    pricings and solver runs."""
-    report = validate_instance(instance)
-    if not report.ok:
-        raise ValueError(f"invalid instance: {report.violations}")
+    pricings and solver runs.  Raises ValueError for an invalid instance
+    (`compile_template`'s), then for invalid bids."""
+    template = compile_template(instance)
     report = validate_profile(instance, bids, "bids")
     if not report.ok:
         raise ValueError(f"invalid bids: {report.violations}")
-    template = compile_template(instance)
     cleared = solve(price_graph(template, bids), strategy=strategy)
     payments = {
         operator.id: payment(template, bids, operator.id, cleared,

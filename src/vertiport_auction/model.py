@@ -6,6 +6,10 @@ bid/valuation profiles, and the welfare/feasibility machinery built on
 them.  All money-like quantities are exact `fractions.Fraction` values;
 nothing in this module uses floating point.
 
+An `Instance` checks itself once, when constructed, and keeps every
+condition it breaks: `validate_instance` reports them, and
+`graph.compile_template` refuses an instance with any.
+
 Conventions:
 - Time slots are 1-based, ``1..horizon``.
 - Every aircraft menu contains exactly one "stay" option (departure
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 OperatorId = str
 AircraftId = str
@@ -39,14 +43,6 @@ Profile = Mapping[Tuple[OperatorId, AircraftId, MenuKey], Fraction]
 
 #: (operator id, aircraft id) -> chosen menu key.  Canonical form.
 Allocation = Mapping[Tuple[OperatorId, AircraftId], MenuKey]
-
-
-def over_common_denominator(values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """`values` as integer numerators over their least common denominator."""
-    denominators = [v.denominator for v in values]
-    denominator = lcm(*denominators)
-    return ([v.numerator * (denominator // d) for v, d in zip(values, denominators)],
-            denominator)
 
 
 def _first_by(items: Iterable, key: Callable) -> Dict:
@@ -140,6 +136,21 @@ class Vertiport:
     departure_cap: Tuple[int, ...]
     parking_cap: Tuple[int, ...]
     congestion_cost: Tuple[Tuple[Fraction, ...], ...]
+    _congestion_rows: Tuple[Tuple[Tuple[int, ...], int], ...] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows = []
+        for row in self.congestion_cost:
+            denominator = lcm(*(v.denominator for v in row))
+            rows.append((tuple(v.numerator * (denominator // v.denominator) for v in row),
+                         denominator))
+        object.__setattr__(self, "_congestion_rows", tuple(rows))
+
+    def congestion_rows(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+        """Each slot's congestion row as (integer numerators, their lcm L):
+        ``congestion_cost[t - 1][q]`` is ``numerators[q] / L``."""
+        return self._congestion_rows
 
     def congestion_at(self, t: int, occupancy: int) -> Fraction:
         """Congestion cost of `occupancy` parked aircraft in slot `t`.
@@ -165,6 +176,7 @@ class Instance:
     operators: Tuple[Operator, ...]
     _vertiports: Dict[VertiportId, Vertiport] = field(init=False, compare=False, repr=False)
     _operators: Dict[OperatorId, Operator] = field(init=False, compare=False, repr=False)
+    _violations: Tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -175,6 +187,7 @@ class Instance:
         )
         object.__setattr__(self, "_vertiports", _first_by(self.vertiports, lambda v: v.id))
         object.__setattr__(self, "_operators", _first_by(self.operators, lambda o: o.id))
+        object.__setattr__(self, "_violations", _find_violations(self))
 
     def vertiport(self, vertiport_id: VertiportId) -> Vertiport:
         port = self._vertiports.get(vertiport_id)
@@ -215,7 +228,12 @@ class FeasibilityReport:
 
 
 def validate_instance(instance: Instance) -> ValidationReport:
-    """Check every structural invariant; empty report means admissible."""
+    """Every structural invariant `instance` breaks, as found once when it
+    was constructed; an empty report means admissible."""
+    return ValidationReport(instance._violations)
+
+
+def _find_violations(instance: Instance) -> Tuple[str, ...]:
     problems: List[str] = []
     h = instance.horizon
     if h < 1:
@@ -244,14 +262,13 @@ def validate_instance(instance: Instance) -> ValidationReport:
                 f"vertiport {port.id}: congestion_cost has {len(port.congestion_cost)} "
                 f"slots, expected {h}"
             )
-        for t, row in enumerate(port.congestion_cost, start=1):
+        for t, (scaled, _) in enumerate(port.congestion_rows(), start=1):
             cap = port.parking_cap[t - 1] if t - 1 < len(port.parking_cap) else None
-            if cap is not None and len(row) != cap + 1:
+            if cap is not None and len(scaled) != cap + 1:
                 problems.append(
-                    f"vertiport {port.id}: congestion_cost slot {t} has {len(row)} "
+                    f"vertiport {port.id}: congestion_cost slot {t} has {len(scaled)} "
                     f"entries, expected parking_cap+1 = {cap + 1}"
                 )
-            scaled, _ = over_common_denominator(row)
             if scaled and scaled[0] != 0:
                 problems.append(
                     f"vertiport {port.id}: congestion_cost slot {t} must start at 0"
@@ -330,7 +347,7 @@ def validate_instance(instance: Instance) -> ValidationReport:
                     f"parking_cap {port.parking_cap[t - 1]} < initial occupancy {occupied}"
                 )
 
-    return ValidationReport(tuple(problems))
+    return tuple(problems)
 
 
 def validate_profile(instance: Instance, profile: Profile, name: str = "profile"

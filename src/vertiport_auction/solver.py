@@ -61,12 +61,11 @@ from .flow import FlowState, min_cost_flow
 from .graph import (
     AuxGraph,
     DeltaAssignment,
-    build_graph,
     flow_gain,
     flow_objective,
     flow_to_allocation,
 )
-from .model import Allocation, Instance, Profile, validate_instance
+from .model import Allocation, Instance
 
 
 @dataclass
@@ -262,12 +261,3 @@ def solve(graph: AuxGraph, strategy: str = "bnb") -> SolveResult:
         allocation=flow_to_allocation(graph, best.flow),
         stats=stats,
     )
-
-
-def optimal_allocation(instance: Instance, bids: Profile,
-                       strategy: str = "bnb") -> Allocation:
-    """Welfare-maximizing allocation under the documented tie-break."""
-    report = validate_instance(instance)
-    if not report.ok:
-        raise SolverError(f"invalid instance: {report.violations}")
-    return solve(build_graph(instance, bids), strategy=strategy).allocation

@@ -12,7 +12,6 @@ the brute-force oracle: at most 3 vertiports, 4 aircraft, horizon 4,
 import random
 import time
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings

@@ -13,7 +13,6 @@ from conftest import (
     make_port,
     remaining_welfare,
     stay,
-    transit,
     validated_instances,
 )
 from test_acceptance import corpus_config
@@ -33,7 +32,6 @@ from vertiport_auction.model import (
     Aircraft,
     Instance,
     Operator,
-    congestion_total,
     is_feasible,
     social_welfare,
     utility,

@@ -22,7 +22,7 @@ from conftest import (
     validated_instances,
 )
 from test_acceptance import corpus_config
-from vertiport_auction.flow import FlowState, min_cost_flow
+from vertiport_auction.flow import FlowState, compile_topology, min_cost_flow
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.mechanism import pseudo_bids, run_auction
 from vertiport_auction import mechanism, solver
@@ -44,7 +44,6 @@ from vertiport_auction.model import (
 from vertiport_auction.solver import (
     SolverError,
     enumerate_deltas,
-    optimal_allocation,
     relaxation_bound,
     solve,
     solve_fixed_delta,
@@ -808,30 +807,21 @@ class TestFlowKernel:
                     assert tail < head
 
     def test_backward_route_rejected(self):
-        """A route that does not depart before it arrives fails
-        validation; building its graph anyway raises instead of pricing
-        an E5 edge that runs backward in time."""
-        instance = Instance(
-            horizon=3,
-            congestion_ratio=F(0),
-            vertiports=(make_port("v1", (1, 1, 1), (1, 1, 1), (1, 1, 1)),
-                        make_port("v2", (1, 1, 1), (1, 1, 1), (1, 1, 1))),
-            operators=(Operator("op1", F(1), (
-                Aircraft("a1", "v1", (stay(origin="v1"), transit(1, 3, "v2", 2))),)),),
-        )
-        bids = {("op1", "a1", 0): F(0), ("op1", "a1", 1): F(1)}
-        assert not validate_instance(instance).ok
-        with pytest.raises(ValueError, match="runs backward"):
-            build_graph(instance, bids)
+        """The kernel's topology takes an edge from a higher to a lower
+        vertex index only when its flow is fixed, like E6; any other such
+        edge, like an E5 route that arrives before it departs, raises."""
+        compile_topology(2, [1], [0], [1], [1])
+        with pytest.raises(ValueError, match=r"edge 1 \(2 -> 1\) is not fixed and runs backward"):
+            compile_topology(3, [0, 2], [1, 1], [0, 0], [1, 1])
 
     @pytest.mark.parametrize("route", [(1, "v2", 5), (4, "v2", 5), (1, "v9", 2)],
                              ids=["arrival_past_horizon", "departure_past_horizon",
                                   "unknown_destination"])
     def test_route_without_vertices_rejected(self, route):
         """A route that arrives or departs after the horizon, or lands at
-        an unknown vertiport, fails validation; building its graph anyway
-        raises a ValueError naming the aircraft and menu key, not a
-        KeyError from the vertex index."""
+        an unknown vertiport, fails validation; building its graph raises
+        that violation, naming the aircraft and menu key, not a KeyError
+        from the vertex index."""
         depart, destination, arrive = route
         instance = Instance(
             horizon=3,
@@ -843,7 +833,9 @@ class TestFlowKernel:
         )
         bids = {("op1", "a1", 0): F(0), ("op1", "a1", 1): F(1)}
         assert not validate_instance(instance).ok
-        with pytest.raises(ValueError, match=r"\('op1', 'a1'\), menu key 1"):
+        with pytest.raises(ValueError, match=r"aircraft \(op1, a1\): menu key 1 "
+                                             r"(needs 1 <= depart < arrive <= 3|has unknown "
+                                             r"destination 'v9')"):
             build_graph(instance, bids)
 
     def test_root_and_children_match_network_simplex(self, kernel_graphs):
@@ -951,11 +943,53 @@ def test_import_loads_no_networkx():
     assert completed.returncode == 0, completed.stderr
 
 
+def _v1(parking=(1, 1, 1), departure=(0, 1, 0), congestion=None):
+    return make_port("v1", parking, (0, 0, 0), departure, congestion)
+
+
+_V2 = make_port("v2", (1, 1, 1), (0, 0, 1), (0, 0, 0))
+_ROW = (F(0), F(1))
+
+
+def _mover(ports=None, weight=F(1)):
+    """The one-aircraft v1 -> v2 mover of `single_mover`, with its parts
+    swappable for broken ones."""
+    return Instance(3, F(0), ports or (_v1(), _V2), (Operator("op1", weight, (
+        Aircraft("a1", "v1", (stay(origin="v1"), transit(1, 2, "v2", 3))),)),))
+
+
+# Instances that fail validation, each with the violation it is built to
+# show.  Unchecked, the first three would price an objective, the next
+# four index past a table and the two after that have no feasible flow.
+INVALID_INSTANCES = {
+    "row_not_from_0": (_mover((_v1(congestion=((F(1), F(2)), _ROW, _ROW)), _V2)),
+                       "vertiport v1: congestion_cost slot 1 must start at 0"),
+    "weight_0": (_mover(weight=F(0)), "operator op1: weight must be positive, got 0"),
+    "duplicate_port": (_mover((_v1(), _V2, _V2)), "duplicate vertiport id 'v2'"),
+    "short_arrival_cap": (_mover((_v1(), make_port("v2", (1, 1, 1), (0, 0), (0, 0, 0)))),
+                          "vertiport v2: arrival_cap has length 2, expected 3"),
+    "short_parking_cap": (_mover((_v1(parking=(1, 1), congestion=(_ROW,) * 3), _V2)),
+                          "vertiport v1: parking_cap has length 2, expected 3"),
+    "short_congestion": (_mover((_v1(congestion=(_ROW, _ROW)), _V2)),
+                         "vertiport v1: congestion_cost has 2 slots, expected 3"),
+    "short_row": (_mover((_v1(congestion=((F(0),), _ROW, _ROW)), _V2)),
+                  "vertiport v1: congestion_cost slot 1 has 1 entries, "
+                  "expected parking_cap+1 = 2"),
+    "slack": (_mover((_v1(parking=(0, 0, 0)), _V2)),
+              "slack condition violated at vertiport v1, slot 1: "
+              "parking_cap 0 < initial occupancy 1"),
+    "negative_cap": (_mover((_v1(departure=(0, -1, 0)), _V2)),
+                     "vertiport v1: departure_cap has a negative entry"),
+    "negative_lambda": (Instance(1, F(-1), (make_port("v1", (0,), (0,), (0,)),), ()),
+                        "lambda must be non-negative, got -1"),
+}
+
+
 class TestOptimalAllocation:
     def test_dominant_transit_granted(self, single_mover):
         instance, _ = single_mover
         bids = {("op1", "a1", 0): F(0), ("op1", "a1", 1): F(5)}
-        assert optimal_allocation(instance, bids) == {("op1", "a1"): 1}
+        assert solve(build_graph(instance, bids)).allocation == {("op1", "a1"): 1}
 
     def test_congestion_makes_staying_optimal(self):
         # Moving gains bid 1 but costs lambda * (destination increment 2)
@@ -974,24 +1008,31 @@ class TestOptimalAllocation:
                                       transit(1, 2, "v2", 3))),)),),
         )
         bids = {("op1", "a1", 0): F(0), ("op1", "a1", 1): F(1)}
-        assert optimal_allocation(inst, bids) == {("op1", "a1"): 0}
+        assert solve(build_graph(inst, bids)).allocation == {("op1", "a1"): 0}
         cheap = Instance(
             horizon=inst.horizon,
             congestion_ratio=F(1, 4),
             vertiports=inst.vertiports,
             operators=inst.operators,
         )
-        assert optimal_allocation(cheap, bids) == {("op1", "a1"): 1}
+        assert solve(build_graph(cheap, bids)).allocation == {("op1", "a1"): 1}
 
-    def test_invalid_instance_rejected(self):
-        bad = Instance(
-            horizon=1,
-            congestion_ratio=F(-1),
-            vertiports=(make_port("v1", (0,), (0,), (0,)),),
-            operators=(),
-        )
-        with pytest.raises(SolverError, match="invalid instance"):
-            optimal_allocation(bad, {})
+    @pytest.mark.parametrize("case", INVALID_INSTANCES)
+    def test_invalid_instance_rejected(self, case):
+        """`compile_template` is the one gate: it, `build_graph` and
+        `run_auction` each refuse an instance that fails validation with
+        the same text, the violations `validate_instance` reports."""
+        instance, violation = INVALID_INSTANCES[case]
+        violations = validate_instance(instance).violations
+        assert violation in violations
+        bids = {(operator.id, craft.id, entry.key): F(entry.key)
+                for operator, craft in instance.iter_aircraft() for entry in craft.menu}
+        for call in (lambda: compile_template(instance),
+                     lambda: build_graph(instance, bids),
+                     lambda: run_auction(instance, bids)):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == f"invalid instance: {violations}"
 
 
 @settings(max_examples=15, deadline=None)
