@@ -26,7 +26,9 @@ pushes one unit.
 
 State.  A `FlowState` is a flow on every edge and vertex potentials
 under which every residual arc with capacity has a non-negative reduced
-cost c(u, v) + p(u) - p(v).  A solve clamps the start flow into the new
+cost c(u, v) + p(u) - p(v), and it names the prices it holds for: the
+`arc_cost` tuple object of the network it was solved on (a network's
+cold state names its own).  A solve clamps the start flow into the new
 bounds.  When the new bounds narrow those the start state was solved
 for (lowers raised, uppers cut), clamping leaves capacity only on
 residual arcs that had it before, so the invariant still holds and only
@@ -36,6 +38,32 @@ up to a raised lower bound moves the forward arc to a later unit,
 which costs no less, and clamping down to a cut upper bound moves the
 reverse arc to minus an earlier unit, which costs no more, so narrowing
 keeps the invariant there too.
+
+Repair.  A start that names other prices than the network's, as a
+state solved for another cost vector on the same topology, or one made
+by hand (None), holds for no known bounds, so after clamping the solve
+repairs it.  Under the start's potentials, every edge whose forward arc
+has a negative reduced cost goes to its upper bound, every edge whose
+forward arc has a positive one to its lower bound, and every other edge
+keeps its flow.  A convex edge keeps its flow f if its first f units
+have non-positive reduced costs and the others non-negative ones, and
+otherwise goes to the nearest such f, found by bisecting its
+non-decreasing row; f is then clamped into its bounds.  Afterwards every
+residual arc with capacity has a non-negative reduced cost.  An edge of
+negative forward reduced cost sits at its upper bound, where its forward
+arc has no capacity and its reverse arc costs minus a negative reduced
+cost; one of positive reduced cost sits at its lower bound, the
+converse; on one of zero reduced cost both arcs cost 0.  A convex edge
+at f units has a forward arc costing unit f+1, of non-negative reduced
+cost unless f was cut to its upper bound, where that arc has no
+capacity, and a reverse arc costing minus unit f, of non-negative
+reduced cost unless f was raised to its lower bound, where that arc has
+no capacity.  A fixed edge sits at its one bound.  So any balanced start
+flow with any potentials is a valid start, and the imbalances the
+repair creates are routed like those of clamping.  The scan is
+O(edges), so a start that names the network's prices, a cold root or a
+solved parent, skips it; such a start must have been solved on bounds
+that contain the new ones.
 
 Cold start.  The priced `Network.cold` state is the zero flow and the
 shortest distances, over the edges that are not fixed, from a root with
@@ -64,6 +92,7 @@ balance (Hoffman's circulation theorem) and the bounds are infeasible.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -72,10 +101,13 @@ from operator import ne, sub
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 class FlowState(NamedTuple):
-    """Flow per edge and certifying potentials."""
+    """Flow per edge and potentials, and the prices those potentials
+    certify: the `Network.arc_cost` tuple of the network that solved the
+    state, or None."""
 
     flows: Sequence[int]
     potential: Sequence[int]
+    prices: Optional[Tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -151,24 +183,39 @@ def price_network(topology: Topology, costs: Sequence[int],
     arc_cost = [0] * len(topology.arc_head)
     arc_cost[0::2] = costs
     arc_cost[1::2] = [-c for c in costs]
-    return Network(topology, tuple(arc_cost), rows,
-                   FlowState((0,) * len(topology.tails), tuple(potential)))
+    prices = tuple(arc_cost)
+    return Network(topology, prices, rows,
+                   FlowState((0,) * len(topology.tails), tuple(potential), prices))
 
 
 def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
                   start: FlowState) -> Tuple[Optional[FlowState], int]:
     """Cheapest circulation with lower[k] <= flow[k] <= upper[k] on every
-    edge, from `start` (`network.cold`, or the state of a solve whose
-    bounds contain these); None if there is none.  Also returns the
-    number of augmenting paths pushed.  Dijkstra walks the topology's
-    arcs and reads their costs, the convex edges' repriced from the
-    flow, on those with capacity.  Raises ValueError if a Dijkstra
-    round pops more entries than the invariant allows, as on a
-    negative-cost residual cycle; a start that breaks the invariant
-    otherwise goes unnoticed and can give a flow that is not optimal."""
+    edge, from `start`, with the state's prices `network.arc_cost`; None
+    if there is none.  Also returns the number of augmenting paths
+    pushed.  A start that names this network's prices (`network.cold`,
+    or the state of a solve on it whose bounds contain these) is used as
+    it is; any other balanced start is repaired first (module
+    docstring).  Dijkstra walks the topology's arcs and reads their
+    costs, the convex edges' repriced from the flow, on those with
+    capacity.  Raises ValueError if a Dijkstra round pops more entries
+    than the invariant allows, as on a negative-cost residual cycle from
+    a start that names this network's prices but was solved on bounds
+    that do not contain these; such a start otherwise goes unnoticed
+    and can give a flow that is not optimal."""
     topology = network.topology
     flows = [u if f > u else (low if f < low else f)
              for f, low, u in zip(start.flows, lower, upper)]
+    if start.prices is not network.arc_cost:  # priced for other costs: repair
+        p = start.potential
+        slack = [p[t] - p[h] for t, h in zip(topology.tails, topology.heads)]
+        flows = [u if c + s < 0 else (low if c + s > 0 else f) for f, low, u, c, s
+                 in zip(flows, lower, upper, network.arc_cost[0::2], slack)]
+        for k, row in network.rows.items():
+            # Every unit of negative reduced cost, none of positive.
+            least, most = bisect_left(row, -slack[k]), bisect_right(row, -slack[k])
+            f = least if flows[k] < least else (most if flows[k] > most else flows[k])
+            flows[k] = min(max(f, lower[k]), upper[k])
     cap = [0] * len(topology.arc_head)
     cap[0::2] = map(sub, upper, flows)
     cap[1::2] = map(sub, flows, lower)
@@ -250,4 +297,4 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         excess[target] += push
         pushed += 1
     flows = [low + c for low, c in zip(lower, cap[1::2])]
-    return FlowState(flows, potential), pushed
+    return FlowState(flows, potential, network.arc_cost), pushed

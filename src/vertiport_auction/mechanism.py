@@ -8,7 +8,12 @@ remaining welfare they actually get under the cleared allocation.
 
 An auction compiles its instance's graph template once and prices the
 clearing profile and every counterfactual profile on it (see
-`graph.GraphTemplate`): |F|+1 pricings and solves, one compile.
+`graph.GraphTemplate`): |F|+1 pricings and solves, one compile.  Every
+counterfactual's search starts its root from the cleared root's solved
+flow and potentials, not cold: only the zeroed operator's route costs
+differ, so the flow kernel's repair of that start (see `flow`) leaves
+few imbalances to route.  The search itself, and so every result, is
+that of a cold solve.
 """
 
 from __future__ import annotations
@@ -60,7 +65,13 @@ def payment(template: GraphTemplate, bids: Profile, operator_id: OperatorId,
             cleared: SolveResult, strategy: str = "bnb",
             rule: str = RULE_EXTERNALITY) -> Fraction:
     """Externality charged to `operator_id` given the cleared solve, its
-    counterfactual priced on the template of the auction's instance."""
+    counterfactual priced on the template of the auction's instance.
+
+    The counterfactual's root starts from the cleared root's solved
+    state (bnb), its potentials brought to the counterfactual's gain
+    unit S' * P: zeroing bids only drops weight denominators, so S'
+    divides S, and the kernel repairs whatever the rounding and the
+    repricing leave (see `flow`)."""
     instance = template.instance
     operator = instance.operator(operator_id)
     if rule == RULE_EXTERNALITY:
@@ -69,7 +80,12 @@ def payment(template: GraphTemplate, bids: Profile, operator_id: OperatorId,
         counterfactual_bids = dict(bids)
     else:
         raise ValueError(f"unknown payment rule {rule!r}")
-    inner = solve(price_graph(template, counterfactual_bids), strategy=strategy)
+    graph = price_graph(template, counterfactual_bids)
+    start = cleared.root
+    if start is not None:  # potentials in this profile's gain unit
+        start = start._replace(potential=[
+            p * graph.unit // cleared.unit for p in start.potential])
+    inner = solve(graph, strategy=strategy, start=start)
     # A solve's objective is its allocation's welfare under the bids it saw.
     inner_value = inner.objective - operator.weight * granted_value(
         instance, inner.allocation, counterfactual_bids, operator_id)

@@ -7,8 +7,10 @@ successive-shortest-path kernel in `flow`, on the residual network
 `graph.price_graph` priced.  Every augmentation moves whole units, so the
 flows are integral, and all arithmetic is on Python ints.  A
 branch-and-bound node's solve starts from the optimal flow and
-potentials of its parent, whose bounds contain its own (the root from
-the priced cold state); enumeration solves every leaf cold.  A solve's
+potentials of its parent, whose bounds contain its own; the root
+starts from the priced cold state, or from a given start, as a payment
+counterfactual starts from its auction's cleared root (`solve`);
+enumeration solves every leaf cold.  A solve's
 answer, `SolveResult.flow`, is the kernel's optimal flow as a tuple:
 the one flow of its allocation (see the `graph` module docstring).
 
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -91,6 +93,11 @@ class SolveResult:
     objective: Fraction
     allocation: Allocation
     stats: SolveStats
+    # The bnb root's solved state (None for enumerate), its potentials in
+    # gains of `unit`, the graph's S * P: a start for the root of a solve
+    # of another profile on the same template.
+    root: Optional[FlowState] = field(compare=False, repr=False)
+    unit: int = field(compare=False, repr=False)
 
 
 class SolverError(ValueError):
@@ -167,7 +174,8 @@ def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
     """Admissible upper bound, in gain units, for every completion of
     `partial_delta`, with the solved state whose flow attains it; None
     when no completion is feasible.  The solve starts from `start`, the
-    state of a solve whose bounds contain these (see `flow`), or cold."""
+    state of a solve on this graph whose bounds contain these, a state
+    the kernel repairs (see `flow`), or cold."""
     if start is None:
         start = graph.network.cold
     state = _min_cost_flow(graph, partial_delta, start, stats)
@@ -210,54 +218,68 @@ def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     return best
 
 
-def _solve_bnb(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
+def _solve_bnb(graph: AuxGraph, stats: SolveStats, start: Optional[FlowState] = None
+               ) -> Tuple[_Incumbent, Optional[FlowState]]:
+    """The best completion, and the root's solved state (None if the
+    root is infeasible); the root's solve starts from `start`, or cold."""
     best = _Incumbent()
 
-    def visit(partial: Dict[Tuple[str, str], int], state: FlowState) -> None:
+    def visit(partial: Dict[Tuple[str, str], int], state: FlowState
+              ) -> Optional[FlowState]:
+        """Search the node; its solved state, None if infeasible."""
         stats.nodes_explored += 1
         stats.bound_solves += 1
         relaxed = relaxation_bound(graph, partial, start=state, stats=stats)
         if relaxed is None:
             stats.pruned_infeasible += 1
-            return
+            return None
         bound, state = relaxed
         if best.gain is not None and bound <= best.gain:
             stats.pruned_bound += 1
-            return
+            return state
         split = _split_aircraft(graph, state.flows)
         if split is None:
             stats.pruned_completion += 1
             best.offer(tuple(state.flows), bound)
-            return
+            return state
         for tau in (*graph.departure_times[split], 0):
             partial[split] = tau
             visit(partial, state)
         del partial[split]
+        return state
 
-    visit({}, graph.network.cold)
-    return best
+    root = visit({}, graph.network.cold if start is None else start)
+    return best, root
 
 
-def solve(graph: AuxGraph, strategy: str = "bnb") -> SolveResult:
+def solve(graph: AuxGraph, strategy: str = "bnb",
+          start: Optional[FlowState] = None) -> SolveResult:
     """Global welfare maximum over all departure-time assignments.
 
     ``strategy`` is ``"bnb"`` (default) or ``"enumerate"``; both return
-    identical objectives and allocations.
+    identical objectives and allocations.  `start`, if given, starts the
+    bnb root's solve instead of the cold state: any balanced state on
+    the graph's topology, such as the root of another profile's solve on
+    the same template (`SolveResult.root`), which the kernel repairs
+    (see `flow`).  Enumeration is the reference path: it ignores
+    `start` and solves every leaf cold.
     """
     if strategy not in ("bnb", "enumerate"):
         raise SolverError(f"unknown strategy {strategy!r}")
     stats = SolveStats()
-    start = time.perf_counter()
+    began = time.perf_counter()
     if strategy == "enumerate":
-        best = _solve_enumerate(graph, stats)
+        best, root = _solve_enumerate(graph, stats), None
     else:
-        best = _solve_bnb(graph, stats)
+        best, root = _solve_bnb(graph, stats, start)
     if best.flow is None:
         raise SolverError("no feasible departure-time assignment")
-    stats.wall_time = time.perf_counter() - start
+    stats.wall_time = time.perf_counter() - began
     return SolveResult(
         flow=best.flow,
         objective=flow_objective(graph, best.flow, best.gain),
         allocation=flow_to_allocation(graph, best.flow),
         stats=stats,
+        root=root,
+        unit=graph.unit,
     )

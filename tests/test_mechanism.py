@@ -17,7 +17,7 @@ from conftest import (
 )
 from test_acceptance import corpus_config
 from test_solver import AUCTION_MID
-from vertiport_auction import graph, mechanism
+from vertiport_auction import graph, mechanism, solver
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import build_graph, compile_template, price_graph
 from vertiport_auction.mechanism import (
@@ -36,7 +36,7 @@ from vertiport_auction.model import (
     social_welfare,
     utility,
 )
-from vertiport_auction.oracle import enumerate_feasible
+from vertiport_auction.oracle import enumerate_feasible, oracle_payment
 from vertiport_auction.solver import solve
 
 F = Fraction
@@ -293,7 +293,8 @@ class TestSharedTemplate:
                 assert (a.gains, a.unit, a.stay_welfare) == (b.gains, b.unit, b.stay_welfare)
             assert run_auction(ints, int_bids) == run_auction(fractions, fraction_bids)
 
-    def test_scale_shrinks_when_zeroing_drops_a_denominator(self, second_price):
+    def test_scale_shrinks_when_zeroing_drops_a_denominator(self, second_price,
+                                                            monkeypatch):
         # op1's route bid is the only weight with denominator 3, so the
         # clearing graph's S is 3 and op1's counterfactual's is 1: op2's
         # route gain, bid 6 less stay 0, drops from 6 * 3 * P to 6 * 1 * P.
@@ -303,6 +304,29 @@ class TestSharedTemplate:
         (route,) = [e.index for e in clearing.edges if e.key == ("op2", "a1", 1)]
         tie_unit = compile_template(instance).tie_unit
         assert clearing.gains[route] - without_op1.gains[route] == 6 * 2 * tie_unit
+        # op1's payment solve starts its root from the cleared root, its
+        # potentials brought from the clearing unit down to the smaller one.
+        roots = []
+        bound = solver.relaxation_bound
+
+        def recorded(graph, partial_delta, **kwargs):
+            if not partial_delta:
+                roots.append((graph.unit, kwargs["start"]))
+            return bound(graph, partial_delta, **kwargs)
+
+        monkeypatch.setattr(solver, "relaxation_bound", recorded)
+        template = compile_template(instance)
+        cleared = solve(price_graph(template, bids))
+        assert cleared.unit == clearing.unit == 3 * without_op1.unit
+        assert payment(template, bids, "op1", cleared) == oracle_payment(
+            instance, bids, "op1") == 6
+        (_, cold), (unit, warm) = roots
+        assert cold[:2] == clearing.network.cold[:2]  # the clearing root starts cold
+        assert unit == without_op1.unit
+        assert list(warm.flows) == list(cleared.root.flows)
+        assert list(warm.potential) == [p * without_op1.unit // clearing.unit
+                                        for p in cleared.root.potential]
+        assert warm.potential != cleared.root.potential
 
 
 class TestSampleMisreports:

@@ -613,14 +613,17 @@ def kernel_graphs():
 def test_auction_solves_do_the_work_of_fresh_builds(kernel_graphs, monkeypatch):
     """Every clearing and payment solve of an auction, priced on the
     auction's one template, does the same search as a solve of a fresh
-    `build_graph` on its profile: the same nodes, flow solves, paths and
-    prunes.  The auctions run on each kernel graph's profile and on the
-    deeper shape, where infeasible children occur."""
+    `build_graph` on its profile: the same nodes, flow solves and
+    prunes.  A payment solve's root starts from the cleared root, so
+    the payment solves push fewer paths in total than the fresh builds,
+    which start cold; a single one may push more.  The auctions run on
+    each kernel graph's profile and on the deeper shape, where
+    infeasible children occur."""
     seen = []
 
-    def recorded(graph, strategy="bnb", _solve=mechanism.solve):
-        result = _solve(graph, strategy=strategy)
-        seen.append((graph.bids, result.stats))
+    def recorded(graph, strategy="bnb", start=None, _solve=mechanism.solve):
+        result = _solve(graph, strategy=strategy, start=start)
+        seen.append((graph.bids, result.stats, start))
         return result
 
     monkeypatch.setattr(mechanism, "solve", recorded)
@@ -628,16 +631,25 @@ def test_auction_solves_do_the_work_of_fresh_builds(kernel_graphs, monkeypatch):
     for seed in range(20):
         document = generate(GeneratorConfig(seed=seed, **DEEP))
         auctions.append((document.instance, document.bids))
-    infeasible = 0
+    infeasible = warm = warm_paths = fresh_paths = 0
     for instance, bids in auctions:
         seen.clear()
         run_auction(instance, bids)
         assert len(seen) == len(instance.operators) + 1
-        for profile, stats in seen:
+        assert seen[0][2] is None and all(start is not None for *_, start in seen[1:])
+        for profile, stats, start in seen:
             fresh = solve(build_graph(instance, profile)).stats
-            assert replace(stats, wall_time=0) == replace(fresh, wall_time=0)
+            assert (replace(stats, wall_time=0, augmentations=0)
+                    == replace(fresh, wall_time=0, augmentations=0))
+            if start is None:
+                assert stats.augmentations == fresh.augmentations
+            else:
+                warm += 1
+                warm_paths += stats.augmentations
+                fresh_paths += fresh.augmentations
             infeasible += stats.pruned_infeasible
     assert infeasible > 0
+    assert warm >= 300 and warm_paths < 0.75 * fresh_paths
 
 
 @pytest.fixture(scope="module")
@@ -901,13 +913,45 @@ class TestFlowKernel:
         assert [e.key for e in edges_of_class(graph, "E5") if flows[e.index]] == [
             ("op1", "a1", 2)]
 
+    def test_foreign_start_returns_the_cold_optimum(self, kernel_graphs):
+        """A start that names other prices than the network's is repaired,
+        so any balanced start gives the cold root's optimal flow with
+        certified potentials: the cold flow under zero or random
+        potentials, and another profile's solved root on the same
+        template, its potentials converted to this profile's gain unit
+        or left as they are."""
+        rng = random.Random(0)
+        repaired = 0
+        for graph in kernel_graphs:
+            network = graph.network
+            bounds = solver._resolved_bounds(graph, {})
+            cold, _ = min_cost_flow(network, *bounds, network.cold)
+            template = compile_template(graph.instance)
+            starts = [FlowState(network.cold.flows, (0,) * len(cold.potential))]
+            for operator in graph.instance.operators[:2]:
+                other = solve(price_graph(template, pseudo_bids(operator.id, graph.bids)))
+                converted = [p * graph.unit // other.unit for p in other.root.potential]
+                starts += [other.root, other.root._replace(potential=converted)]
+            spread = max(map(abs, network.arc_cost))
+            starts += [FlowState(flows, [rng.randint(-spread, spread) for _ in cold.potential])
+                       for flows in (network.cold.flows, starts[-1].flows)]
+            for start in starts:
+                assert start.prices is not network.arc_cost
+                state, _ = min_cost_flow(network, *bounds, start)
+                assert state.prices is network.arc_cost
+                assert list(state.flows) == list(cold.flows)
+                _assert_certified(graph, state, *bounds)
+                repaired += 1
+        assert repaired >= 5 * len(kernel_graphs)
+
     def test_uncertified_start_raises(self, kernel_graphs):
-        """Zero potentials leave negative reduced costs on the cold
-        flow's residual arcs.  On acceptance-corpus seed 2 they close a
-        negative-cost cycle, and the kernel raises instead of looping."""
+        """A state that names the network's prices skips the repair, so
+        zero potentials forged onto the cold flow, which leave negative
+        reduced costs on its residual arcs, close a negative-cost cycle on
+        acceptance-corpus seed 2: the kernel raises instead of looping."""
         graph = kernel_graphs[2]
-        cold = graph.network.cold
-        start = FlowState(cold.flows, (0,) * len(cold.potential))
+        cold, prices = graph.network.cold, graph.network.arc_cost
+        start = FlowState(cold.flows, (0,) * len(cold.potential), prices)
         with pytest.raises(ValueError, match="not certified"):
             min_cost_flow(graph.network, *solver._resolved_bounds(graph, {}), start)
 
