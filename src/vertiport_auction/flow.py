@@ -8,8 +8,9 @@ edges into residual arcs once; `price_network`, once per cost vector,
 adds one cost per arc, the cost rows of the convex edges and the cold
 state, so a priced network is the topology's own arcs plus one cost
 tuple; `min_cost_flow` solves one bound vector on a priced network by
-successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*,
-1993, ch. 9-10), starting from a given flow and potentials.
+successive shortest paths, one unit per path (Ahuja, Magnanti & Orlin,
+*Network Flows*, 1993, ch. 9-10), starting from a given flow and
+potentials.
 
 Convex edges.  An edge may carry a row of per-unit costs instead of one
 cost: its q-th unit costs row[q-1], so carrying f units costs the sum of
@@ -21,8 +22,7 @@ edge of Ahuja, Magnanti & Orlin, ch. 14, kept as one edge rather than
 expanded into parallel unit edges.  At flow f its forward arc costs
 row[f], the next unit, and its reverse arc -row[f-1], minus the last
 unit; a solve sets both from its clamped start flow and again after
-every push across the edge, and a path that crosses a convex edge
-pushes one unit.
+every path across the edge.
 
 State.  A `FlowState` is a flow on every edge and vertex potentials
 under which every residual arc with capacity has a non-negative reduced
@@ -79,15 +79,18 @@ Routing.  Each round runs Dijkstra on reduced costs from every vertex
 with excess at once and stops at the nearest vertex with a deficit.  The
 potentials absorb the distances, capped at the deficit's (which keeps
 every reduced cost non-negative and zeroes them along the path), and
-the path's bottleneck, bounded by its end imbalances, is pushed.  Every
-arc of the path then has reduced cost 0.  If the path crosses a convex
-edge it pushes one unit, after which the arc in the pushed direction
-costs the following unit, no less by convexity, and the opposite arc
-minus the pushed unit, at reduced cost 0: the invariant holds.  The
-state stays optimal for its own imbalances, so once none are left it
-is a cheapest feasible circulation.  If some excess cannot reach a
-deficit, the vertices it reaches form a cut whose bounds cannot
-balance (Hoffman's circulation theorem) and the bounds are infeasible.
+one walk back from the deficit moves one unit along the path.  It stops
+at the source the path began from: a source's distance is 0, and no
+reduced cost is negative, so no arc lowers it and it has no predecessor
+in the Dijkstra tree.  Every edge follows one rule: a path moves one
+unit, after which the arc in the pushed direction costs the next unit,
+no less by convexity (the same cost on an edge with one cost), and the
+opposite arc minus the pushed unit, at reduced cost 0, so the invariant
+holds.  An imbalance of u units takes u paths.  The state stays optimal
+for its own imbalances, so once none are left it is a cheapest feasible
+circulation.  If some excess cannot reach a deficit, the vertices it
+reaches form a cut whose bounds cannot balance (Hoffman's circulation
+theorem) and the bounds are infeasible.
 """
 
 from __future__ import annotations
@@ -193,16 +196,17 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
     """Cheapest circulation with lower[k] <= flow[k] <= upper[k] on every
     edge, from `start`, with the state's prices `network.arc_cost`; None
     if there is none.  Also returns the number of augmenting paths
-    pushed.  A start that names this network's prices (`network.cold`,
-    or the state of a solve on it whose bounds contain these) is used as
-    it is; any other balanced start is repaired first (module
-    docstring).  Dijkstra walks the topology's arcs and reads their
-    costs, the convex edges' repriced from the flow, on those with
-    capacity.  Raises ValueError if a Dijkstra round pops more entries
-    than the invariant allows, as on a negative-cost residual cycle from
-    a start that names this network's prices but was solved on bounds
-    that do not contain these; such a start otherwise goes unnoticed
-    and can give a flow that is not optimal."""
+    pushed, each one unit, so also the units routed.  A start that names
+    this network's prices (`network.cold`, or the state of a solve on it
+    whose bounds contain these) is used as it is; any other balanced
+    start is repaired first (module docstring).  Dijkstra walks the
+    topology's arcs and reads their costs, the convex edges' repriced
+    from the flow, on those with capacity.  Raises ValueError if a
+    Dijkstra round pops more entries than the invariant allows, as on a
+    negative-cost residual cycle from a start that names this network's
+    prices but was solved on bounds that do not contain these; such a
+    start otherwise goes unnoticed and can give a flow that is not
+    optimal."""
     topology = network.topology
     flows = [u if f > u else (low if f < low else f)
              for f, low, u in zip(start.flows, lower, upper)]
@@ -278,23 +282,16 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         span = dist[target]
         potential = [p + (d if d < span else span)
                      for p, d in zip(potential, dist)]
-        push = -excess[target]
         v = target
-        while prev[v] >= 0:  # one unit across a convex edge
+        while prev[v] >= 0:  # back to a source, whose prev stays -1
             a = prev[v]
-            push = min(push, 1 if a >> 1 in rows else cap[a])
-            v = arc_head[a ^ 1]
-        origin, push = v, min(push, excess[v])
-        v = target
-        while v != origin:
-            a = prev[v]
-            cap[a] -= push
-            cap[a ^ 1] += push
+            cap[a] -= 1
+            cap[a ^ 1] += 1
             if a >> 1 in rows:
                 reprice(a >> 1)
             v = arc_head[a ^ 1]
-        excess[origin] -= push
-        excess[target] += push
+        excess[v] -= 1
+        excess[target] += 1
         pushed += 1
     flows = [low + c for low, c in zip(lower, cap[1::2])]
     return FlowState(flows, potential, network.arc_cost), pushed

@@ -152,18 +152,3 @@ def generate(config: GeneratorConfig) -> InstanceDocument:
         bids=dict(valuations),  # truthful by default
         valuations=valuations,
     )
-
-
-def single_slot_config(seed: int) -> GeneratorConfig:
-    """Degenerate single-slot setting: H = 1, slack-dominating gate
-    capacities, single-aircraft operators (menus reduce to stay-only).
-    """
-    return GeneratorConfig(
-        seed=seed,
-        horizon=(1, 1),
-        fleet_size=(1, 1),
-        operators=(2, 3),
-        arrival_cap=(1000, 1000),
-        departure_cap=(1000, 1000),
-        extra_parking=(0, 2),
-    )

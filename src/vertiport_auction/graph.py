@@ -54,8 +54,11 @@ profile: the E5 weights and `stay_welfare`, then the scale S, the
 gains, one cost (-gain) per residual arc of the template's own topology,
 each E3/E8 edge's row of unit costs (-gain per unit, `Network.rows`),
 and the cold potentials, in one pass over the vertices in index order
-(`flow.Network`).  An `AuxGraph` is its template, the same field
-objects, plus those priced fields.  So an
+(`flow.Network`).  It is the library's one gate on bids: a profile
+that misses a menu entry, names an unknown one or holds a negative bid
+raises ``invalid bids: ...``, found as the bids are read, so a valid
+profile costs no separate validation pass.  An `AuxGraph` is its
+template, the same field objects, plus those priced fields.  So an
 auction compiles one template and prices its clearing profile and each
 payment counterfactual on it; `build_graph` is the two stages in a row.
 
@@ -126,6 +129,7 @@ from .model import (
     check_allocation,
     initial_occupancy,
     validate_instance,
+    validate_profile,
 )
 
 # Vertex tags.  Vertices are plain tuples so they double as dict keys.
@@ -337,20 +341,32 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     follow from those weights.  The graph holds `template`'s own
     `GraphTemplate` fields; nothing of them is changed, and nothing is
     carried over from another profile, so a priced graph reprices as its
-    template: S is the lcm of this profile's weight denominators."""
+    template: S is the lcm of this profile's weight denominators.
+
+    This is the library's one gate on bids: it raises
+    ``ValueError("invalid bids: ...")`` with the violations
+    `validate_profile` reports unless `bids` holds exactly one
+    non-negative bid per menu entry, checked as the bids are read."""
     stays = []  # per aircraft: weight * stay bid as (numerator, denominator)
     priced = []  # per E5 edge: (index, reduced weight numerator, denominator, bonus)
+    valid = True  # no bid read is negative; a missing one reads as -1
     for weight, stay_key, routes in template.aircraft:
         wn, wd = weight.numerator, weight.denominator
-        stay = bids[stay_key]
+        stay = bids.get(stay_key, -1)
         sn, sd = stay.numerator, stay.denominator
+        valid = valid and sn >= 0
         stays.append((wn * sn, wd * sd))
         for k, key, bonus in routes:
-            bid = bids[key]
-            num = wn * (bid.numerator * sd - sn * bid.denominator)
-            den = wd * bid.denominator * sd
+            bid = bids.get(key, -1)
+            bn, bd = bid.numerator, bid.denominator
+            valid = valid and bn >= 0
+            num = wn * (bn * sd - sn * bd)
+            den = wd * bd * sd
             common = gcd(num, den)
             priced.append((k, num // common, den // common, bonus))
+    if not valid or len(bids) != len(stays) + len(priced):
+        raise ValueError(f"invalid bids: "
+                         f"{validate_profile(template.instance, bids, 'bids').violations}")
     scale = lcm(template.scale, *(den for _, _, den, _ in priced))
     unit = scale * template.tie_unit
     multiplier = unit // template.scale

@@ -14,6 +14,11 @@ flow and potentials, not cold: only the zeroed operator's route costs
 differ, so the flow kernel's repair of that start (see `flow`) leaves
 few imbalances to route.  The search itself, and so every result, is
 that of a cold solve.
+
+Bids are checked once, where they are read: `price_graph` raises
+``invalid bids: ...`` for a profile that misses a menu entry, names an
+unknown one or holds a negative bid, so the clearing pricing rejects
+such a profile before any solve.
 """
 
 from __future__ import annotations
@@ -25,17 +30,11 @@ from typing import Dict, List, Mapping, Tuple
 
 from .graph import GraphTemplate, compile_template, price_graph
 # Not called here, but kept module globals: perfbench/tracing.py wraps
-# mechanism.build_graph and mechanism.validate_instance by name.
+# mechanism.build_graph, mechanism.validate_instance and
+# mechanism.validate_profile by name.
 from .graph import build_graph  # noqa: F401
-from .model import validate_instance  # noqa: F401
-from .model import (
-    Allocation,
-    Instance,
-    OperatorId,
-    Profile,
-    granted_value,
-    validate_profile,
-)
+from .model import validate_instance, validate_profile  # noqa: F401
+from .model import Allocation, Instance, OperatorId, Profile, granted_value
 from .solver import SolveResult, solve
 
 #: Correct payment rule.
@@ -67,11 +66,9 @@ def payment(template: GraphTemplate, bids: Profile, operator_id: OperatorId,
     """Externality charged to `operator_id` given the cleared solve, its
     counterfactual priced on the template of the auction's instance.
 
-    The counterfactual's root starts from the cleared root's solved
-    state (bnb), its potentials brought to the counterfactual's gain
-    unit S' * P: zeroing bids only drops weight denominators, so S'
-    divides S, and the kernel repairs whatever the rounding and the
-    repricing leave (see `flow`)."""
+    The counterfactual's root starts from the cleared root (bnb; see
+    `solve`): zeroing bids only drops weight denominators, so the
+    counterfactual's gain unit S' * P divides the cleared one's."""
     instance = template.instance
     operator = instance.operator(operator_id)
     if rule == RULE_EXTERNALITY:
@@ -80,12 +77,8 @@ def payment(template: GraphTemplate, bids: Profile, operator_id: OperatorId,
         counterfactual_bids = dict(bids)
     else:
         raise ValueError(f"unknown payment rule {rule!r}")
-    graph = price_graph(template, counterfactual_bids)
-    start = cleared.root
-    if start is not None:  # potentials in this profile's gain unit
-        start = start._replace(potential=[
-            p * graph.unit // cleared.unit for p in start.potential])
-    inner = solve(graph, strategy=strategy, start=start)
+    inner = solve(price_graph(template, counterfactual_bids), strategy=strategy,
+                  start=cleared)
     # A solve's objective is its allocation's welfare under the bids it saw.
     inner_value = inner.objective - operator.weight * granted_value(
         instance, inner.allocation, counterfactual_bids, operator_id)
@@ -98,11 +91,8 @@ def run_auction(instance: Instance, bids: Profile, strategy: str = "bnb",
                 rule: str = RULE_EXTERNALITY) -> MechanismOutcome:
     """Clear the auction and price every operator: one template, |F|+1
     pricings and solver runs.  Raises ValueError for an invalid instance
-    (`compile_template`'s), then for invalid bids."""
+    (`compile_template`'s), then for invalid bids (`price_graph`'s)."""
     template = compile_template(instance)
-    report = validate_profile(instance, bids, "bids")
-    if not report.ok:
-        raise ValueError(f"invalid bids: {report.violations}")
     cleared = solve(price_graph(template, bids), strategy=strategy)
     payments = {
         operator.id: payment(template, bids, operator.id, cleared,

@@ -4,13 +4,13 @@ Branches over the per-aircraft departure-time binaries; each fixed
 assignment leaves a max-gain flow with integer bounds, solved exactly
 as a min-cost circulation over the graph's integer edge gains by the
 successive-shortest-path kernel in `flow`, on the residual network
-`graph.price_graph` priced.  Every augmentation moves whole units, so the
-flows are integral, and all arithmetic is on Python ints.  A
+`graph.price_graph` priced.  Every augmenting path moves one unit, so
+the flows are integral, and all arithmetic is on Python ints.  A
 branch-and-bound node's solve starts from the optimal flow and
 potentials of its parent, whose bounds contain its own; the root
-starts from the priced cold state, or from a given start, as a payment
-counterfactual starts from its auction's cleared root (`solve`);
-enumeration solves every leaf cold.  A solve's
+starts from the priced cold state, or from another solve's root on the
+same template, as a payment counterfactual starts from its auction's
+cleared root (`solve`); enumeration solves every leaf cold.  A solve's
 answer, `SolveResult.flow`, is the kernel's optimal flow as a tuple:
 the one flow of its allocation (see the `graph` module docstring).
 
@@ -78,7 +78,7 @@ class SolveStats:
     pruned_infeasible: int = 0
     pruned_bound: int = 0
     pruned_completion: int = 0  # relaxed flow spelled a completion
-    augmentations: int = 0  # paths pushed, over every flow solve
+    augmentations: int = 0  # paths pushed, one unit each, over every flow solve
     wall_time: float = 0.0
 
     @property
@@ -94,8 +94,8 @@ class SolveResult:
     allocation: Allocation
     stats: SolveStats
     # The bnb root's solved state (None for enumerate), its potentials in
-    # gains of `unit`, the graph's S * P: a start for the root of a solve
-    # of another profile on the same template.
+    # gains of `unit`, the graph's S * P: read by `solve` when this result
+    # starts the root of a solve of another profile on the same template.
     root: Optional[FlowState] = field(compare=False, repr=False)
     unit: int = field(compare=False, repr=False)
 
@@ -253,16 +253,17 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats, start: Optional[FlowState] = 
 
 
 def solve(graph: AuxGraph, strategy: str = "bnb",
-          start: Optional[FlowState] = None) -> SolveResult:
+          start: Optional[SolveResult] = None) -> SolveResult:
     """Global welfare maximum over all departure-time assignments.
 
     ``strategy`` is ``"bnb"`` (default) or ``"enumerate"``; both return
-    identical objectives and allocations.  `start`, if given, starts the
-    bnb root's solve instead of the cold state: any balanced state on
-    the graph's topology, such as the root of another profile's solve on
-    the same template (`SolveResult.root`), which the kernel repairs
-    (see `flow`).  Enumeration is the reference path: it ignores
-    `start` and solves every leaf cold.
+    identical objectives and allocations.  `start`, if given, is a solve
+    of another profile on the same template, as an auction's cleared
+    solve: the bnb root's solve starts from its root's flow and
+    potentials, the potentials brought from its gain unit to this
+    graph's, instead of the cold state, and the kernel repairs whatever
+    the rounding and the repricing leave (see `flow`).  Enumeration is
+    the reference path: it ignores `start` and solves every leaf cold.
     """
     if strategy not in ("bnb", "enumerate"):
         raise SolverError(f"unknown strategy {strategy!r}")
@@ -271,7 +272,11 @@ def solve(graph: AuxGraph, strategy: str = "bnb",
     if strategy == "enumerate":
         best, root = _solve_enumerate(graph, stats), None
     else:
-        best, root = _solve_bnb(graph, stats, start)
+        warm = None if start is None else start.root
+        if warm is not None:
+            warm = warm._replace(potential=[
+                p * graph.unit // start.unit for p in warm.potential])
+        best, root = _solve_bnb(graph, stats, warm)
     if best.flow is None:
         raise SolverError("no feasible departure-time assignment")
     stats.wall_time = time.perf_counter() - began

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from vertiport_auction import solver
+from vertiport_auction.generator import GeneratorConfig
 from vertiport_auction.graph import (
     SINK,
     build_graph,
@@ -191,6 +192,21 @@ def edges_of_class(graph, cls):
 
 def total_aircraft(instance):
     return sum(len(operator.fleet) for operator in instance.operators)
+
+
+def single_slot_config(seed):
+    """Degenerate single-slot setting: H = 1, slack-dominating gate
+    capacities, single-aircraft operators (menus reduce to stay-only).
+    """
+    return GeneratorConfig(
+        seed=seed,
+        horizon=(1, 1),
+        fleet_size=(1, 1),
+        operators=(2, 3),
+        arrival_cap=(1000, 1000),
+        departure_cap=(1000, 1000),
+        extra_parking=(0, 2),
+    )
 
 
 def all_stay_allocation(instance):

@@ -21,12 +21,13 @@ from conftest import (
     assert_flow_correspondence,
     assert_matches_oracle,
     remaining_welfare,
+    single_slot_config,
     total_aircraft,
     truncated_incidence,
     validated_instances,
 )
 from test_graph import exact_det
-from vertiport_auction.generator import GeneratorConfig, generate, single_slot_config
+from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
     build_graph,
     flow_gain,

@@ -2,12 +2,8 @@
 
 import pytest
 
-from conftest import total_aircraft
-from vertiport_auction.generator import (
-    GeneratorConfig,
-    generate,
-    single_slot_config,
-)
+from conftest import single_slot_config, total_aircraft
+from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.model import validate_instance, validate_profile
 from vertiport_auction.serialize import render
 

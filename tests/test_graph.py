@@ -19,6 +19,7 @@ from conftest import (
     truncated_incidence,
     unit_gains,
 )
+from vertiport_auction import graph as graph_module, mechanism
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
     SINK,
@@ -39,7 +40,9 @@ from vertiport_auction.model import (
     initial_occupancy,
     social_welfare,
     validate_instance,
+    validate_profile,
 )
+from vertiport_auction.mechanism import run_auction
 from vertiport_auction.oracle import enumerate_feasible
 
 F = Fraction
@@ -334,6 +337,39 @@ def test_priced_graph_reprices_as_its_template():
         fresh = build_graph(instance, other)
         assert repriced == fresh
         assert repriced.network == fresh.network
+
+
+@pytest.mark.parametrize("change", ["negative", "unknown", "missing"])
+def test_price_graph_is_the_one_gate_on_bids(change):
+    """`price_graph` refuses a profile with a negative bid, an unknown
+    entry or a missing one, and so `build_graph` and `run_auction` do,
+    all with the violations `validate_profile` reports."""
+    document = generate(GeneratorConfig(seed=0))
+    instance, bids = document.instance, dict(document.bids)
+    if change == "negative":
+        bids["op1", "a1", 0] = F(-5)
+    elif change == "unknown":
+        bids["zz", "a1", 0] = F(0)
+    else:
+        del bids["op1", "a1", 0]
+    violations = validate_profile(instance, bids, "bids").violations
+    assert violations
+    for call in (build_graph, run_auction):
+        with pytest.raises(ValueError) as caught:
+            call(instance, bids)
+        assert str(caught.value) == f"invalid bids: {violations}"
+
+
+def test_valid_bids_cost_no_validation_pass(monkeypatch):
+    """The gate checks bids as `price_graph` reads them: an auction on
+    valid bids never calls `validate_profile`."""
+    def refuse(*args):
+        raise AssertionError("validate_profile called on valid bids")
+
+    for module in (graph_module, mechanism):
+        monkeypatch.setattr(module, "validate_profile", refuse, raising=False)
+    document = generate(GeneratorConfig(seed=0))
+    run_auction(document.instance, document.bids)
 
 
 @settings(max_examples=20, deadline=None)

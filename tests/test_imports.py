@@ -1,4 +1,6 @@
-"""Every module-level import in `src/` and `tests/` is used."""
+"""Every module-level import in `src/` and `tests/` is used, and every
+top-level function and class in `src/` is used by the package or the
+benchmark, not only by tests."""
 
 import ast
 from pathlib import Path
@@ -42,4 +44,45 @@ def test_no_unused_module_level_imports():
               for folder in ("src", "tests")
               for path in sorted((ROOT / folder).rglob("*.py"))
               for line, name in unused_imports(path)]
+    assert unused == []
+
+
+def referenced_names(path):
+    """Every name `path` reads as a variable or an attribute, or spells as
+    a whole string, as the benchmark's tracer names what it wraps."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unreferenced_definitions(defining, using):
+    """(path, line, name) of each top-level function or class of the
+    files `defining` that no file of `using` references."""
+    read = set().union(*map(referenced_names, using))
+    return [(path, node.lineno, node.name) for path in defining
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
+def test_scan_finds_unreferenced_definitions(tmp_path):
+    module, user = tmp_path / "module.py", tmp_path / "user.py"
+    module.write_text("def used():\n    return helper\n\n\ndef helper():\n    pass\n\n\n"
+                      "class Wrapped:\n    pass\n\n\nclass Unused:\n    def used(self):\n"
+                      "        pass\n")
+    user.write_text("import module\nmodule.used()\nTARGETS = ('Wrapped',)\n")
+    assert unreferenced_definitions([module], [module, user]) == [(module, 13, "Unused")]
+
+
+def test_no_src_definition_only_tests_use():
+    package = sorted((ROOT / "src").rglob("*.py"))
+    users = package + sorted((ROOT / "perfbench").rglob("*.py"))
+    unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path, line, name in unreferenced_definitions(package, users)]
     assert unused == []

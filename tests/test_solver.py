@@ -22,7 +22,7 @@ from conftest import (
     validated_instances,
 )
 from test_acceptance import corpus_config
-from vertiport_auction.flow import FlowState, compile_topology, min_cost_flow
+from vertiport_auction.flow import FlowState, compile_topology, min_cost_flow, price_network
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.mechanism import pseudo_bids, run_auction
 from vertiport_auction import mechanism, solver
@@ -966,6 +966,17 @@ class TestFlowKernel:
                 graph, *_restricted(graph, lower, upper, rng), root)
             outcomes.add(warm is None)
         assert outcomes == {True, False}
+
+    def test_multi_unit_imbalance_takes_one_path_per_unit(self):
+        """The fixed edge 2 -> 0 forces two units into vertex 0 and out of
+        vertex 2.  The only way back, 0 -> 1 -> 2, has room for three, so
+        both units take it, each on its own path."""
+        lower, upper = [0, 0, 2], [3, 3, 2]
+        network = price_network(compile_topology(3, [0, 1, 2], [1, 2, 0], lower, upper),
+                                [0, -1, 0], {})
+        state, pushed = min_cost_flow(network, lower, upper, network.cold)
+        assert list(state.flows) == [2, 2, 2]
+        assert pushed == 2
 
 
 def test_import_loads_no_networkx():
