@@ -82,15 +82,18 @@ every reduced cost non-negative and zeroes them along the path), and
 one walk back from the deficit moves one unit along the path.  It stops
 at the source the path began from: a source's distance is 0, and no
 reduced cost is negative, so no arc lowers it and it has no predecessor
-in the Dijkstra tree.  Every edge follows one rule: a path moves one
-unit, after which the arc in the pushed direction costs the next unit,
-no less by convexity (the same cost on an edge with one cost), and the
-opposite arc minus the pushed unit, at reduced cost 0, so the invariant
-holds.  An imbalance of u units takes u paths.  The state stays optimal
-for its own imbalances, so once none are left it is a cheapest feasible
-circulation.  If some excess cannot reach a deficit, the vertices it
-reaches form a cut whose bounds cannot balance (Hoffman's circulation
-theorem) and the bounds are infeasible.
+in the Dijkstra tree.  A start whose potentials do not certify the
+prices it names can give a source a predecessor, and the walk back can
+then cycle, so it stops after as many arcs as there are vertices, more
+than any path has, and raises ValueError.  Every edge follows one
+rule: a path moves one unit, after which the arc in the pushed direction
+costs the next unit, no less by convexity (the same cost on an edge with
+one cost), and the opposite arc minus the pushed unit, at reduced cost
+0, so the invariant holds.  An imbalance of u units takes u paths.  The
+state stays optimal for its own imbalances, so once none are left it is
+a cheapest feasible circulation.  If some excess cannot reach a
+deficit, the vertices it reaches form a cut whose bounds cannot balance
+(Hoffman's circulation theorem) and the bounds are infeasible.
 """
 
 from __future__ import annotations
@@ -202,11 +205,13 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
     start is repaired first (module docstring).  Dijkstra walks the
     topology's arcs and reads their costs, the convex edges' repriced
     from the flow, on those with capacity.  Raises ValueError if a
-    Dijkstra round pops more entries than the invariant allows, as on a
-    negative-cost residual cycle from a start that names this network's
-    prices but was solved on bounds that do not contain these; such a
-    start otherwise goes unnoticed and can give a flow that is not
-    optimal."""
+    Dijkstra round pops more entries than the invariant allows, or if a
+    path walked back from its deficit does not end at a source within as
+    many arcs as there are vertices, as on a negative-cost residual cycle
+    from a start that names this network's prices but was solved on
+    bounds that do not contain these, or whose potentials were never
+    solved; such a start otherwise goes unnoticed and can give a flow
+    that is not optimal."""
     topology = network.topology
     flows = [u if f > u else (low if f < low else f)
              for f, low, u in zip(start.flows, lower, upper)]
@@ -283,13 +288,17 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         potential = [p + (d if d < span else span)
                      for p, d in zip(potential, dist)]
         v = target
-        while prev[v] >= 0:  # back to a source, whose prev stays -1
+        for _ in prev:  # back to a source, whose prev stays -1
             a = prev[v]
+            if a < 0:
+                break
             cap[a] -= 1
             cap[a ^ 1] += 1
             if a >> 1 in rows:
                 reprice(a >> 1)
             v = arc_head[a ^ 1]
+        else:  # a path has fewer arcs than the graph has vertices
+            raise ValueError("start state is not certified: the path back does not end")
         excess[v] -= 1
         excess[target] += 1
         pushed += 1

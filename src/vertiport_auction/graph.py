@@ -1,19 +1,33 @@
 """Time-expanded flow network for the reservation problem.
 
 Builds the auxiliary graph whose max-weight flows correspond one-to-one
-with feasible allocations: three vertiport replicas (parking, arrival,
-departure) per slot, one vertex per (aircraft, departure time other than
-the stay time 0), and a sink.  Edge classes:
+with feasible allocations: a parking vertex Park(r,t) per (vertiport,
+slot), an arrival vertex Arr(r,t) and a departure vertex Dep(r,t) only
+where that slot's gate can bind (below), a vertex AcDep(i,j,tau) only
+for an (aircraft, departure time other than the stay time 0) with two
+or more routes, and a sink.  In(r,t) is Arr(r,t) if the slot has one,
+else Park(r,t); Out(r,t) is Dep(r,t) if the slot has one, else
+Park(r,t).  Edge classes:
 
   E1 arrival gate       Arr(r,t)  -> Park(r,t)   cap [0, A(r,t)]
   E2 departure gate     Park(r,t) -> Dep(r,t)    cap [0, D(r,t)]
   E3 parking            Park(r,t) -> Park(r,t+1) cap [0, C(r,t)], convex:
                         q-th unit weighs -lambda*(g(q) - g(q-1))
-  E4 departure choice   Dep(o,tau) -> AcDep(i,j,tau)  cap [0, 1]
-  E5 route grant        AcDep(i,j,d_k) -> Arr(dest_k, a_k)
+  E4 departure choice   Out(o,tau) -> AcDep(i,j,tau)  cap [0, 1]
+  E5 route grant        AcDep(i,j,d_k), or Out(o,d_k) for a time with
+                        one route, -> In(dest_k, a_k)  cap [0, 1]
                         weight rho*(b_k - b_stay)
   E6 initial fleet      Sink -> Park(r,1)  bound = initial(r)
   E8 terminal parking   Park(r,H) -> Sink   like E3 at slot H
+
+Only the graph a flow can use is laid out.  A gate is an E1 (E2) edge
+at a slot that some route arrives at (departs from) whose capacity is
+below the number of distinct aircraft with a route through it,
+capacity 0 included.  Every feasible flow grants each aircraft at most
+one route, so a gate with room for all of them never binds: the slot
+has no Arr (Dep) vertex and its routes end (start) at Park(r,t), and a
+slot no route uses has none either.  A time with one route needs no
+choice between routes: its E5 edge leaves Out(o,tau) itself.
 
 E6 closes the circulation: every aircraft based at r leaves the sink
 for Park(r,1) by E6, and its unit returns to the sink by E8.  An E3/E8
@@ -26,28 +40,33 @@ the flow kernel's convex edges need (see `flow`).  Vertices are numbered in
 time order, for each slot the Arr/Park/Dep vertices of every vertiport
 and then the AcDep vertices, the sink last, so every
 edge but the fixed E6 runs from a lower to a higher index (a validated
-route departs before it arrives).  An aircraft departs
-at tau exactly when its E4 edge at tau carries its unit, and stays
-exactly when none of its E4 edges does.  The stay bid is folded into the
-route weights, so a stay moves and gains nothing in the graph and
-`AuxGraph.stay_welfare`, the fleet's weighted stay bids, is added back
-to every flow's weight; some E5 weights are negative.  Every bound is a
+route departs before it arrives).  An aircraft's departure edge at tau
+is its E4 edge there, or the one E5 edge of a time with one route; the
+aircraft departs at tau exactly when that edge carries its unit, and
+stays exactly when none of its departure edges does.  The stay bid is
+folded into the route weights, so a stay moves and gains nothing in the
+graph and `AuxGraph.stay_welfare`, the fleet's weighted stay bids, is
+added back to every flow's weight; some E5 weights are negative.  Every bound is a
 plain integer, and the graph's bounds are those of the relaxation with
-every aircraft undecided: E4 is [0, 1].  The departure-time decision
-delta is encoded once, as `AuxGraph.departure_times`, the E4 edge of
-each (aircraft, tau); deciding an aircraft at tau raises the lower bound
-of that edge to 1 and cuts its other E4 edges to 0 (the stay, tau 0,
-cuts them all), so one graph serves every branch node of the solver, and
+every aircraft undecided: every departure edge is [0, 1].  The
+departure-time decision delta is encoded once, as
+`AuxGraph.departure_times`, the departure edge of each (aircraft, tau);
+deciding an aircraft at tau raises the lower bound of that edge to 1
+and cuts its other departure edges to 0 (the stay, tau 0, cuts them
+all), so one graph serves every branch node of the solver, and
 no selector object stands for delta in any bound.  The solver branches
-on an aircraft whose relaxed flow carries two or more E4 units (see the
-`solver` module docstring).  Relaxed, E6 still fixes the units each
-vertiport starts with: a relaxed flow cannot move a unit to another
-vertiport, and a unit is credited for one aircraft's route at most once.
+on an aircraft whose relaxed flow carries two or more units on its
+departure edges (see the `solver` module docstring).  Relaxed, E6 still
+fixes the units each vertiport starts with: a relaxed flow cannot move
+a unit to another vertiport, and a unit is credited for one aircraft's
+route at most once.  A relaxed flow that splits an aircraft can pass
+more units through a slot than a gate left out would have held; it
+still bounds every completion, each of which lies within its bounds.
 A graph is built in two stages, and every branch node of a solve shares
 the result.  `compile_template` reads no bid: it lays out the vertices
 and every edge, computes the E3/E8 unit weights and the E5 tie-break
-bonuses, and records, as it adds the edges, the E4 edge of each
-(aircraft, tau), its only index; it then compiles the relaxed
+bonuses, and records, as it adds the edges, the departure edge of
+each (aircraft, tau), its only index; it then compiles the relaxed
 bounds and the flow kernel's topology (`flow.Topology`: vertex-index
 tails and heads and residual arcs).  `price_graph` reads one bid
 profile: the E5 weights and `stay_welfare`, then the scale S, the
@@ -114,20 +133,18 @@ among tied optima, and distinct allocations never tie in gain.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .flow import Network, Topology, compile_topology, price_network
 from .model import (
-    Aircraft,
     Allocation,
     Instance,
     Profile,
-    RouteOption,
     check_allocation,
-    initial_occupancy,
     validate_instance,
     validate_profile,
 )
@@ -195,8 +212,9 @@ class GraphTemplate:
     # Per-edge bounds with every aircraft undecided: each edge's own.
     relaxed_lower: Tuple[int, ...]
     relaxed_upper: Tuple[int, ...]
-    # (operator, aircraft) -> {tau: the E4 edge its unit takes to depart
-    # at tau}, tau ascending, for every departure time but the stay time 0.
+    # (operator, aircraft) -> {tau: the departure edge its unit takes to
+    # depart at tau, E4 or a time's one E5}, tau ascending, for every
+    # departure time but the stay time 0.
     departure_times: Mapping[Tuple[str, str], Mapping[int, int]]
 
 
@@ -218,9 +236,10 @@ class AuxGraph(GraphTemplate):
 def compile_template(instance: Instance) -> GraphTemplate:
     """Everything of the auxiliary graph of `instance` that no bid sets.
 
-    Edge indexing is deterministic: class E1..E8, then lexicographic key.
-    This is the library's one gate on instances: it raises
-    ``ValueError("invalid instance: ...")`` with the violations
+    Only the vertices and edges a flow can use are laid out (module
+    docstring).  Edge indexing is deterministic: class E1..E8, then
+    lexicographic key.  This is the library's one gate on instances: it
+    raises ``ValueError("invalid instance: ...")`` with the violations
     `validate_instance` reports, if any, before it builds anything.
     """
     report = validate_instance(instance)
@@ -233,25 +252,47 @@ def compile_template(instance: Instance) -> GraphTemplate:
     most_times = max((len(craft.departure_times()) for _, craft in fleet), default=1)
     largest_menu = max((len(craft.menu) for _, craft in fleet), default=1)
 
+    # Per (vertiport, slot): the aircraft with a route arriving there, and
+    # those with a route departing from there.
+    arriving: Dict[Tuple[str, int], Set[int]] = defaultdict(set)
+    departing: Dict[Tuple[str, int], Set[int]] = defaultdict(set)
+    # Per aircraft: its departure times with two or more routes.
+    shared: List[Set[int]] = []
+    for a, (_, craft) in enumerate(fleet):
+        routes: Counter = Counter()
+        for entry in craft.menu:
+            if not entry.is_stay:
+                arriving[entry.destination, entry.arrive_time].add(a)
+                departing[craft.origin, entry.depart_time].add(a)
+                routes[entry.depart_time] += 1
+        shared.append({tau for tau, count in routes.items() if count > 1})
+    # The gates that can bind, with their capacities: fewer units than
+    # aircraft that may use them.  An aircraft flies at most one route, so
+    # a gate with room for all of them never binds and is left out.
+    arrival_gates = {(r, t): cap for (r, t), crafts in arriving.items()
+                     if (cap := instance.vertiport(r).arrival_cap[t - 1]) < len(crafts)}
+    departure_gates = {(r, t): cap for (r, t), crafts in departing.items()
+                       if (cap := instance.vertiport(r).departure_cap[t - 1]) < len(crafts)}
+
+    def landing(r: str, t: int) -> Vertex:
+        return arr(r, t) if (r, t) in arrival_gates else park(r, t)
+
+    def takeoff(r: str, t: int) -> Vertex:
+        return dep(r, t) if (r, t) in departure_gates else park(r, t)
+
     vertices: List[Vertex] = []
     for t in range(1, h + 1):
         for port in instance.vertiports:
-            vertices.extend([arr(port.id, t), park(port.id, t), dep(port.id, t)])
-        for operator, craft in fleet:
-            if t in craft.departure_times():
+            if (port.id, t) in arrival_gates:
+                vertices.append(arr(port.id, t))
+            vertices.append(park(port.id, t))
+            if (port.id, t) in departure_gates:
+                vertices.append(dep(port.id, t))
+        for (operator, craft), taus in zip(fleet, shared):
+            if t in taus:
                 vertices.append(acdep(operator.id, craft.id, t))
     vertices.append(SINK)
     index = {v: position for position, v in enumerate(vertices)}
-
-    # Vertiport-time pairs that can actually receive / emit a route,
-    # for the zero-capacity pruning of dangling arrival/departure gates.
-    arrival_used = set()
-    departure_used = set()
-    for _, craft in fleet:
-        for entry in craft.menu:
-            if not entry.is_stay:
-                arrival_used.add((entry.destination, entry.arrive_time))
-                departure_used.add((craft.origin, entry.depart_time))
 
     edges: List[Edge] = []
     # Per E3/E8 edge, the reduced (numerator, denominator) of each unit's
@@ -275,46 +316,50 @@ def compile_template(instance: Instance) -> GraphTemplate:
             common = gcd(num, denominator)
             weights.append((num // common, denominator // common))
 
-    def grant_bonus(a: int, craft: Aircraft, entry: RouteOption) -> int:
-        rtau = craft.departure_times().index(entry.depart_time)
-        rk = craft.menu.index(entry)
+    def grant_bonus(a: int, rtau: int, rk: int) -> int:
         return (largest_menu ** n * most_times ** (n - 1 - a) * (most_times - 1 - rtau)
                 + largest_menu ** (n - 1 - a) * (largest_menu - 1 - rk))
 
-    for port in instance.vertiports:
-        for t in range(1, h + 1):
-            cap = port.arrival_cap[t - 1] if (port.id, t) in arrival_used else 0
-            add("E1", (port.id, t), arr(port.id, t), park(port.id, t), 0, cap)
-    for port in instance.vertiports:
-        for t in range(1, h + 1):
-            cap = port.departure_cap[t - 1] if (port.id, t) in departure_used else 0
-            add("E2", (port.id, t), park(port.id, t), dep(port.id, t), 0, cap)
+    for (r, t), cap in sorted(arrival_gates.items()):
+        add("E1", (r, t), arr(r, t), park(r, t), 0, cap)
+    for (r, t), cap in sorted(departure_gates.items()):
+        add("E2", (r, t), park(r, t), dep(r, t), 0, cap)
     for port in instance.vertiports:
         for t in range(1, h):
             add_parking("E3", (port.id, t), park(port.id, t), park(port.id, t + 1),
                         port.parking_cap[t - 1], port.congestion_rows()[t - 1])
     times: Dict[Tuple[str, str], Dict[int, int]] = {}
-    for operator, craft in fleet:
-        times[operator.id, craft.id] = {
-            tau: add("E4", (operator.id, craft.id, tau), dep(craft.origin, tau),
-                     acdep(operator.id, craft.id, tau), 0, 1).index
-            for tau in craft.departure_times()[1:]}
+    for (operator, craft), taus in zip(fleet, shared):
+        times[operator.id, craft.id] = carriers = dict.fromkeys(craft.departure_times()[1:])
+        for tau in carriers:
+            if tau in taus:
+                carriers[tau] = add("E4", (operator.id, craft.id, tau),
+                                    takeoff(craft.origin, tau),
+                                    acdep(operator.id, craft.id, tau), 0, 1).index
     aircraft = []
-    for a, (operator, craft) in enumerate(fleet):
-        stay_bonus = grant_bonus(a, craft, craft.option(craft.stay_key))
+    for a, ((operator, craft), taus) in enumerate(zip(fleet, shared)):
+        rank = {tau: rtau for rtau, tau in enumerate(craft.departure_times())}
+        grants = {entry.key: grant_bonus(a, rank[entry.depart_time], rk)
+                  for rk, entry in enumerate(craft.menu)}
+        stay_grant = grants[craft.stay_key]
+        carriers = times[operator.id, craft.id]
         routes = []
         for entry in craft.menu:
             if entry.is_stay:
                 continue
+            tau = entry.depart_time
             edge = add("E5", (operator.id, craft.id, entry.key),
-                       acdep(operator.id, craft.id, entry.depart_time),
-                       arr(entry.destination, entry.arrive_time), 0, 1)
-            routes.append((edge.index, edge.key,
-                           grant_bonus(a, craft, entry) - stay_bonus))
+                       acdep(operator.id, craft.id, tau) if tau in taus
+                       else takeoff(craft.origin, tau),
+                       landing(entry.destination, entry.arrive_time), 0, 1)
+            if tau not in taus:
+                carriers[tau] = edge.index
+            routes.append((edge.index, edge.key, grants[entry.key] - stay_grant))
         aircraft.append((operator.weight, (operator.id, craft.id, craft.stay_key),
                          tuple(routes)))
+    based = Counter(craft.origin for _, craft in fleet)
     for port in instance.vertiports:
-        count = initial_occupancy(instance, port.id)
+        count = based[port.id]
         add("E6", (port.id,), SINK, park(port.id, 1), count, count)
     for port in instance.vertiports:
         add_parking("E8", (port.id,), park(port.id, h), SINK,

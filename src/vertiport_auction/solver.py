@@ -27,23 +27,26 @@ solve of the flow relaxation of its partial assignment (undecided
 aircraft relaxed, see `_resolved_bounds`).  A node ends in one of three
 ways, or branches: infeasible (no completion exists), bound (its gain
 does not exceed the incumbent's), or completion: its flow gives every
-aircraft at most one unit on its E4 edges.  That flow spells a
-completion, each aircraft at the time of its unit and staying without
-one, and it lies as it stands within that completion's resolved bounds:
-E4 is the only edge whose bounds depend on delta, and its flow is
-exactly the spelled unit.  A decided aircraft spells its own decision,
-since its bounds force or forbid those units.  So the flow is a
-feasible completion of the node that gains as much as the relaxation,
-which bounds every completion: it is the best one, and it is offered as
-the incumbent with the gain the relaxation already computed.
+aircraft at most one unit on its departure edges, the edges
+`AuxGraph.departure_times` names (an E4 edge, or the one E5 edge of a
+time with one route; see the `graph` module docstring).  That flow
+spells a completion, each aircraft at the time of its unit and staying
+without one, and it lies as it stands within that completion's resolved
+bounds: the edges `departure_times` names are the only edges whose
+bounds depend on delta, and their flow is exactly the spelled unit.  A
+decided aircraft spells its own decision, since its bounds force or
+forbid those units.  So the flow is a feasible completion of the node
+that gains as much as the relaxation, which bounds every completion: it
+is the best one, and it is offered as the incumbent with the gain the
+relaxation already computed.
 
 Split rule.  A node that does not end branches on the aircraft its
 relaxed flow splits: the first, in `AuxGraph.departure_times` order,
-that carries two or more E4 units.  That aircraft is undecided, since a
+that carries two or more units on its departure edges.  That aircraft is undecided, since a
 decided one carries exactly its decision, so every root-to-node path
 decides each aircraft at most once and is at most the fleet size deep;
 there is no separate leaf case, and no departure-time selector object:
-a decision is applied straight to the E4 edges `departure_times` names.
+a decision is applied straight to the edges `departure_times` names.
 The children take the aircraft's departure times in ascending order,
 the stay (tau 0) last.  Each end discards only subtrees that are empty
 or hold nothing better than what is kept, the children's assignments
@@ -121,11 +124,12 @@ def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment
     """Per-edge integer (lower, upper) bounds under a (possibly partial)
     assignment.
 
-    Aircraft absent from `partial_delta` are undecided: their E4 edges
-    keep the relaxed [0, 1], a valid superset of every completion, since
-    the aircraft may also stay and use none of them.  Deciding an
-    aircraft at tau raises the lower bound of its E4 edge at tau to 1 and
-    cuts the upper bounds of its other E4 edges to 0; deciding that it
+    Aircraft absent from `partial_delta` are undecided: their departure
+    edges (`AuxGraph.departure_times`) keep the relaxed [0, 1], a valid
+    superset of every completion, since the aircraft may also stay and
+    use none of them.  Deciding an aircraft at tau raises the lower bound
+    of its departure edge at tau to 1 and cuts the upper bounds of its
+    other departure edges to 0; deciding that it
     stays (tau 0) cuts them all.  So a full assignment resolves every
     bound exactly.
     """
@@ -185,8 +189,8 @@ def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
 def _split_aircraft(graph: AuxGraph, flows: Sequence[int]
                     ) -> Optional[Tuple[str, str]]:
     """The first aircraft, in `departure_times` order, that a relaxed flow
-    gives two or more units on its E4 edges; None when the flow spells a
-    completion."""
+    gives two or more units on its departure edges; None when the flow
+    spells a completion."""
     for pair, carriers in graph.departure_times.items():
         if sum(flows[k] for k in carriers.values()) > 1:
             return pair

@@ -1,5 +1,6 @@
 """Auxiliary graph: construction, incidence, flow correspondence."""
 
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,8 @@ from vertiport_auction.model import (
 )
 from vertiport_auction.mechanism import run_auction
 from vertiport_auction.oracle import enumerate_feasible
+from vertiport_auction.solver import solve
+from test_small_scope import small_scope
 
 F = Fraction
 
@@ -70,38 +73,49 @@ def exact_det(matrix):
 
 class TestBuildGraph:
     def test_two_port_single_aircraft_vertex_count(self, single_mover):
+        """One aircraft, one route: each gate it uses has room for it, so
+        neither binds, and its one departure time needs no choice.  The
+        graph is a parking vertex per port and slot plus the sink, and
+        the route edge itself is the aircraft's departure edge at 2."""
         instance, bids = single_mover
         graph = build_graph(instance, bids)
-        # 3 replicas x 2 ports x 3 slots + one aircraft vertex for the
-        # departure time 2 (the stay time 0 has none) + sink.
-        assert len(graph.vertices) == 3 * 2 * 3 + 1 + 1 == 20
-        assert [v for v in graph.vertices if v[0] == "acdep"] == [
-            acdep("op1", "a1", 2)]
+        assert list(graph.vertices) == [park(r, t) for t in (1, 2, 3)
+                                        for r in ("v1", "v2")] + [SINK]
+        (e5,) = edges_of_class(graph, "E5")
+        assert (e5.tail, e5.head) == (park("v1", 2), park("v2", 3))
+        assert graph.departure_times == {("op1", "a1"): {2: e5.index}}
+        assert {e.cls for e in graph.edges} == {"E3", "E5", "E6", "E8"}
 
     def test_size_formula_random(self):
+        """A parking vertex per (vertiport, slot), one Arr, Dep or AcDep
+        vertex per E1, E2 or E4 edge, and the sink; one E3 per slot but
+        the last, an E6 and an E8 per vertiport and an E5 per route."""
         for seed in range(10):
             document = generate(GeneratorConfig(seed=seed))
             instance = document.instance
             graph = build_graph(instance, document.bids)
-            expected = 3 * instance.horizon * len(instance.vertiports) + sum(
-                len(craft.departure_times()) - 1
-                for _, craft in instance.iter_aircraft()
-            ) + 1
-            assert len(graph.vertices) == expected
+            count = Counter(e.cls for e in graph.edges)
+            ports, h = len(instance.vertiports), instance.horizon
+            assert len(graph.vertices) == (
+                h * ports + count["E1"] + count["E2"] + count["E4"] + 1)
+            assert count["E3"] == (h - 1) * ports
+            assert count["E6"] == count["E8"] == ports
+            assert count["E5"] == sum(len(craft.menu) - 1
+                                      for _, craft in instance.iter_aircraft())
+            assert sum(v[0] in ("arr", "dep", "acdep") for v in graph.vertices) == (
+                count["E1"] + count["E2"] + count["E4"])
 
     def test_no_aircraft_single_slot(self, empty_instance):
+        """No route uses a gate, so the graph has none."""
         graph = build_graph(empty_instance, {})
-        assert set(graph.vertices) == {
-            park("v1", 1), arr("v1", 1), dep("v1", 1), SINK,
-        }
-        assert {e.cls for e in graph.edges} == {"E1", "E2", "E6", "E8"}
+        assert graph.vertices == (park("v1", 1), SINK)
+        assert {e.cls for e in graph.edges} == {"E6", "E8"}
         by_class = {cls: edges_of_class(graph, cls) for cls in
                     ("E1", "E2", "E3", "E4", "E5", "E6", "E8")}
-        assert len(by_class["E1"]) == 1 and len(by_class["E2"]) == 1
         (e8,) = by_class["E8"]  # one edge carries the slot's parking cap 2
         assert (e8.key, e8.lower, e8.upper) == (("v1",), 0, 2)
         assert unit_gains(graph) == {e8.index: (0, 0)}
-        for cls in ("E3", "E4", "E5"):
+        for cls in ("E1", "E2", "E3", "E4", "E5"):
             assert by_class[cls] == []
         # The initial-fleet edge carries no aircraft here.
         (e6,) = by_class["E6"]
@@ -143,12 +157,27 @@ class TestBuildGraph:
             assert (e.lower, e.upper) == (0, 1)
 
     def test_zero_capacity_pruning(self, second_price):
+        """Two aircraft can arrive at v2 at 3 and one fits, so that gate
+        binds and stays; a slot no route uses has no gate, and v1's
+        departure gate at 2, of capacity 2, has room for both aircraft.
+        Cut to 0, the arrival gate still binds and stays, at 0; cut to 1,
+        the departure gate binds too."""
         instance, bids = second_price
         graph = build_graph(instance, bids)
-        caps = {e.key: e.upper for e in edges_of_class(graph, "E1")}
-        assert caps[("v2", 3)] == 1   # the contested slot
-        assert caps[("v2", 1)] == 0   # no route arrives there: pruned
-        assert caps[("v1", 1)] == 0
+        assert {(e.cls, e.key): e.upper for e in graph.edges
+                if e.cls in ("E1", "E2")} == {("E1", ("v2", 3)): 1}
+        assert arr("v2", 3) in graph.vertices
+        assert not {arr("v2", 1), arr("v1", 1), dep("v1", 2)} & set(graph.vertices)
+        v1, v2 = instance.vertiports
+        cut = Instance(instance.horizon, instance.congestion_ratio,
+                       (make_port("v1", v1.parking_cap, v1.arrival_cap, (0, 1, 0)),
+                        make_port("v2", v2.parking_cap, (0, 0, 0), v2.departure_cap)),
+                       instance.operators)
+        graph = build_graph(cut, bids)
+        assert {(e.cls, e.key): e.upper for e in graph.edges
+                if e.cls in ("E1", "E2")} == {("E1", ("v2", 3)): 0,
+                                              ("E2", ("v1", 2)): 1}
+        assert solve(graph).allocation == {("op1", "a1"): 0, ("op2", "a1"): 0}
 
     def test_one_parking_edge_per_slot(self):
         """Each (vertiport, slot) has one E3 edge (one E8 edge at slot H)
@@ -195,9 +224,60 @@ class TestBuildGraph:
             build_graph(bent, bids)
 
 
+def _assert_contracted_layout(graph):
+    """The graph holds only what can matter.  Its E1 (E2) gates are
+    exactly the slots some route arrives at (departs from) whose capacity
+    is below the number of distinct aircraft with a route through them,
+    each at that capacity; every AcDep vertex has two or more route
+    edges; and each `departure_times` entry names the E4 edge of a time
+    with two or more routes, or else that time's only E5 edge."""
+    instance = graph.instance
+    users = defaultdict(set)
+    for operator, craft in instance.iter_aircraft():
+        pair = operator.id, craft.id
+        for entry in craft.menu:
+            if not entry.is_stay:
+                users["E1", (entry.destination, entry.arrive_time)].add(pair)
+                users["E2", (craft.origin, entry.depart_time)].add(pair)
+    caps = {"E1": lambda port: port.arrival_cap, "E2": lambda port: port.departure_cap}
+    binding = {}
+    for (cls, (r, t)), crafts in users.items():
+        cap = caps[cls](instance.vertiport(r))[t - 1]
+        if cap < len(crafts):
+            binding[cls, (r, t)] = cap
+    assert {(e.cls, e.key): e.upper for e in graph.edges
+            if e.cls in ("E1", "E2")} == binding
+    routes_out = Counter(e.tail for e in graph.edges if e.cls == "E5")
+    for v in graph.vertices:
+        if v[0] == "acdep":
+            assert routes_out[v] >= 2, v
+    for (i, j), carriers in graph.departure_times.items():
+        craft = instance.operator(i).aircraft(j)
+        routes = Counter(entry.depart_time for entry in craft.menu if not entry.is_stay)
+        assert list(carriers) == sorted(routes)
+        for tau, k in carriers.items():
+            e = graph.edges[k]
+            if routes[tau] > 1:
+                assert (e.cls, e.key, e.head) == ("E4", (i, j, tau), acdep(i, j, tau))
+            else:
+                assert e.cls == "E5" and e.key[:2] == (i, j)
+                assert craft.option(e.key[2]).depart_time == tau
+
+
+def test_contracted_layout_on_generated_instances():
+    for seed in range(15):
+        document = generate(GeneratorConfig(seed=seed))
+        _assert_contracted_layout(build_graph(document.instance, document.bids))
+
+
+def test_contracted_layout_on_the_small_scope():
+    for instance, bids in small_scope():
+        _assert_contracted_layout(build_graph(instance, bids))
+
+
 class TestIncidence:
-    def test_single_edge_column(self, empty_instance):
-        graph = build_graph(empty_instance, {})
+    def test_single_edge_column(self, second_price):
+        graph = build_graph(*second_price)
         matrix = incidence(graph)
         index = {v: i for i, v in enumerate(graph.vertices)}
         e1 = edges_of_class(graph, "E1")[0]
@@ -264,9 +344,11 @@ class TestAllocationToFlow:
         solution = allocation_to_flow(graph, {("op1", "a1"): 1})
         nonzero = [e for e in graph.edges if solution[e.index]]
         classes = sorted(e.cls for e in nonzero)
-        # Sink -> Park(v1,1) -> Park(v1,2) -> Dep(v1,2) -> AcDep
-        # -> Arr(v2,3) -> Park(v2,3) -> Sink.
-        assert classes == ["E1", "E2", "E3", "E4", "E5", "E6", "E8"]
+        # Sink -> Park(v1,1) -> Park(v1,2) -> Park(v2,3) -> Sink: neither
+        # gate binds and the route is its time's only one.
+        assert classes == ["E3", "E5", "E6", "E8"]
+        assert [(e.tail, e.head) for e in nonzero if e.cls == "E5"] == [
+            (park("v1", 2), park("v2", 3))]
         assert [(e.key, solution[e.index]) for e in nonzero if e.cls == "E6"] == [
             (("v1",), 1)]
 

@@ -21,7 +21,7 @@ hypothesis: Jackson, *Software Abstractions*, 2006).  The scope:
   a route reaches it, its parking cap at slot 2 over its initial
   occupancy .. 2 (the least the slack condition allows); every other
   cap is 2.  A gate cap above what its users can fill, a gate no route
-  uses (the graph gives it no capacity) and parking at slot 1 or where
+  uses (the graph lays out no gate there) and parking at slot 1 or where
   nothing arrives (occupancy there never exceeds the initial one)
   change no feasible set and no welfare.
 """

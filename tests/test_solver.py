@@ -372,14 +372,29 @@ def test_pricing_and_search_construct_constant_fractions():
     assert branched > 0
 
 
-def _resolve(edge, bound, delta):
+def _departure(graph, edge):
+    """(aircraft, tau) if `edge` is a departure edge, read off the edge
+    alone: an E4 edge, or an E5 edge that leaves no AcDep vertex (the
+    only route of its time); None otherwise."""
+    if edge.cls == "E4":
+        i, j, tau = edge.key
+        return (i, j), tau
+    if edge.cls == "E5" and edge.tail[0] != "acdep":
+        i, j, key = edge.key
+        return (i, j), graph.instance.operator(i).aircraft(j).option(key).depart_time
+    return None
+
+
+def _resolve(graph, edge, bound, delta):
     """Value of an edge's bound under a full departure-time assignment:
-    an E4 edge carries its aircraft's unit exactly when the aircraft
-    departs at the edge's time; every other bound is the edge's own."""
-    if edge.cls != "E4":
+    a departure edge carries its aircraft's unit exactly when the
+    aircraft departs at the edge's time; every other bound is the edge's
+    own."""
+    departure = _departure(graph, edge)
+    if departure is None:
         return bound
-    i, j, tau = edge.key
-    return int(delta[(i, j)] == tau)
+    pair, tau = departure
+    return int(delta[pair] == tau)
 
 
 class TestResolvedBounds:
@@ -389,8 +404,8 @@ class TestResolvedBounds:
             graph = build_graph(document.instance, document.bids)
             for delta in enumerate_deltas(document.instance):
                 lower, upper = solver._resolved_bounds(graph, delta)
-                assert lower == [_resolve(e, e.lower, delta) for e in graph.edges]
-                assert upper == [_resolve(e, e.upper, delta) for e in graph.edges]
+                assert lower == [_resolve(graph, e, e.lower, delta) for e in graph.edges]
+                assert upper == [_resolve(graph, e, e.upper, delta) for e in graph.edges]
 
     def test_partial_assignment_contains_every_completion(self):
         for seed in range(6):
@@ -406,8 +421,9 @@ class TestResolvedBounds:
                         if any(completion[p] != tau for p, tau in partial.items()):
                             continue
                         for e in graph.edges:
-                            assert (lower[e.index] <= _resolve(e, e.lower, completion)
-                                    and _resolve(e, e.upper, completion) <= upper[e.index])
+                            assert (lower[e.index] <= _resolve(graph, e, e.lower, completion)
+                                    and _resolve(graph, e, e.upper, completion)
+                                    <= upper[e.index])
 
 
 class TestRelaxationBound:
@@ -710,10 +726,11 @@ def _scanned_indexes(graph):
     times = {(operator.id, craft.id): {}
              for operator, craft in graph.instance.iter_aircraft()}
     for e in graph.edges:
-        if e.cls == "E4":
-            i, j, tau = e.key
-            times[i, j][tau] = e.index
-    return times
+        departure = _departure(graph, e)
+        if departure is not None:
+            pair, tau = departure
+            times[pair][tau] = e.index
+    return {pair: dict(sorted(taus.items())) for pair, taus in times.items()}
 
 
 def _assert_one_pass_template(instance, bids):
@@ -955,16 +972,48 @@ class TestFlowKernel:
         with pytest.raises(ValueError, match="not certified"):
             min_cost_flow(graph.network, *solver._resolved_bounds(graph, {}), start)
 
+    def test_forged_start_whose_path_back_does_not_end_raises(self):
+        """Random potentials forged onto the cold flow, naming the
+        network's prices, skip the repair, and a source can then get a
+        predecessor in the Dijkstra tree, so the walk back from the
+        deficit would cycle: on seed 7 (draws 9 and 23) it never reaches
+        a source, and on seed 34's draw 26 it did so on a graph with every
+        gate laid out, running off a parking row.  Each of the first 26
+        draws on generator seeds 7 and 34 solves or raises the documented
+        ValueError, and some raise it for a path that does not end."""
+        endless = 0
+        for seed in (7, 34):
+            document = generate(GeneratorConfig(seed=seed))
+            graph = build_graph(document.instance, document.bids)
+            network = graph.network
+            bounds = solver._resolved_bounds(graph, {})
+            rng = random.Random(seed)
+            for _ in range(26):
+                potential = [rng.randint(-1000, 1000) * graph.unit
+                             for _ in network.cold.potential]
+                start = FlowState(network.cold.flows, potential, network.arc_cost)
+                try:
+                    min_cost_flow(network, *bounds, start)
+                except ValueError as error:
+                    assert "start state is not certified" in str(error)
+                    endless += "does not end" in str(error)
+        assert endless >= 2
+
     def test_zero_aircraft_kernel(self, empty_instance):
+        """With no aircraft the graph is the fixed E6 edge and the E8
+        edge.  Every narrowing of one edge by one unit, warm from the
+        root, matches network_simplex, and some are infeasible."""
         graph = build_graph(empty_instance, {})
         lower, upper = solver._resolved_bounds(graph, {})
         root, _ = _assert_kernel_agrees(graph, lower, upper, graph.network.cold)
-        rng = random.Random(1)
         outcomes = set()
-        for _ in range(30):
-            warm, _ = _assert_kernel_agrees(
-                graph, *_restricted(graph, lower, upper, rng), root)
-            outcomes.add(warm is None)
+        for k in range(len(lower)):
+            for bounds, step in ((lower, 1), (upper, -1)):
+                original = bounds[k]
+                bounds[k] += step
+                warm, _ = _assert_kernel_agrees(graph, lower, upper, root)
+                bounds[k] = original
+                outcomes.add(warm is None)
         assert outcomes == {True, False}
 
     def test_multi_unit_imbalance_takes_one_path_per_unit(self):
