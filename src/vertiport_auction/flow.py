@@ -45,10 +45,12 @@ by hand (None), holds for no known bounds, so after clamping the solve
 repairs it.  Under the start's potentials, every edge whose forward arc
 has a negative reduced cost goes to its upper bound, every edge whose
 forward arc has a positive one to its lower bound, and every other edge
-keeps its flow.  A convex edge keeps its flow f if its first f units
-have non-positive reduced costs and the others non-negative ones, and
-otherwise goes to the nearest such f, found by bisecting its
-non-decreasing row; f is then clamped into its bounds.  Afterwards every
+keeps its flow.  A convex edge keeps its clamped start flow f if its
+first f units have non-positive reduced costs and the others
+non-negative ones, and otherwise goes to the nearest such f, found by
+bisecting its non-decreasing row; f is then clamped into its bounds.
+So a solved state handed back without its prices is a fixed point: the
+repair moves no edge and the solve pushes no path.  Afterwards every
 residual arc with capacity has a non-negative reduced cost.  An edge of
 negative forward reduced cost sits at its upper bound, where its forward
 arc has no capacity and its reverse arc costs minus a negative reduced
@@ -79,21 +81,35 @@ Routing.  Each round runs Dijkstra on reduced costs from every vertex
 with excess at once and stops at the nearest vertex with a deficit.  The
 potentials absorb the distances, capped at the deficit's (which keeps
 every reduced cost non-negative and zeroes them along the path), and
-one walk back from the deficit moves one unit along the path.  It stops
-at the source the path began from: a source's distance is 0, and no
-reduced cost is negative, so no arc lowers it and it has no predecessor
-in the Dijkstra tree.  A start whose potentials do not certify the
-prices it names can give a source a predecessor, and the walk back can
-then cycle, so it stops after as many arcs as there are vertices, more
-than any path has, and raises ValueError.  Every edge follows one
-rule: a path moves one unit, after which the arc in the pushed direction
-costs the next unit, no less by convexity (the same cost on an edge with
-one cost), and the opposite arc minus the pushed unit, at reduced cost
-0, so the invariant holds.  An imbalance of u units takes u paths.  The
-state stays optimal for its own imbalances, so once none are left it is
-a cheapest feasible circulation.  If some excess cannot reach a
-deficit, the vertices it reaches form a cut whose bounds cannot balance
-(Hoffman's circulation theorem) and the bounds are infeasible.
+one walk back from the deficit moves one unit along the path.
+
+Certification.  With no negative reduced cost, Dijkstra settles the
+vertices in non-decreasing distance (Ahuja, Magnanti & Orlin, ch. 9),
+and each round checks exactly that, from a last settled distance of 0:
+a vertex that settles nearer than the one settled before it raises
+ValueError, for then the start's potentials do not certify the prices
+it names.  That one check ends every solve.  A vertex can settle a
+second time only through an entry nearer than its first settle, so
+below the last settled distance: the check refuses it, and each vertex
+settles at most once per round.  A vertex's predecessor settled before
+it, and is never replaced once the vertex has settled, since that too
+pushes an entry below the last settled distance, which pops, and is
+refused, before the deficit can settle.  A source, at distance 0,
+never gets a predecessor, since that needs an entry below 0.  So the
+walk back passes vertices settled ever earlier and always ends at a
+source.  The check sees only the arcs a round relaxes: a start whose
+negative reduced costs lie only on arcs no round relaxes still goes
+unnoticed and can give a flow that is not optimal.
+
+Paths.  Every edge follows one rule: a path moves one unit, after which
+the arc in the pushed direction costs the next unit, no less by
+convexity (the same cost on an edge with one cost), and the opposite
+arc minus the pushed unit, at reduced cost 0, so the invariant holds.
+An imbalance of u units takes u paths.  The state stays optimal for its
+own imbalances, so once none are left it is a cheapest feasible
+circulation.  If some excess cannot reach a deficit, the vertices it
+reaches form a cut whose bounds cannot balance (Hoffman's circulation
+theorem) and the bounds are infeasible.
 """
 
 from __future__ import annotations
@@ -204,26 +220,30 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
     whose bounds contain these) is used as it is; any other balanced
     start is repaired first (module docstring).  Dijkstra walks the
     topology's arcs and reads their costs, the convex edges' repriced
-    from the flow, on those with capacity.  Raises ValueError if a
-    Dijkstra round pops more entries than the invariant allows, or if a
-    path walked back from its deficit does not end at a source within as
-    many arcs as there are vertices, as on a negative-cost residual cycle
-    from a start that names this network's prices but was solved on
-    bounds that do not contain these, or whose potentials were never
-    solved; such a start otherwise goes unnoticed and can give a flow
-    that is not optimal."""
+    from the flow, on those with capacity.  Raises ValueError if, in a
+    Dijkstra round, a vertex settles nearer than the vertex settled
+    before it, as on a negative reduced cost from a start that names
+    this network's prices but was solved on bounds that do not contain
+    these, or whose potentials were never solved.  That check alone ends
+    every solve: it lets each vertex settle at most once per round, and
+    it keeps every predecessor settled before its successor and every
+    source, at distance 0, without one, so each path walked back from a
+    deficit ends at a source (module docstring).  A start whose negative
+    reduced costs lie only on arcs no round relaxes goes unnoticed and
+    can give a flow that is not optimal."""
     topology = network.topology
     flows = [u if f > u else (low if f < low else f)
              for f, low, u in zip(start.flows, lower, upper)]
     if start.prices is not network.arc_cost:  # priced for other costs: repair
         p = start.potential
         slack = [p[t] - p[h] for t, h in zip(topology.tails, topology.heads)]
+        clamped = flows
         flows = [u if c + s < 0 else (low if c + s > 0 else f) for f, low, u, c, s
-                 in zip(flows, lower, upper, network.arc_cost[0::2], slack)]
+                 in zip(clamped, lower, upper, network.arc_cost[0::2], slack)]
         for k, row in network.rows.items():
             # Every unit of negative reduced cost, none of positive.
             least, most = bisect_left(row, -slack[k]), bisect_right(row, -slack[k])
-            f = least if flows[k] < least else (most if flows[k] > most else flows[k])
+            f = min(max(clamped[k], least), most)
             flows[k] = min(max(f, lower[k]), upper[k])
     cap = [0] * len(topology.arc_head)
     cap[0::2] = map(sub, upper, flows)
@@ -261,12 +281,14 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         heapify(heap)
         deficits = {v for v, units in excess.items() if units < 0}
         target, cutoff = None, inf  # nearest deficit found so far
-        for _ in range(len(heap) + len(arc_head)):  # each vertex settles once
-            if not heap:
-                break
+        last = 0  # distance of the vertex settled last
+        while heap:
             d, u = heappop(heap)
             if d > dist[u]:
                 continue
+            if d < last:
+                raise ValueError("start state is not certified: vertices settled out of order")
+            last = d
             if u == target:
                 break
             base = d + potential[u]
@@ -279,26 +301,19 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
                         heappush(heap, (reach, v))
                         if v in deficits:
                             target, cutoff = v, reach
-        else:
-            if heap:
-                raise ValueError("start state is not certified: Dijkstra did not settle")
         if target is None:
             return None, pushed
         span = dist[target]
         potential = [p + (d if d < span else span)
                      for p, d in zip(potential, dist)]
         v = target
-        for _ in prev:  # back to a source, whose prev stays -1
+        while prev[v] >= 0:  # back to a source, whose prev stays -1
             a = prev[v]
-            if a < 0:
-                break
             cap[a] -= 1
             cap[a ^ 1] += 1
             if a >> 1 in rows:
                 reprice(a >> 1)
             v = arc_head[a ^ 1]
-        else:  # a path has fewer arcs than the graph has vertices
-            raise ValueError("start state is not certified: the path back does not end")
         excess[v] -= 1
         excess[target] += 1
         pushed += 1

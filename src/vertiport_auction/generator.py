@@ -1,6 +1,7 @@
 """Seeded random instance generation.
 
-Instances are constructed so they always pass validation: parking
+Instances are constructed so they always pass validation, for every
+config `GeneratorConfig` accepts: parking
 capacities are drawn at or above the initial occupancy (slack
 condition), congestion tables are built from non-decreasing marginal
 increments (discrete convexity), and transit routes depart at slot 2 or
@@ -50,13 +51,22 @@ class GeneratorConfig:
     # fractional part with the value denominator is added on top
 
     def __post_init__(self) -> None:
+        """Rejects, naming the field, an empty range, a range that reaches
+        below 0 (below 1 for the vertiports, operators and horizon), a
+        value denominator below 1 and a negative value numerator.  Any of
+        them could draw an instance that fails validation, or raise while
+        drawing."""
         for name in ("vertiports", "operators", "fleet_size", "transit_routes",
-                     "horizon", "arrival_cap", "departure_cap", "extra_parking"):
-            lo, hi = getattr(self, name)
+                     "horizon", "arrival_cap", "departure_cap", "extra_parking",
+                     "lambda_range", "value_denominator", "max_value_numerator"):
+            value = getattr(self, name)
+            lo, hi = value if isinstance(value, tuple) else (value, value)
+            least = 1 if name in ("vertiports", "operators", "horizon",
+                                  "value_denominator") else 0
             if lo > hi:
                 raise ValueError(f"empty range for {name}")
-        if self.operators[0] < 1 or self.vertiports[0] < 1:
-            raise ValueError("need at least one operator and one vertiport")
+            if lo < least:
+                raise ValueError(f"{name} must be at least {least}, got {lo}")
 
 
 def _draw(rng: random.Random, bounds: Tuple[int, int]) -> int:

@@ -7,6 +7,22 @@ from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.model import validate_instance, validate_profile
 from vertiport_auction.serialize import render
 
+#: Per config field, a value reaching below its least allowed value, and
+#: that least value.
+BELOW_LEAST = {
+    "vertiports": ((0, 1), 1),
+    "operators": ((0, 1), 1),
+    "fleet_size": ((-1, 1), 0),
+    "transit_routes": ((-1, 1), 0),
+    "horizon": ((0, 0), 1),
+    "arrival_cap": ((-1, -1), 0),
+    "departure_cap": ((-1, 0), 0),
+    "extra_parking": ((-2, -2), 0),
+    "lambda_range": ((-1, -1), 0),
+    "value_denominator": (0, 1),
+    "max_value_numerator": (-1, 0),
+}
+
 
 class TestDeterminism:
     def test_same_seed_identical(self):
@@ -60,6 +76,18 @@ class TestConfig:
     def test_needs_an_operator(self):
         with pytest.raises(ValueError):
             GeneratorConfig(operators=(0, 0))
+
+    @pytest.mark.parametrize("field", list(BELOW_LEAST))
+    def test_field_below_its_least_value_rejected(self, field):
+        """Every field but the seed is checked against the least value
+        that still draws a valid instance: unchecked, horizon (0, 0),
+        arrival_cap (-1, -1), extra_parking (-2, -2) and lambda_range
+        (-1, -1) draw instances that fail validation, and
+        value_denominator 0 raises ZeroDivisionError."""
+        value, least = BELOW_LEAST[field]
+        lo = value[0] if isinstance(value, tuple) else value
+        with pytest.raises(ValueError, match=f"^{field} must be at least {least}, got {lo}$"):
+            GeneratorConfig(**{field: value})
 
     def test_bounds_respected(self):
         config = GeneratorConfig(seed=0, vertiports=(2, 2), operators=(2, 2),

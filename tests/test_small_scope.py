@@ -8,7 +8,8 @@ space; this covers one corner of it completely (the small-scope
 hypothesis: Jackson, *Software Abstractions*, 2006).  The scope:
 
 - horizon 1 or 2; one vertiport (v1) or two (v1, v2); lambda 0 or 1,
-  every congestion row q(q+1)/2 (0, 1, 3), operator weights 1;
+  every congestion row q(q+1)/2 (0, 1, 3), operator weights 1 (a
+  second pass gives op2 weight 1/2 on the two-operator instances);
 - no aircraft, one, two of one operator, or one each of two operators;
 - each aircraft has a stay (menu key 0) and, at horizon 2, at most one
   route, departing at slot 1 and arriving at slot 2: with one
@@ -27,9 +28,12 @@ hypothesis: Jackson, *Software Abstractions*, 2006).  The scope:
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from conftest import assert_matches_oracle, stay, transit
+from vertiport_auction.graph import build_graph
+from vertiport_auction.mechanism import pseudo_bids
 from vertiport_auction.model import (
     Aircraft,
     Instance,
@@ -124,3 +128,21 @@ def test_every_instance_of_the_small_scope_matches_the_oracle():
         count += 1
     print(f"small scope: {count} instances agree with the oracle")
     assert count == SCOPE_SIZE
+
+
+def test_two_operator_instances_with_a_half_weight_match_the_oracle():
+    """Every two-operator instance of the scope (1,328 of the 2,788) with
+    op2's weight set to 1/2.  In 580 of them op2's counterfactual has
+    another gain unit than the clearing solve, so `solve` converts the
+    cleared root's potentials to it and repairs that start."""
+    count = converted = 0
+    for instance, bids in small_scope():
+        if len(instance.operators) < 2:
+            continue
+        op1, op2 = instance.operators
+        instance = replace(instance, operators=(op1, replace(op2, weight=Fraction(1, 2))))
+        assert_matches_oracle(instance, bids)
+        converted += (build_graph(instance, pseudo_bids("op2", bids)).unit
+                      != build_graph(instance, bids).unit)
+        count += 1
+    assert (count, converted) == (1328, 580)

@@ -559,10 +559,11 @@ def _network_simplex(graph, lower, upper):
 
 def _restricted(graph, lower, upper, rng):
     """A narrowing of the bounds: one to three lowers raised or uppers
-    cut by one unit each, sometimes past each other, and now and then
-    one more departure forced through an open gate (E2)."""
+    cut by one unit each, no more than the graph has edges, sometimes past
+    each other, and now and then one more departure forced through an
+    open gate (E2)."""
     lower, upper = list(lower), list(upper)
-    for k in rng.sample(range(len(lower)), rng.randint(1, 3)):
+    for k in rng.sample(range(len(lower)), rng.randint(1, min(3, len(lower)))):
         if rng.random() < 0.5:
             lower[k] += 1
         else:
@@ -666,6 +667,20 @@ def test_auction_solves_do_the_work_of_fresh_builds(kernel_graphs, monkeypatch):
             infeasible += stats.pruned_infeasible
     assert infeasible > 0
     assert warm >= 300 and warm_paths < 0.75 * fresh_paths
+
+
+@pytest.fixture(scope="module")
+def generated_roots():
+    """(graph, its cold-solved root state) of generator seeds 0-39 under the
+    default config."""
+    roots = []
+    for seed in range(40):
+        document = generate(GeneratorConfig(seed=seed))
+        graph = build_graph(document.instance, document.bids)
+        network = graph.network
+        root, _ = min_cost_flow(network, *solver._resolved_bounds(graph, {}), network.cold)
+        roots.append((graph, root))
+    return roots
 
 
 @pytest.fixture(scope="module")
@@ -961,51 +976,74 @@ class TestFlowKernel:
                 repaired += 1
         assert repaired >= 5 * len(kernel_graphs)
 
-    def test_uncertified_start_raises(self, kernel_graphs):
+    def test_forged_starts_return_the_optimum_or_raise(self, kernel_graphs, generated_roots):
         """A state that names the network's prices skips the repair, so
-        zero potentials forged onto the cold flow, which leave negative
-        reduced costs on its residual arcs, close a negative-cost cycle on
-        acceptance-corpus seed 2: the kernel raises instead of looping."""
+        potentials forged onto the cold flow reach the kernel as they are:
+        zero potentials on acceptance-corpus seed 2, which close a
+        negative-cost cycle, and 26 draws of random potentials (integers in
+        [-1000, 1000] times the gain unit, from `random.Random(seed)`) on
+        each of generator seeds 0-39, 1,041 starts in all.  Each returns
+        the cold root's flow or raises the documented ValueError; none
+        returns a flow that gains less, and none loops."""
         graph = kernel_graphs[2]
-        cold, prices = graph.network.cold, graph.network.arc_cost
-        start = FlowState(cold.flows, (0,) * len(cold.potential), prices)
-        with pytest.raises(ValueError, match="not certified"):
-            min_cost_flow(graph.network, *solver._resolved_bounds(graph, {}), start)
-
-    def test_forged_start_whose_path_back_does_not_end_raises(self):
-        """Random potentials forged onto the cold flow, naming the
-        network's prices, skip the repair, and a source can then get a
-        predecessor in the Dijkstra tree, so the walk back from the
-        deficit would cycle: on seed 7 (draws 9 and 23) it never reaches
-        a source, and on seed 34's draw 26 it did so on a graph with every
-        gate laid out, running off a parking row.  Each of the first 26
-        draws on generator seeds 7 and 34 solves or raises the documented
-        ValueError, and some raise it for a path that does not end."""
-        endless = 0
-        for seed in (7, 34):
-            document = generate(GeneratorConfig(seed=seed))
-            graph = build_graph(document.instance, document.bids)
-            network = graph.network
-            bounds = solver._resolved_bounds(graph, {})
+        network = graph.network
+        zero = FlowState(network.cold.flows, (0,) * len(network.cold.potential),
+                         network.arc_cost)
+        root, _ = min_cost_flow(network, *solver._resolved_bounds(graph, {}), network.cold)
+        cases = [(graph, root, [zero])]
+        for seed, (graph, root) in enumerate(generated_roots):
             rng = random.Random(seed)
-            for _ in range(26):
-                potential = [rng.randint(-1000, 1000) * graph.unit
-                             for _ in network.cold.potential]
-                start = FlowState(network.cold.flows, potential, network.arc_cost)
+            network = graph.network
+            cases.append((graph, root, [
+                FlowState(network.cold.flows, [rng.randint(-1000, 1000) * graph.unit
+                                               for _ in network.cold.potential],
+                          network.arc_cost)
+                for _ in range(26)]))
+        solved, raised = 0, []
+        for graph, root, starts in cases:
+            bounds = solver._resolved_bounds(graph, {})
+            for start in starts:
                 try:
-                    min_cost_flow(network, *bounds, start)
+                    state, _ = min_cost_flow(graph.network, *bounds, start)
                 except ValueError as error:
-                    assert "start state is not certified" in str(error)
-                    endless += "does not end" in str(error)
-        assert endless >= 2
+                    assert str(error) == ("start state is not certified: "
+                                          "vertices settled out of order")
+                    raised.append(start)
+                    continue
+                assert list(state.flows) == list(root.flows)
+                solved += 1
+        assert raised[0] is zero
+        assert solved + len(raised) == 1041 and len(raised) >= 1000 and solved
+
+    def test_solved_state_without_its_prices_is_a_fixed_point(self, generated_roots):
+        """A solved root handed back without its price tag is repaired, and
+        the repair keeps every edge where it is, a convex edge at its
+        clamped start flow too, so the solve pushes no path and returns
+        the same flow.  A convex edge repaired from the flow the
+        single-cost rule gave it instead pushes a path on seeds 6 and 36."""
+        for graph, root in generated_roots:
+            bounds = solver._resolved_bounds(graph, {})
+            state, pushed = min_cost_flow(graph.network, *bounds,
+                                          FlowState(root.flows, root.potential))
+            assert pushed == 0
+            assert list(state.flows) == list(root.flows)
 
     def test_zero_aircraft_kernel(self, empty_instance):
         """With no aircraft the graph is the fixed E6 edge and the E8
         edge.  Every narrowing of one edge by one unit, warm from the
-        root, matches network_simplex, and some are infeasible."""
+        root, matches network_simplex, and some are infeasible; so do the
+        narrowings `_restricted` draws, one or two edges of the two."""
         graph = build_graph(empty_instance, {})
         lower, upper = solver._resolved_bounds(graph, {})
         root, _ = _assert_kernel_agrees(graph, lower, upper, graph.network.cold)
+        assert len(lower) == 2
+        rng = random.Random(0)
+        for _ in range(20):
+            narrowed_lower, narrowed_upper = _restricted(graph, lower, upper, rng)
+            changed = sum(bounds != (lo, up) for bounds, lo, up
+                          in zip(zip(lower, upper), narrowed_lower, narrowed_upper))
+            assert 1 <= changed <= 2
+            _assert_kernel_agrees(graph, narrowed_lower, narrowed_upper, root)
         outcomes = set()
         for k in range(len(lower)):
             for bounds, step in ((lower, 1), (upper, -1)):
