@@ -976,6 +976,48 @@ class TestFlowKernel:
                 repaired += 1
         assert repaired >= 5 * len(kernel_graphs)
 
+    def test_uncertified_start_raises(self, kernel_graphs):
+        """A state that names the network's prices skips the repair, so
+        zero potentials forged onto the cold flow, which leave negative
+        reduced costs on its residual arcs, close a negative-cost cycle on
+        acceptance-corpus seed 2: the kernel raises instead of looping."""
+        graph = kernel_graphs[2]
+        cold, prices = graph.network.cold, graph.network.arc_cost
+        start = FlowState(cold.flows, (0,) * len(cold.potential), prices)
+        with pytest.raises(ValueError, match="not certified"):
+            min_cost_flow(graph.network, *solver._resolved_bounds(graph, {}), start)
+
+    def test_forged_start_whose_path_back_does_not_end_raises(self):
+        """Random potentials forged onto the cold flow, naming the
+        network's prices, skip the repair, and a source can then get a
+        predecessor in the Dijkstra tree, so the walk back from the
+        deficit would cycle: on seed 7, draws 9 and 23 never reach a
+        source.  Such a tree needs a vertex settled out of order, so those
+        two draws raise the documented ValueError, and each of the first
+        26 draws on generator seeds 7 and 34 returns the cold root's flow
+        or raises it."""
+        raised = set()
+        for seed in (7, 34):
+            document = generate(GeneratorConfig(seed=seed))
+            graph = build_graph(document.instance, document.bids)
+            network = graph.network
+            bounds = solver._resolved_bounds(graph, {})
+            root, _ = min_cost_flow(network, *bounds, network.cold)
+            rng = random.Random(seed)
+            for draw in range(1, 27):
+                potential = [rng.randint(-1000, 1000) * graph.unit
+                             for _ in network.cold.potential]
+                start = FlowState(network.cold.flows, potential, network.arc_cost)
+                try:
+                    state, _ = min_cost_flow(network, *bounds, start)
+                except ValueError as error:
+                    assert str(error) == ("start state is not certified: "
+                                          "vertices settled out of order")
+                    raised.add((seed, draw))
+                    continue
+                assert list(state.flows) == list(root.flows)
+        assert {(7, 9), (7, 23)} <= raised
+
     def test_forged_starts_return_the_optimum_or_raise(self, kernel_graphs, generated_roots):
         """A state that names the network's prices skips the repair, so
         potentials forged onto the cold flow reach the kernel as they are:
