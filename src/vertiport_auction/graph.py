@@ -70,13 +70,17 @@ each (aircraft, tau), its only index; it then compiles the relaxed
 bounds and the flow kernel's topology (`flow.Topology`: vertex-index
 tails and heads and residual arcs).  `price_graph` reads one bid
 profile: the E5 weights and `stay_welfare`, then the scale S, the
-gains, one cost (-gain) per residual arc of the template's own topology,
-each E3/E8 edge's row of unit costs (-gain per unit, `Network.rows`),
-and the cold potentials, in one pass over the vertices in index order
-(`flow.Network`).  It is the library's one gate on bids: a profile
-that misses a menu entry, names an unknown one or holds a negative bid
-raises ``invalid bids: ...``, found as the bids are read, so a valid
-profile costs no separate validation pass.  An `AuxGraph` is its
+gains, one cost (-gain) per residual arc of the template's own topology
+and each E3/E8 edge's row of unit costs (-gain per unit, `Network.rows`;
+`flow.Network`, whose cold potentials are computed only when a solve
+starts cold).  The rows depend on the profile only through the ratio
+of its gain unit to the template's scale, so the template keeps them
+per ratio (`GraphTemplate.priced_rows`) and a profile of the same
+ratio, as most payment counterfactuals are, shares its rows object.
+It is the library's one gate on bids: a profile that misses a menu
+entry, names an unknown one or holds a negative bid raises ``invalid
+bids: ...``, found as the bids are read, so a valid profile costs no
+separate validation pass.  An `AuxGraph` is its
 template, the same field objects, plus those priced fields.  So an
 auction compiles one template and prices its clearing profile and each
 payment counterfactual on it; `build_graph` is the two stages in a row.
@@ -192,10 +196,10 @@ class GraphTemplate:
     """The auxiliary graph of an instance with the bids left out.
 
     Only the E5 weights, `stay_welfare` and what they set, the scale S,
-    the gains, the arc costs and the cold potentials, depend on the
-    bids; `price_graph` computes those for one profile.  So one template
-    serves every profile on its instance: an auction's clearing solve
-    and each of its payment counterfactuals.
+    the gains, the arc costs and the parking rows' multiplier, depend on
+    the bids; `price_graph` computes those for one profile.  So one
+    template serves every profile on its instance: an auction's clearing
+    solve and each of its payment counterfactuals.
     """
 
     instance: Instance
@@ -216,6 +220,9 @@ class GraphTemplate:
     # depart at tau, E4 or a time's one E5}, tau ascending, for every
     # departure time but the stay time 0.
     departure_times: Mapping[Tuple[str, str], Mapping[int, int]]
+    # Gain unit over `scale` -> the network rows `parking_rows` priced at
+    # it, filled by `price_graph` as it meets each multiplier.
+    priced_rows: Dict[int, Mapping[int, Tuple[int, ...]]] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -376,17 +383,21 @@ def compile_template(instance: Instance) -> GraphTemplate:
         instance, tuple(vertices), tuple(edges), tuple(aircraft), scale,
         most_times ** n * largest_menu ** n, parking_rows, topology,
         relaxed_lower=lower, relaxed_upper=upper, departure_times=times,
+        priced_rows={},
     )
 
 
 def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     """The auxiliary graph of `template`'s instance under `bids`: each E5
     edge weighs its operator's weight times its bid less its aircraft's
-    stay bid, and S, the gains, the arc costs and the cold potentials
-    follow from those weights.  The graph holds `template`'s own
-    `GraphTemplate` fields; nothing of them is changed, and nothing is
-    carried over from another profile, so a priced graph reprices as its
-    template: S is the lcm of this profile's weight denominators.
+    stay bid, and S, the gains and the arc costs follow from those
+    weights.  The graph holds `template`'s own `GraphTemplate` fields;
+    nothing of them is changed but `priced_rows`, which gains the
+    network rows of this profile's multiplier (unit / scale) if it has
+    none: the rows are a function of that multiplier alone, so nothing
+    that depends on another profile's bids is carried over, and a priced
+    graph reprices as its template: S is the lcm of this profile's
+    weight denominators.
 
     This is the library's one gate on bids: it raises
     ``ValueError("invalid bids: ...")`` with the violations
@@ -415,7 +426,10 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     scale = lcm(template.scale, *(den for _, _, den, _ in priced))
     unit = scale * template.tie_unit
     multiplier = unit // template.scale
-    rows = {k: tuple([-w * multiplier for w in row])
+    rows = template.priced_rows.get(multiplier)
+    if rows is None:
+        rows = template.priced_rows[multiplier] = {
+            k: tuple([-w * multiplier for w in row])
             for k, row in template.parking_rows.items()}
     gains = [0] * len(template.edges)
     for k, num, den, bonus in priced:
@@ -436,18 +450,12 @@ def build_graph(instance: Instance, bids: Profile) -> AuxGraph:
 
 def flow_objective(graph: AuxGraph, flows: Sequence[int], gain: int) -> Fraction:
     """Exact weighted flow value: the welfare of the allocation it spells,
-    `stay_welfare` plus the flow's gain (`flow_gain`) less its E5 bonuses
-    over S * P."""
+    `stay_welfare` plus the flow's gain, the sum of its edges' gains,
+    which a solved flow state carries as minus its cost (see `flow`),
+    less its E5 bonuses over S * P."""
     carried = sum(bonus * flows[k] for _, _, routes in graph.aircraft
                   for k, _, bonus in routes if flows[k])
     return graph.stay_welfare + Fraction(gain - carried, graph.unit)
-
-
-def flow_gain(graph: AuxGraph, flows: Sequence[int]) -> int:
-    """Integer gain of a flow: welfare and tie-break in one number.  An
-    E3/E8 edge carrying f units gains minus its first f units' costs."""
-    return (sum(gain * flow for gain, flow in zip(graph.gains, flows) if flow)
-            - sum(sum(row[:flows[k]]) for k, row in graph.network.rows.items()))
 
 
 def flow_to_allocation(graph: AuxGraph, flows: Sequence[int]) -> Allocation:

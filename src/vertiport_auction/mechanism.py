@@ -10,10 +10,14 @@ An auction compiles its instance's graph template once and prices the
 clearing profile and every counterfactual profile on it (see
 `graph.GraphTemplate`): |F|+1 pricings and solves, one compile.  Every
 counterfactual's search starts its root from the cleared root's solved
-flow and potentials, not cold: only the zeroed operator's route costs
-differ, so the flow kernel's repair of that start (see `flow`) leaves
-few imbalances to route.  The search itself, and so every result, is
-that of a cold solve.
+state, not cold: only the zeroed operator's route costs differ, so the
+flow kernel's repair of that start (see `flow`) leaves few imbalances
+to route.  When zeroing the operator's bids leaves the gain unit as it
+was, as it mostly does, the counterfactual shares the cleared graph's
+parking rows and gets the cleared root as it is, so the kernel sets up
+and repairs only the zeroed operator's route edges; otherwise the root's
+potentials are converted to the new unit and every edge is repaired.
+The search itself, and so every result, is that of a cold solve.
 
 Bids are checked once, where they are read: `price_graph` raises
 ``invalid bids: ...`` for a profile that misses a menu entry, names an
@@ -68,7 +72,8 @@ def payment(template: GraphTemplate, bids: Profile, operator_id: OperatorId,
 
     The counterfactual's root starts from the cleared root (bnb; see
     `solve`): zeroing bids only drops weight denominators, so the
-    counterfactual's gain unit S' * P divides the cleared one's."""
+    counterfactual's gain unit S' * P divides the cleared one's, and
+    mostly equals it."""
     instance = template.instance
     operator = instance.operator(operator_id)
     if rule == RULE_EXTERNALITY:

@@ -129,19 +129,18 @@ def _parse_instance(raw: Any, path: str) -> Instance:
             raise DocumentError(f"{ppath}.id", "expected a string")
         if not isinstance(port["congestion_cost"], list):
             raise DocumentError(f"{ppath}.congestion_cost", "expected an array")
-        cost = tuple(
-            tuple(
-                parse_rational(v, f"{ppath}.congestion_cost[{t}][{q}]")
-                for q, v in enumerate(row)
-            )
-            for t, row in enumerate(port["congestion_cost"])
-        )
+        rows = []
+        for t, row in enumerate(port["congestion_cost"]):
+            rpath = f"{ppath}.congestion_cost[{t}]"
+            if not isinstance(row, list):
+                raise DocumentError(rpath, "expected an array")
+            rows.append(tuple(parse_rational(v, f"{rpath}[{q}]") for q, v in enumerate(row)))
         ports.append(Vertiport(
             id=port["id"],
             arrival_cap=_int_list(port["arrival_cap"], f"{ppath}.arrival_cap"),
             departure_cap=_int_list(port["departure_cap"], f"{ppath}.departure_cap"),
             parking_cap=_int_list(port["parking_cap"], f"{ppath}.parking_cap"),
-            congestion_cost=cost,
+            congestion_cost=tuple(rows),
         ))
 
     if not isinstance(data["operators"], list):

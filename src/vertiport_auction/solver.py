@@ -6,13 +6,17 @@ as a min-cost circulation over the graph's integer edge gains by the
 successive-shortest-path kernel in `flow`, on the residual network
 `graph.price_graph` priced.  Every augmenting path moves one unit, so
 the flows are integral, and all arithmetic is on Python ints.  A
-branch-and-bound node's solve starts from the optimal flow and
-potentials of its parent, whose bounds contain its own; the root
-starts from the priced cold state, or from another solve's root on the
-same template, as a payment counterfactual starts from its auction's
-cleared root (`solve`); enumeration solves every leaf cold.  A solve's
-answer, `SolveResult.flow`, is the kernel's optimal flow as a tuple:
-the one flow of its allocation (see the `graph` module docstring).
+branch-and-bound node's solve starts from the solved state of its
+parent, whose bounds contain its own, so the kernel sets up only the
+edges whose bounds the node's decision changed, the split aircraft's
+departure edges; the root starts from the priced cold state, or from
+another solve's root on the same template, as a payment counterfactual
+starts from its auction's cleared root (`solve`); enumeration solves
+every leaf cold.  Every solved state carries its flow's gain, as minus
+its cost (see `flow`): that is a node's bound and a leaf's gain, read
+with no walk over the edges.  A solve's answer, `SolveResult.flow`, is
+the kernel's optimal flow as a tuple: the one flow of its allocation
+(see the `graph` module docstring).
 
 The gains encode welfare and the tie-break in one number (see the
 `graph` module docstring): the maximum-gain allocation is unique and is
@@ -66,7 +70,6 @@ from .flow import FlowState, min_cost_flow
 from .graph import (
     AuxGraph,
     DeltaAssignment,
-    flow_gain,
     flow_objective,
     flow_to_allocation,
 )
@@ -156,10 +159,10 @@ def _min_cost_flow(graph: AuxGraph, partial_delta: DeltaAssignment, start: FlowS
 
 def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
                       stats: Optional[SolveStats] = None
-                      ) -> Optional[Tuple[int, ...]]:
-    """The kernel's maximum-gain integral flow for a fully fixed
-    departure-time assignment, or None when the fixed bounds admit no
-    balanced flow.  The solve starts cold.
+                      ) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """The gain of the kernel's maximum-gain integral flow for a fully
+    fixed departure-time assignment, and the flow; None when the fixed
+    bounds admit no balanced flow.  The solve starts cold.
     """
     times = graph.departure_times
     if set(delta) != set(times):
@@ -168,7 +171,7 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
         if tau and tau not in times[pair]:
             raise SolverError(f"aircraft {pair} has no departure time {tau}")
     state = _min_cost_flow(graph, delta, graph.network.cold, stats)
-    return None if state is None else tuple(state.flows)
+    return None if state is None else (-state.residual.cost, tuple(state.flows))
 
 
 def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
@@ -183,7 +186,7 @@ def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
     if start is None:
         start = graph.network.cold
     state = _min_cost_flow(graph, partial_delta, start, stats)
-    return None if state is None else (flow_gain(graph, state.flows), state)
+    return None if state is None else (-state.residual.cost, state)
 
 
 def _split_aircraft(graph: AuxGraph, flows: Sequence[int]
@@ -216,9 +219,10 @@ def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
     for delta in enumerate_deltas(graph.instance):
         stats.nodes_explored += 1
         stats.leaf_solves += 1
-        flow = solve_fixed_delta(graph, delta, stats=stats)
-        if flow is not None:
-            best.offer(flow, flow_gain(graph, flow))
+        leaf = solve_fixed_delta(graph, delta, stats=stats)
+        if leaf is not None:
+            gain, flow = leaf
+            best.offer(flow, gain)
     return best
 
 
@@ -263,10 +267,12 @@ def solve(graph: AuxGraph, strategy: str = "bnb",
     ``strategy`` is ``"bnb"`` (default) or ``"enumerate"``; both return
     identical objectives and allocations.  `start`, if given, is a solve
     of another profile on the same template, as an auction's cleared
-    solve: the bnb root's solve starts from its root's flow and
-    potentials, the potentials brought from its gain unit to this
-    graph's, instead of the cold state, and the kernel repairs whatever
-    the rounding and the repricing leave (see `flow`).  Enumeration is
+    solve: the bnb root's solve starts from its root instead of the cold
+    state.  If the two gain units agree the root is handed over as it
+    is, and the kernel sets up and repairs only the edges the profile
+    re-prices; otherwise its potentials are brought from its gain unit
+    to this graph's, and the kernel repairs every edge, whatever the
+    rounding and the repricing leave (see `flow`).  Enumeration is
     the reference path: it ignores `start` and solves every leaf cold.
     """
     if strategy not in ("bnb", "enumerate"):
@@ -277,7 +283,7 @@ def solve(graph: AuxGraph, strategy: str = "bnb",
         best, root = _solve_enumerate(graph, stats), None
     else:
         warm = None if start is None else start.root
-        if warm is not None:
+        if warm is not None and start.unit != graph.unit:
             warm = warm._replace(potential=[
                 p * graph.unit // start.unit for p in warm.potential])
         best, root = _solve_bnb(graph, stats, warm)

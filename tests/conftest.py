@@ -2,6 +2,7 @@
 outcomes, a strategy drawing arbitrary validated instances, and the
 exact solver/mechanism/flow comparisons against the oracle."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 
@@ -13,7 +14,6 @@ from vertiport_auction.generator import GeneratorConfig
 from vertiport_auction.graph import (
     SINK,
     build_graph,
-    flow_gain,
     flow_objective,
     flow_to_allocation,
 )
@@ -314,6 +314,14 @@ def unit_gains(graph):
     return {k: tuple(-cost for cost in row) for k, row in graph.network.rows.items()}
 
 
+def flow_gain(graph, flows):
+    """Integer gain of a flow, walked over every edge: the reference for
+    the gain a solved state carries, minus its cost.  An E3/E8 edge
+    carrying f units gains minus its first f units' costs."""
+    return (sum(gain * flow for gain, flow in zip(graph.gains, flows) if flow)
+            - sum(sum(row[:flows[k]]) for k, row in graph.network.rows.items()))
+
+
 def assert_priced_like_reference(graph):
     gains, parking_gains, unit, stay_welfare = reference_pricing(graph)
     assert graph.gains == gains
@@ -372,6 +380,68 @@ def assert_circulation(graph, flows, lower, upper):
         balance[e.tail] -= f
         balance[e.head] += f
     assert not any(balance.values())
+
+
+def assert_certified(graph, state, lower, upper):
+    """`state` is a circulation within the bounds whose potentials give
+    every residual arc with capacity a non-negative reduced cost, read
+    off the graph's own edges and gains: a parking edge's forward arc
+    costs its unit f+1, its reverse arc minus its unit f."""
+    assert_circulation(graph, state.flows, lower, upper)
+    index = {v: position for position, v in enumerate(graph.vertices)}
+    p = state.potential
+    rows = unit_gains(graph)
+    for e, gain, lo, up, f in zip(graph.edges, graph.gains, lower, upper, state.flows):
+        row = rows.get(e.index)
+        slack = p[index[e.tail]] - p[index[e.head]]
+        if f < up:
+            assert -(gain if row is None else row[f]) + slack >= 0
+        if f > lo:
+            assert -(gain if row is None else row[f - 1]) + slack <= 0
+
+
+def assert_carried_residual(graph, state, lower, upper):
+    """A solved state carries the residual form of its own flow, rebuilt
+    here from its flows and bounds, the graph's gains and the network's
+    unit cost rows: copies of the bounds, each arc's capacity and cost (a
+    parking edge's forward arc costs its unit f+1, 0 past its last unit,
+    its reverse arc minus its unit f, 0 at f = 0), and, as its cost,
+    minus the flow's `flow_gain`."""
+    residual = state.residual
+    assert list(residual.lower) == list(lower) and list(residual.upper) == list(upper)
+    rows = graph.network.rows
+    cap, arc_cost = [], []
+    for k, (f, lo, up, gain) in enumerate(zip(state.flows, lower, upper, graph.gains)):
+        cap += [up - f, f - lo]
+        row = rows.get(k)
+        arc_cost += ([-gain, gain] if row is None
+                     else [row[f] if f < len(row) else 0, -row[f - 1] if f else 0])
+    assert list(residual.cap) == cap and list(residual.arc_cost) == arc_cost
+    assert -residual.cost == flow_gain(graph, state.flows)
+    assert state.prices is graph.network.arc_cost
+    assert residual.potential is state.potential
+
+
+@contextmanager
+def checked_solves():
+    """Within the block, every flow solve the solver issues that finds a
+    flow is checked (`assert_certified`, `assert_carried_residual`)
+    against the bounds of its node; yields the list of checked states."""
+    kernel = solver._min_cost_flow
+    checked = []
+
+    def checked_kernel(graph, partial_delta, start, stats):
+        state = kernel(graph, partial_delta, start, stats)
+        if state is not None:
+            bounds = solver._resolved_bounds(graph, partial_delta)
+            assert_certified(graph, state, *bounds)
+            assert_carried_residual(graph, state, *bounds)
+            checked.append(state)
+        return state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_min_cost_flow", checked_kernel)
+        yield checked
 
 
 def assert_flow_correspondence(instance, bids):

@@ -20,6 +20,7 @@ from conftest import (
     allocation_to_flow,
     assert_flow_correspondence,
     assert_matches_oracle,
+    flow_gain,
     remaining_welfare,
     single_slot_config,
     total_aircraft,
@@ -30,7 +31,6 @@ from test_graph import exact_det
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
     build_graph,
-    flow_gain,
     flow_objective,
     flow_to_allocation,
 )
@@ -303,9 +303,10 @@ def test_criterion_6_integrality_and_unimodularity(corpus, capsys):
     for document in corpus[:40]:
         graph = build_graph(document.instance, document.bids)
         for delta in enumerate_deltas(document.instance):
-            solution = solve_fixed_delta(graph, delta)
-            if solution is None:
+            leaf = solve_fixed_delta(graph, delta)
+            if leaf is None:
                 continue
+            _, solution = leaf
             solves += 1
             if not all(isinstance(v, int) for v in solution):
                 non_integer += 1

@@ -54,6 +54,17 @@ class TestValidate:
         assert main(["validate", str(bad)]) == EXIT_INVALID
         assert "$.instance.surprise" in capsys.readouterr().err
 
+    def test_numeric_congestion_row_exit_1_with_path(self, tmp_path, generated_file,
+                                                     capsys):
+        data = json.loads(open(generated_file).read())
+        data["instance"]["vertiports"][0]["congestion_cost"][0] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "$.instance.vertiports[0].congestion_cost[0]: expected an array" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_IO
         assert "cannot read" in capsys.readouterr().err

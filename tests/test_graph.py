@@ -13,6 +13,7 @@ from conftest import (
     assert_flow_correspondence,
     delta_of_allocation,
     edges_of_class,
+    flow_gain,
     incidence,
     make_port,
     stay,
@@ -28,7 +29,6 @@ from vertiport_auction.graph import (
     arr,
     build_graph,
     dep,
-    flow_gain,
     flow_objective,
     flow_to_allocation,
     park,

@@ -1,8 +1,9 @@
-"""The benchmark's tracing hooks still find what they wrap.
+"""The benchmark's tracing hooks still find what they wrap, and its
+corpora still do the pinned search work.
 
 `perfbench/tracing.py` replaces library functions by name and classifies
 flow solves by their arguments, so a rename or a changed call in `src/`
-would silently drop spans.  The module is imported as it stands, from
+would silently drop spans.  The modules are imported as they stand, from
 the `perfbench` directory on `sys.path`.
 """
 
@@ -11,18 +12,60 @@ from pathlib import Path
 
 import pytest
 
-from vertiport_auction import solver
+from vertiport_auction import mechanism, solver
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import build_graph
 from vertiport_auction.mechanism import run_auction
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+#: Search work of one pass over each benchmark corpus, as the benchmark
+#: issues its requests: solves, branch-and-bound nodes, flow solves and
+#: augmenting paths.  A change that changes this work, on purpose, must
+#: update the pin and say why.
+CORPUS_WORK = {
+    "solve-large": (4, 4, 4, 37),
+    "auction-mid": (32, 71, 71, 122),
+    "ic-sweep": (738, 738, 738, 1273),
+}
+
 
 @pytest.fixture
 def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module("tracing")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+def test_benchmark_corpora_do_the_pinned_work(workloads, monkeypatch):
+    """Each workload's corpus, built from its `perfbench/workloads.py`
+    config and run through `workloads.run_request`, does the pinned
+    work, so a change that only adds work, a weaker prune or a kernel
+    that routes more paths, fails here even where every result holds."""
+    seen = []
+
+    def counted(*args, _solve=solver.solve, **kwargs):
+        result = _solve(*args, **kwargs)
+        seen.append(result.stats)
+        return result
+
+    monkeypatch.setattr(solver, "solve", counted)
+    monkeypatch.setattr(mechanism, "solve", counted)
+    work = {}
+    for name, workload in workloads.WORKLOADS.items():
+        seen.clear()
+        for group in workloads.build_requests(workload):
+            for request in group:
+                workloads.run_request(workload.kind, request.text)
+        work[name] = (len(seen), sum(stats.nodes_explored for stats in seen),
+                      sum(stats.fixed_delta_solves for stats in seen),
+                      sum(stats.augmentations for stats in seen))
+    assert work == CORPUS_WORK
 
 
 def test_every_target_exists(tracing):

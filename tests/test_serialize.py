@@ -106,6 +106,18 @@ class TestParse:
                            match=r"vertiports\[0\]\.colour: unknown field"):
             parse(json.dumps(raw))
 
+    @pytest.mark.parametrize("row", [0, "0123", {"0": "0/1"}],
+                             ids=["number", "string", "object"])
+    def test_congestion_row_must_be_an_array(self, row):
+        """A row that is not an array is refused at its path: a number is
+        not iterated, a string is not read digit by digit and an object
+        is not read as its keys."""
+        raw = minimal_document()
+        raw["instance"]["vertiports"][0]["congestion_cost"] = [row]
+        with pytest.raises(DocumentError,
+                           match=r"vertiports\[0\]\.congestion_cost\[0\]: expected an array"):
+            parse(json.dumps(raw))
+
     def test_missing_stay_names_aircraft(self):
         raw = minimal_document()
         raw["instance"]["operators"][0]["fleet"][0]["menu"] = [{

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
-from conftest import assert_matches_oracle, stay, transit
+from conftest import assert_matches_oracle, checked_solves, stay, transit
 from vertiport_auction.graph import build_graph
 from vertiport_auction.mechanism import pseudo_bids
 from vertiport_auction.model import (
@@ -121,28 +121,37 @@ def _instance(horizon, ports, lam, fleet, caps):
 
 
 def test_every_instance_of_the_small_scope_matches_the_oracle():
+    """Every flow solve on the way, each node of both strategies and of
+    the auction, is certified and carries its own residual form and gain
+    (`checked_solves`)."""
     count = 0
-    for instance, bids in small_scope():
-        assert validate_instance(instance).ok
-        assert_matches_oracle(instance, bids)
-        count += 1
-    print(f"small scope: {count} instances agree with the oracle")
+    with checked_solves() as checked:
+        for instance, bids in small_scope():
+            assert validate_instance(instance).ok
+            assert_matches_oracle(instance, bids)
+            count += 1
+    print(f"small scope: {count} instances agree with the oracle, "
+          f"{len(checked)} flow solves checked")
     assert count == SCOPE_SIZE
+    assert len(checked) > 3 * SCOPE_SIZE
 
 
 def test_two_operator_instances_with_a_half_weight_match_the_oracle():
     """Every two-operator instance of the scope (1,328 of the 2,788) with
     op2's weight set to 1/2.  In 580 of them op2's counterfactual has
     another gain unit than the clearing solve, so `solve` converts the
-    cleared root's potentials to it and repairs that start."""
+    cleared root's potentials to it and repairs that start.  Every flow
+    solve is checked as in the whole scope (`checked_solves`)."""
     count = converted = 0
-    for instance, bids in small_scope():
-        if len(instance.operators) < 2:
-            continue
-        op1, op2 = instance.operators
-        instance = replace(instance, operators=(op1, replace(op2, weight=Fraction(1, 2))))
-        assert_matches_oracle(instance, bids)
-        converted += (build_graph(instance, pseudo_bids("op2", bids)).unit
-                      != build_graph(instance, bids).unit)
-        count += 1
+    with checked_solves() as checked:
+        for instance, bids in small_scope():
+            if len(instance.operators) < 2:
+                continue
+            op1, op2 = instance.operators
+            instance = replace(instance, operators=(op1, replace(op2, weight=Fraction(1, 2))))
+            assert_matches_oracle(instance, bids)
+            converted += (build_graph(instance, pseudo_bids("op2", bids)).unit
+                          != build_graph(instance, bids).unit)
+            count += 1
     assert (count, converted) == (1328, 580)
+    assert len(checked) > 3 * count

@@ -13,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_certified,
     assert_circulation,
+    checked_solves,
     edges_of_class,
+    flow_gain,
     make_port,
     stay,
     transit,
@@ -29,7 +32,6 @@ from vertiport_auction import mechanism, solver
 from vertiport_auction.graph import (
     build_graph,
     compile_template,
-    flow_gain,
     flow_objective,
     price_graph,
 )
@@ -85,9 +87,10 @@ class TestEnumerateDeltas:
 class TestSolveFixedDelta:
     def test_empty_instance_zero_flow(self, empty_instance):
         graph = build_graph(empty_instance, {})
-        solution = solve_fixed_delta(graph, {})
+        gain, solution = solve_fixed_delta(graph, {})
         assert all(v == 0 for v in solution)
-        assert flow_objective(graph, solution, flow_gain(graph, solution)) == 0
+        assert gain == flow_gain(graph, solution) == 0
+        assert flow_objective(graph, solution, gain) == 0
 
     def test_no_vertiports_no_edges(self):
         """An instance without vertiports validates and builds a graph
@@ -102,8 +105,9 @@ class TestSolveFixedDelta:
         instance, _ = single_mover
         bids = {("op1", "a1", 0): F(4), ("op1", "a1", 1): F(9)}
         graph = build_graph(instance, bids)
-        solution = solve_fixed_delta(graph, {("op1", "a1"): 0})
-        assert flow_objective(graph, solution, flow_gain(graph, solution)) == 4
+        gain, solution = solve_fixed_delta(graph, {("op1", "a1"): 0})
+        assert gain == flow_gain(graph, solution)
+        assert flow_objective(graph, solution, gain) == 4
 
     def test_blocked_departure_infeasible(self):
         inst = Instance(
@@ -128,10 +132,12 @@ class TestSolveFixedDelta:
             document = generate(GeneratorConfig(seed=seed, operators=(2, 2)))
             graph = build_graph(document.instance, document.bids)
             for delta in enumerate_deltas(document.instance):
-                solution = solve_fixed_delta(graph, delta)
-                if solution is None:
+                leaf = solve_fixed_delta(graph, delta)
+                if leaf is None:
                     continue
+                gain, solution = leaf
                 assert all(isinstance(v, int) for v in solution)
+                assert gain == flow_gain(graph, solution)
 
     def test_malformed_delta_rejected(self, single_mover):
         instance, bids = single_mover
@@ -574,24 +580,6 @@ def _restricted(graph, lower, upper, rng):
     return lower, upper
 
 
-def _assert_certified(graph, state, lower, upper):
-    """`state` is a circulation within the bounds whose potentials give
-    every residual arc with capacity a non-negative reduced cost, read
-    off the graph's own edges and gains: a parking edge's forward arc
-    costs its unit f+1, its reverse arc minus its unit f."""
-    assert_circulation(graph, state.flows, lower, upper)
-    index = {v: position for position, v in enumerate(graph.vertices)}
-    p = state.potential
-    rows = unit_gains(graph)
-    for e, gain, lo, up, f in zip(graph.edges, graph.gains, lower, upper, state.flows):
-        row = rows.get(e.index)
-        slack = p[index[e.tail]] - p[index[e.head]]
-        if f < up:
-            assert -(gain if row is None else row[f]) + slack >= 0
-        if f > lo:
-            assert -(gain if row is None else row[f - 1]) + slack <= 0
-
-
 def _assert_kernel_agrees(graph, lower, upper, start):
     """Warm from `start` and cold, the kernel matches `network_simplex` in
     feasibility and gain and returns certified states.  Returns the warm
@@ -602,7 +590,7 @@ def _assert_kernel_agrees(graph, lower, upper, start):
     for state in states:
         assert (state is None) == (reference is None)
         if state is not None:
-            _assert_certified(graph, state, lower, upper)
+            assert_certified(graph, state, lower, upper)
             assert flow_gain(graph, state.flows) == flow_gain(graph, reference)
     return states[0], pushes
 
@@ -723,6 +711,20 @@ def fathomed_nodes(kernel_graphs):
     return fathomed
 
 
+def test_every_node_carries_its_residual_form(kernel_graphs):
+    """Every node of every auction on the kernel graphs' profiles, the
+    payment counterfactuals' roots started from the cleared root, and
+    every leaf of enumeration on the acceptance-corpus graphs returns a
+    certified state that carries its own residual form and, as minus its
+    cost, the `flow_gain` of its flow (`checked_solves`)."""
+    with checked_solves() as checked:
+        for graph in kernel_graphs:
+            run_auction(graph.instance, graph.bids)
+        for graph in kernel_graphs[:40]:
+            solve(graph, strategy="enumerate")
+    assert len(checked) >= 1000
+
+
 def test_fathomed_flows_are_completion_optima(fathomed_nodes):
     """A relaxed flow that ends a node lies within the resolved bounds of
     the full assignment it spells, and no flow within them gains more."""
@@ -730,8 +732,8 @@ def test_fathomed_flows_are_completion_optima(fathomed_nodes):
     for graph, flows, delta in fathomed_nodes:
         assert set(delta) == set(graph.departure_times)
         assert_circulation(graph, flows, *solver._resolved_bounds(graph, delta))
-        leaf = solve_fixed_delta(graph, delta)
-        assert flow_gain(graph, leaf) == flow_gain(graph, flows)
+        gain, _ = solve_fixed_delta(graph, delta)
+        assert gain == flow_gain(graph, flows)
 
 
 def _scanned_indexes(graph):
@@ -833,6 +835,19 @@ def test_bnb_splits_an_undecided_aircraft_its_relaxation_splits(kernel_graphs):
         while path:
             close(path.pop())
     assert splits >= 500 and deepest >= 4
+
+
+class _ReadRecorder(list):
+    """A bound vector that records the entries the kernel reads by index,
+    which are those of the edges it sets up."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, k):
+        self.read.add(k)
+        return super().__getitem__(k)
 
 
 class TestFlowKernel:
@@ -951,9 +966,14 @@ class TestFlowKernel:
         certified potentials: the cold flow under zero or random
         potentials, and another profile's solved root on the same
         template, its potentials converted to this profile's gain unit
-        or left as they are."""
+        or left as they are.  A solved root handed over as it is, its
+        potentials its own, sets up and repairs only the edges whose
+        prices differ, the re-priced ones: those are the edges whose
+        bounds the kernel reads.  A start whose potentials were replaced
+        (`_replace(potential=...)`), even by equal values, or that was
+        made by hand, repairs every edge."""
         rng = random.Random(0)
-        repaired = 0
+        repaired = partial = 0
         for graph in kernel_graphs:
             network = graph.network
             bounds = solver._resolved_bounds(graph, {})
@@ -969,12 +989,20 @@ class TestFlowKernel:
                        for flows in (network.cold.flows, starts[-1].flows)]
             for start in starts:
                 assert start.prices is not network.arc_cost
-                state, _ = min_cost_flow(network, *bounds, start)
+                lower = _ReadRecorder(bounds[0])
+                state, _ = min_cost_flow(network, lower, bounds[1], start)
                 assert state.prices is network.arc_cost
                 assert list(state.flows) == list(cold.flows)
-                _assert_certified(graph, state, *bounds)
+                assert_certified(graph, state, *bounds)
+                if start.residual is not None and start.residual.potential is start.potential:
+                    assert lower.read == {a >> 1 for a, (new, old) in enumerate(
+                        zip(network.arc_cost, start.prices)) if new != old}
+                    partial += len(lower.read) < len(lower)
+                else:
+                    assert lower.read == set(range(len(lower)))
                 repaired += 1
         assert repaired >= 5 * len(kernel_graphs)
+        assert partial >= len(kernel_graphs)
 
     def test_uncertified_start_raises(self, kernel_graphs):
         """A state that names the network's prices skips the repair, so
