@@ -70,6 +70,8 @@ def _load(path: str) -> InstanceDocument:
             text = handle.read()
     except OSError as exc:
         raise SystemExit(_fail(EXIT_IO, f"cannot read {path}: {exc}"))
+    except UnicodeDecodeError as exc:
+        raise SystemExit(_fail(EXIT_INVALID, f"invalid document: $: not UTF-8 text: {exc}"))
     try:
         document = parse(text)
     except DocumentError as exc:

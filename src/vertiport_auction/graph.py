@@ -36,9 +36,9 @@ weighs the sum of its first that many unit weights: minus lambda times
 the congestion cost of that occupancy.  `compile_template` builds only
 instances that validate, whose congestion rows are discrete convex and
 whose lambda is non-negative, so the unit weights do not increase, as
-the flow kernel's convex edges need (see `flow`).  Vertices are numbered in
-time order, for each slot the Arr/Park/Dep vertices of every vertiport
-and then the AcDep vertices, the sink last, so every
+the flow kernel's rows of unit costs need (see `flow`).  Vertices are
+numbered in time order, for each slot the Arr/Park/Dep vertices of
+every vertiport and then the AcDep vertices, the sink last, so every
 edge but the fixed E6 runs from a lower to a higher index (a validated
 route departs before it arrives).  An aircraft's departure edge at tau
 is its E4 edge there, or the one E5 edge of a time with one route; the
@@ -69,14 +69,18 @@ bonuses, and records, as it adds the edges, the departure edge of
 each (aircraft, tau), its only index; it then compiles the relaxed
 bounds and the flow kernel's topology (`flow.Topology`: vertex-index
 tails and heads and residual arcs).  `price_graph` reads one bid
-profile: the E5 weights and `stay_welfare`, then the scale S, the
-gains, one cost (-gain) per residual arc of the template's own topology
-and each E3/E8 edge's row of unit costs (-gain per unit, `Network.rows`;
-`flow.Network`, whose cold potentials are computed only when a solve
-starts cold).  The rows depend on the profile only through the ratio
-of its gain unit to the template's scale, so the template keeps them
-per ratio (`GraphTemplate.priced_rows`) and a profile of the same
-ratio, as most payment counterfactuals are, shares its rows object.
+profile: the E5 weights and `stay_welfare`, then the scale S and the
+gains, as one row of unit costs (-gain per unit) per edge of the
+template's own topology (`flow.Network`, whose cold potentials are
+computed only when a solve starts cold).  An E5 edge's row is its one
+unit, an E3/E8 edge's one entry per unit of its parking capacity, and
+every other edge's zeros, one per unit of its upper bound: an E4
+edge's one, a gate's below its aircraft count, an E6 edge's one per
+aircraft based there.  Only the E5 rows read the bids; the others
+depend on the profile only through the ratio of its gain unit to the
+template's scale, so the template keeps them per ratio
+(`GraphTemplate.priced_rows`) and a profile of the same ratio, as most
+payment counterfactuals are, shares those row objects.
 It is the library's one gate on bids: a profile that misses a menu
 entry, names an unknown one or holds a negative bid raises ``invalid
 bids: ...``, found as the bids are read, so a valid profile costs no
@@ -93,10 +97,10 @@ departures, arrivals and occupancies fix every entry, so it has exactly
 one flow.
 
 Integer pricing.  A weight lives only in its integer gain, one per E5
-edge in `AuxGraph.gains` and one per E3/E8 unit, negated, in the
-network's rows; no weight is held as a `Fraction`.  With a
-congestion row brought to integer numerators G over its lcm L, the q-th
-unit of an E3/E8 edge weighs the pair
+edge and one per E3/E8 unit, negated, in the network's rows; no weight
+is held as a `Fraction`.  With a congestion row brought to integer
+numerators G over its lcm L, the q-th unit of an E3/E8 edge weighs the
+pair
 (lambda.num * (G(q-1) - G(q)), lambda.den * L); an E5 weight
 w * (b - s), s the stay bid, is (w.num * (b.num * s.den - s.num * b.den),
 w.den * b.den * s.den).  Each pair is reduced by its gcd, so S, the lcm
@@ -143,7 +147,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
-from .flow import Network, Topology, compile_topology, price_network
+from .flow import Network, Rows, Topology, compile_topology
 from .model import (
     Allocation,
     Instance,
@@ -196,8 +200,8 @@ class GraphTemplate:
     """The auxiliary graph of an instance with the bids left out.
 
     Only the E5 weights, `stay_welfare` and what they set, the scale S,
-    the gains, the arc costs and the parking rows' multiplier, depend on
-    the bids; `price_graph` computes those for one profile.  So one
+    the gains and the parking rows' multiplier, depend on the bids;
+    `price_graph` computes those for one profile.  So one
     template serves every profile on its instance: an auction's clearing
     solve and each of its payment counterfactuals.
     """
@@ -220,9 +224,11 @@ class GraphTemplate:
     # depart at tau, E4 or a time's one E5}, tau ascending, for every
     # departure time but the stay time 0.
     departure_times: Mapping[Tuple[str, str], Mapping[int, int]]
-    # Gain unit over `scale` -> the network rows `parking_rows` priced at
-    # it, filled by `price_graph` as it meets each multiplier.
-    priced_rows: Dict[int, Mapping[int, Tuple[int, ...]]] = field(compare=False, repr=False)
+    # Gain unit over `scale` -> every edge's row of unit costs at it: an
+    # E3/E8 edge's `parking_rows` priced, any other edge's zeros, one per
+    # unit of its upper bound, which `price_graph` replaces on E5.  Filled
+    # by `price_graph` as it meets each multiplier.
+    priced_rows: Dict[int, Rows] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -231,12 +237,11 @@ class AuxGraph(GraphTemplate):
     own fields, shared with it, plus what the bids set."""
 
     bids: Profile
-    gains: Tuple[int, ...]  # per edge, 0 on E3/E8; see the module docstring
     # The fleet's weighted stay bids, folded out of the E5 weights.
     stay_welfare: Fraction
     unit: int  # S * P: a gain's welfare part is welfare * unit
-    # The template's topology priced by -gains, for the solver; each
-    # E3/E8 edge's units cost minus their gains (`Network.rows`).
+    # The template's topology with each edge's units costing minus their
+    # gains (`Network.rows`), for the solver; see the module docstring.
     network: Network = field(compare=False, repr=False)
 
 
@@ -390,14 +395,14 @@ def compile_template(instance: Instance) -> GraphTemplate:
 def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     """The auxiliary graph of `template`'s instance under `bids`: each E5
     edge weighs its operator's weight times its bid less its aircraft's
-    stay bid, and S, the gains and the arc costs follow from those
-    weights.  The graph holds `template`'s own `GraphTemplate` fields;
-    nothing of them is changed but `priced_rows`, which gains the
-    network rows of this profile's multiplier (unit / scale) if it has
-    none: the rows are a function of that multiplier alone, so nothing
-    that depends on another profile's bids is carried over, and a priced
-    graph reprices as its template: S is the lcm of this profile's
-    weight denominators.
+    stay bid, and S, the gains and every edge's row of unit costs follow
+    from those weights.  The graph holds `template`'s own `GraphTemplate`
+    fields; nothing of them is changed but `priced_rows`, which gains the
+    rows of this profile's multiplier (unit / scale) if it has none:
+    those rows are a function of that multiplier alone and are copied
+    before the E5 rows replace theirs, so nothing that depends on another
+    profile's bids is carried over, and a priced graph reprices as its
+    template: S is the lcm of this profile's weight denominators.
 
     This is the library's one gate on bids: it raises
     ``ValueError("invalid bids: ...")`` with the violations
@@ -426,20 +431,21 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     scale = lcm(template.scale, *(den for _, _, den, _ in priced))
     unit = scale * template.tie_unit
     multiplier = unit // template.scale
+    parking = template.parking_rows
     rows = template.priced_rows.get(multiplier)
     if rows is None:
-        rows = template.priced_rows[multiplier] = {
-            k: tuple([-w * multiplier for w in row])
-            for k, row in template.parking_rows.items()}
-    gains = [0] * len(template.edges)
+        rows = template.priced_rows[multiplier] = tuple(
+            tuple([-w * multiplier for w in parking[e.index]]) if e.index in parking
+            else (0,) * e.upper for e in template.edges)
+    rows = list(rows)
     for k, num, den, bonus in priced:
-        gains[k] = num * (unit // den) + bonus
+        rows[k] = (-(num * (unit // den) + bonus),)
     stay_den = lcm(1, *(den for _, den in stays))
     stay_welfare = Fraction(sum(num * (stay_den // den) for num, den in stays), stay_den)
     shared = {f.name: getattr(template, f.name) for f in fields(GraphTemplate)}
     return AuxGraph(
-        **shared, bids=bids, gains=tuple(gains), stay_welfare=stay_welfare,
-        unit=unit, network=price_network(template.topology, [-g for g in gains], rows),
+        **shared, bids=bids, stay_welfare=stay_welfare, unit=unit,
+        network=Network(template.topology, tuple(rows)),
     )
 
 

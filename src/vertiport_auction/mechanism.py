@@ -13,10 +13,11 @@ counterfactual's search starts its root from the cleared root's solved
 state, not cold: only the zeroed operator's route costs differ, so the
 flow kernel's repair of that start (see `flow`) leaves few imbalances
 to route.  When zeroing the operator's bids leaves the gain unit as it
-was, as it mostly does, the counterfactual shares the cleared graph's
-parking rows and gets the cleared root as it is, so the kernel sets up
-and repairs only the zeroed operator's route edges; otherwise the root's
-potentials are converted to the new unit and every edge is repaired.
+was, as it mostly does, every row but the zeroed operator's route rows
+equals the cleared graph's, and the counterfactual gets the cleared
+root as it is, so the kernel sets up and repairs only those route
+edges; otherwise the root's potentials are converted to the new unit
+and every edge is set up and repaired.
 The search itself, and so every result, is that of a cold solve.
 
 Bids are checked once, where they are read: `price_graph` raises

@@ -2,19 +2,20 @@
 
 Branches over the per-aircraft departure-time binaries; each fixed
 assignment leaves a max-gain flow with integer bounds, solved exactly
-as a min-cost circulation over the graph's integer edge gains by the
-successive-shortest-path kernel in `flow`, on the residual network
-`graph.price_graph` priced.  Every augmenting path moves one unit, so
-the flows are integral, and all arithmetic is on Python ints.  A
-branch-and-bound node's solve starts from the solved state of its
-parent, whose bounds contain its own, so the kernel sets up only the
-edges whose bounds the node's decision changed, the split aircraft's
-departure edges; the root starts from the priced cold state, or from
-another solve's root on the same template, as a payment counterfactual
-starts from its auction's cleared root (`solve`); enumeration solves
-every leaf cold.  Every solved state carries its flow's gain, as minus
-its cost (see `flow`): that is a node's bound and a leaf's gain, read
-with no walk over the edges.  A solve's answer, `SolveResult.flow`, is
+as a min-cost circulation over the graph's integer unit gains by the
+successive-shortest-path kernel in `flow`, on the network
+`graph.price_graph` priced, one row of unit costs per edge.  Every
+augmenting path moves one unit, so the flows are integral, and all
+arithmetic is on Python ints.  A branch-and-bound node's solve starts
+from the solved state of its parent, so the kernel sets up and repairs
+only the edges whose bounds the node's decision changed, the split
+aircraft's departure edges, and, the parent's bounds containing the
+node's, the repair only clamps them; the root starts from the priced
+cold state, or from another solve's root on the same template, as a
+payment counterfactual starts from its auction's cleared root
+(`solve`); enumeration solves every leaf cold.  Every solved state
+carries its flow's gain, as minus its cost (see `flow`): that is a
+node's bound and a leaf's gain, read with no walk over the edges.  A solve's answer, `SolveResult.flow`, is
 the kernel's optimal flow as a tuple: the one flow of its allocation
 (see the `graph` module docstring).
 
@@ -181,8 +182,8 @@ def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
     """Admissible upper bound, in gain units, for every completion of
     `partial_delta`, with the solved state whose flow attains it; None
     when no completion is feasible.  The solve starts from `start`, the
-    state of a solve on this graph whose bounds contain these, a state
-    the kernel repairs (see `flow`), or cold."""
+    state of a solve on this graph or any other balanced state, which
+    the kernel repairs where it sets it up (see `flow`), or cold."""
     if start is None:
         start = graph.network.cold
     state = _min_cost_flow(graph, partial_delta, start, stats)
@@ -269,10 +270,10 @@ def solve(graph: AuxGraph, strategy: str = "bnb",
     of another profile on the same template, as an auction's cleared
     solve: the bnb root's solve starts from its root instead of the cold
     state.  If the two gain units agree the root is handed over as it
-    is, and the kernel sets up and repairs only the edges the profile
-    re-prices; otherwise its potentials are brought from its gain unit
-    to this graph's, and the kernel repairs every edge, whatever the
-    rounding and the repricing leave (see `flow`).  Enumeration is
+    is, and the kernel sets up and repairs only the edges whose rows the
+    profile changes; otherwise its potentials are brought from its gain
+    unit to this graph's, and the kernel sets up and repairs every edge,
+    whatever the rounding and the repricing leave (see `flow`).  Enumeration is
     the reference path: it ignores `start` and solves every leaf cold.
     """
     if strategy not in ("bnb", "enumerate"):

@@ -309,23 +309,25 @@ def reference_pricing(graph):
 
 
 def unit_gains(graph):
-    """Each E3/E8 edge's row of unit gains: minus the unit costs of the
-    kernel's convex edge."""
-    return {k: tuple(-cost for cost in row) for k, row in graph.network.rows.items()}
+    """Each edge's row of unit gains: minus its row of unit costs in the
+    kernel's network."""
+    return [tuple(-cost for cost in row) for row in graph.network.rows]
 
 
 def flow_gain(graph, flows):
     """Integer gain of a flow, walked over every edge: the reference for
-    the gain a solved state carries, minus its cost.  An E3/E8 edge
-    carrying f units gains minus its first f units' costs."""
-    return (sum(gain * flow for gain, flow in zip(graph.gains, flows) if flow)
-            - sum(sum(row[:flows[k]]) for k, row in graph.network.rows.items()))
+    the gain a solved state carries, minus its cost.  An edge carrying f
+    units gains minus its first f units' costs."""
+    return -sum(sum(row[:f]) for row, f in zip(graph.network.rows, flows))
 
 
 def assert_priced_like_reference(graph):
+    """Each E3/E8 edge's units gain the reference's parking gains, each
+    other edge's units its reference gain, one per unit of its upper
+    bound: an E5 edge its route's gain, any other edge 0."""
     gains, parking_gains, unit, stay_welfare = reference_pricing(graph)
-    assert graph.gains == gains
-    assert unit_gains(graph) == parking_gains
+    assert unit_gains(graph) == [tuple(parking_gains.get(e.index, (gain,) * e.upper))
+                                 for e, gain in zip(graph.edges, gains)]
     assert graph.unit == unit
     assert type(graph.stay_welfare) is Fraction and graph.stay_welfare == stay_welfare
 
@@ -385,40 +387,39 @@ def assert_circulation(graph, flows, lower, upper):
 def assert_certified(graph, state, lower, upper):
     """`state` is a circulation within the bounds whose potentials give
     every residual arc with capacity a non-negative reduced cost, read
-    off the graph's own edges and gains: a parking edge's forward arc
-    costs its unit f+1, its reverse arc minus its unit f."""
+    off the graph's own edges and their rows of unit gains: an edge's
+    forward arc costs minus the gain of its unit f+1, its reverse arc
+    the gain of its unit f.  The state was priced with the network's
+    own rows."""
     assert_circulation(graph, state.flows, lower, upper)
+    assert state.residual.rows is graph.network.rows
     index = {v: position for position, v in enumerate(graph.vertices)}
     p = state.potential
-    rows = unit_gains(graph)
-    for e, gain, lo, up, f in zip(graph.edges, graph.gains, lower, upper, state.flows):
-        row = rows.get(e.index)
+    for e, row, lo, up, f in zip(graph.edges, unit_gains(graph), lower, upper,
+                                 state.flows):
         slack = p[index[e.tail]] - p[index[e.head]]
         if f < up:
-            assert -(gain if row is None else row[f]) + slack >= 0
+            assert -row[f] + slack >= 0
         if f > lo:
-            assert -(gain if row is None else row[f - 1]) + slack <= 0
+            assert -row[f - 1] + slack <= 0
 
 
 def assert_carried_residual(graph, state, lower, upper):
     """A solved state carries the residual form of its own flow, rebuilt
-    here from its flows and bounds, the graph's gains and the network's
-    unit cost rows: copies of the bounds, each arc's capacity and cost (a
-    parking edge's forward arc costs its unit f+1, 0 past its last unit,
-    its reverse arc minus its unit f, 0 at f = 0), and, as its cost,
-    minus the flow's `flow_gain`."""
+    here from its flows and bounds and the network's rows of unit costs:
+    copies of the bounds, each arc's capacity and cost (an edge's forward
+    arc costs its unit f+1, 0 past its last unit, its reverse arc minus
+    its unit f, 0 at f = 0), as its cost minus the flow's `flow_gain`,
+    the network's own rows and the state's own potentials."""
     residual = state.residual
     assert list(residual.lower) == list(lower) and list(residual.upper) == list(upper)
-    rows = graph.network.rows
     cap, arc_cost = [], []
-    for k, (f, lo, up, gain) in enumerate(zip(state.flows, lower, upper, graph.gains)):
+    for row, f, lo, up in zip(graph.network.rows, state.flows, lower, upper):
         cap += [up - f, f - lo]
-        row = rows.get(k)
-        arc_cost += ([-gain, gain] if row is None
-                     else [row[f] if f < len(row) else 0, -row[f - 1] if f else 0])
+        arc_cost += [row[f] if f < len(row) else 0, -row[f - 1] if f else 0]
     assert list(residual.cap) == cap and list(residual.arc_cost) == arc_cost
     assert -residual.cost == flow_gain(graph, state.flows)
-    assert state.prices is graph.network.arc_cost
+    assert residual.rows is graph.network.rows
     assert residual.potential is state.potential
 
 

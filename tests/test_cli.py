@@ -65,6 +65,18 @@ class TestValidate:
         assert "$.instance.vertiports[0].congestion_cost[0]: expected an array" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["validate", "solve", "auction", "oracle-check",
+                                         "properties"])
+    def test_non_utf8_file_exit_1(self, tmp_path, capsys, command):
+        """A file that is not UTF-8 text is an invalid document, not a
+        traceback, for every subcommand that reads one."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main([command, str(bad)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("invalid document: $: not UTF-8 text: ")
+        assert "Traceback" not in err
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_IO
         assert "cannot read" in capsys.readouterr().err

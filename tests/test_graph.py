@@ -114,7 +114,7 @@ class TestBuildGraph:
                     ("E1", "E2", "E3", "E4", "E5", "E6", "E8")}
         (e8,) = by_class["E8"]  # one edge carries the slot's parking cap 2
         assert (e8.key, e8.lower, e8.upper) == (("v1",), 0, 2)
-        assert unit_gains(graph) == {e8.index: (0, 0)}
+        assert unit_gains(graph) == [(), (0, 0)]  # E6 carries no unit, E8 two
         for cls in ("E1", "E2", "E3", "E4", "E5"):
             assert by_class[cls] == []
         # The initial-fleet edge carries no aircraft here.
@@ -143,12 +143,12 @@ class TestBuildGraph:
     def test_edge_shapes_and_weights(self, second_price):
         instance, bids = second_price
         graph = build_graph(instance, bids)
-        e5 = {e.key: graph.gains[e.index] for e in edges_of_class(graph, "E5")}
+        e5 = {e.key: unit_gains(graph)[e.index] for e in edges_of_class(graph, "E5")}
         # S = 1 and P = R^n * M^n = 2^2 * 2^2; each route gains its weight
         # 10 or 6 times S * P plus its grant less the stay's: 0 - 10 for
         # the first aircraft, 0 - 5 for the second (module docstring).
         assert graph.unit == 16
-        assert e5 == {("op1", "a1", 1): 10 * 16 - 10, ("op2", "a1", 1): 6 * 16 - 5}
+        assert e5 == {("op1", "a1", 1): (10 * 16 - 10,), ("op2", "a1", 1): (6 * 16 - 5,)}
         assert sorted(bonus for _, _, routes in graph.aircraft
                       for _, _, bonus in routes) == [-10, -5]
         for e in edges_of_class(graph, "E1"):
@@ -181,8 +181,9 @@ class TestBuildGraph:
 
     def test_one_parking_edge_per_slot(self):
         """Each (vertiport, slot) has one E3 edge (one E8 edge at slot H)
-        keyed by the slot alone, with bounds [0, C(r,t)], and only those
-        edges have a row of unit gains, one per unit."""
+        keyed by the slot alone, with bounds [0, C(r,t)].  Every edge's row
+        has one unit gain per unit of its upper bound, and only E3, E5 and
+        E8 units gain anything."""
         for seed in range(15):
             document = generate(GeneratorConfig(seed=seed))
             instance = document.instance
@@ -196,17 +197,18 @@ class TestBuildGraph:
             assert {(e.cls, e.key): e.upper for e in parking} == expected
             assert len(parking) == len(expected)
             assert all(e.lower == 0 for e in parking)
-            assert {e.index: e.upper for e in parking} == {
-                k: len(row) for k, row in graph.network.rows.items()}
-            assert all(graph.gains[e.index] == 0 for e in parking)
+            assert ([len(row) for row in graph.network.rows]
+                    == [e.upper for e in graph.edges])
+            assert all(not any(row) for e, row in zip(graph.edges, graph.network.rows)
+                       if e.cls not in ("E3", "E5", "E8"))
 
     def test_parking_rows_non_increasing(self):
-        """Each parking row is non-increasing in gain: the congestion
-        cost is discrete convex."""
+        """Each edge's row is non-increasing in gain: the congestion cost
+        is discrete convex, and every other edge has one gain."""
         for seed in range(15):
             document = generate(GeneratorConfig(seed=seed))
             graph = build_graph(document.instance, document.bids)
-            for row in unit_gains(graph).values():
+            for row in unit_gains(graph):
                 assert all(b <= a for a, b in zip(row, row[1:]))
 
     def test_non_convex_congestion_rejected(self, single_mover):

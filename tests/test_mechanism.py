@@ -210,25 +210,19 @@ class TestRunAuction:
 def _priced_like_fresh(instance, bids):
     """Price the clearing profile, then each operator's pseudo-bids, on
     one template, as an auction does: each priced graph equals a fresh
-    `build_graph` on the same profile, and its gains, S * P and stay
-    welfare equal the `Fraction` reference's.  Returns the priced graphs."""
+    `build_graph` on the same profile, and its rows of unit gains, S * P
+    and stay welfare equal the `Fraction` reference's.  Returns the priced graphs."""
     template = compile_template(instance)
     priced = []
     for profile in [bids] + [pseudo_bids(operator.id, bids)
                              for operator in instance.operators]:
         shared, fresh = price_graph(template, profile), build_graph(instance, profile)
         assert shared.edges == fresh.edges
-        assert shared.gains == fresh.gains
+        assert shared.network.rows == fresh.network.rows
         assert shared.unit == fresh.unit
         assert shared.stay_welfare == fresh.stay_welfare
         assert_priced_like_reference(shared)
-        assert shared.network.arc_cost == fresh.network.arc_cost
-        assert shared.network.rows == fresh.network.rows
         assert shared.network.topology is template.topology
-        costs = shared.network.arc_cost
-        assert all(costs[2 * k:2 * k + 2] == (-gain, gain)
-                   for k, gain in enumerate(shared.gains)
-                   if k not in shared.network.rows)
         assert shared.network.cold == fresh.network.cold
         assert shared.relaxed_lower == fresh.relaxed_lower
         assert shared.relaxed_upper == fresh.relaxed_upper
@@ -290,7 +284,8 @@ class TestSharedTemplate:
             fraction_bids = {key: F(value) for key, value in int_bids.items()}
             for a, b in zip(_priced_like_fresh(ints, int_bids),
                             _priced_like_fresh(fractions, fraction_bids)):
-                assert (a.gains, a.unit, a.stay_welfare) == (b.gains, b.unit, b.stay_welfare)
+                assert ((a.network.rows, a.unit, a.stay_welfare)
+                        == (b.network.rows, b.unit, b.stay_welfare))
             assert run_auction(ints, int_bids) == run_auction(fractions, fraction_bids)
 
     def test_scale_shrinks_when_zeroing_drops_a_denominator(self, second_price,
@@ -303,7 +298,8 @@ class TestSharedTemplate:
         clearing, without_op1, _ = _priced_like_fresh(instance, bids)
         (route,) = [e.index for e in clearing.edges if e.key == ("op2", "a1", 1)]
         tie_unit = compile_template(instance).tie_unit
-        assert clearing.gains[route] - without_op1.gains[route] == 6 * 2 * tie_unit
+        assert (without_op1.network.rows[route][0] - clearing.network.rows[route][0]
+                == 6 * 2 * tie_unit)
         # op1's payment solve starts its root from the cleared root, its
         # potentials brought from the clearing unit down to the smaller one.
         roots = []

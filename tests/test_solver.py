@@ -25,7 +25,13 @@ from conftest import (
     validated_instances,
 )
 from test_acceptance import corpus_config
-from vertiport_auction.flow import FlowState, compile_topology, min_cost_flow, price_network
+from vertiport_auction.flow import (
+    FlowState,
+    Network,
+    Residual,
+    compile_topology,
+    min_cost_flow,
+)
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.mechanism import pseudo_bids, run_auction
 from vertiport_auction import mechanism, solver
@@ -522,25 +528,19 @@ class TestRelaxationBound:
 
 def _unit_edges(graph, lower, upper):
     """Each edge as linear-cost pieces (edge, key, gain, lower, upper):
-    itself, or, for a parking edge (E3/E8), one unit edge per unit it may
-    carry with that unit's gain, the first lower[k] of them forced.  A
-    convex edge's cheapest units come first, so forcing those loses
-    nothing."""
-    rows = unit_gains(graph)
-    for e, gain, lo, up in zip(graph.edges, graph.gains, lower, upper):
-        row = rows.get(e.index)
-        if row is None:
-            yield e, (e.index, 0), gain, lo, up
-        else:
-            for q in range(1, up + 1):
-                yield e, (e.index, q), row[q - 1], int(q <= lo), 1
+    one unit edge per unit it may carry with that unit's gain, the first
+    lower[k] of them forced.  An edge's cheapest units come first, so
+    forcing those loses nothing."""
+    for e, row, lo, up in zip(graph.edges, unit_gains(graph), lower, upper):
+        for q in range(1, up + 1):
+            yield e, (e.index, q), row[q - 1], int(q <= lo), 1
 
 
 def _network_simplex(graph, lower, upper):
     """Reference max-gain circulation from `networkx.network_simplex`
     under the same bounds, lower bounds shifted into node demands.  It
-    takes linear costs only, so each parking edge is expanded back into
-    unit edges (`_unit_edges`)."""
+    takes linear costs only, so each edge is expanded into unit edges
+    (`_unit_edges`)."""
     nx = pytest.importorskip("networkx")
     if any(lo > up for lo, up in zip(lower, upper)):
         return None
@@ -850,6 +850,20 @@ class _ReadRecorder(list):
         return super().__getitem__(k)
 
 
+def _forged(graph, potential):
+    """The cold flow with `potential` forged on as its own: a hand-built
+    residual form of the zero flow on the graph's relaxed uppers, every
+    lower 0, that carries `potential`.  A solve of the relaxed bounds from
+    it sets up and repairs only the edges whose lower is not 0, the fixed
+    E6 edges, and takes every other edge's arcs as they stand, certified
+    or not."""
+    rows, upper = graph.network.rows, graph.relaxed_upper
+    residual = Residual(
+        (0,) * len(upper), upper, [c for up in upper for c in (up, 0)],
+        [c for row in rows for c in (row[0] if row else 0, 0)], 0, rows, potential)
+    return FlowState(graph.network.cold.flows, potential, residual)
+
+
 class TestFlowKernel:
     def test_only_the_fixed_e6_edges_run_backward(self, kernel_graphs):
         """Vertex indices are a topological order of every edge but E6,
@@ -954,24 +968,22 @@ class TestFlowKernel:
                     _assert_kernel_agrees(
                         graph, *solver._resolved_bounds(graph, {pair: tau}), root)
         graph = build_graph(instance, bids)
-        assert all(gain < 0 for e, gain in zip(graph.edges, graph.gains)
-                   if e.cls == "E5")
+        assert all(unit_gains(graph)[e.index][0] < 0 for e in edges_of_class(graph, "E5"))
         flows = solve(graph).flow
         assert [e.key for e in edges_of_class(graph, "E5") if flows[e.index]] == [
             ("op1", "a1", 2)]
 
     def test_foreign_start_returns_the_cold_optimum(self, kernel_graphs):
-        """A start that names other prices than the network's is repaired,
-        so any balanced start gives the cold root's optimal flow with
-        certified potentials: the cold flow under zero or random
-        potentials, and another profile's solved root on the same
-        template, its potentials converted to this profile's gain unit
-        or left as they are.  A solved root handed over as it is, its
-        potentials its own, sets up and repairs only the edges whose
-        prices differ, the re-priced ones: those are the edges whose
-        bounds the kernel reads.  A start whose potentials were replaced
-        (`_replace(potential=...)`), even by equal values, or that was
-        made by hand, repairs every edge."""
+        """Every start is repaired where it is set up, so any balanced start
+        gives the cold root's optimal flow with certified potentials: the
+        cold flow under zero or random potentials, and another profile's
+        solved root on the same template, its potentials converted to this
+        profile's gain unit or left as they are.  A solved root handed over
+        as it is, its potentials its own, sets up and repairs exactly the
+        edges whose rows differ from those it was priced with: those are
+        the edges whose bounds the kernel reads.  A start whose potentials
+        were replaced (`_replace(potential=...)`), even by equal values, or
+        that was made by hand, sets up and repairs every edge."""
         rng = random.Random(0)
         repaired = partial = 0
         for graph in kernel_graphs:
@@ -984,19 +996,17 @@ class TestFlowKernel:
                 other = solve(price_graph(template, pseudo_bids(operator.id, graph.bids)))
                 converted = [p * graph.unit // other.unit for p in other.root.potential]
                 starts += [other.root, other.root._replace(potential=converted)]
-            spread = max(map(abs, network.arc_cost))
+            spread = max(abs(row[0]) for row in network.rows if row)
             starts += [FlowState(flows, [rng.randint(-spread, spread) for _ in cold.potential])
                        for flows in (network.cold.flows, starts[-1].flows)]
             for start in starts:
-                assert start.prices is not network.arc_cost
                 lower = _ReadRecorder(bounds[0])
                 state, _ = min_cost_flow(network, lower, bounds[1], start)
-                assert state.prices is network.arc_cost
                 assert list(state.flows) == list(cold.flows)
                 assert_certified(graph, state, *bounds)
                 if start.residual is not None and start.residual.potential is start.potential:
-                    assert lower.read == {a >> 1 for a, (new, old) in enumerate(
-                        zip(network.arc_cost, start.prices)) if new != old}
+                    assert lower.read == {k for k, (new, old) in enumerate(
+                        zip(network.rows, start.residual.rows)) if new != old}
                     partial += len(lower.read) < len(lower)
                 else:
                     assert lower.read == set(range(len(lower)))
@@ -1005,25 +1015,24 @@ class TestFlowKernel:
         assert partial >= len(kernel_graphs)
 
     def test_uncertified_start_raises(self, kernel_graphs):
-        """A state that names the network's prices skips the repair, so
-        zero potentials forged onto the cold flow, which leave negative
-        reduced costs on its residual arcs, close a negative-cost cycle on
+        """Zero potentials forged into the residual form of the cold flow
+        (`_forged`) leave negative reduced costs on arcs of edges the
+        solve does not set up, and close a negative-cost cycle on
         acceptance-corpus seed 2: the kernel raises instead of looping."""
         graph = kernel_graphs[2]
-        cold, prices = graph.network.cold, graph.network.arc_cost
-        start = FlowState(cold.flows, (0,) * len(cold.potential), prices)
+        start = _forged(graph, (0,) * len(graph.network.cold.potential))
         with pytest.raises(ValueError, match="not certified"):
             min_cost_flow(graph.network, *solver._resolved_bounds(graph, {}), start)
 
     def test_forged_start_whose_path_back_does_not_end_raises(self):
-        """Random potentials forged onto the cold flow, naming the
-        network's prices, skip the repair, and a source can then get a
-        predecessor in the Dijkstra tree, so the walk back from the
-        deficit would cycle: on seed 7, draws 9 and 23 never reach a
-        source.  Such a tree needs a vertex settled out of order, so those
-        two draws raise the documented ValueError, and each of the first
-        26 draws on generator seeds 7 and 34 returns the cold root's flow
-        or raises it."""
+        """Random potentials forged into the residual form of the cold
+        flow (`_forged`) reach the kernel unrepaired on every edge but
+        E6, and a source can then get a predecessor in the Dijkstra tree,
+        so the walk back from the deficit would cycle: on seed 7, draws 9
+        and 23 never reach a source.  Such a tree needs a vertex settled
+        out of order, so those two draws raise the documented ValueError,
+        and each of the first 26 draws on generator seeds 7 and 34 returns
+        the cold root's flow or raises it."""
         raised = set()
         for seed in (7, 34):
             document = generate(GeneratorConfig(seed=seed))
@@ -1033,9 +1042,8 @@ class TestFlowKernel:
             root, _ = min_cost_flow(network, *bounds, network.cold)
             rng = random.Random(seed)
             for draw in range(1, 27):
-                potential = [rng.randint(-1000, 1000) * graph.unit
-                             for _ in network.cold.potential]
-                start = FlowState(network.cold.flows, potential, network.arc_cost)
+                start = _forged(graph, [rng.randint(-1000, 1000) * graph.unit
+                                        for _ in network.cold.potential])
                 try:
                     state, _ = min_cost_flow(network, *bounds, start)
                 except ValueError as error:
@@ -1047,27 +1055,24 @@ class TestFlowKernel:
         assert {(7, 9), (7, 23)} <= raised
 
     def test_forged_starts_return_the_optimum_or_raise(self, kernel_graphs, generated_roots):
-        """A state that names the network's prices skips the repair, so
-        potentials forged onto the cold flow reach the kernel as they are:
-        zero potentials on acceptance-corpus seed 2, which close a
-        negative-cost cycle, and 26 draws of random potentials (integers in
-        [-1000, 1000] times the gain unit, from `random.Random(seed)`) on
-        each of generator seeds 0-39, 1,041 starts in all.  Each returns
-        the cold root's flow or raises the documented ValueError; none
-        returns a flow that gains less, and none loops."""
+        """Potentials forged into the residual form of the cold flow
+        (`_forged`) reach the kernel unrepaired on every edge but E6: zero
+        potentials on acceptance-corpus seed 2, which close a negative-cost
+        cycle, and 26 draws of random potentials (integers in [-1000, 1000]
+        times the gain unit, from `random.Random(seed)`) on each of
+        generator seeds 0-39, 1,041 starts in all.  Each returns the cold
+        root's flow or raises the documented ValueError; none returns a
+        flow that gains less, and none loops."""
         graph = kernel_graphs[2]
         network = graph.network
-        zero = FlowState(network.cold.flows, (0,) * len(network.cold.potential),
-                         network.arc_cost)
+        zero = _forged(graph, (0,) * len(network.cold.potential))
         root, _ = min_cost_flow(network, *solver._resolved_bounds(graph, {}), network.cold)
         cases = [(graph, root, [zero])]
         for seed, (graph, root) in enumerate(generated_roots):
             rng = random.Random(seed)
-            network = graph.network
             cases.append((graph, root, [
-                FlowState(network.cold.flows, [rng.randint(-1000, 1000) * graph.unit
-                                               for _ in network.cold.potential],
-                          network.arc_cost)
+                _forged(graph, [rng.randint(-1000, 1000) * graph.unit
+                                for _ in graph.network.cold.potential])
                 for _ in range(26)]))
         solved, raised = 0, []
         for graph, root, starts in cases:
@@ -1086,11 +1091,9 @@ class TestFlowKernel:
         assert solved + len(raised) == 1041 and len(raised) >= 1000 and solved
 
     def test_solved_state_without_its_prices_is_a_fixed_point(self, generated_roots):
-        """A solved root handed back without its price tag is repaired, and
-        the repair keeps every edge where it is, a convex edge at its
-        clamped start flow too, so the solve pushes no path and returns
-        the same flow.  A convex edge repaired from the flow the
-        single-cost rule gave it instead pushes a path on seeds 6 and 36."""
+        """A solved root handed back without its residual form is set up
+        and repaired on every edge, and the repair keeps every edge where
+        it is, so the solve pushes no path and returns the same flow."""
         for graph, root in generated_roots:
             bounds = solver._resolved_bounds(graph, {})
             state, pushed = min_cost_flow(graph.network, *bounds,
@@ -1127,13 +1130,20 @@ class TestFlowKernel:
     def test_multi_unit_imbalance_takes_one_path_per_unit(self):
         """The fixed edge 2 -> 0 forces two units into vertex 0 and out of
         vertex 2.  The only way back, 0 -> 1 -> 2, has room for three, so
-        both units take it, each on its own path."""
+        from the cold start both units take it, each on its own path.  A
+        hand-made start of zero potentials is repaired on every edge: the
+        edge 1 -> 2, whose units each gain 1, goes to its upper bound 3,
+        and three paths bring the flow to the same optimum, gain 2."""
         lower, upper = [0, 0, 2], [3, 3, 2]
-        network = price_network(compile_topology(3, [0, 1, 2], [1, 2, 0], lower, upper),
-                                [0, -1, 0], {})
+        network = Network(compile_topology(3, [0, 1, 2], [1, 2, 0], lower, upper),
+                          ((0, 0, 0), (-1, -1, -1), (0, 0)))
         state, pushed = min_cost_flow(network, lower, upper, network.cold)
         assert list(state.flows) == [2, 2, 2]
         assert pushed == 2
+        zero = FlowState((0, 0, 0), (0, 0, 0))
+        state, pushed = min_cost_flow(network, lower, upper, zero)
+        assert list(state.flows) == [2, 2, 2]
+        assert (-state.residual.cost, pushed) == (2, 3)
 
 
 def test_import_loads_no_networkx():
