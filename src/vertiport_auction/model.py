@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
+from operator import attrgetter, lt, sub
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 OperatorId = str
 AircraftId = str
@@ -45,12 +46,16 @@ Profile = Mapping[Tuple[OperatorId, AircraftId, MenuKey], Fraction]
 Allocation = Mapping[Tuple[OperatorId, AircraftId], MenuKey]
 
 
-def _first_by(items: Iterable, key: Callable) -> Dict:
-    """Lookup table keeping each key's first item, as a linear scan would."""
-    table: Dict = {}
-    for item in items:
-        table.setdefault(key(item), item)
-    return table
+_ID = attrgetter("id")
+_KEY = attrgetter("key")
+_KIND = attrgetter("kind")
+_DEPARTURE = attrgetter("depart_time")
+
+
+def _first_by(items: Sequence, key: Callable) -> Dict:
+    """Lookup table keeping each key's first item, as a linear scan would:
+    filled back to front, so an earlier item overwrites a later one."""
+    return {key(item): item for item in reversed(items)}
 
 
 @dataclass(frozen=True)
@@ -81,10 +86,11 @@ class Aircraft:
     _departure_times: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "menu", tuple(sorted(self.menu, key=lambda m: m.key)))
-        object.__setattr__(self, "_options", _first_by(self.menu, lambda m: m.key))
+        menu = tuple(sorted(self.menu, key=_KEY))
+        object.__setattr__(self, "menu", menu)
+        object.__setattr__(self, "_options", _first_by(menu, _KEY))
         object.__setattr__(self, "_departure_times",
-                           tuple(sorted({entry.depart_time for entry in self.menu})))
+                           tuple(sorted(set(map(_DEPARTURE, menu)))))
 
     @property
     def stay_key(self) -> MenuKey:
@@ -112,8 +118,9 @@ class Operator:
     _aircraft: Dict[AircraftId, Aircraft] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fleet", tuple(sorted(self.fleet, key=lambda a: a.id)))
-        object.__setattr__(self, "_aircraft", _first_by(self.fleet, lambda a: a.id))
+        fleet = tuple(sorted(self.fleet, key=_ID))
+        object.__setattr__(self, "fleet", fleet)
+        object.__setattr__(self, "_aircraft", _first_by(fleet, _ID))
 
     def aircraft(self, aircraft_id: AircraftId) -> Aircraft:
         craft = self._aircraft.get(aircraft_id)
@@ -142,9 +149,10 @@ class Vertiport:
     def __post_init__(self) -> None:
         rows = []
         for row in self.congestion_cost:
-            denominator = lcm(*(v.denominator for v in row))
-            rows.append((tuple(v.numerator * (denominator // v.denominator) for v in row),
-                         denominator))
+            denominators = [v.denominator for v in row]
+            common = lcm(*denominators)
+            rows.append((tuple([v.numerator * (common // d)
+                                for v, d in zip(row, denominators)]), common))
         object.__setattr__(self, "_congestion_rows", tuple(rows))
 
     def congestion_rows(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
@@ -179,14 +187,12 @@ class Instance:
     _violations: Tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "vertiports", tuple(sorted(self.vertiports, key=lambda v: v.id))
-        )
-        object.__setattr__(
-            self, "operators", tuple(sorted(self.operators, key=lambda o: o.id))
-        )
-        object.__setattr__(self, "_vertiports", _first_by(self.vertiports, lambda v: v.id))
-        object.__setattr__(self, "_operators", _first_by(self.operators, lambda o: o.id))
+        ports = tuple(sorted(self.vertiports, key=_ID))
+        operators = tuple(sorted(self.operators, key=_ID))
+        object.__setattr__(self, "vertiports", ports)
+        object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "_vertiports", _first_by(ports, _ID))
+        object.__setattr__(self, "_operators", _first_by(operators, _ID))
         object.__setattr__(self, "_violations", _find_violations(self))
 
     def vertiport(self, vertiport_id: VertiportId) -> Vertiport:
@@ -255,34 +261,35 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                 problems.append(
                     f"vertiport {port.id}: {name} has length {len(table)}, expected {h}"
                 )
-            if any(c < 0 for c in table):
+            if table and min(table) < 0:
                 problems.append(f"vertiport {port.id}: {name} has a negative entry")
         if len(port.congestion_cost) != h:
             problems.append(
                 f"vertiport {port.id}: congestion_cost has {len(port.congestion_cost)} "
                 f"slots, expected {h}"
             )
+        caps = port.parking_cap
         for t, (scaled, _) in enumerate(port.congestion_rows(), start=1):
-            cap = port.parking_cap[t - 1] if t - 1 < len(port.parking_cap) else None
-            if cap is not None and len(scaled) != cap + 1:
+            if t <= len(caps) and len(scaled) != caps[t - 1] + 1:
                 problems.append(
                     f"vertiport {port.id}: congestion_cost slot {t} has {len(scaled)} "
-                    f"entries, expected parking_cap+1 = {cap + 1}"
+                    f"entries, expected parking_cap+1 = {caps[t - 1] + 1}"
                 )
             if scaled and scaled[0] != 0:
                 problems.append(
                     f"vertiport {port.id}: congestion_cost slot {t} must start at 0"
                 )
-            if any(v < 0 for v in scaled):
+            if scaled and min(scaled) < 0:
                 problems.append(
                     f"vertiport {port.id}: congestion_cost slot {t} has a negative entry"
                 )
-            for q in range(1, len(scaled) - 1):
-                if scaled[q + 1] - scaled[q] < scaled[q] - scaled[q - 1]:
-                    problems.append(
-                        f"vertiport {port.id}: congestion_cost not discrete convex "
-                        f"at slot {t}, q={q}"
-                    )
+            steps = list(map(sub, scaled[1:], scaled))
+            if any(map(lt, steps[1:], steps)):  # an increment falls: name each
+                problems.extend(
+                    f"vertiport {port.id}: congestion_cost not discrete convex "
+                    f"at slot {t}, q={q}"
+                    for q in range(1, len(steps)) if steps[q] < steps[q - 1]
+                )
 
     seen_operators = set()
     for operator in instance.operators:
@@ -301,21 +308,16 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
             seen_craft.add(craft.id)
             if craft.origin not in seen_ports:
                 problems.append(f"{label}: unknown origin vertiport {craft.origin!r}")
-            keys = [entry.key for entry in craft.menu]
+            keys = list(map(_KEY, craft.menu))
             if keys != list(range(len(keys))):
                 problems.append(f"{label}: menu keys must be contiguous from 0, got {keys}")
-            stay_entries = [entry for entry in craft.menu if entry.is_stay]
-            if len(stay_entries) != 1:
+            stays = list(map(_KIND, craft.menu)).count(STAY)
+            if stays != 1:
                 problems.append(
-                    f"{label}: menu must contain exactly one stay entry, "
-                    f"found {len(stay_entries)}"
+                    f"{label}: menu must contain exactly one stay entry, found {stays}"
                 )
             for entry in craft.menu:
-                if entry.kind not in (STAY, TRANSIT):
-                    problems.append(f"{label}: menu key {entry.key} has unknown kind "
-                                    f"{entry.kind!r}")
-                    continue
-                if entry.is_stay:
+                if entry.kind == STAY:
                     if entry.depart_time != 0:
                         problems.append(
                             f"{label}: stay entry must have departure time 0"
@@ -324,7 +326,7 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                         problems.append(
                             f"{label}: stay entry destination must equal origin"
                         )
-                else:
+                elif entry.kind == TRANSIT:
                     if not (1 <= entry.depart_time < entry.arrive_time <= h):
                         problems.append(
                             f"{label}: menu key {entry.key} needs "
@@ -336,10 +338,14 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                             f"{label}: menu key {entry.key} has unknown destination "
                             f"{entry.destination!r}"
                         )
+                else:
+                    problems.append(f"{label}: menu key {entry.key} has unknown kind "
+                                    f"{entry.kind!r}")
 
     # Slack condition: initial occupants fit in parking at every slot.
+    origins = [craft.origin for operator in instance.operators for craft in operator.fleet]
     for port in instance.vertiports:
-        occupied = initial_occupancy(instance, port.id)
+        occupied = origins.count(port.id)
         for t in range(1, min(h, len(port.parking_cap)) + 1):
             if port.parking_cap[t - 1] - occupied < 0:
                 problems.append(

@@ -7,6 +7,14 @@ is canonical (fixed field order, ids sorted, reduced fractions), so
 ``render(parse(text)) == text`` for canonical documents.  Unknown fields
 are rejected with the path of the offending entry, and so are repeated
 object keys and profile menu keys that are not canonical decimals.
+
+Parse reads a document in one pass: the JSON decoder's object hook
+refuses a repeated key, and one walk over the decoded tree checks each
+value and builds the model from it.  A field path is spelled only for
+the error it names, from the indices in scope where the check fails.
+Each rational string and each profile menu key is read once per
+document: a memo lives for one `parse` call and is never shared between
+calls, so two calls on the same text do the same work.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .model import (
     STAY,
@@ -48,20 +56,19 @@ class InstanceDocument:
     schema_version: str = SCHEMA_VERSION
 
 
-def parse_rational(raw: Any, path: str) -> Fraction:
-    if isinstance(raw, int) and not isinstance(raw, bool):  # JSON true must not read as 1
-        return Fraction(raw)
-    match = _RATIONAL.fullmatch(raw) if isinstance(raw, str) else None
-    try:
-        if match:
-            return Fraction(int(match[1]), int(match[2] or 1))
-    except (ValueError, ZeroDivisionError):  # over int's digit limit, or x/0
-        pass
-    raise DocumentError(path, f"not a rational: {raw!r}")
-
-
 def render_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+# The fields of each object, in the order a missing one is named.  A
+# canonical document holds them in this order, which one tuple comparison
+# confirms; only another order is read field by field (`_expect`).
+_INSTANCE = ("horizon", "lambda", "vertiports", "operators")
+_VERTIPORT = ("id", "arrival_cap", "departure_cap", "parking_cap", "congestion_cost")
+_OPERATOR = ("id", "weight", "fleet")
+_AIRCRAFT = ("id", "origin", "menu")
+_STAY = ("key", "kind")
+_TRANSIT = ("key", "kind", "depart_time", "destination", "arrive_time")
 
 
 def _expect(mapping: Any, path: str, required: Tuple[str, ...],
@@ -77,144 +84,195 @@ def _expect(mapping: Any, path: str, required: Tuple[str, ...],
     return mapping
 
 
-def _int(raw: Any, path: str) -> int:
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        raise DocumentError(path, f"expected an integer, got {raw!r}")
-    return raw
+def _rational(raw: Any, rationals: Dict[str, Fraction]) -> Optional[Fraction]:
+    """`raw` as an exact rational, or None when it is not one.  `rationals`
+    holds every string read so far in this document, each read once."""
+    if type(raw) is str:
+        value = rationals.get(raw)
+        if value is None:
+            match = _RATIONAL.fullmatch(raw)
+            if match is None:
+                return None
+            try:
+                value = rationals[raw] = Fraction(int(match[1]), int(match[2] or 1))
+            except (ValueError, ZeroDivisionError):  # over int's digit limit, or x/0
+                return None
+        return value
+    if type(raw) is int:  # not bool: JSON true must not read as 1
+        return Fraction(raw)
+    return None
 
 
-def _int_list(raw: Any, path: str) -> Tuple[int, ...]:
-    if not isinstance(raw, list):
-        raise DocumentError(path, "expected an array of integers")
-    return tuple(_int(v, f"{path}[{i}]") for i, v in enumerate(raw))
+def _not_rational(path: str, raw: Any) -> DocumentError:
+    return DocumentError(path, f"not a rational: {raw!r}")
 
 
-def _parse_menu_entry(raw: Any, path: str, origin: str) -> RouteOption:
-    if not isinstance(raw, dict):
-        raise DocumentError(path, "expected an object")
-    kind = raw.get("kind")
-    if kind == STAY:
-        data = _expect(raw, path, ("key", "kind"))
-        return RouteOption(key=_int(data["key"], f"{path}.key"), kind=STAY,
-                           depart_time=0, destination=origin)
-    if kind == TRANSIT:
-        data = _expect(raw, path,
-                       ("key", "kind", "depart_time", "destination", "arrive_time"))
-        if not isinstance(data["destination"], str):
-            raise DocumentError(f"{path}.destination", "expected a string")
-        return RouteOption(
-            key=_int(data["key"], f"{path}.key"),
-            kind=TRANSIT,
-            depart_time=_int(data["depart_time"], f"{path}.depart_time"),
-            destination=data["destination"],
-            arrive_time=_int(data["arrive_time"], f"{path}.arrive_time"),
-        )
-    raise DocumentError(f"{path}.kind", f"expected 'stay' or 'transit', got {kind!r}")
+def _not_int(path: str, raw: Any) -> DocumentError:
+    return DocumentError(path, f"expected an integer, got {raw!r}")
 
 
-def _parse_instance(raw: Any, path: str) -> Instance:
-    data = _expect(raw, path, ("horizon", "lambda", "vertiports", "operators"))
-    horizon = _int(data["horizon"], f"{path}.horizon")
-    lam = parse_rational(data["lambda"], f"{path}.lambda")
+def _vertiport(port: Any, i: int, rationals: Dict[str, Fraction]) -> Vertiport:
+    """The vertiport at ``$.instance.vertiports[i]``."""
+    if type(port) is not dict or tuple(port) != _VERTIPORT:
+        _expect(port, f"$.instance.vertiports[{i}]", _VERTIPORT)
+    if type(port["id"]) is not str:
+        raise DocumentError(f"$.instance.vertiports[{i}].id", "expected a string")
+    if type(port["congestion_cost"]) is not list:
+        raise DocumentError(f"$.instance.vertiports[{i}].congestion_cost",
+                            "expected an array")
+    rows = []
+    for t, row in enumerate(port["congestion_cost"]):
+        if type(row) is not list:
+            raise DocumentError(f"$.instance.vertiports[{i}].congestion_cost[{t}]",
+                                "expected an array")
+        values = []
+        for q, raw in enumerate(row):
+            value = _rational(raw, rationals)
+            if value is None:
+                raise _not_rational(
+                    f"$.instance.vertiports[{i}].congestion_cost[{t}][{q}]", raw)
+            values.append(value)
+        rows.append(tuple(values))
+    caps = []
+    for name in ("arrival_cap", "departure_cap", "parking_cap"):
+        table = port[name]
+        if type(table) is not list:
+            raise DocumentError(f"$.instance.vertiports[{i}].{name}",
+                                "expected an array of integers")
+        for c, value in enumerate(table):
+            if type(value) is not int:  # not bool either
+                raise _not_int(f"$.instance.vertiports[{i}].{name}[{c}]", value)
+        caps.append(tuple(table))
+    return Vertiport(port["id"], *caps, tuple(rows))
 
-    if not isinstance(data["vertiports"], list):
-        raise DocumentError(f"{path}.vertiports", "expected an array")
-    ports: List[Vertiport] = []
-    for i, raw_port in enumerate(data["vertiports"]):
-        ppath = f"{path}.vertiports[{i}]"
-        port = _expect(raw_port, ppath,
-                       ("id", "arrival_cap", "departure_cap", "parking_cap",
-                        "congestion_cost"))
-        if not isinstance(port["id"], str):
-            raise DocumentError(f"{ppath}.id", "expected a string")
-        if not isinstance(port["congestion_cost"], list):
-            raise DocumentError(f"{ppath}.congestion_cost", "expected an array")
-        rows = []
-        for t, row in enumerate(port["congestion_cost"]):
-            rpath = f"{ppath}.congestion_cost[{t}]"
-            if not isinstance(row, list):
-                raise DocumentError(rpath, "expected an array")
-            rows.append(tuple(parse_rational(v, f"{rpath}[{q}]") for q, v in enumerate(row)))
-        ports.append(Vertiport(
-            id=port["id"],
-            arrival_cap=_int_list(port["arrival_cap"], f"{ppath}.arrival_cap"),
-            departure_cap=_int_list(port["departure_cap"], f"{ppath}.departure_cap"),
-            parking_cap=_int_list(port["parking_cap"], f"{ppath}.parking_cap"),
-            congestion_cost=tuple(rows),
-        ))
 
-    if not isinstance(data["operators"], list):
-        raise DocumentError(f"{path}.operators", "expected an array")
-    operators: List[Operator] = []
-    for i, raw_op in enumerate(data["operators"]):
-        opath = f"{path}.operators[{i}]"
-        op = _expect(raw_op, opath, ("id", "weight", "fleet"))
-        if not isinstance(op["id"], str):
-            raise DocumentError(f"{opath}.id", "expected a string")
-        if not isinstance(op["fleet"], list):
-            raise DocumentError(f"{opath}.fleet", "expected an array")
-        fleet: List[Aircraft] = []
-        for j, raw_craft in enumerate(op["fleet"]):
-            apath = f"{opath}.fleet[{j}]"
-            craft = _expect(raw_craft, apath, ("id", "origin", "menu"))
-            if not isinstance(craft["id"], str):
-                raise DocumentError(f"{apath}.id", "expected a string")
-            if not isinstance(craft["origin"], str):
-                raise DocumentError(f"{apath}.origin", "expected a string")
-            if not isinstance(craft["menu"], list):
-                raise DocumentError(f"{apath}.menu", "expected an array")
-            menu = tuple(
-                _parse_menu_entry(entry, f"{apath}.menu[{k}]", craft["origin"])
-                for k, entry in enumerate(craft["menu"])
-            )
-            stays = sum(1 for entry in menu if entry.is_stay)
-            if stays != 1:
+def _aircraft(craft: Any, i: int, j: int) -> Aircraft:
+    """The aircraft at ``$.instance.operators[i].fleet[j]``."""
+    if type(craft) is not dict or tuple(craft) != _AIRCRAFT:
+        _expect(craft, f"$.instance.operators[{i}].fleet[{j}]", _AIRCRAFT)
+    craft_id, origin = craft["id"], craft["origin"]
+    if type(craft_id) is not str:
+        raise DocumentError(f"$.instance.operators[{i}].fleet[{j}].id", "expected a string")
+    if type(origin) is not str:
+        raise DocumentError(f"$.instance.operators[{i}].fleet[{j}].origin",
+                            "expected a string")
+    if type(craft["menu"]) is not list:
+        raise DocumentError(f"$.instance.operators[{i}].fleet[{j}].menu",
+                            "expected an array")
+    menu = []
+    stays = 0
+    for k, entry in enumerate(craft["menu"]):
+        if type(entry) is not dict:
+            raise DocumentError(f"$.instance.operators[{i}].fleet[{j}].menu[{k}]",
+                                "expected an object")
+        kind = entry.get("kind")
+        if kind == STAY:
+            if tuple(entry) != _STAY:
+                _expect(entry, f"$.instance.operators[{i}].fleet[{j}].menu[{k}]", _STAY)
+            key = entry["key"]
+            if type(key) is not int:
+                raise _not_int(f"$.instance.operators[{i}].fleet[{j}].menu[{k}].key", key)
+            menu.append(RouteOption(key, STAY, 0, origin))
+            stays += 1
+        elif kind == TRANSIT:
+            if tuple(entry) != _TRANSIT:
+                _expect(entry, f"$.instance.operators[{i}].fleet[{j}].menu[{k}]", _TRANSIT)
+            key, depart, arrive = entry["key"], entry["depart_time"], entry["arrive_time"]
+            destination = entry["destination"]
+            if type(destination) is not str:
                 raise DocumentError(
-                    f"{apath}.menu",
-                    f"aircraft {craft['id']!r} must have exactly one stay entry, "
-                    f"found {stays}",
-                )
-            fleet.append(Aircraft(id=craft["id"], origin=craft["origin"], menu=menu))
-        operators.append(Operator(
-            id=op["id"],
-            weight=parse_rational(op["weight"], f"{opath}.weight"),
-            fleet=tuple(fleet),
-        ))
+                    f"$.instance.operators[{i}].fleet[{j}].menu[{k}].destination",
+                    "expected a string")
+            if type(key) is not int or type(depart) is not int or type(arrive) is not int:
+                field = next(f for f in ("key", "depart_time", "arrive_time")
+                             if type(entry[f]) is not int)
+                raise _not_int(f"$.instance.operators[{i}].fleet[{j}].menu[{k}].{field}",
+                               entry[field])
+            menu.append(RouteOption(key, TRANSIT, depart, destination, arrive))
+        else:
+            raise DocumentError(f"$.instance.operators[{i}].fleet[{j}].menu[{k}].kind",
+                                f"expected 'stay' or 'transit', got {kind!r}")
+    if stays != 1:
+        raise DocumentError(f"$.instance.operators[{i}].fleet[{j}].menu",
+                            f"aircraft {craft_id!r} must have exactly one stay entry, "
+                            f"found {stays}")
+    return Aircraft(craft_id, origin, tuple(menu))
 
-    return Instance(horizon=horizon, congestion_ratio=lam,
-                    vertiports=tuple(ports), operators=tuple(operators))
+
+def _instance(raw: Any, rationals: Dict[str, Fraction]) -> Instance:
+    """The instance at ``$.instance``."""
+    if type(raw) is not dict or tuple(raw) != _INSTANCE:
+        _expect(raw, "$.instance", _INSTANCE)
+    horizon = raw["horizon"]
+    if type(horizon) is not int:
+        raise _not_int("$.instance.horizon", horizon)
+    lam = _rational(raw["lambda"], rationals)
+    if lam is None:
+        raise _not_rational("$.instance.lambda", raw["lambda"])
+    if type(raw["vertiports"]) is not list:
+        raise DocumentError("$.instance.vertiports", "expected an array")
+    ports = tuple([_vertiport(port, i, rationals)
+                   for i, port in enumerate(raw["vertiports"])])
+    if type(raw["operators"]) is not list:
+        raise DocumentError("$.instance.operators", "expected an array")
+    operators = []
+    for i, op in enumerate(raw["operators"]):
+        if type(op) is not dict or tuple(op) != _OPERATOR:
+            _expect(op, f"$.instance.operators[{i}]", _OPERATOR)
+        if type(op["id"]) is not str:
+            raise DocumentError(f"$.instance.operators[{i}].id", "expected a string")
+        if type(op["fleet"]) is not list:
+            raise DocumentError(f"$.instance.operators[{i}].fleet", "expected an array")
+        fleet = tuple([_aircraft(craft, i, j) for j, craft in enumerate(op["fleet"])])
+        weight = _rational(op["weight"], rationals)
+        if weight is None:
+            raise _not_rational(f"$.instance.operators[{i}].weight", op["weight"])
+        operators.append(Operator(op["id"], weight, fleet))
+    return Instance(horizon, lam, ports, tuple(operators))
 
 
-def _parse_profile(raw: Any, path: str) -> Dict[Tuple[str, str, int], Fraction]:
-    if not isinstance(raw, dict):
+def _profile(raw: Any, path: str, rationals: Dict[str, Fraction]
+             ) -> Dict[Tuple[str, str, int], Fraction]:
+    """The bid or valuation profile at `path`."""
+    if type(raw) is not dict:
         raise DocumentError(path, "expected an object")
     profile: Dict[Tuple[str, str, int], Fraction] = {}
+    menu_keys: Dict[str, int] = {}  # each key string read once
     for op_id, by_craft in raw.items():
-        if not isinstance(by_craft, dict):
+        if type(by_craft) is not dict:
             raise DocumentError(f"{path}.{op_id}", "expected an object")
         for craft_id, by_key in by_craft.items():
-            if not isinstance(by_key, dict):
+            if type(by_key) is not dict:
                 raise DocumentError(f"{path}.{op_id}.{craft_id}", "expected an object")
-            for key, value in by_key.items():
-                kpath = f"{path}.{op_id}.{craft_id}.{key}"
-                try:
-                    menu_key = int(key)
-                except ValueError:
-                    raise DocumentError(kpath, "menu key must be an integer")
-                if key != str(menu_key):
-                    raise DocumentError(kpath, "menu key must be a canonical decimal")
-                profile[(op_id, craft_id, menu_key)] = parse_rational(value, kpath)
+            for key, raw_value in by_key.items():
+                menu_key = menu_keys.get(key)
+                if menu_key is None:
+                    try:
+                        menu_key = int(key)
+                    except ValueError:
+                        raise DocumentError(f"{path}.{op_id}.{craft_id}.{key}",
+                                            "menu key must be an integer")
+                    if key != str(menu_key):
+                        raise DocumentError(f"{path}.{op_id}.{craft_id}.{key}",
+                                            "menu key must be a canonical decimal")
+                    menu_keys[key] = menu_key
+                value = _rational(raw_value, rationals)
+                if value is None:
+                    raise _not_rational(f"{path}.{op_id}.{craft_id}.{key}", raw_value)
+                profile[op_id, craft_id, menu_key] = value
     return profile
 
 
-def _unique_keys(pairs: Sequence[Tuple[str, Any]]) -> Dict[str, Any]:
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
     """A JSON object's members; raises ValueError on a repeated key, which
     `json.loads` would otherwise let overwrite the earlier value."""
-    members: Dict[str, Any] = {}
-    for key, value in pairs:
-        if key in members:
-            raise ValueError(f"repeated key {key!r}")
-        members[key] = value
+    members = dict(pairs)
+    if len(members) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
     return members
 
 
@@ -231,10 +289,11 @@ def parse(text: str) -> InstanceDocument:
     if data["schema_version"] != SCHEMA_VERSION:
         raise DocumentError("$.schema_version",
                             f"unsupported version {data['schema_version']!r}")
-    instance = _parse_instance(data["instance"], "$.instance")
-    bids = (_parse_profile(data["bids"], "$.bids")
+    rationals: Dict[str, Fraction] = {}
+    instance = _instance(data["instance"], rationals)
+    bids = (_profile(data["bids"], "$.bids", rationals)
             if "bids" in data else None)
-    valuations = (_parse_profile(data["valuations"], "$.valuations")
+    valuations = (_profile(data["valuations"], "$.valuations", rationals)
                   if "valuations" in data else None)
     return InstanceDocument(instance=instance, bids=bids, valuations=valuations)
 

@@ -121,3 +121,69 @@ def test_no_src_definition_only_tests_use():
     unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
               for path, line, name in unreferenced_definitions(package, users)]
     assert unused == []
+
+
+CONTAINER_TYPES = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def _called_name(node):
+    """The name a call or decorator spells, without its module prefix."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _holds_state(value):
+    return (isinstance(value, (ast.Dict, ast.List, ast.Set,
+                               ast.DictComp, ast.ListComp, ast.SetComp))
+            or _called_name(value) in CONTAINER_TYPES)
+
+
+def state_kept_between_calls(path):
+    """(line, name) of each module-level name in `path` bound to a dict, a
+    list or a set (a display, a comprehension or a call of the type), and
+    of each function that a caching decorator wraps: the places a result
+    could outlive the call that made it.  Compiled patterns, decoders,
+    tuples and frozensets hold no such state."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            found += [(node.lineno, node.name) for decorator in node.decorator_list
+                      if _called_name(decorator) in CACHE_DECORATORS]
+            continue
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        for target in targets:
+            pairs = ([(target, value)] if not (isinstance(target, ast.Tuple)
+                                               and isinstance(value, ast.Tuple))
+                     else zip(target.elts, value.elts))
+            found += [(node.lineno, name.id) for bound, held in pairs if _holds_state(held)
+                      for name in ast.walk(bound) if isinstance(name, ast.Name)]
+    return found
+
+
+def test_scan_finds_state_kept_between_calls(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import json, re\nfrom functools import lru_cache\n"
+                      "A = {}\nB: list = []\nC = set()\nD = re.compile('x')\n"
+                      "E = json.JSONDecoder()\nF = ('a', 'b')\nG = frozenset(F)\n"
+                      "H = {k: 0 for k in F}\nI, J = [], ()\n\n\n"
+                      "def f():\n    return {}\n\n\n"
+                      "@lru_cache(maxsize=None)\ndef g(x):\n    return x\n")
+    assert state_kept_between_calls(module) == [
+        (3, "A"), (4, "B"), (5, "C"), (10, "H"), (11, "I"), (19, "g")]
+
+
+def test_parse_keeps_no_state_between_calls():
+    """`serialize` reads each document on its own: any memo lives in one
+    `parse` call, so a second parse of the same text does all the work
+    again and a replayed corpus measures parsing, not lookups."""
+    path = ROOT / "src" / "vertiport_auction" / "serialize.py"
+    assert state_kept_between_calls(path) == []

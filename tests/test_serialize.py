@@ -1,6 +1,7 @@
 """Document serialization: canonical JSON, exact rationals, strictness."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from vertiport_auction.serialize import (
     DocumentError,
     InstanceDocument,
     parse,
-    parse_rational,
     render,
     render_rational,
 )
@@ -47,49 +47,61 @@ def minimal_document():
     }
 
 
+WEIGHT = "$.instance.operators[0].weight"
+NOT_A_RATIONAL = re.escape(WEIGHT) + ": not a rational"
+
+
+def read_weight(raw):
+    """The operator weight `parse` reads from `raw`, a rational as a JSON
+    document spells it."""
+    document = minimal_document()
+    document["instance"]["operators"][0]["weight"] = raw
+    return parse(json.dumps(document)).instance.operators[0].weight
+
+
 class TestRationals:
     def test_one_third_exact(self):
-        assert parse_rational("1/3", "$") == F(1, 3)
+        assert read_weight("1/3") == F(1, 3)
 
     def test_integers_accepted(self):
-        assert parse_rational(4, "$") == 4
+        assert read_weight(4) == 4
 
     def test_render_reduced(self):
         assert render_rational(F(2, 4)) == "1/2"
-        assert parse_rational(render_rational(F(-7, 3)), "$") == F(-7, 3)
+        assert read_weight(render_rational(F(-7, 3))) == F(-7, 3)
 
     def test_garbage_rejected_with_path(self):
-        with pytest.raises(DocumentError, match=r"\$\.weight"):
-            parse_rational("one half", "$.weight")
+        with pytest.raises(DocumentError, match=re.escape(WEIGHT)):
+            read_weight("one half")
         with pytest.raises(DocumentError):
-            parse_rational(0.5, "$")
+            read_weight(0.5)
 
     @pytest.mark.parametrize("raw", [True, False])
     def test_booleans_rejected_with_path(self, raw):
         # bool is an int subclass; JSON true must not read as 1.
-        with pytest.raises(DocumentError, match=r"\$\.weight"):
-            parse_rational(raw, "$.weight")
+        with pytest.raises(DocumentError, match=NOT_A_RATIONAL):
+            read_weight(raw)
 
     @pytest.mark.parametrize("raw", ["1e10000000", "1E5", "1/1e3", "inf", "nan"])
     def test_exponent_forms_rejected_with_path(self, raw):
-        with pytest.raises(DocumentError, match=r"\$\.weight: not a rational"):
-            parse_rational(raw, "$.weight")
+        with pytest.raises(DocumentError, match=NOT_A_RATIONAL):
+            read_weight(raw)
 
     @pytest.mark.parametrize("raw", ["0.5", "1.", ".5", "1/2.0"])
     def test_decimal_forms_rejected_with_path(self, raw):
-        with pytest.raises(DocumentError, match=r"\$\.weight: not a rational"):
-            parse_rational(raw, "$.weight")
+        with pytest.raises(DocumentError, match=NOT_A_RATIONAL):
+            read_weight(raw)
 
     @pytest.mark.parametrize("raw", [" 1/2", "1/2 ", "1 / 2", "1/2\n", "1_000", "1/+2",
                                      "1/0"])
     def test_whitespace_and_other_forms_rejected_with_path(self, raw):
-        with pytest.raises(DocumentError, match=r"\$\.weight: not a rational"):
-            parse_rational(raw, "$.weight")
+        with pytest.raises(DocumentError, match=NOT_A_RATIONAL):
+            read_weight(raw)
 
     @pytest.mark.parametrize("raw, value", [("+5", F(5)), ("-6/4", F(-3, 2)),
                                             ("007/010", F(7, 10))])
     def test_signed_and_unreduced_forms_accepted(self, raw, value):
-        assert parse_rational(raw, "$") == value
+        assert read_weight(raw) == value
 
 
 class TestParse:
@@ -192,6 +204,243 @@ class TestParse:
             '"horizon": 1', '"horizon": 1' + "0" * 5000)
         with pytest.raises(DocumentError, match=r"\$: malformed JSON"):
             parse(text)
+
+
+DROP = object()  # an edit that deletes the field or array entry
+
+
+def full_document():
+    """`minimal_document` with a transit entry, bids and valuations, so that
+    every level a document has can be edited."""
+    raw = minimal_document()
+    raw["instance"]["operators"][0]["fleet"][0]["menu"].append({
+        "key": 1, "kind": "transit", "depart_time": 1, "destination": "v1",
+        "arrive_time": 1,
+    })
+    raw["bids"] = {"op1": {"a1": {"0": "0/1", "1": "2/3"}}}
+    raw["valuations"] = {"op1": {"a1": {"0": "0/1", "1": "2/3"}}}
+    return raw
+
+
+def edited(steps, value):
+    """`full_document` as JSON text with the entry at `steps` replaced by
+    `value`, or deleted when `value` is DROP."""
+    raw = full_document()
+    *parents, last = steps
+    entry = raw
+    for step in parents:
+        entry = entry[step]
+    if value is DROP:
+        del entry[last]
+    else:
+        entry[last] = value
+    return json.dumps(raw)
+
+
+INSTANCE = ("instance",)
+PORT = INSTANCE + ("vertiports", 0)
+OPERATOR = INSTANCE + ("operators", 0)
+CRAFT = OPERATOR + ("fleet", 0)
+STAY_ENTRY = CRAFT + ("menu", 0)
+TRANSIT_ENTRY = CRAFT + ("menu", 1)
+BID = ("bids", "op1", "a1", "0")
+P = "$.instance.vertiports[0]"
+O = "$.instance.operators[0]"
+A = "$.instance.operators[0].fleet[0]"
+TRANSIT = {"key": 0, "kind": "transit", "depart_time": 1, "destination": "v1",
+           "arrive_time": 1}
+
+#: One malformed document per error branch of `parse`: (the edit to
+#: `full_document`, the whole error text).
+ERROR_TEXTS = [
+    ((), [], "$: expected an object, got list"),
+    (("schema_version",), DROP, "$: missing field 'schema_version'"),
+    (("extra",), 1, "$.extra: unknown field"),
+    (("schema_version",), "2", "$.schema_version: unsupported version '2'"),
+    (("schema_version",), 1, "$.schema_version: unsupported version 1"),
+    (INSTANCE, "x", "$.instance: expected an object, got str"),
+    (INSTANCE + ("operators",), DROP, "$.instance: missing field 'operators'"),
+    (INSTANCE + ("colour",), "red", "$.instance.colour: unknown field"),
+    (INSTANCE + ("horizon",), "1", "$.instance.horizon: expected an integer, got '1'"),
+    (INSTANCE + ("horizon",), True, "$.instance.horizon: expected an integer, got True"),
+    (INSTANCE + ("lambda",), 0.5, "$.instance.lambda: not a rational: 0.5"),
+    (INSTANCE + ("lambda",), False, "$.instance.lambda: not a rational: False"),
+    (INSTANCE + ("vertiports",), {}, "$.instance.vertiports: expected an array"),
+    (PORT, 3, f"{P}: expected an object, got int"),
+    (PORT + ("congestion_cost",), DROP, f"{P}: missing field 'congestion_cost'"),
+    (PORT + ("colour",), "red", f"{P}.colour: unknown field"),
+    (PORT + ("id",), 1, f"{P}.id: expected a string"),
+    (PORT + ("arrival_cap",), "0", f"{P}.arrival_cap: expected an array of integers"),
+    (PORT + ("arrival_cap", 0), "0", f"{P}.arrival_cap[0]: expected an integer, got '0'"),
+    (PORT + ("departure_cap", 0), False,
+     f"{P}.departure_cap[0]: expected an integer, got False"),
+    (PORT + ("parking_cap", 0), 1.0, f"{P}.parking_cap[0]: expected an integer, got 1.0"),
+    (PORT + ("congestion_cost",), "x", f"{P}.congestion_cost: expected an array"),
+    (PORT + ("congestion_cost", 0), {}, f"{P}.congestion_cost[0]: expected an array"),
+    (PORT + ("congestion_cost", 0, 1), "1/0",
+     f"{P}.congestion_cost[0][1]: not a rational: '1/0'"),
+    (PORT + ("congestion_cost", 0, 0), None,
+     f"{P}.congestion_cost[0][0]: not a rational: None"),
+    (INSTANCE + ("operators",), "op", "$.instance.operators: expected an array"),
+    (OPERATOR, None, f"{O}: expected an object, got NoneType"),
+    (OPERATOR + ("weight",), DROP, f"{O}: missing field 'weight'"),
+    (OPERATOR + ("colour",), "red", f"{O}.colour: unknown field"),
+    (OPERATOR + ("id",), [], f"{O}.id: expected a string"),
+    (OPERATOR + ("weight",), "1/2.0", f"{O}.weight: not a rational: '1/2.0'"),
+    (OPERATOR + ("fleet",), {}, f"{O}.fleet: expected an array"),
+    (CRAFT, "a1", f"{A}: expected an object, got str"),
+    (CRAFT + ("menu",), DROP, f"{A}: missing field 'menu'"),
+    (CRAFT + ("colour",), "red", f"{A}.colour: unknown field"),
+    (CRAFT + ("id",), 1, f"{A}.id: expected a string"),
+    (CRAFT + ("origin",), None, f"{A}.origin: expected a string"),
+    (CRAFT + ("menu",), "stay", f"{A}.menu: expected an array"),
+    (STAY_ENTRY, 0, f"{A}.menu[0]: expected an object"),
+    (STAY_ENTRY + ("kind",), "fly", f"{A}.menu[0].kind: expected 'stay' or 'transit', "
+                                    "got 'fly'"),
+    (STAY_ENTRY + ("kind",), DROP, f"{A}.menu[0].kind: expected 'stay' or 'transit', "
+                                   "got None"),
+    (STAY_ENTRY + ("key",), DROP, f"{A}.menu[0]: missing field 'key'"),
+    (STAY_ENTRY + ("key",), "0", f"{A}.menu[0].key: expected an integer, got '0'"),
+    (STAY_ENTRY + ("depart_time",), 0, f"{A}.menu[0].depart_time: unknown field"),
+    (TRANSIT_ENTRY + ("arrive_time",), DROP, f"{A}.menu[1]: missing field 'arrive_time'"),
+    (TRANSIT_ENTRY + ("colour",), "red", f"{A}.menu[1].colour: unknown field"),
+    (TRANSIT_ENTRY + ("key",), 1.0, f"{A}.menu[1].key: expected an integer, got 1.0"),
+    (TRANSIT_ENTRY + ("depart_time",), "1",
+     f"{A}.menu[1].depart_time: expected an integer, got '1'"),
+    (TRANSIT_ENTRY + ("arrive_time",), None,
+     f"{A}.menu[1].arrive_time: expected an integer, got None"),
+    (TRANSIT_ENTRY + ("destination",), 2, f"{A}.menu[1].destination: expected a string"),
+    (STAY_ENTRY, TRANSIT,
+     f"{A}.menu: aircraft 'a1' must have exactly one stay entry, found 0"),
+    (TRANSIT_ENTRY, {"key": 1, "kind": "stay"},
+     f"{A}.menu: aircraft 'a1' must have exactly one stay entry, found 2"),
+    (("bids",), [], "$.bids: expected an object"),
+    (("bids", "op1"), "x", "$.bids.op1: expected an object"),
+    (("bids", "op1", "a1"), [], "$.bids.op1.a1: expected an object"),
+    (("valuations", "op1", "a1"), None, "$.valuations.op1.a1: expected an object"),
+    (("bids", "op1", "a1", "stay"), "1/1", "$.bids.op1.a1.stay: menu key must be an integer"),
+    (("bids", "op1", "a1", "01"), "1/1",
+     "$.bids.op1.a1.01: menu key must be a canonical decimal"),
+    (BID, True, "$.bids.op1.a1.0: not a rational: True"),
+    (BID, 0.0, "$.bids.op1.a1.0: not a rational: 0.0"),
+    (("valuations", "op1", "a1", "1"), "x", "$.valuations.op1.a1.1: not a rational: 'x'"),
+]
+
+
+def error_text(text):
+    with pytest.raises(DocumentError) as raised:
+        parse(text)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "steps, value, expected", ERROR_TEXTS,
+    ids=[f"{expected.split(':')[0]}-{index}"
+         for index, (_, _, expected) in enumerate(ERROR_TEXTS)])
+def test_error_text(steps, value, expected):
+    """The whole text of each error `parse` raises: the path and the message."""
+    assert error_text(edited(steps, value) if steps else json.dumps(value)) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("{not json", "$: malformed JSON: Expecting property name enclosed in double "
+                  "quotes: line 1 column 2 (char 1)"),
+    ("\ufeff{}", "$: malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                  "line 1 column 1 (char 0)"),
+    (json.dumps(full_document()).replace('"horizon": 1', '"horizon": 1, "horizon": 2'),
+     "$: malformed JSON: repeated key 'horizon'"),
+    (json.dumps(full_document()).replace('"kind": "stay"', '"kind": "stay", "kind": "stay"'),
+     "$: malformed JSON: repeated key 'kind'"),
+], ids=["syntax", "byte-order-mark", "repeated-field", "repeated-menu-field"])
+def test_error_text_of_malformed_json(text, expected):
+    assert error_text(text) == expected
+
+
+#: What a mutation puts in place of a value (DROP deletes it instead).
+MUTANTS = (None, True, False, 0, 1, -1, 2.5, 10**30, "", "x", "1", "1/0", "-3/2",
+           "stay", [], [0], ["0/1"], {}, {"key": 0}, DROP)
+
+
+def value_paths(raw, steps=()):
+    """The steps to every value inside `raw`, containers included."""
+    children = (raw.items() if isinstance(raw, dict)
+                else enumerate(raw) if isinstance(raw, list) else ())
+    for step, child in children:
+        yield steps + (step,)
+        yield from value_paths(child, steps + (step,))
+
+
+def test_single_field_mutations_parse_or_raise_document_error():
+    """A document with one value replaced or deleted parses or raises
+    DocumentError, never any other exception: 100 seeded mutations of
+    each of generator seeds 0-29."""
+    for seed in range(30):
+        text = render(generate(GeneratorConfig(seed=seed)))
+        paths = list(value_paths(json.loads(text)))
+        rng = random.Random(seed)
+        for _ in range(100):
+            *parents, last = rng.choice(paths)
+            value = rng.choice(MUTANTS)
+            raw = json.loads(text)
+            entry = raw
+            for step in parents:
+                entry = entry[step]
+            if value is DROP:
+                del entry[last]
+            else:
+                entry[last] = value
+            try:
+                parse(json.dumps(raw))
+            except DocumentError:
+                pass
+
+
+class TestRationalMemo:
+    """Equal rationals are read once per document; the reading must not
+    depend on which spelling came first."""
+
+    @pytest.mark.parametrize("first", ["1", 1, "1/1"])
+    @pytest.mark.parametrize("boolean", [True, False])
+    def test_boolean_after_equal_value_raises_at_its_path(self, first, boolean):
+        # True == 1 and hash(True) == hash(1): a memo keyed on raw JSON
+        # values would hand back the Fraction read for 1.
+        raw = full_document()
+        raw["instance"]["lambda"] = first
+        raw["instance"]["vertiports"][0]["congestion_cost"] = [[first, boolean]]
+        raw["bids"]["op1"]["a1"]["0"] = first
+        raw["valuations"]["op1"]["a1"]["1"] = boolean
+        assert error_text(json.dumps(raw)) == (
+            f"$.instance.vertiports[0].congestion_cost[0][1]: not a rational: {boolean}")
+        raw["instance"]["vertiports"][0]["congestion_cost"] = [[first, first]]
+        assert error_text(json.dumps(raw)) == (
+            f"$.valuations.op1.a1.1: not a rational: {boolean}")
+
+    @pytest.mark.parametrize("spellings, value", [
+        (("2/4", "1/2", "2/4"), F(1, 2)),
+        (("+5", "5", 5, "5/1", "+5"), F(5)),
+        (("007/010", "7/10", "14/20"), F(7, 10)),
+        ((3, "3", 3, "3/1"), F(3)),
+        (("-6/4", "-3/2"), F(-3, 2)),
+    ])
+    def test_equal_values_read_equal_and_reduced(self, spellings, value):
+        raw = full_document()
+        raw["instance"]["vertiports"][0]["congestion_cost"] = [list(spellings)]
+        raw["instance"]["lambda"] = spellings[-1]
+        raw["bids"]["op1"]["a1"] = {str(k): v for k, v in enumerate(spellings)}
+        document = parse(json.dumps(raw))
+        read = (document.instance.vertiports[0].congestion_cost[0]
+                + (document.instance.congestion_ratio,) + tuple(document.bids.values()))
+        assert read == (value,) * (2 * len(spellings) + 1)
+        assert {(v.numerator, v.denominator) for v in read} == {
+            (value.numerator, value.denominator)}
+
+    def test_documents_do_not_share_readings(self):
+        raw = full_document()
+        raw["instance"]["lambda"] = "1/3"
+        first = parse(json.dumps(raw))
+        raw["instance"]["lambda"] = "1/4"
+        assert parse(json.dumps(raw)).instance.congestion_ratio == F(1, 4)
+        assert first.instance.congestion_ratio == F(1, 3)
 
 
 class TestRender:
