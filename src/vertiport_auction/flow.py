@@ -206,8 +206,10 @@ def compile_topology(vertex_count: int, tails: Sequence[int], heads: Sequence[in
         arc_head[2 * k], arc_head[2 * k + 1] = v, u
         arcs[u].append((2 * k, v))
         arcs[v].append((2 * k + 1, u))
+    # Tuples from lists, not `map`: see `graph.compile_template`.
     return Topology(tuple(tails), tuple(heads), tuple(arc_head),
-                    tuple(map(tuple, arcs)), tuple(map(tuple, out)))
+                    tuple([tuple(vertex) for vertex in arcs]),
+                    tuple([tuple(vertex) for vertex in out]))
 
 
 def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],

@@ -231,6 +231,10 @@ class GraphTemplate:
     priced_rows: Dict[int, Rows] = field(compare=False, repr=False)
 
 
+#: The fields a priced graph shares with its template, named once.
+_TEMPLATE_FIELDS = tuple([f.name for f in fields(GraphTemplate)])
+
+
 @dataclass(frozen=True)
 class AuxGraph(GraphTemplate):
     """A template priced by one bid profile (`price_graph`): the template's
@@ -378,9 +382,13 @@ def compile_template(instance: Instance) -> GraphTemplate:
                     port.parking_cap[h - 1], port.congestion_rows()[h - 1])
 
     scale = lcm(1, *(den for row in units.values() for _, den in row))
-    parking_rows = {k: tuple(num * (scale // den) for num, den in row)
+    # Tuples from lists, not iterators: CPython grows a tuple built from an
+    # iterator by resizing it, and the freed result joins a free list that
+    # only a full collection empties.
+    parking_rows = {k: tuple([num * (scale // den) for num, den in row])
                     for k, row in units.items()}
-    lower, upper = tuple(e.lower for e in edges), tuple(e.upper for e in edges)
+    lower = tuple([e.lower for e in edges])
+    upper = tuple([e.upper for e in edges])
     topology = compile_topology(
         len(vertices), [index[e.tail] for e in edges], [index[e.head] for e in edges],
         lower, upper)
@@ -434,15 +442,15 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     parking = template.parking_rows
     rows = template.priced_rows.get(multiplier)
     if rows is None:
-        rows = template.priced_rows[multiplier] = tuple(
+        rows = template.priced_rows[multiplier] = tuple([
             tuple([-w * multiplier for w in parking[e.index]]) if e.index in parking
-            else (0,) * e.upper for e in template.edges)
+            else (0,) * e.upper for e in template.edges])
     rows = list(rows)
     for k, num, den, bonus in priced:
         rows[k] = (-(num * (unit // den) + bonus),)
     stay_den = lcm(1, *(den for _, den in stays))
     stay_welfare = Fraction(sum(num * (stay_den // den) for num, den in stays), stay_den)
-    shared = {f.name: getattr(template, f.name) for f in fields(GraphTemplate)}
+    shared = {name: getattr(template, name) for name in _TEMPLATE_FIELDS}
     return AuxGraph(
         **shared, bids=bids, stay_welfare=stay_welfare, unit=unit,
         network=Network(template.topology, tuple(rows)),

@@ -57,6 +57,14 @@ the stay (tau 0) last.  Each end discards only subtrees that are empty
 or hold nothing better than what is kept, the children's assignments
 cover the node's, and the optimum is unique, so the result does not
 depend on the order of the search.
+
+Search shape.  The search is depth first, one call of the module-level
+`_visit` per node, on one partial assignment that each child extends by
+its decision and the parent restores after its last child.  No function
+of the search closes over itself, so a solve leaves no reference cycle:
+its graph, with everything the graph holds, is freed by reference
+counting when the caller drops it, not by a pass of the cyclic
+collector.
 """
 
 from __future__ import annotations
@@ -85,6 +93,7 @@ class SolveStats:
     pruned_infeasible: int = 0
     pruned_bound: int = 0
     pruned_completion: int = 0  # relaxed flow spelled a completion
+    incumbent_updates: int = 0  # completions that replaced the incumbent
     augmentations: int = 0  # paths pushed, one unit each, over every flow solve
     wall_time: float = 0.0
 
@@ -208,11 +217,14 @@ class _Incumbent:
     gain: Optional[int] = None
     flow: Optional[Tuple[int, ...]] = None
 
-    def offer(self, flow: Tuple[int, ...], gain: int) -> None:
-        """Keep `flow`, which gains `gain`, if it gains more."""
+    def offer(self, flow: Tuple[int, ...], gain: int) -> bool:
+        """Keep `flow`, which gains `gain`, if it gains more; whether it
+        was kept."""
         if self.gain is None or gain > self.gain:
             self.gain = gain
             self.flow = flow
+            return True
+        return False
 
 
 def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
@@ -223,8 +235,39 @@ def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
         leaf = solve_fixed_delta(graph, delta, stats=stats)
         if leaf is not None:
             gain, flow = leaf
-            best.offer(flow, gain)
+            if best.offer(flow, gain):
+                stats.incumbent_updates += 1
     return best
+
+
+def _visit(graph: AuxGraph, stats: SolveStats, best: _Incumbent,
+           partial: Dict[Tuple[str, str], int], state: FlowState
+           ) -> Optional[FlowState]:
+    """Search the node of `partial`, its solve starting from `state`, its
+    parent's solved state; its solved state, None if infeasible.  Not a
+    nested function: one that calls itself is a reference cycle (module
+    docstring, *Search shape*)."""
+    stats.nodes_explored += 1
+    stats.bound_solves += 1
+    relaxed = relaxation_bound(graph, partial, start=state, stats=stats)
+    if relaxed is None:
+        stats.pruned_infeasible += 1
+        return None
+    bound, state = relaxed
+    if best.gain is not None and bound <= best.gain:
+        stats.pruned_bound += 1
+        return state
+    split = _split_aircraft(graph, state.flows)
+    if split is None:
+        stats.pruned_completion += 1
+        if best.offer(tuple(state.flows), bound):
+            stats.incumbent_updates += 1
+        return state
+    for tau in (*graph.departure_times[split], 0):
+        partial[split] = tau
+        _visit(graph, stats, best, partial, state)
+    del partial[split]
+    return state
 
 
 def _solve_bnb(graph: AuxGraph, stats: SolveStats, start: Optional[FlowState] = None
@@ -232,32 +275,8 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats, start: Optional[FlowState] = 
     """The best completion, and the root's solved state (None if the
     root is infeasible); the root's solve starts from `start`, or cold."""
     best = _Incumbent()
-
-    def visit(partial: Dict[Tuple[str, str], int], state: FlowState
-              ) -> Optional[FlowState]:
-        """Search the node; its solved state, None if infeasible."""
-        stats.nodes_explored += 1
-        stats.bound_solves += 1
-        relaxed = relaxation_bound(graph, partial, start=state, stats=stats)
-        if relaxed is None:
-            stats.pruned_infeasible += 1
-            return None
-        bound, state = relaxed
-        if best.gain is not None and bound <= best.gain:
-            stats.pruned_bound += 1
-            return state
-        split = _split_aircraft(graph, state.flows)
-        if split is None:
-            stats.pruned_completion += 1
-            best.offer(tuple(state.flows), bound)
-            return state
-        for tau in (*graph.departure_times[split], 0):
-            partial[split] = tau
-            visit(partial, state)
-        del partial[split]
-        return state
-
-    root = visit({}, graph.network.cold if start is None else start)
+    root = _visit(graph, stats, best, {},
+                  graph.network.cold if start is None else start)
     return best, root
 
 
@@ -285,8 +304,10 @@ def solve(graph: AuxGraph, strategy: str = "bnb",
     else:
         warm = None if start is None else start.root
         if warm is not None and start.unit != graph.unit:
-            warm = warm._replace(potential=[
-                p * graph.unit // start.unit for p in warm.potential])
+            # Built whole: `_replace` goes through `tuple(map(...))`, whose
+            # result joins CPython's tuple free lists (`graph.compile_template`).
+            warm = FlowState(warm.flows, [p * graph.unit // start.unit
+                                          for p in warm.potential], warm.residual)
         best, root = _solve_bnb(graph, stats, warm)
     if best.flow is None:
         raise SolverError("no feasible departure-time assignment")

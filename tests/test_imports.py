@@ -187,3 +187,95 @@ def test_parse_keeps_no_state_between_calls():
     again and a replayed corpus measures parsing, not lookups."""
     path = ROOT / "src" / "vertiport_auction" / "serialize.py"
     assert state_kept_between_calls(path) == []
+
+
+def _bound_names(function):
+    """Names `function` binds itself: its parameters and the names it
+    assigns or defines, not those of functions nested in it."""
+    arguments = function.args
+    bound = {a.arg for a in (*arguments.posonlyargs, *arguments.args,
+                             *arguments.kwonlyargs, arguments.vararg, arguments.kwarg)
+             if a is not None}
+    pending = list(function.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        pending.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _nested_functions(function):
+    """The functions defined in `function`'s own body, not deeper."""
+    found, pending = [], list(function.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(node)
+        elif not isinstance(node, (ast.Lambda, ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+    return sorted(found, key=lambda node: node.lineno)
+
+
+def closure_cycles(path):
+    """(line, dotted name) of each function nested in a function of
+    `path` that reaches its own name through the names it and its
+    sibling nested functions read: one that calls itself, or two or more
+    that call each other.  Each such function's closure holds a cell
+    that holds the function, a reference cycle that only the cyclic
+    collector frees, with everything the closure holds.  A module-level
+    function or a method reads its own name through the module's
+    globals, which makes no cycle."""
+    found = []
+    pending = [(node, node.name) for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    while pending:
+        function, dotted = pending.pop()
+        nested = _nested_functions(function)
+        names = {node.name for node in nested}
+        reads = {node.name: {name.id for name in ast.walk(node)
+                             if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+                 - _bound_names(node) & names
+                 for node in nested}
+        for node in nested:
+            reached, frontier = set(), set(reads[node.name])
+            while frontier:
+                reached |= frontier
+                frontier = set().union(*(reads[name] for name in frontier)) - reached
+            if node.name in reached:
+                found.append((node.lineno, f"{dotted}.{node.name}"))
+            pending.append((node, f"{dotted}.{node.name}"))
+    return sorted(found)
+
+
+def test_scan_finds_closure_cycles(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("def outer():\n"
+                      "    def again(n):\n        return again(n - 1) if n else 0\n"
+                      "    def ping(n):\n        return pong(n)\n"
+                      "    def pong(n):\n        return ping(n - 1) if n else 0\n"
+                      "    def helper():\n        return 1\n"
+                      "    def uses_helper():\n        return helper()\n"
+                      "    def shadows(again):\n        return again\n"
+                      "    def rebinds():\n        rebinds = 1\n        return rebinds\n"
+                      "    def holds():\n        def inner():\n            return holds\n"
+                      "        return inner\n"
+                      "    return again, ping, uses_helper, shadows, rebinds, holds\n\n\n"
+                      "def flat(n):\n    return flat(n - 1) if n else 0\n\n\n"
+                      "class K:\n    def m(self):\n        return self.m, K\n")
+    assert closure_cycles(module) == [
+        (2, "outer.again"), (4, "outer.ping"), (6, "outer.pong"), (17, "outer.holds")]
+
+
+def test_no_nested_function_closes_a_reference_cycle():
+    """A call into `src/` frees what it made by reference counting alone:
+    no nested function reaches itself through its closure."""
+    cycles = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path in sorted((ROOT / "src").rglob("*.py"))
+              for line, name in closure_cycles(path)]
+    assert cycles == []

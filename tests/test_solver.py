@@ -301,6 +301,72 @@ SOLVE_LARGE = dict(vertiports=(3, 3), operators=(2, 2), fleet_size=(4, 5),
 #: transit routes each, horizon 5.
 DEEP = dict(vertiports=(3, 3), operators=(3, 3), fleet_size=(3, 3),
             transit_routes=(3, 4), horizon=(5, 5))
+#: The ROADMAP's 3 x 10 shape: 3 operators x 10 aircraft, 4 transit
+#: routes each, horizon 8, and at most one parking unit above a slot's
+#: initial fleet.
+WIDE = dict(vertiports=(3, 3), operators=(3, 3), fleet_size=(10, 10),
+            transit_routes=(4, 4), horizon=(8, 8), extra_parking=(0, 1))
+
+#: Search work of whole auctions on the shapes whose searches branch:
+#: shape, generator seeds, then solves, branch-and-bound nodes, flow
+#: solves and augmenting paths.  The benchmark corpora barely branch
+#: (`tests/test_perfbench_hooks.py`), so a change to the node order, a
+#: prune or the kernel's paths shows here.  A change that changes this
+#: work, on purpose, must update the pin and say why.
+SEARCH_WORK = {
+    "deep": (DEEP, range(20), (80, 679, 679, 1204)),
+    "3x10": (WIDE, range(8), (32, 793, 793, 1550)),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_WORK)
+def test_branching_auctions_do_the_pinned_work(name, monkeypatch):
+    shape, seeds, pinned = SEARCH_WORK[name]
+    seen = []
+
+    def counted(*args, _solve=solver.solve, **kwargs):
+        result = _solve(*args, **kwargs)
+        seen.append(result.stats)
+        return result
+
+    monkeypatch.setattr(mechanism, "solve", counted)
+    for seed in seeds:
+        document = generate(GeneratorConfig(seed=seed, **shape))
+        run_auction(document.instance, document.bids)
+    work = (len(seen), sum(stats.nodes_explored for stats in seen),
+            sum(stats.fixed_delta_solves for stats in seen),
+            sum(stats.augmentations for stats in seen))
+    assert work == pinned
+
+
+def test_incumbent_updates_count_the_kept_completions(monkeypatch):
+    """Enumeration counts each leaf that gains more than every leaf before
+    it; branch-and-bound keeps at least one completion on a feasible
+    solve, and never more than the nodes that ended in one."""
+    leaves = []
+
+    def recorded(*args, _fn=solver.solve_fixed_delta, **kwargs):
+        leaf = _fn(*args, **kwargs)
+        leaves.append(leaf)
+        return leaf
+
+    monkeypatch.setattr(solver, "solve_fixed_delta", recorded)
+    for seed in range(6):
+        document = generate(GeneratorConfig(seed=seed, **DEEP))
+        for bids in [document.bids] + [pseudo_bids(operator.id, document.bids)
+                                       for operator in document.instance.operators]:
+            stats = solve(build_graph(document.instance, bids)).stats
+            assert 1 <= stats.incumbent_updates <= stats.pruned_completion
+    for seed in range(6):
+        document = generate(GeneratorConfig(seed=seed))
+        leaves.clear()
+        stats = solve(build_graph(document.instance, document.bids), "enumerate").stats
+        kept, best = 0, None
+        for leaf in leaves:
+            if leaf is not None and (best is None or leaf[0] > best):
+                kept, best = kept + 1, leaf[0]
+        assert stats.incumbent_updates == kept <= stats.leaf_solves
+        assert len(leaves) == stats.leaf_solves
 
 
 class TestPruning:
