@@ -23,10 +23,12 @@ from .model import (
     STAY,
     TRANSIT,
     Aircraft,
+    CongestionRow,
     Instance,
     Operator,
     RouteOption,
     Vertiport,
+    congestion_row,
 )
 from .serialize import InstanceDocument
 
@@ -73,18 +75,17 @@ def _draw(rng: random.Random, bounds: Tuple[int, int]) -> int:
     return rng.randint(*bounds)
 
 
-def _congestion_row(rng: random.Random, cap: int,
-                    denominator: int) -> Tuple[Fraction, ...]:
+def _congestion_row(rng: random.Random, cap: int, denominator: int) -> CongestionRow:
     """Convex (quadratic) table over 0..cap: the marginal increment starts
-    at `base` and grows by `slope` per unit."""
-    base = Fraction(rng.randint(0, 200), denominator)
-    slope = Fraction(rng.randint(0, 200), denominator)
-    row = [Fraction(0)]
+    at `base` and grows by `slope` per unit, both over `denominator`."""
+    base = rng.randint(0, 200)
+    slope = rng.randint(0, 200)
+    row = [0]
     increment = base
     for q in range(1, cap + 1):
         row.append(row[-1] + increment)
         increment += slope
-    return tuple(row)
+    return congestion_row(row, [denominator] * len(row))
 
 
 def generate(config: GeneratorConfig) -> InstanceDocument:
@@ -131,7 +132,7 @@ def generate(config: GeneratorConfig) -> InstanceDocument:
             arrival_cap=tuple(_draw(rng, config.arrival_cap) for _ in range(h)),
             departure_cap=tuple(_draw(rng, config.departure_cap) for _ in range(h)),
             parking_cap=parking,
-            congestion_cost=tuple(
+            congestion_rows=tuple(
                 _congestion_row(rng, parking[t], config.value_denominator)
                 for t in range(h)
             ),

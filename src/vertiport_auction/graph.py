@@ -63,12 +63,19 @@ route at most once.  A relaxed flow that splits an aircraft can pass
 more units through a slot than a gate left out would have held; it
 still bounds every completion, each of which lies within its bounds.
 A graph is built in two stages, and every branch node of a solve shares
-the result.  `compile_template` reads no bid: it lays out the vertices
-and every edge, computes the E3/E8 unit weights and the E5 tie-break
-bonuses, and records, as it adds the edges, the departure edge of
-each (aircraft, tau), its only index; it then compiles the relaxed
-bounds and the flow kernel's topology (`flow.Topology`: vertex-index
-tails and heads and residual arcs).  `price_graph` reads one bid
+the result.  `compile_template` reads no bid.  It compiles in one pass
+over integer vertex indices: each vertex gets its index as it is laid
+out, and each edge is appended as its tail and head indices and its
+bounds, from which the flow kernel's topology (`flow.Topology`:
+vertex-index tails and heads and residual arcs) and the relaxed bounds
+are built.  As it adds the edges it records the departure edge of each
+(aircraft, tau), its only index, each E5 edge's tie-break bonus, from
+powers computed once per aircraft, and each E3/E8 edge's congestion
+row, whose unit weights it computes once S's parking part is known.
+The descriptive edges, `Edge` tuples of class, key, vertex tuples and
+bounds (`GraphTemplate.edges`, an `Edges` view), are built from those
+fields the first time one is read, as by tests and tools: no step of
+compiling, pricing or solving reads them.  `price_graph` reads one bid
 profile: the E5 weights and `stay_welfare`, then the scale S and the
 gains, as one row of unit costs (-gain per unit) per edge of the
 template's own topology (`flow.Network`, whose cold potentials are
@@ -98,16 +105,17 @@ one flow.
 
 Integer pricing.  A weight lives only in its integer gain, one per E5
 edge and one per E3/E8 unit, negated, in the network's rows; no weight
-is held as a `Fraction`.  With a congestion row brought to integer
-numerators G over its lcm L, the q-th unit of an E3/E8 edge weighs the
-pair
-(lambda.num * (G(q-1) - G(q)), lambda.den * L); an E5 weight
-w * (b - s), s the stay bid, is (w.num * (b.num * s.den - s.num * b.den),
-w.den * b.den * s.den).  Each pair is reduced by its gcd, so S, the lcm
-of the reduced denominators, and every gain are those of the same
-weights in `Fraction`s.  `stay_welfare`, whose denominator need not
-divide S, is one `Fraction` built from an integer numerator and
-denominator, and a flow's welfare is
+is held as a `Fraction`.  With a congestion row of integer numerators
+G over L (`Vertiport.congestion_rows`), the q-th unit of an E3/E8 edge
+weighs the pair (lambda.num * (G(q-1) - G(q)), lambda.den * L); an E5
+weight w * (b - s), s the stay bid, is (w.num * (b.num * s.den - s.num *
+b.den), w.den * b.den * s.den).  Each E5 pair is reduced by its gcd, and
+an E3/E8 edge's pairs by the gcd of their one denominator and all their
+numerators, whose quotient is the lcm of the units' reduced
+denominators.  So S, the lcm of the reduced denominators, and every
+gain are those of the same weights in `Fraction`s.  `stay_welfare`,
+whose denominator need not divide S, is one `Fraction` built from an
+integer numerator and denominator, and a flow's welfare is
 
   stay_welfare + (gain - its E5 bonuses) / (S * P),
 
@@ -141,14 +149,14 @@ among tied optima, and distinct allocations never tie in gain.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .flow import Network, Rows, Topology, compile_topology
 from .model import (
+    STAY,
     Allocation,
     Instance,
     Profile,
@@ -195,6 +203,55 @@ class Edge(NamedTuple):
     upper: int
 
 
+class Edges(Sequence[Edge]):
+    """A template's edges as `Edge` tuples, in index order, built from its
+    vertices, topology, relaxed bounds and aircraft the first time one is
+    read; its length reads none.  No step of compiling, pricing or
+    solving reads them: they describe the graph to tests and tools."""
+
+    def __init__(self, vertices: Tuple[Vertex, ...], topology: Topology,
+                 lower: Tuple[int, ...], upper: Tuple[int, ...],
+                 aircraft: Tuple) -> None:
+        self._parts = (vertices, topology, lower, upper, aircraft)
+        self._edges: Optional[Tuple[Edge, ...]] = None
+
+    def _built(self) -> Tuple[Edge, ...]:
+        if self._edges is None:
+            vertices, topology, lower, upper, aircraft = self._parts
+            # An E5 edge is one of the aircraft's routes; the vertices it
+            # joins tell every other edge's class and key.
+            routes = {k: key for _, _, granted in aircraft for k, key, _ in granted}
+            edges = []
+            for k, (u, v) in enumerate(zip(topology.tails, topology.heads)):
+                tail, head = vertices[u], vertices[v]
+                if k in routes:
+                    cls, key = "E5", routes[k]
+                elif tail == SINK:
+                    cls, key = "E6", (head[1],)
+                elif head == SINK:
+                    cls, key = "E8", (tail[1],)
+                elif tail[0] == ARR:
+                    cls, key = "E1", head[1:]
+                elif head[0] == DEP:
+                    cls, key = "E2", tail[1:]
+                elif head[0] == AC_DEP:
+                    cls, key = "E4", head[1:]
+                else:
+                    cls, key = "E3", tail[1:]
+                edges.append(Edge(k, cls, key, tail, head, lower[k], upper[k]))
+            self._edges = tuple(edges)
+        return self._edges
+
+    def __len__(self) -> int:
+        return len(self._parts[2])
+
+    def __getitem__(self, k):
+        return self._built()[k]
+
+    def __eq__(self, other: object) -> bool:
+        return self._built() == (other._built() if isinstance(other, Edges) else other)
+
+
 @dataclass(frozen=True)
 class GraphTemplate:
     """The auxiliary graph of an instance with the bids left out.
@@ -208,7 +265,7 @@ class GraphTemplate:
 
     instance: Instance
     vertices: Tuple[Vertex, ...]
-    edges: Tuple[Edge, ...]
+    edges: Edges
     # Per aircraft: its operator's weight, its stay bid key, and per E5
     # edge of its routes the edge index, bid key and tie-break bonus.
     aircraft: Tuple[Tuple[Fraction, BidKey, Tuple[Tuple[int, BidKey, int], ...]], ...]
@@ -262,141 +319,123 @@ def compile_template(instance: Instance) -> GraphTemplate:
     if not report.ok:
         raise ValueError(f"invalid instance: {report.violations}")
     h = instance.horizon
-    lam = instance.congestion_ratio
+    ports = instance.vertiports
     fleet = list(instance.iter_aircraft())
     n = len(fleet)
     most_times = max((len(craft.departure_times()) for _, craft in fleet), default=1)
     largest_menu = max((len(craft.menu) for _, craft in fleet), default=1)
 
-    # Per (vertiport, slot): the aircraft with a route arriving there, and
-    # those with a route departing from there.
-    arriving: Dict[Tuple[str, int], Set[int]] = defaultdict(set)
-    departing: Dict[Tuple[str, int], Set[int]] = defaultdict(set)
-    # Per aircraft: its departure times with two or more routes.
-    shared: List[Set[int]] = []
-    for a, (_, craft) in enumerate(fleet):
-        routes: Counter = Counter()
-        for entry in craft.menu:
-            if not entry.is_stay:
-                arriving[entry.destination, entry.arrive_time].add(a)
-                departing[craft.origin, entry.depart_time].add(a)
-                routes[entry.depart_time] += 1
-        shared.append({tau for tau, count in routes.items() if count > 1})
-    # The gates that can bind, with their capacities: fewer units than
-    # aircraft that may use them.  An aircraft flies at most one route, so
-    # a gate with room for all of them never binds and is left out.
-    arrival_gates = {(r, t): cap for (r, t), crafts in arriving.items()
-                     if (cap := instance.vertiport(r).arrival_cap[t - 1]) < len(crafts)}
-    departure_gates = {(r, t): cap for (r, t), crafts in departing.items()
-                       if (cap := instance.vertiport(r).departure_cap[t - 1]) < len(crafts)}
+    # Per vertiport and slot (slot 0 unused), how many aircraft have a
+    # route arriving there and departing from there; per aircraft, its
+    # routes and its departure times with two or more of them.
+    arriving, departing = [{port.id: [0] * (h + 1) for port in ports} for _ in range(2)]
+    flights, shared = [], []
+    for _, craft in fleet:
+        routes = [entry for entry in craft.menu if entry.kind != STAY]
+        for r, t in {(entry.destination, entry.arrive_time) for entry in routes}:
+            arriving[r][t] += 1
+        taus = craft.departure_times()[1:]
+        for tau in taus:
+            departing[craft.origin][tau] += 1
+        departs = [entry.depart_time for entry in routes]
+        flights.append(routes)
+        shared.append({tau for tau in taus if departs.count(tau) > 1}
+                      if len(departs) > len(taus) else ())
 
-    def landing(r: str, t: int) -> Vertex:
-        return arr(r, t) if (r, t) in arrival_gates else park(r, t)
-
-    def takeoff(r: str, t: int) -> Vertex:
-        return dep(r, t) if (r, t) in departure_gates else park(r, t)
-
+    # The vertices, each numbered as it is laid out: per slot, each
+    # vertiport's Arr if its arrival gate can bind (fewer units than
+    # aircraft that may use it: an aircraft flies at most one route, so a
+    # gate with room for all of them never binds), its Park, its Dep if
+    # its departure gate can bind, then the slot's AcDep vertices.
     vertices: List[Vertex] = []
+    # Per vertiport, per slot: the index of In, Park and Out.
+    ins, parks, outs = [{port.id: [0] * (h + 1) for port in ports} for _ in range(3)]
+    choices = {}  # (aircraft, tau) -> AcDep
     for t in range(1, h + 1):
-        for port in instance.vertiports:
-            if (port.id, t) in arrival_gates:
-                vertices.append(arr(port.id, t))
-            vertices.append(park(port.id, t))
-            if (port.id, t) in departure_gates:
-                vertices.append(dep(port.id, t))
-        for (operator, craft), taus in zip(fleet, shared):
+        for port in ports:
+            r = port.id
+            ins[r][t] = len(vertices)
+            if port.arrival_cap[t - 1] < arriving[r][t]:
+                vertices.append(arr(r, t))
+            parks[r][t] = outs[r][t] = len(vertices)
+            vertices.append(park(r, t))
+            if port.departure_cap[t - 1] < departing[r][t]:
+                outs[r][t] = len(vertices)
+                vertices.append(dep(r, t))
+        for a, ((operator, craft), taus) in enumerate(zip(fleet, shared)):
             if t in taus:
+                choices[a, t] = len(vertices)
                 vertices.append(acdep(operator.id, craft.id, t))
+    sink = len(vertices)
     vertices.append(SINK)
-    index = {v: position for position, v in enumerate(vertices)}
 
-    edges: List[Edge] = []
-    # Per E3/E8 edge, the reduced (numerator, denominator) of each unit's
-    # weight; every other edge but E5 weighs 0.
-    units: Dict[int, List[Tuple[int, int]]] = {}
-
-    def add(cls: str, key: Tuple, tail: Vertex, head: Vertex, lower: int,
-            upper: int) -> Edge:
-        edges.append(Edge(len(edges), cls, key, tail, head, lower, upper))
-        return edges[-1]
-
-    def add_parking(cls: str, key: Tuple, tail: Vertex, head: Vertex, cap: int,
-                    row: Tuple[Tuple[int, ...], int]) -> None:
-        """One edge of `cap` units, the q-th weighing lambda * (g(q-1) - g(q)),
-        from g's row over its lcm (`Vertiport.congestion_rows`)."""
-        numerators, denominator = row
-        denominator *= lam.denominator
-        weights = units[add(cls, key, tail, head, 0, cap).index] = []
-        for q in range(1, cap + 1):
-            num = lam.numerator * (numerators[q - 1] - numerators[q])
-            common = gcd(num, denominator)
-            weights.append((num // common, denominator // common))
-
-    def grant_bonus(a: int, rtau: int, rk: int) -> int:
-        return (largest_menu ** n * most_times ** (n - 1 - a) * (most_times - 1 - rtau)
-                + largest_menu ** (n - 1 - a) * (largest_menu - 1 - rk))
-
-    for (r, t), cap in sorted(arrival_gates.items()):
-        add("E1", (r, t), arr(r, t), park(r, t), 0, cap)
-    for (r, t), cap in sorted(departure_gates.items()):
-        add("E2", (r, t), park(r, t), dep(r, t), 0, cap)
-    for port in instance.vertiports:
+    # The edges as (tail, head, lower, upper), in index order, recording
+    # each E3/E8 edge's congestion row and, per aircraft, the departure
+    # edge at each tau.  E1 and E2 at the gates that can bind, then E3.
+    edges = [(u, v, 0, port.arrival_cap[t - 1]) for port in ports
+             for t, (u, v) in enumerate(zip(ins[port.id], parks[port.id])) if u != v]
+    edges += [(u, v, 0, port.departure_cap[t - 1]) for port in ports
+              for t, (u, v) in enumerate(zip(parks[port.id], outs[port.id])) if u != v]
+    parking = []  # (edge index, congestion row)
+    for port in ports:
         for t in range(1, h):
-            add_parking("E3", (port.id, t), park(port.id, t), park(port.id, t + 1),
-                        port.parking_cap[t - 1], port.congestion_rows()[t - 1])
+            parking.append((len(edges), port.congestion_rows[t - 1]))
+            edges.append((parks[port.id][t], parks[port.id][t + 1], 0, port.parking_cap[t - 1]))
     times: Dict[Tuple[str, str], Dict[int, int]] = {}
-    for (operator, craft), taus in zip(fleet, shared):
+    for a, ((operator, craft), taus) in enumerate(zip(fleet, shared)):  # E4
         times[operator.id, craft.id] = carriers = dict.fromkeys(craft.departure_times()[1:])
         for tau in carriers:
             if tau in taus:
-                carriers[tau] = add("E4", (operator.id, craft.id, tau),
-                                    takeoff(craft.origin, tau),
-                                    acdep(operator.id, craft.id, tau), 0, 1).index
+                carriers[tau] = len(edges)
+                edges.append((outs[craft.origin][tau], choices[a, tau], 0, 1))
+    # E5, each with its tie-break bonus grant(a, rtau, rk) less the stay's
+    # grant(a, 0, rk), a validated menu's keys being its ranks 0, 1, ...
     aircraft = []
-    for a, ((operator, craft), taus) in enumerate(zip(fleet, shared)):
-        rank = {tau: rtau for rtau, tau in enumerate(craft.departure_times())}
-        grants = {entry.key: grant_bonus(a, rank[entry.depart_time], rk)
-                  for rk, entry in enumerate(craft.menu)}
-        stay_grant = grants[craft.stay_key]
-        carriers = times[operator.id, craft.id]
-        routes = []
-        for entry in craft.menu:
-            if entry.is_stay:
-                continue
+    for a, ((operator, craft), routes, taus) in enumerate(zip(fleet, flights, shared)):
+        time_weight = largest_menu ** n * most_times ** (n - 1 - a)
+        key_weight = largest_menu ** (n - 1 - a)
+        carriers, ranks, stay = times[operator.id, craft.id], craft.departure_times(), craft.stay_key
+        granted = []
+        for entry in routes:
             tau = entry.depart_time
-            edge = add("E5", (operator.id, craft.id, entry.key),
-                       acdep(operator.id, craft.id, tau) if tau in taus
-                       else takeoff(craft.origin, tau),
-                       landing(entry.destination, entry.arrive_time), 0, 1)
             if tau not in taus:
-                carriers[tau] = edge.index
-            routes.append((edge.index, edge.key, grants[entry.key] - stay_grant))
-        aircraft.append((operator.weight, (operator.id, craft.id, craft.stay_key),
-                         tuple(routes)))
-    based = Counter(craft.origin for _, craft in fleet)
-    for port in instance.vertiports:
-        count = based[port.id]
-        add("E6", (port.id,), SINK, park(port.id, 1), count, count)
-    for port in instance.vertiports:
-        add_parking("E8", (port.id,), park(port.id, h), SINK,
-                    port.parking_cap[h - 1], port.congestion_rows()[h - 1])
+                carriers[tau] = len(edges)
+            granted.append((len(edges), (operator.id, craft.id, entry.key),
+                            key_weight * (stay - entry.key) - time_weight * ranks.index(tau)))
+            edges.append((choices[a, tau] if tau in taus else outs[craft.origin][tau],
+                          ins[entry.destination][entry.arrive_time], 0, 1))
+        aircraft.append((operator.weight, (operator.id, craft.id, stay), tuple(granted)))
+    origins = [craft.origin for _, craft in fleet]
+    for port in ports:  # E6, fixed at the aircraft based there
+        based = origins.count(port.id)
+        edges.append((sink, parks[port.id][1], based, based))
+    for port in ports:  # E8
+        parking.append((len(edges), port.congestion_rows[h - 1]))
+        edges.append((parks[port.id][h], sink, 0, port.parking_cap[h - 1]))
 
-    scale = lcm(1, *(den for row in units.values() for _, den in row))
+    # An E3/E8 edge's q-th unit weighs lambda * (G(q-1) - G(q)) / L, from
+    # its slot's congestion row G over L.  Over their one denominator, its
+    # units' weights reduced together leave the lcm of their reduced
+    # denominators, so S's parking part is the lcm of those.
+    lam_num, lam_den = instance.congestion_ratio.numerator, instance.congestion_ratio.denominator
+    scale, units = 1, []
+    for k, (numerators, common) in parking:
+        denominator = lam_den * common
+        weights = [lam_num * (g - g_next) for g, g_next in zip(numerators, numerators[1:])]
+        scale = lcm(scale, denominator // gcd(denominator, *weights))
+        units.append((k, weights, denominator))
     # Tuples from lists, not iterators: CPython grows a tuple built from an
     # iterator by resizing it, and the freed result joins a free list that
     # only a full collection empties.
-    parking_rows = {k: tuple([num * (scale // den) for num, den in row])
-                    for k, row in units.items()}
-    lower = tuple([e.lower for e in edges])
-    upper = tuple([e.upper for e in edges])
-    topology = compile_topology(
-        len(vertices), [index[e.tail] for e in edges], [index[e.head] for e in edges],
-        lower, upper)
+    parking_rows = {k: tuple([w * scale // denominator for w in weights])
+                    for k, weights, denominator in units}
+    tails, heads, lower, upper = [tuple([edge[i] for edge in edges]) for i in range(4)]
+    topology = compile_topology(len(vertices), tails, heads, lower, upper)
+    vertices, aircraft = tuple(vertices), tuple(aircraft)
     return GraphTemplate(
-        instance, tuple(vertices), tuple(edges), tuple(aircraft), scale,
-        most_times ** n * largest_menu ** n, parking_rows, topology,
-        relaxed_lower=lower, relaxed_upper=upper, departure_times=times,
-        priced_rows={},
+        instance, vertices, Edges(vertices, topology, lower, upper, aircraft), aircraft,
+        scale, most_times ** n * largest_menu ** n, parking_rows, topology,
+        relaxed_lower=lower, relaxed_upper=upper, departure_times=times, priced_rows={},
     )
 
 
@@ -443,8 +482,8 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     rows = template.priced_rows.get(multiplier)
     if rows is None:
         rows = template.priced_rows[multiplier] = tuple([
-            tuple([-w * multiplier for w in parking[e.index]]) if e.index in parking
-            else (0,) * e.upper for e in template.edges])
+            tuple([-w * multiplier for w in parking[k]]) if k in parking else (0,) * up
+            for k, up in enumerate(template.relaxed_upper)])
     rows = list(rows)
     for k, num, den, bonus in priced:
         rows[k] = (-(num * (unit // den) + bonus),)

@@ -3,8 +3,11 @@
 Defines the auction inputs (vertiports with per-slot capacities and
 congestion tables, operators with fleets and route menus), allocations,
 bid/valuation profiles, and the welfare/feasibility machinery built on
-them.  All money-like quantities are exact `fractions.Fraction` values;
-nothing in this module uses floating point.
+them.  All money-like quantities are exact: `fractions.Fraction`
+values, except congestion costs, whose one stored form is a row of
+integer numerators over one denominator per slot (`CongestionRow`), from
+which their `Fraction`s are derived where read.  Nothing in this module
+uses floating point.
 
 An `Instance` checks itself once, when constructed, and keeps every
 condition it breaks: `validate_instance` reports them, and
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, lt, sub
 from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
@@ -129,36 +132,49 @@ class Operator:
         return craft
 
 
+#: A slot's congestion costs as integer numerators over one positive
+#: denominator L, in lowest terms: no integer above 1 divides L and every
+#: numerator, so L is the lcm of the costs' reduced denominators.
+CongestionRow = Tuple[Tuple[int, ...], int]
+
+
+def congestion_row(numerators: Sequence[int], denominators: Sequence[int]
+                   ) -> CongestionRow:
+    """The row of costs ``numerators[q] / denominators[q]``, denominators
+    positive, in its one stored form (`CongestionRow`): equal costs
+    spelled over other denominators give the same row."""
+    common = lcm(*denominators)
+    scaled = [n * (common // d) for n, d in zip(numerators, denominators)]
+    divisor = gcd(common, *scaled)
+    if divisor != 1:
+        scaled = [n // divisor for n in scaled]
+    return tuple(scaled), common // divisor
+
+
 @dataclass(frozen=True)
 class Vertiport:
     """A site with per-slot arrival/departure/parking capacities.
 
-    ``congestion_cost[t - 1][q]`` is the cost of ``q`` parked aircraft in
-    slot ``t``; each row has length ``parking_cap[t - 1] + 1`` and starts
-    at 0.
+    ``congestion_rows[t - 1]`` is slot ``t``'s congestion row, the one
+    stored form of its costs (`CongestionRow`): with numerators ``G``
+    over ``L``, ``G[q] / L`` is the cost of ``q`` parked aircraft.  Each
+    row has length ``parking_cap[t - 1] + 1`` and starts at 0.  The costs
+    as `Fraction`s, ``congestion_cost``, are derived from the rows on each
+    read, as is `congestion_at`.
     """
 
     id: VertiportId
     arrival_cap: Tuple[int, ...]
     departure_cap: Tuple[int, ...]
     parking_cap: Tuple[int, ...]
-    congestion_cost: Tuple[Tuple[Fraction, ...], ...]
-    _congestion_rows: Tuple[Tuple[Tuple[int, ...], int], ...] = field(
-        init=False, compare=False, repr=False)
+    congestion_rows: Tuple[CongestionRow, ...]
 
-    def __post_init__(self) -> None:
-        rows = []
-        for row in self.congestion_cost:
-            denominators = [v.denominator for v in row]
-            common = lcm(*denominators)
-            rows.append((tuple([v.numerator * (common // d)
-                                for v, d in zip(row, denominators)]), common))
-        object.__setattr__(self, "_congestion_rows", tuple(rows))
-
-    def congestion_rows(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-        """Each slot's congestion row as (integer numerators, their lcm L):
-        ``congestion_cost[t - 1][q]`` is ``numerators[q] / L``."""
-        return self._congestion_rows
+    @property
+    def congestion_cost(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """``congestion_cost[t - 1][q]``, the cost of ``q`` parked aircraft
+        in slot ``t``, derived from `congestion_rows`."""
+        return tuple([tuple([Fraction(g, common) for g in numerators])
+                      for numerators, common in self.congestion_rows])
 
     def congestion_at(self, t: int, occupancy: int) -> Fraction:
         """Congestion cost of `occupancy` parked aircraft in slot `t`.
@@ -167,11 +183,12 @@ class Vertiport:
         allocations) the table is extended linearly with its last
         increment, keeping welfare total on all canonical allocations.
         """
-        table = self.congestion_cost[t - 1]
-        if occupancy < len(table):
-            return table[occupancy]
-        last_increment = table[-1] - table[-2] if len(table) >= 2 else Fraction(0)
-        return table[-1] + (occupancy - len(table) + 1) * last_increment
+        numerators, common = self.congestion_rows[t - 1]
+        if occupancy < len(numerators):
+            return Fraction(numerators[occupancy], common)
+        last_increment = numerators[-1] - numerators[-2] if len(numerators) >= 2 else 0
+        return Fraction(numerators[-1] + (occupancy - len(numerators) + 1) * last_increment,
+                        common)
 
 
 @dataclass(frozen=True)
@@ -263,13 +280,13 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                 )
             if table and min(table) < 0:
                 problems.append(f"vertiport {port.id}: {name} has a negative entry")
-        if len(port.congestion_cost) != h:
+        if len(port.congestion_rows) != h:
             problems.append(
-                f"vertiport {port.id}: congestion_cost has {len(port.congestion_cost)} "
+                f"vertiport {port.id}: congestion_cost has {len(port.congestion_rows)} "
                 f"slots, expected {h}"
             )
         caps = port.parking_cap
-        for t, (scaled, _) in enumerate(port.congestion_rows(), start=1):
+        for t, (scaled, _) in enumerate(port.congestion_rows, start=1):
             if t <= len(caps) and len(scaled) != caps[t - 1] + 1:
                 problems.append(
                     f"vertiport {port.id}: congestion_cost slot {t} has {len(scaled)} "

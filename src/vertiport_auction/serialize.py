@@ -14,7 +14,15 @@ value and builds the model from it.  A field path is spelled only for
 the error it names, from the indices in scope where the check fails.
 Each rational string and each profile menu key is read once per
 document: a memo lives for one `parse` call and is never shared between
-calls, so two calls on the same text do the same work.
+calls, so two calls on the same text do the same work.  A congestion
+row is read straight into its one stored form, integer numerators over
+one denominator (`model.congestion_row`), from each entry's numerator
+and denominator as spelled, with no `Fraction` per entry.
+
+Render spells exactly what ``json.dumps(data, indent=2)`` would, with a
+module-level recursive writer (`_write`): the standard library's
+indenting encoder is pure Python, and its nested functions close a
+reference cycle on every call.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional, Tuple
 
 from .model import (
@@ -34,6 +43,7 @@ from .model import (
     Profile,
     RouteOption,
     Vertiport,
+    congestion_row,
 )
 
 SCHEMA_VERSION = "1"
@@ -84,19 +94,29 @@ def _expect(mapping: Any, path: str, required: Tuple[str, ...],
     return mapping
 
 
+def _read(text: str) -> Optional[Tuple[int, int]]:
+    """The rational string `text` as its (numerator, denominator) as
+    spelled, denominator positive, or None when it is not one."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        return None
+    try:
+        numerator, denominator = int(match[1]), int(match[2] or 1)
+    except ValueError:  # over int's digit limit
+        return None
+    return (numerator, denominator) if denominator else None
+
+
 def _rational(raw: Any, rationals: Dict[str, Fraction]) -> Optional[Fraction]:
     """`raw` as an exact rational, or None when it is not one.  `rationals`
     holds every string read so far in this document, each read once."""
     if type(raw) is str:
         value = rationals.get(raw)
         if value is None:
-            match = _RATIONAL.fullmatch(raw)
-            if match is None:
+            pair = _read(raw)
+            if pair is None:
                 return None
-            try:
-                value = rationals[raw] = Fraction(int(match[1]), int(match[2] or 1))
-            except (ValueError, ZeroDivisionError):  # over int's digit limit, or x/0
-                return None
+            value = rationals[raw] = Fraction(*pair)
         return value
     if type(raw) is int:  # not bool: JSON true must not read as 1
         return Fraction(raw)
@@ -111,8 +131,10 @@ def _not_int(path: str, raw: Any) -> DocumentError:
     return DocumentError(path, f"expected an integer, got {raw!r}")
 
 
-def _vertiport(port: Any, i: int, rationals: Dict[str, Fraction]) -> Vertiport:
-    """The vertiport at ``$.instance.vertiports[i]``."""
+def _vertiport(port: Any, i: int, costs: Dict[str, Tuple[int, int]]) -> Vertiport:
+    """The vertiport at ``$.instance.vertiports[i]``.  `costs` holds the
+    (numerator, denominator) of every congestion cost string read so far
+    in this document, each read once."""
     if type(port) is not dict or tuple(port) != _VERTIPORT:
         _expect(port, f"$.instance.vertiports[{i}]", _VERTIPORT)
     if type(port["id"]) is not str:
@@ -125,14 +147,25 @@ def _vertiport(port: Any, i: int, rationals: Dict[str, Fraction]) -> Vertiport:
         if type(row) is not list:
             raise DocumentError(f"$.instance.vertiports[{i}].congestion_cost[{t}]",
                                 "expected an array")
-        values = []
+        numerators, denominators = [], []
         for q, raw in enumerate(row):
-            value = _rational(raw, rationals)
-            if value is None:
+            if type(raw) is str:
+                pair = costs.get(raw)
+                if pair is None:
+                    pair = _read(raw)
+                    if pair is None:
+                        raise _not_rational(
+                            f"$.instance.vertiports[{i}].congestion_cost[{t}][{q}]", raw)
+                    costs[raw] = pair
+                numerators.append(pair[0])
+                denominators.append(pair[1])
+            elif type(raw) is int:  # not bool
+                numerators.append(raw)
+                denominators.append(1)
+            else:
                 raise _not_rational(
                     f"$.instance.vertiports[{i}].congestion_cost[{t}][{q}]", raw)
-            values.append(value)
-        rows.append(tuple(values))
+        rows.append(congestion_row(numerators, denominators))
     caps = []
     for name in ("arrival_cap", "departure_cap", "parking_cap"):
         table = port[name]
@@ -211,7 +244,8 @@ def _instance(raw: Any, rationals: Dict[str, Fraction]) -> Instance:
         raise _not_rational("$.instance.lambda", raw["lambda"])
     if type(raw["vertiports"]) is not list:
         raise DocumentError("$.instance.vertiports", "expected an array")
-    ports = tuple([_vertiport(port, i, rationals)
+    costs: Dict[str, Tuple[int, int]] = {}
+    ports = tuple([_vertiport(port, i, costs)
                    for i, port in enumerate(raw["vertiports"])])
     if type(raw["operators"]) is not list:
         raise DocumentError("$.instance.operators", "expected an array")
@@ -323,6 +357,33 @@ def _render_profile(instance: Instance, profile: Profile) -> Dict[str, Any]:
     return out
 
 
+def _write(value: Any, newline: str, out: List[str]) -> None:
+    """Append `value`, a dict or list whose leaves are str and int, nested
+    `newline` deep (a newline and its indent), to `out` as
+    ``json.dumps(value, indent=2)`` spells it there (module docstring)."""
+    is_dict = type(value) is dict
+    if not value:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = newline + "  "
+    lead = ("{" if is_dict else "[") + inner
+    separator = "," + inner
+    for key, item in value.items() if is_dict else enumerate(value):
+        out.append(lead)
+        if is_dict:
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+        leaf = type(item)
+        if leaf is str:
+            out.append(encode_basestring_ascii(item))
+        elif leaf is int:
+            out.append(int.__repr__(item))
+        else:
+            _write(item, inner, out)
+        lead = separator
+    out.append(newline + ("}" if is_dict else "]"))
+
+
 def render(document: InstanceDocument) -> str:
     """Canonical textual form of a document (deterministic field order)."""
     instance = document.instance
@@ -367,4 +428,7 @@ def render(document: InstanceDocument) -> str:
         data["bids"] = _render_profile(instance, document.bids)
     if document.valuations is not None:
         data["valuations"] = _render_profile(instance, document.valuations)
-    return json.dumps(data, indent=2) + "\n"
+    out: List[str] = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)

@@ -1,7 +1,10 @@
-"""Shared fixtures and checks: hand-built instances with known
-outcomes, a strategy drawing arbitrary validated instances, and the
-exact solver/mechanism/flow comparisons against the oracle."""
+"""Shared fixtures and checks: a deadline on every test, hand-built
+instances with known outcomes, a strategy drawing arbitrary validated
+instances, and the exact solver/mechanism/flow comparisons against the
+oracle."""
 
+import signal
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
@@ -26,6 +29,7 @@ from vertiport_auction.model import (
     Operator,
     RouteOption,
     Vertiport,
+    congestion_row,
     granted_value,
     is_feasible,
     movements,
@@ -35,9 +39,56 @@ from vertiport_auction.model import (
 from vertiport_auction.oracle import enumerate_feasible, oracle_optimal, oracle_payment
 
 
+#: Seconds any one test may run; the slowest takes about 5.
+DEADLINE_S = 120
+
+
+class DeadlineExceeded(BaseException):
+    """A test ran past its deadline.  Not an `Exception`, so neither an
+    ``except Exception`` in the code under test nor hypothesis, which
+    would rerun a failing example to shrink it, swallows it."""
+
+
+@contextmanager
+def deadline(seconds, name):
+    """Raise `DeadlineExceeded` naming `name` wherever the code in the block
+    runs when `seconds` have passed.  A deadline armed around this one
+    is re-armed afterwards with what it had left when this one began."""
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"{name} ran past its deadline of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    began = time.monotonic()
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL,
+                             max(outer - (time.monotonic() - began), 1e-3))
+
+
+@pytest.fixture(autouse=True)
+def per_test_deadline(request):
+    """Every test fails by name after `DEADLINE_S` seconds instead of
+    hanging the suite, as a kernel that never settles would."""
+    with deadline(DEADLINE_S, request.node.nodeid):
+        yield
+
+
 def zero_congestion(parking_cap):
     """All-zero congestion tables of the right shape."""
     return tuple(tuple(Fraction(0) for _ in range(cap + 1)) for cap in parking_cap)
+
+
+def fraction_rows(table):
+    """A congestion table of rationals, ``table[t - 1][q]``, in its stored
+    form, `Vertiport.congestion_rows`."""
+    return tuple(congestion_row([Fraction(v).numerator for v in row],
+                                [Fraction(v).denominator for v in row])
+                 for row in table)
 
 
 def make_port(pid, parking, arrival, departure, congestion=None):
@@ -46,7 +97,7 @@ def make_port(pid, parking, arrival, departure, congestion=None):
         arrival_cap=tuple(arrival),
         departure_cap=tuple(departure),
         parking_cap=tuple(parking),
-        congestion_cost=congestion or zero_congestion(parking),
+        congestion_rows=fraction_rows(congestion or zero_congestion(parking)),
     )
 
 

@@ -1,7 +1,11 @@
 """Auxiliary graph: construction, incidence, flow correspondence."""
 
+import hashlib
+import importlib
 from collections import Counter, defaultdict
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +29,11 @@ from vertiport_auction import graph as graph_module, mechanism
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
     SINK,
+    Edges,
     acdep,
     arr,
     build_graph,
+    compile_template,
     dep,
     flow_objective,
     flow_to_allocation,
@@ -464,3 +470,67 @@ def test_deterministic_build(seed):
     b = build_graph(document.instance, document.bids)
     assert a.vertices == b.vertices
     assert a.edges == b.edges
+
+
+def test_requests_never_build_the_descriptive_edges(monkeypatch):
+    """Compiling, pricing, solving and whole auctions read the template's
+    vertex indices only: its `Edge` tuples are built the first time one
+    is read, once, and the priced graph shares them."""
+    built = []
+
+    def counted(self, _built=Edges._built):
+        if self._edges is None:
+            built.append(self)
+        return _built(self)
+
+    monkeypatch.setattr(Edges, "_built", counted)
+    for seed in range(5):
+        document = generate(GeneratorConfig(seed=seed))
+        template = compile_template(document.instance)
+        graph = price_graph(template, document.bids)
+        solve(graph, "bnb")
+        run_auction(document.instance, document.bids)
+        assert built == [] and len(graph.edges) == len(graph.relaxed_upper)
+    assert graph.edges[0] == template.edges[0] and built == [template.edges]
+    assert tuple(graph.edges) == tuple(template.edges) and built == [template.edges]
+
+
+#: The generator shapes the template pin runs over beside the benchmark
+#: corpora: the default config and a wider one.
+PIN_SHAPES = (
+    {},
+    dict(vertiports=(3, 6), operators=(2, 3), fleet_size=(1, 4),
+         transit_routes=(1, 4), horizon=(3, 8)),
+)
+#: sha256 over every compiled `GraphTemplate` field, on the three
+#: benchmark corpora and generator seeds 0-199 of each `PIN_SHAPES`
+#: config.  Any change to a vertex, an edge, its order, a bound, a unit
+#: weight, a bonus or an arc changes it; a change made on purpose must
+#: update the pin and say why.
+TEMPLATE_DIGEST = "ce68bbf9c8717f69"
+
+
+def _template_fields(template):
+    """Every field of a compiled template, in one canonical form: the
+    `departure_times` index in its order, which the split rule reads."""
+    topology = template.topology
+    return (template.vertices, tuple(template.edges), template.aircraft,
+            template.scale, template.tie_unit, sorted(template.parking_rows.items()),
+            (topology.tails, topology.heads, topology.arc_head, topology.arcs,
+             topology.out_edges),
+            template.relaxed_lower, template.relaxed_upper,
+            [(pair, list(taus.items())) for pair, taus in template.departure_times.items()])
+
+
+def test_compiled_templates_match_the_pinned_digest(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    configs = [replace(workload.config, seed=seed)
+               for workload in workloads.WORKLOADS.values() for seed in workload.seeds]
+    configs += [GeneratorConfig(seed=seed, **shape)
+                for shape in PIN_SHAPES for seed in range(200)]
+    digest = hashlib.sha256()
+    for config in configs:
+        template = compile_template(generate(config).instance)
+        digest.update(repr(_template_fields(template)).encode())
+    assert digest.hexdigest()[:16] == TEMPLATE_DIGEST

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertiport_auction.generator import GeneratorConfig, generate
+from vertiport_auction.graph import compile_template
 from vertiport_auction.serialize import (
     DocumentError,
     InstanceDocument,
@@ -441,6 +442,63 @@ class TestRationalMemo:
         raw["instance"]["lambda"] = "1/4"
         assert parse(json.dumps(raw)).instance.congestion_ratio == F(1, 4)
         assert first.instance.congestion_ratio == F(1, 3)
+
+
+def congestion_document(row):
+    """`full_document` stretched to a valid instance of two slots, its
+    transit entry flying from slot 1 to 2, whose one vertiport has two
+    parking units and the congestion row `row` at both slots."""
+    raw = full_document()
+    instance = raw["instance"]
+    instance["horizon"] = 2
+    instance["vertiports"][0].update(arrival_cap=[0, 1], departure_cap=[1, 0],
+                                     parking_cap=[2, 2], congestion_cost=[row, row])
+    instance["operators"][0]["fleet"][0]["menu"][1]["arrive_time"] = 2
+    return json.dumps(raw)
+
+
+CONGESTION_ENTRY = "$.instance.vertiports[0].congestion_cost[0][1]"
+#: The canonical spelling of a convex row, then the same values spelled
+#: otherwise: unreduced, as a bare integer string, and as a JSON integer.
+CANONICAL_ROW = ["0/1", "1/2", "3/2"]
+EQUAL_ROWS = [["0", "2/4", "6/4"], [0, "1/2", "3/2"], ["0/1", "2/4", "3/2"],
+              ["0", "1/2", "6/4"]]
+
+
+class TestCongestionRows:
+    """A congestion row is stored as integer numerators over their lcm, in
+    lowest terms (`model.CongestionRow`), read from each entry's numerator
+    and denominator as spelled."""
+
+    def test_stored_in_lowest_terms(self):
+        port = parse(congestion_document(CANONICAL_ROW)).instance.vertiports[0]
+        assert port.congestion_rows == (((0, 1, 3), 2),) * 2
+        assert port.congestion_cost == ((F(0), F(1, 2), F(3, 2)),) * 2
+        assert port.congestion_at(1, 2) == F(3, 2)
+
+    @pytest.mark.parametrize("row", EQUAL_ROWS, ids=json.dumps)
+    def test_equal_rationals_read_equal(self, row):
+        canonical = parse(congestion_document(CANONICAL_ROW)).instance
+        spelled = parse(congestion_document(row)).instance
+        assert spelled.vertiports == canonical.vertiports
+        assert spelled.vertiports[0].congestion_rows == canonical.vertiports[0].congestion_rows
+        assert compile_template(spelled) == compile_template(canonical)
+        assert render(parse(congestion_document(row))) == render(
+            parse(congestion_document(CANONICAL_ROW)))
+
+    @pytest.mark.parametrize("raw", [True, 0.5, "1/0", "+-1", "1" * 5000, "1/" + "1" * 5000],
+                             ids=["true", "float", "zero-denominator", "two-signs",
+                                  "numerator-over-digit-limit",
+                                  "denominator-over-digit-limit"])
+    def test_malformed_entry_raises_at_its_path(self, raw):
+        assert error_text(congestion_document(["0", raw, "3/2"])) == (
+            f"{CONGESTION_ENTRY}: not a rational: {raw!r}")
+
+    def test_canonical_text_renders_back(self):
+        text = render(parse(congestion_document(CANONICAL_ROW)))
+        assert render(parse(text)) == text
+        assert json.loads(text)["instance"]["vertiports"][0]["congestion_cost"] == [
+            CANONICAL_ROW] * 2
 
 
 class TestRender:

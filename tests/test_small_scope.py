@@ -31,7 +31,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
-from conftest import assert_matches_oracle, checked_solves, stay, transit
+from conftest import assert_matches_oracle, checked_solves, fraction_rows, stay, transit
 from vertiport_auction.graph import build_graph
 from vertiport_auction.mechanism import pseudo_bids
 from vertiport_auction.model import (
@@ -104,7 +104,7 @@ def _instance(horizon, ports, lam, fleet, caps):
     vertiports = tuple(
         Vertiport(port, caps[port, "arrival"], caps[port, "departure"],
                   caps[port, "parking"],
-                  tuple(CONGESTION[:cap + 1] for cap in caps[port, "parking"]))
+                  fraction_rows(CONGESTION[:cap + 1] for cap in caps[port, "parking"]))
         for port in ports)
     crafts, bids = {}, {}
     for index, (operator_id, (origin, to, stay_bid, route_bid)) in enumerate(fleet):
