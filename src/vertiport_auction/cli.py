@@ -38,7 +38,7 @@ from .oracle import (
     oracle_optimal,
     oracle_payment,
 )
-from .serialize import DocumentError, InstanceDocument, parse, render
+from .serialize import DocumentError, InstanceDocument, parse, render, render_rational
 from .solver import solve
 
 EXIT_OK = 0
@@ -118,7 +118,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     result = solve(build_graph(document.instance, bids), strategy=args.strategy)
     if args.out == "json":
         payload = {
-            "objective": f"{result.objective.numerator}/{result.objective.denominator}",
+            "objective": render_rational(result.objective),
             "allocation": {
                 f"{i}/{j}": key for (i, j), key in sorted(result.allocation.items())
             },

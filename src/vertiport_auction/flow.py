@@ -31,8 +31,8 @@ arc, the flow's cost, which is minus its gain, the rows it was priced
 with and its own potential object.  A solve starts from a copy of that
 form and sets up only the edges whose bounds or rows differ from it.
 A start with no residual form, as a cold or hand-made one, or whose
-potentials are not its residual's (replaced, as converted to another
-gain unit), has every edge set up, from a cost of 0.  Each set-up edge
+potentials are not its residual's (replaced), has every edge set up,
+from a cost of 0.  Each set-up edge
 gets its repaired flow, its two capacities, its two arc costs and its
 share of the cost: what it costs at the new flow less what it cost at
 the start flow, under the start's row.
@@ -55,7 +55,7 @@ own potentials certifies at the same bounds and rows, is a fixed point
 of the repair, and only the edges that differ need it: the state of a
 solved branch node starts every solve below it, repairing the edges
 whose bounds the node's decision changed, and an auction's cleared
-root starts a counterfactual of the same gain unit, repairing the
+root starts each counterfactual derived from it, repairing the
 re-priced edges.  So any balanced start flow with any potentials is a
 valid start, and the imbalances the repair creates are routed.
 

@@ -83,18 +83,19 @@ computed only when a solve starts cold).  An E5 edge's row is its one
 unit, an E3/E8 edge's one entry per unit of its parking capacity, and
 every other edge's zeros, one per unit of its upper bound: an E4
 edge's one, a gate's below its aircraft count, an E6 edge's one per
-aircraft based there.  Only the E5 rows read the bids; the others
-depend on the profile only through the ratio of its gain unit to the
-template's scale, so the template keeps them per ratio
-(`GraphTemplate.priced_rows`) and a profile of the same ratio, as most
-payment counterfactuals are, shares those row objects.
-It is the library's one gate on bids: a profile that misses a menu
-entry, names an unknown one or holds a negative bid raises ``invalid
-bids: ...``, found as the bids are read, so a valid profile costs no
-separate validation pass.  An `AuxGraph` is its
-template, the same field objects, plus those priced fields.  So an
-auction compiles one template and prices its clearing profile and each
-payment counterfactual on it; `build_graph` is the two stages in a row.
+aircraft based there.  Only the E5 rows read the bids.  It is the
+library's one gate on bids: a profile that misses a menu entry, names
+an unknown one, or holds a negative bid or one that is not an `int` or
+a `Fraction` raises ``invalid bids: ...``, found as the bids are read,
+so a valid profile costs no separate validation pass.  An `AuxGraph` is
+its template, the same field objects, plus those priced fields;
+`build_graph` is the two stages in a row.  An auction compiles one
+template and prices its clearing profile on it, once.  Each payment
+counterfactual, the clearing profile with one operator's bids zeroed,
+is derived from the clearing graph at its gain unit
+(`counterfactual_graph`): that operator's E5 rows become their bonuses
+alone, its weighted stay bids leave `stay_welfare`, and every other row
+is the clearing graph's own object.
 
 A flow is a tuple of one integer per edge, in index order: the solver's
 answer is one (see the `solver` module docstring), and
@@ -145,6 +146,13 @@ higher.  A nonzero welfare difference is a multiple of 1/S, worth at
 least P in gain.  So the maximum-gain flow is the welfare optimum whose
 (departure-time vector, menu-key vector) is lexicographically smallest
 among tied optima, and distinct allocations never tie in gain.
+
+A common multiple of the weight denominators is as good a scale as
+their lcm: every gain is still an integer, and a nonzero welfare
+difference is still worth at least P in gain, so the optimum and
+`flow_objective` do not change.  Zeroing an operator's bids only drops
+denominators, so the clearing profile's S is a common multiple of its
+counterfactual's, and a counterfactual keeps the clearing gain unit.
 """
 
 from __future__ import annotations
@@ -154,13 +162,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .flow import Network, Rows, Topology, compile_topology
+from .flow import Network, Topology, compile_topology
 from .model import (
     STAY,
     Allocation,
     Instance,
+    OperatorId,
     Profile,
     check_allocation,
+    is_rational,
+    pseudo_bids,
     validate_instance,
     validate_profile,
 )
@@ -259,8 +270,8 @@ class GraphTemplate:
     Only the E5 weights, `stay_welfare` and what they set, the scale S,
     the gains and the parking rows' multiplier, depend on the bids;
     `price_graph` computes those for one profile.  So one
-    template serves every profile on its instance: an auction's clearing
-    solve and each of its payment counterfactuals.
+    template serves every profile on its instance, and every graph
+    derived from one priced on it (`counterfactual_graph`).
     """
 
     instance: Instance
@@ -281,11 +292,6 @@ class GraphTemplate:
     # depart at tau, E4 or a time's one E5}, tau ascending, for every
     # departure time but the stay time 0.
     departure_times: Mapping[Tuple[str, str], Mapping[int, int]]
-    # Gain unit over `scale` -> every edge's row of unit costs at it: an
-    # E3/E8 edge's `parking_rows` priced, any other edge's zeros, one per
-    # unit of its upper bound, which `price_graph` replaces on E5.  Filled
-    # by `price_graph` as it meets each multiplier.
-    priced_rows: Dict[int, Rows] = field(compare=False, repr=False)
 
 
 #: The fields a priced graph shares with its template, named once.
@@ -294,8 +300,9 @@ _TEMPLATE_FIELDS = tuple([f.name for f in fields(GraphTemplate)])
 
 @dataclass(frozen=True)
 class AuxGraph(GraphTemplate):
-    """A template priced by one bid profile (`price_graph`): the template's
-    own fields, shared with it, plus what the bids set."""
+    """A template priced by one bid profile (`price_graph`), or a priced
+    graph's pseudo-bid counterfactual (`counterfactual_graph`): the
+    template's own fields, shared with it, plus what the bids set."""
 
     bids: Profile
     # The fleet's weighted stay bids, folded out of the E5 weights.
@@ -435,7 +442,7 @@ def compile_template(instance: Instance) -> GraphTemplate:
     return GraphTemplate(
         instance, vertices, Edges(vertices, topology, lower, upper, aircraft), aircraft,
         scale, most_times ** n * largest_menu ** n, parking_rows, topology,
-        relaxed_lower=lower, relaxed_upper=upper, departure_times=times, priced_rows={},
+        relaxed_lower=lower, relaxed_upper=upper, departure_times=times,
     )
 
 
@@ -444,29 +451,26 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     edge weighs its operator's weight times its bid less its aircraft's
     stay bid, and S, the gains and every edge's row of unit costs follow
     from those weights.  The graph holds `template`'s own `GraphTemplate`
-    fields; nothing of them is changed but `priced_rows`, which gains the
-    rows of this profile's multiplier (unit / scale) if it has none:
-    those rows are a function of that multiplier alone and are copied
-    before the E5 rows replace theirs, so nothing that depends on another
-    profile's bids is carried over, and a priced graph reprices as its
-    template: S is the lcm of this profile's weight denominators.
+    fields, unchanged, so a priced graph reprices as its template: S is
+    the lcm of this profile's weight denominators.
 
     This is the library's one gate on bids: it raises
     ``ValueError("invalid bids: ...")`` with the violations
     `validate_profile` reports unless `bids` holds exactly one
-    non-negative bid per menu entry, checked as the bids are read."""
+    non-negative `int` or `Fraction` (`model.is_rational`) per menu
+    entry, checked as the bids are read."""
     stays = []  # per aircraft: weight * stay bid as (numerator, denominator)
     priced = []  # per E5 edge: (index, reduced weight numerator, denominator, bonus)
-    valid = True  # no bid read is negative; a missing one reads as -1
+    valid = True  # no bid read is negative; a missing or other one reads as -1
     for weight, stay_key, routes in template.aircraft:
         wn, wd = weight.numerator, weight.denominator
-        stay = bids.get(stay_key, -1)
-        sn, sd = stay.numerator, stay.denominator
+        stay = bids.get(stay_key)
+        sn, sd = (stay.numerator, stay.denominator) if is_rational(stay) else (-1, 1)
         valid = valid and sn >= 0
         stays.append((wn * sn, wd * sd))
         for k, key, bonus in routes:
-            bid = bids.get(key, -1)
-            bn, bd = bid.numerator, bid.denominator
+            bid = bids.get(key)
+            bn, bd = (bid.numerator, bid.denominator) if is_rational(bid) else (-1, 1)
             valid = valid and bn >= 0
             num = wn * (bn * sd - sn * bd)
             den = wd * bd * sd
@@ -479,12 +483,8 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     unit = scale * template.tie_unit
     multiplier = unit // template.scale
     parking = template.parking_rows
-    rows = template.priced_rows.get(multiplier)
-    if rows is None:
-        rows = template.priced_rows[multiplier] = tuple([
-            tuple([-w * multiplier for w in parking[k]]) if k in parking else (0,) * up
-            for k, up in enumerate(template.relaxed_upper)])
-    rows = list(rows)
+    rows = [tuple([-w * multiplier for w in parking[k]]) if k in parking else (0,) * up
+            for k, up in enumerate(template.relaxed_upper)]
     for k, num, den, bonus in priced:
         rows[k] = (-(num * (unit // den) + bonus),)
     stay_den = lcm(1, *(den for _, den in stays))
@@ -493,6 +493,29 @@ def price_graph(template: GraphTemplate, bids: Profile) -> AuxGraph:
     return AuxGraph(
         **shared, bids=bids, stay_welfare=stay_welfare, unit=unit,
         network=Network(template.topology, tuple(rows)),
+    )
+
+
+def counterfactual_graph(graph: AuxGraph, operator_id: OperatorId) -> AuxGraph:
+    """The pseudo-bid counterfactual of `graph` for `operator_id`: `graph`
+    with every bid of that operator zeroed (`model.pseudo_bids`), at
+    `graph`'s own gain unit (module docstring, *Tie-break*).  Each of the
+    operator's E5 edges then weighs 0 and gains its bonus alone, its row
+    ``(-bonus,)``, and its weighted stay bids leave `stay_welfare`; every
+    other row is `graph`'s own object.  `graph`'s bids passed the gate
+    when it was priced, so nothing is checked again."""
+    rows = list(graph.network.rows)
+    dropped = 0
+    for weight, stay_key, routes in graph.aircraft:
+        if stay_key[0] == operator_id:
+            dropped += weight * graph.bids[stay_key]
+            for k, _, bonus in routes:
+                rows[k] = (-bonus,)
+    shared = {name: getattr(graph, name) for name in _TEMPLATE_FIELDS}
+    return AuxGraph(
+        **shared, bids=pseudo_bids(operator_id, graph.bids),
+        stay_welfare=graph.stay_welfare - dropped, unit=graph.unit,
+        network=Network(graph.topology, tuple(rows)),
     )
 
 

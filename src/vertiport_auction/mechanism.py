@@ -6,24 +6,21 @@ were zeroed out (its aircraft stay in the instance and can be relocated
 for free, which is what makes the exchange setting priceable) and the
 remaining welfare they actually get under the cleared allocation.
 
-An auction compiles its instance's graph template once and prices the
-clearing profile and every counterfactual profile on it (see
-`graph.GraphTemplate`): |F|+1 pricings and solves, one compile.  Every
-counterfactual's search starts its root from the cleared root's solved
-state, not cold: only the zeroed operator's route costs differ, so the
-flow kernel's repair of that start (see `flow`) leaves few imbalances
-to route.  When zeroing the operator's bids leaves the gain unit as it
-was, as it mostly does, every row but the zeroed operator's route rows
-equals the cleared graph's, and the counterfactual gets the cleared
-root as it is, so the kernel sets up and repairs only those route
-edges; otherwise the root's potentials are converted to the new unit
-and every edge is set up and repaired.
-The search itself, and so every result, is that of a cold solve.
+An auction compiles its instance's graph template and prices the
+clearing profile on it once: one compile, one pricing, |F|+1 solves.
+Each counterfactual is derived from the clearing graph at its gain unit
+(`graph.counterfactual_graph`), so every row but the zeroed operator's
+route rows is the clearing graph's own, and its search starts its root
+from the cleared root's solved state as it is, not cold: the flow
+kernel (see `flow`) sets up and repairs only those route edges, which
+leaves few imbalances to route.  The search itself, and so every
+result, is that of a cold solve of a fresh build of the pseudo-bids.
 
 Bids are checked once, where they are read: `price_graph` raises
 ``invalid bids: ...`` for a profile that misses a menu entry, names an
-unknown one or holds a negative bid, so the clearing pricing rejects
-such a profile before any solve.
+unknown one, or holds a negative bid or one that is not an `int` or a
+`Fraction`, so the clearing pricing rejects such a profile before any
+solve.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
-from .graph import GraphTemplate, compile_template, price_graph
+from .graph import AuxGraph, compile_template, counterfactual_graph, price_graph
 # Not called here, but kept module globals: perfbench/tracing.py wraps
 # mechanism.build_graph, mechanism.validate_instance and
 # mechanism.validate_profile by name.
@@ -56,52 +53,40 @@ class MechanismOutcome:
     cleared_welfare: Fraction
 
 
-def pseudo_bids(excluded: OperatorId, bids: Profile) -> Dict[Tuple[str, str, int], Fraction]:
-    """Copy of `bids` with every entry of `excluded` (stay included) zeroed."""
-    zero = Fraction(0)
-    return {
-        triple: (zero if triple[0] == excluded else value)
-        for triple, value in bids.items()
-    }
-
-
-def payment(template: GraphTemplate, bids: Profile, operator_id: OperatorId,
-            cleared: SolveResult, strategy: str = "bnb",
-            rule: str = RULE_EXTERNALITY) -> Fraction:
-    """Externality charged to `operator_id` given the cleared solve, its
-    counterfactual priced on the template of the auction's instance.
-
-    The counterfactual's root starts from the cleared root (bnb; see
-    `solve`): zeroing bids only drops weight denominators, so the
-    counterfactual's gain unit S' * P divides the cleared one's, and
-    mostly equals it."""
-    instance = template.instance
+def payment(clearing: AuxGraph, operator_id: OperatorId, cleared: SolveResult,
+            strategy: str = "bnb", rule: str = RULE_EXTERNALITY) -> Fraction:
+    """Externality charged to `operator_id` given `cleared`, the solve of
+    the clearing graph `clearing`.  The counterfactual is derived from
+    `clearing` (`graph.counterfactual_graph`), or is `clearing` itself
+    under `RULE_NO_ZEROING`; its solve starts from `cleared` (see
+    `solve`), whose gain unit it shares."""
+    instance = clearing.instance
     operator = instance.operator(operator_id)
     if rule == RULE_EXTERNALITY:
-        counterfactual_bids = pseudo_bids(operator_id, bids)
+        counterfactual = counterfactual_graph(clearing, operator_id)
     elif rule == RULE_NO_ZEROING:
-        counterfactual_bids = dict(bids)
+        counterfactual = clearing
     else:
         raise ValueError(f"unknown payment rule {rule!r}")
-    inner = solve(price_graph(template, counterfactual_bids), strategy=strategy,
-                  start=cleared)
+    inner = solve(counterfactual, strategy=strategy, start=cleared)
     # A solve's objective is its allocation's welfare under the bids it saw.
     inner_value = inner.objective - operator.weight * granted_value(
-        instance, inner.allocation, counterfactual_bids, operator_id)
+        instance, inner.allocation, counterfactual.bids, operator_id)
     actual = cleared.objective - operator.weight * granted_value(
-        instance, cleared.allocation, bids, operator_id)
+        instance, cleared.allocation, clearing.bids, operator_id)
     return (inner_value - actual) / operator.weight
 
 
 def run_auction(instance: Instance, bids: Profile, strategy: str = "bnb",
                 rule: str = RULE_EXTERNALITY) -> MechanismOutcome:
-    """Clear the auction and price every operator: one template, |F|+1
-    pricings and solver runs.  Raises ValueError for an invalid instance
-    (`compile_template`'s), then for invalid bids (`price_graph`'s)."""
-    template = compile_template(instance)
-    cleared = solve(price_graph(template, bids), strategy=strategy)
+    """Clear the auction and price every operator: one template, one
+    pricing, |F|+1 solver runs.  Raises ValueError for an invalid
+    instance (`compile_template`'s), then for invalid bids
+    (`price_graph`'s)."""
+    clearing = price_graph(compile_template(instance), bids)
+    cleared = solve(clearing, strategy=strategy)
     payments = {
-        operator.id: payment(template, bids, operator.id, cleared,
+        operator.id: payment(clearing, operator.id, cleared,
                              strategy=strategy, rule=rule)
         for operator in instance.operators
     }

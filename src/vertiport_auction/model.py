@@ -3,8 +3,9 @@
 Defines the auction inputs (vertiports with per-slot capacities and
 congestion tables, operators with fleets and route menus), allocations,
 bid/valuation profiles, and the welfare/feasibility machinery built on
-them.  All money-like quantities are exact: `fractions.Fraction`
-values, except congestion costs, whose one stored form is a row of
+them.  All money-like quantities are exact: `int` or
+`fractions.Fraction` values (`is_rational`; the validators report any
+other), except congestion costs, whose one stored form is a row of
 integer numerators over one denominator per slot (`CongestionRow`), from
 which their `Fraction`s are derived where read.  Nothing in this module
 uses floating point.
@@ -47,6 +48,12 @@ Profile = Mapping[Tuple[OperatorId, AircraftId, MenuKey], Fraction]
 
 #: (operator id, aircraft id) -> chosen menu key.  Canonical form.
 Allocation = Mapping[Tuple[OperatorId, AircraftId], MenuKey]
+
+
+def is_rational(value: object) -> bool:
+    """Whether `value` may stand for a lambda, a weight or a bid: an
+    `int` that is not a `bool`, or a `Fraction`."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 _ID = attrgetter("id")
@@ -261,7 +268,10 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
     h = instance.horizon
     if h < 1:
         problems.append(f"horizon must be >= 1, got {h}")
-    if instance.congestion_ratio < 0:
+    if not is_rational(instance.congestion_ratio):
+        problems.append(f"lambda must be an int or a Fraction, "
+                        f"got {instance.congestion_ratio!r}")
+    elif instance.congestion_ratio < 0:
         problems.append(f"lambda must be non-negative, got {instance.congestion_ratio}")
 
     seen_ports = set()
@@ -313,7 +323,10 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
         if operator.id in seen_operators:
             problems.append(f"duplicate operator id {operator.id!r}")
         seen_operators.add(operator.id)
-        if operator.weight <= 0:
+        if not is_rational(operator.weight):
+            problems.append(f"operator {operator.id}: weight must be an int or a "
+                            f"Fraction, got {operator.weight!r}")
+        elif operator.weight <= 0:
             problems.append(
                 f"operator {operator.id}: weight must be positive, got {operator.weight}"
             )
@@ -375,7 +388,8 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
 
 def validate_profile(instance: Instance, profile: Profile, name: str = "profile"
                      ) -> ValidationReport:
-    """Check a bid/valuation profile is dense and non-negative."""
+    """Check a bid/valuation profile is dense, rational (`is_rational`)
+    and non-negative."""
     problems: List[str] = []
     expected = set()
     for operator, craft in instance.iter_aircraft():
@@ -387,9 +401,22 @@ def validate_profile(instance: Instance, profile: Profile, name: str = "profile"
     for triple, value in profile.items():
         if triple not in expected:
             problems.append(f"{name}: unexpected entry {triple}")
+        elif not is_rational(value):
+            problems.append(f"{name}: value at {triple} must be an int or a "
+                            f"Fraction, got {value!r}")
         elif value < 0:
             problems.append(f"{name}: negative value at {triple}")
     return ValidationReport(tuple(problems))
+
+
+def pseudo_bids(excluded: OperatorId, bids: Profile
+                ) -> Dict[Tuple[OperatorId, AircraftId, MenuKey], Fraction]:
+    """Copy of `bids` with every entry of `excluded` (stay included) zeroed."""
+    zero = Fraction(0)
+    return {
+        triple: (zero if triple[0] == excluded else value)
+        for triple, value in bids.items()
+    }
 
 
 def check_allocation(instance: Instance, allocation: Allocation) -> None:

@@ -4,14 +4,15 @@ Branches over the per-aircraft departure-time binaries; each fixed
 assignment leaves a max-gain flow with integer bounds, solved exactly
 as a min-cost circulation over the graph's integer unit gains by the
 successive-shortest-path kernel in `flow`, on the network
-`graph.price_graph` priced, one row of unit costs per edge.  Every
+`graph.price_graph` priced (or `graph.counterfactual_graph` derived),
+one row of unit costs per edge.  Every
 augmenting path moves one unit, so the flows are integral, and all
 arithmetic is on Python ints.  A branch-and-bound node's solve starts
 from the solved state of its parent, so the kernel sets up and repairs
 only the edges whose bounds the node's decision changed, the split
 aircraft's departure edges, and, the parent's bounds containing the
 node's, the repair only clamps them; the root starts from the priced
-cold state, or from another solve's root on the same template, as a
+cold state, or from another solve's root at the same gain unit, as a
 payment counterfactual starts from its auction's cleared root
 (`solve`); enumeration solves every leaf cold.  Every solved state
 carries its flow's gain, as minus its cost (see `flow`): that is a
@@ -111,7 +112,7 @@ class SolveResult:
     stats: SolveStats
     # The bnb root's solved state (None for enumerate), its potentials in
     # gains of `unit`, the graph's S * P: read by `solve` when this result
-    # starts the root of a solve of another profile on the same template.
+    # starts the root of a solve of another graph at the same unit.
     root: Optional[FlowState] = field(compare=False, repr=False)
     unit: int = field(compare=False, repr=False)
 
@@ -286,29 +287,25 @@ def solve(graph: AuxGraph, strategy: str = "bnb",
 
     ``strategy`` is ``"bnb"`` (default) or ``"enumerate"``; both return
     identical objectives and allocations.  `start`, if given, is a solve
-    of another profile on the same template, as an auction's cleared
-    solve: the bnb root's solve starts from its root instead of the cold
-    state.  If the two gain units agree the root is handed over as it
-    is, and the kernel sets up and repairs only the edges whose rows the
-    profile changes; otherwise its potentials are brought from its gain
-    unit to this graph's, and the kernel sets up and repairs every edge,
-    whatever the rounding and the repricing leave (see `flow`).  Enumeration is
-    the reference path: it ignores `start` and solves every leaf cold.
+    of another graph on the same template at the same gain unit, as an
+    auction's cleared solve is for its counterfactuals
+    (`graph.counterfactual_graph`); a start at another unit raises
+    SolverError.  The bnb root's solve starts from its root as it is,
+    instead of the cold state, and the kernel sets up and repairs only
+    the edges whose rows differ (see `flow`).  Enumeration is the
+    reference path: it ignores `start` and solves every leaf cold.
     """
     if strategy not in ("bnb", "enumerate"):
         raise SolverError(f"unknown strategy {strategy!r}")
+    if start is not None and start.unit != graph.unit:
+        raise SolverError(f"start priced at gain unit {start.unit}, "
+                          f"the graph at {graph.unit}")
     stats = SolveStats()
     began = time.perf_counter()
     if strategy == "enumerate":
         best, root = _solve_enumerate(graph, stats), None
     else:
-        warm = None if start is None else start.root
-        if warm is not None and start.unit != graph.unit:
-            # Built whole: `_replace` goes through `tuple(map(...))`, whose
-            # result joins CPython's tuple free lists (`graph.compile_template`).
-            warm = FlowState(warm.flows, [p * graph.unit // start.unit
-                                          for p in warm.potential], warm.residual)
-        best, root = _solve_bnb(graph, stats, warm)
+        best, root = _solve_bnb(graph, stats, None if start is None else start.root)
     if best.flow is None:
         raise SolverError("no feasible departure-time assignment")
     stats.wall_time = time.perf_counter() - began

@@ -408,6 +408,19 @@ def remaining_welfare(instance, allocation, bids, operator_id):
             - weight * granted_value(instance, allocation, bids, operator_id))
 
 
+class ReadRecorder(list):
+    """A bound vector that records the entries the kernel reads by index,
+    which are those of the edges it sets up."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, k):
+        self.read.add(k)
+        return super().__getitem__(k)
+
+
 def assert_matches_oracle(instance, bids):
     """Both strategies return the oracle's allocation and objective, and
     the one flow of that allocation; the auction charges every operator

@@ -34,13 +34,14 @@ from vertiport_auction.graph import (
     flow_objective,
     flow_to_allocation,
 )
-from vertiport_auction.mechanism import (
-    RULE_NO_ZEROING,
+from vertiport_auction.mechanism import RULE_NO_ZEROING, run_auction, sample_misreports
+from vertiport_auction.model import (
+    granted_value,
     pseudo_bids,
-    run_auction,
-    sample_misreports,
+    social_welfare,
+    utility,
+    validate_instance,
 )
-from vertiport_auction.model import granted_value, social_welfare, utility, validate_instance
 from vertiport_auction.oracle import (
     candidate_count,
     enumerate_feasible,

@@ -429,19 +429,28 @@ def test_priced_graph_reprices_as_its_template():
         assert repriced.network == fresh.network
 
 
-@pytest.mark.parametrize("change", ["negative", "unknown", "missing"])
+@pytest.mark.parametrize("change", ["negative", "unknown", "missing", "float",
+                                    "string", "boolean"])
 def test_price_graph_is_the_one_gate_on_bids(change):
     """`price_graph` refuses a profile with a negative bid, an unknown
-    entry or a missing one, and so `build_graph` and `run_auction` do,
-    all with the violations `validate_profile` reports."""
+    entry, a missing one or one that is not an `int` or a `Fraction`
+    (a route bid and a stay bid here), and so `build_graph` and
+    `run_auction` do, all with the violations `validate_profile`
+    reports."""
     document = generate(GeneratorConfig(seed=0))
     instance, bids = document.instance, dict(document.bids)
     if change == "negative":
         bids["op1", "a1", 0] = F(-5)
     elif change == "unknown":
         bids["zz", "a1", 0] = F(0)
-    else:
+    elif change == "missing":
         del bids["op1", "a1", 0]
+    elif change == "float":
+        bids["op1", "a1", 1] = 2.5
+    elif change == "string":
+        bids["op1", "a1", 0] = "0"
+    else:
+        bids["op1", "a1", 1] = True
     violations = validate_profile(instance, bids, "bids").violations
     assert violations
     for call in (build_graph, run_auction):

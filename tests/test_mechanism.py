@@ -19,12 +19,16 @@ from test_acceptance import corpus_config
 from test_solver import AUCTION_MID
 from vertiport_auction import graph, mechanism, solver
 from vertiport_auction.generator import GeneratorConfig, generate
-from vertiport_auction.graph import build_graph, compile_template, price_graph
+from vertiport_auction.graph import (
+    build_graph,
+    compile_template,
+    counterfactual_graph,
+    price_graph,
+)
 from vertiport_auction.mechanism import (
     RULE_NO_ZEROING,
     MechanismOutcome,
     payment,
-    pseudo_bids,
     run_auction,
     sample_misreports,
 )
@@ -33,11 +37,12 @@ from vertiport_auction.model import (
     Instance,
     Operator,
     is_feasible,
+    pseudo_bids,
     social_welfare,
     utility,
 )
 from vertiport_auction.oracle import enumerate_feasible, oracle_payment
-from vertiport_auction.solver import solve
+from vertiport_auction.solver import SolverError, solve
 
 F = Fraction
 
@@ -102,33 +107,28 @@ class TestRemainingWelfare:
 
 class TestPayment:
     def test_single_operator_pays_nothing(self, single_mover):
-        instance, bids = single_mover
-        template = compile_template(instance)
-        cleared = solve(price_graph(template, bids))
-        assert payment(template, bids, "op1", cleared) == 0
+        clearing = build_graph(*single_mover)
+        assert payment(clearing, "op1", solve(clearing)) == 0
 
     def test_second_price_recovery(self, second_price):
-        instance, bids = second_price
-        template = compile_template(instance)
-        cleared = solve(price_graph(template, bids))
-        assert payment(template, bids, "op1", cleared) == 6
-        assert payment(template, bids, "op2", cleared) == 0
+        clearing = build_graph(*second_price)
+        cleared = solve(clearing)
+        assert payment(clearing, "op1", cleared) == 6
+        assert payment(clearing, "op2", cleared) == 0
 
     def test_invariant_to_own_bid_scaling(self, second_price):
         instance, bids = second_price
         doubled = dict(bids)
         doubled[("op1", "a1", 1)] = F(20)
-        template = compile_template(instance)
-        cleared = solve(price_graph(template, doubled))
+        clearing = build_graph(instance, doubled)
+        cleared = solve(clearing)
         assert cleared.allocation == {("op1", "a1"): 1, ("op2", "a1"): 0}
-        assert payment(template, doubled, "op1", cleared) == 6
+        assert payment(clearing, "op1", cleared) == 6
 
     def test_unknown_rule_rejected(self, second_price):
-        instance, bids = second_price
-        template = compile_template(instance)
-        cleared = solve(price_graph(template, bids))
+        clearing = build_graph(*second_price)
         with pytest.raises(ValueError, match="unknown payment rule"):
-            payment(template, bids, "op1", cleared, rule="vickrey")
+            payment(clearing, "op1", solve(clearing), rule="vickrey")
 
     def test_routes_below_stay_bids_match_oracle(self, reluctant_movers):
         instance, bids = reluctant_movers
@@ -207,11 +207,36 @@ class TestRunAuction:
             assert a.payments == b.payments
 
 
+def _derived_like_fresh(clearing):
+    """Each operator's counterfactual, derived from the clearing graph as
+    an auction derives it, keeps the clearing gain unit, holds the
+    clearing graph's own row objects but on that operator's route edges,
+    and matches a fresh `build_graph` of the pseudo-bids in bids and stay
+    welfare; solved from the cleared solve, it gives the fresh build's
+    allocation, objective and flow."""
+    cleared = solve(clearing)
+    for operator in clearing.instance.operators:
+        derived = counterfactual_graph(clearing, operator.id)
+        fresh = build_graph(clearing.instance, pseudo_bids(operator.id, clearing.bids))
+        assert derived.bids == fresh.bids
+        assert derived.unit == clearing.unit and derived.unit % fresh.unit == 0
+        assert type(derived.stay_welfare) is F and derived.stay_welfare == fresh.stay_welfare
+        routes = {k for _, (i, _, _), granted in clearing.aircraft if i == operator.id
+                  for k, _, _ in granted}
+        assert all(row is own for k, (row, own) in enumerate(
+            zip(derived.network.rows, clearing.network.rows)) if k not in routes)
+        result, reference = solve(derived, start=cleared), solve(fresh)
+        assert ((result.allocation, result.objective, result.flow)
+                == (reference.allocation, reference.objective, reference.flow))
+
+
 def _priced_like_fresh(instance, bids):
     """Price the clearing profile, then each operator's pseudo-bids, on
-    one template, as an auction does: each priced graph equals a fresh
-    `build_graph` on the same profile, and its rows of unit gains, S * P
-    and stay welfare equal the `Fraction` reference's.  Returns the priced graphs."""
+    one template: each priced graph equals a fresh `build_graph` on the
+    same profile, and its rows of unit gains, S * P and stay welfare
+    equal the `Fraction` reference's.  Then each counterfactual derived
+    from the clearing graph solves as the fresh build of its pseudo-bids
+    (`_derived_like_fresh`).  Returns the priced graphs."""
     template = compile_template(instance)
     priced = []
     for profile in [bids] + [pseudo_bids(operator.id, bids)
@@ -227,14 +252,16 @@ def _priced_like_fresh(instance, bids):
         assert shared.relaxed_lower == fresh.relaxed_lower
         assert shared.relaxed_upper == fresh.relaxed_upper
         priced.append(shared)
+    _derived_like_fresh(priced[0])
     return priced
 
 
 class TestSharedTemplate:
     def test_one_template_per_auction(self, monkeypatch):
-        """An auction compiles one template, in the mechanism or anywhere
-        below it, and prices the clearing profile and each operator's
-        counterfactual on it; no solve falls back to its own build."""
+        """An auction compiles one template and prices one profile on it,
+        the clearing one, in the mechanism or anywhere below it: each
+        operator's counterfactual is derived from the clearing graph, and
+        no solve falls back to its own build."""
         counts = {"compile_template": 0, "price_graph": 0}
         for module in (graph, mechanism):
             for name in counts:
@@ -246,9 +273,7 @@ class TestSharedTemplate:
             document = generate(GeneratorConfig(seed=seed))
             counts.update(dict.fromkeys(counts, 0))
             run_auction(document.instance, document.bids)
-            assert counts == {
-                "compile_template": 1,
-                "price_graph": len(document.instance.operators) + 1}
+            assert counts == {"compile_template": 1, "price_graph": 1}
 
     def test_auction_mid_profiles_price_like_fresh_builds(self):
         for seed in range(100):
@@ -291,8 +316,10 @@ class TestSharedTemplate:
     def test_scale_shrinks_when_zeroing_drops_a_denominator(self, second_price,
                                                             monkeypatch):
         # op1's route bid is the only weight with denominator 3, so the
-        # clearing graph's S is 3 and op1's counterfactual's is 1: op2's
-        # route gain, bid 6 less stay 0, drops from 6 * 3 * P to 6 * 1 * P.
+        # clearing graph's S is 3 and a fresh build of op1's pseudo-bids
+        # has S = 1: there op2's route gain, bid 6 less stay 0, drops from
+        # 6 * 3 * P to 6 * 1 * P.  op1's counterfactual, derived from the
+        # clearing graph, keeps S = 3 and op2's route row.
         instance, bids = second_price
         bids = {**bids, ("op1", "a1", 1): F(31, 3)}
         clearing, without_op1, _ = _priced_like_fresh(instance, bids)
@@ -300,8 +327,12 @@ class TestSharedTemplate:
         tie_unit = compile_template(instance).tie_unit
         assert (without_op1.network.rows[route][0] - clearing.network.rows[route][0]
                 == 6 * 2 * tie_unit)
-        # op1's payment solve starts its root from the cleared root, its
-        # potentials brought from the clearing unit down to the smaller one.
+        derived = counterfactual_graph(clearing, "op1")
+        assert derived.unit == clearing.unit == 3 * without_op1.unit
+        assert derived.network.rows[route] is clearing.network.rows[route]
+        # op1's payment solve starts its root from the cleared root as it
+        # is, and still pays the oracle's 6.
+        cleared = solve(clearing)
         roots = []
         bound = solver.relaxation_bound
 
@@ -311,18 +342,25 @@ class TestSharedTemplate:
             return bound(graph, partial_delta, **kwargs)
 
         monkeypatch.setattr(solver, "relaxation_bound", recorded)
-        template = compile_template(instance)
-        cleared = solve(price_graph(template, bids))
-        assert cleared.unit == clearing.unit == 3 * without_op1.unit
-        assert payment(template, bids, "op1", cleared) == oracle_payment(
+        assert payment(clearing, "op1", cleared) == oracle_payment(
             instance, bids, "op1") == 6
-        (_, cold), (unit, warm) = roots
-        assert cold[:2] == clearing.network.cold[:2]  # the clearing root starts cold
-        assert unit == without_op1.unit
-        assert list(warm.flows) == list(cleared.root.flows)
-        assert list(warm.potential) == [p * without_op1.unit // clearing.unit
-                                        for p in cleared.root.potential]
-        assert warm.potential != cleared.root.potential
+        ((unit, start),) = roots
+        assert unit == clearing.unit and start is cleared.root
+
+    def test_solve_refuses_a_start_at_another_unit(self, second_price):
+        """A start priced at another gain unit never reaches the kernel:
+        the cleared solve cannot start a fresh build of op1's pseudo-bids,
+        whose S is 1 where the clearing graph's is 3."""
+        instance, bids = second_price
+        bids = {**bids, ("op1", "a1", 1): F(31, 3)}
+        cleared = solve(build_graph(instance, bids))
+        fresh = build_graph(instance, pseudo_bids("op1", bids))
+        assert fresh.unit != cleared.unit
+        for strategy in ("bnb", "enumerate"):
+            with pytest.raises(SolverError, match="gain unit"):
+                solve(fresh, strategy, start=cleared)
+        assert solve(counterfactual_graph(build_graph(instance, bids), "op1"),
+                     start=cleared).allocation == solve(fresh).allocation
 
 
 class TestSampleMisreports:

@@ -1,5 +1,6 @@
 """Domain model: validation, occupancy, feasibility, welfare."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import all_stay_allocation, make_port, stay, total_aircraft, transit
 from vertiport_auction.generator import GeneratorConfig, generate
+from vertiport_auction.mechanism import run_auction
 from vertiport_auction.model import (
     Aircraft,
     Instance,
@@ -62,6 +64,34 @@ class TestValidateInstance:
     def test_negative_lambda_rejected(self):
         inst = one_port_instance([(0,)], lam=F(-1))
         assert not validate_instance(inst).ok
+
+    def test_float_lambda_rejected(self, second_price):
+        """A float lambda is a violation, so an auction refuses the
+        instance at its gate instead of failing inside the pricing."""
+        instance, bids = second_price
+        instance = replace(instance, congestion_ratio=0.5)
+        assert validate_instance(instance).violations == (
+            "lambda must be an int or a Fraction, got 0.5",)
+        with pytest.raises(ValueError, match="invalid instance"):
+            run_auction(instance, bids)
+
+    def test_float_weight_rejected(self, second_price):
+        instance, bids = second_price
+        op1, op2 = instance.operators
+        instance = replace(instance, operators=(replace(op1, weight=1.0), op2))
+        assert validate_instance(instance).violations == (
+            "operator op1: weight must be an int or a Fraction, got 1.0",)
+        with pytest.raises(ValueError, match="invalid instance"):
+            run_auction(instance, bids)
+
+    def test_string_weight_reported_at_construction(self, second_price):
+        """An instance with a `str` weight is constructed, and the weight
+        is one of its violations."""
+        instance, _ = second_price
+        op1, op2 = instance.operators
+        instance = replace(instance, operators=(op1, replace(op2, weight="1")))
+        assert validate_instance(instance).violations == (
+            "operator op2: weight must be an int or a Fraction, got '1'",)
 
     def test_table_must_start_at_zero(self):
         inst = one_port_instance([(1, 2)], horizon=1)
@@ -175,6 +205,19 @@ class TestValidateProfile:
         report = validate_profile(instance, partial)
         assert any("missing value" in v for v in report.violations)
         assert any("negative value" in v for v in report.violations)
+
+    def test_float_bid_reported(self, second_price):
+        instance, bids = second_price
+        bids = {**bids, ("op2", "a1", 1): 6.0}
+        assert validate_profile(instance, bids, "bids").violations == (
+            "bids: value at ('op2', 'a1', 1) must be an int or a Fraction, got 6.0",)
+
+    def test_string_bid_reported(self, second_price):
+        """A `str` bid is reported, not compared with 0."""
+        instance, bids = second_price
+        bids = {**bids, ("op1", "a1", 0): "0"}
+        assert validate_profile(instance, bids, "bids").violations == (
+            "bids: value at ('op1', 'a1', 0) must be an int or a Fraction, got '0'",)
 
 
 class TestOccupancy:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import ReadRecorder
 from vertiport_auction import mechanism, solver
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import build_graph
@@ -22,11 +23,14 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: Search work of one pass over each benchmark corpus, as the benchmark
 #: issues its requests: solves, branch-and-bound nodes, flow solves and
 #: augmenting paths.  A change that changes this work, on purpose, must
-#: update the pin and say why.
+#: update the pin and say why.  Paths fell from 122 (auction-mid) and
+#: 1,273 (ic-sweep) when each counterfactual took its clearing graph's
+#: gain unit: every payment root now starts from the cleared root as it
+#: is, and the kernel repairs only the zeroed operator's route edges.
 CORPUS_WORK = {
     "solve-large": (4, 4, 4, 37),
-    "auction-mid": (32, 71, 71, 122),
-    "ic-sweep": (738, 738, 738, 1273),
+    "auction-mid": (32, 71, 71, 121),
+    "ic-sweep": (738, 738, 738, 1113),
 }
 
 
@@ -66,6 +70,44 @@ def test_benchmark_corpora_do_the_pinned_work(workloads, monkeypatch):
                       sum(stats.fixed_delta_solves for stats in seen),
                       sum(stats.augmentations for stats in seen))
     assert work == CORPUS_WORK
+
+
+def test_counterfactual_roots_set_up_only_the_zeroed_routes(workloads, monkeypatch):
+    """On the auction corpora, every payment solve hands the kernel the
+    cleared root as it is, its potentials its own, and the kernel sets up
+    only edges among the zeroed operator's route edges: it reads no other
+    edge's bounds."""
+    calls = []  # per kernel call: (start, the edges whose bounds it read)
+    payments = []  # per payment: (clearing graph, operator, cleared, first call)
+    kernel, pay = solver.min_cost_flow, mechanism.payment
+
+    def recorded(network, lower, upper, start):
+        lower = ReadRecorder(lower)
+        calls.append((start, lower.read))
+        return kernel(network, lower, upper, start)
+
+    def paid(clearing, operator_id, cleared, *args, **kwargs):
+        payments.append((clearing, operator_id, cleared, len(calls)))
+        return pay(clearing, operator_id, cleared, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "min_cost_flow", recorded)
+    monkeypatch.setattr(mechanism, "payment", paid)
+    roots = {}
+    for name in ("auction-mid", "ic-sweep"):
+        workload = workloads.WORKLOADS[name]
+        payments.clear()
+        for group in workloads.build_requests(workload):
+            for request in group:
+                workloads.run_request(workload.kind, request.text)
+        for clearing, operator_id, cleared, first in payments:
+            start, read = calls[first]
+            assert start is cleared.root
+            assert start.residual.potential is start.potential
+            routes = {k for _, (i, _, _), granted in clearing.aircraft
+                      if i == operator_id for k, _, _ in granted}
+            assert read <= routes
+        roots[name] = len(payments)
+    assert roots == {"auction-mid": 24, "ic-sweep": 492}
 
 
 def test_every_target_exists(tracing):

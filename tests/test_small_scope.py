@@ -33,12 +33,12 @@ from fractions import Fraction
 
 from conftest import assert_matches_oracle, checked_solves, fraction_rows, stay, transit
 from vertiport_auction.graph import build_graph
-from vertiport_auction.mechanism import pseudo_bids
 from vertiport_auction.model import (
     Aircraft,
     Instance,
     Operator,
     Vertiport,
+    pseudo_bids,
     validate_instance,
 )
 
@@ -138,11 +138,12 @@ def test_every_instance_of_the_small_scope_matches_the_oracle():
 
 def test_two_operator_instances_with_a_half_weight_match_the_oracle():
     """Every two-operator instance of the scope (1,328 of the 2,788) with
-    op2's weight set to 1/2.  In 580 of them op2's counterfactual has
-    another gain unit than the clearing solve, so `solve` converts the
-    cleared root's potentials to it and repairs that start.  Every flow
-    solve is checked as in the whole scope (`checked_solves`)."""
-    count = converted = 0
+    op2's weight set to 1/2.  In 580 of them a fresh build of op2's
+    pseudo-bids has a smaller gain unit than the clearing graph; the
+    auction's counterfactual keeps the clearing unit, a common multiple
+    of the smaller one's S, and must still pay what the oracle does.
+    Every flow solve is checked as in the whole scope (`checked_solves`)."""
+    count = rescaled = 0
     with checked_solves() as checked:
         for instance, bids in small_scope():
             if len(instance.operators) < 2:
@@ -150,8 +151,8 @@ def test_two_operator_instances_with_a_half_weight_match_the_oracle():
             op1, op2 = instance.operators
             instance = replace(instance, operators=(op1, replace(op2, weight=Fraction(1, 2))))
             assert_matches_oracle(instance, bids)
-            converted += (build_graph(instance, pseudo_bids("op2", bids)).unit
-                          != build_graph(instance, bids).unit)
+            rescaled += (build_graph(instance, pseudo_bids("op2", bids)).unit
+                         != build_graph(instance, bids).unit)
             count += 1
-    assert (count, converted) == (1328, 580)
+    assert (count, rescaled) == (1328, 580)
     assert len(checked) > 3 * count
