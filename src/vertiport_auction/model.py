@@ -264,9 +264,16 @@ def validate_instance(instance: Instance) -> ValidationReport:
 
 
 def _find_violations(instance: Instance) -> Tuple[str, ...]:
+    """Every condition `instance` breaks.  The horizon, every capacity,
+    menu key and departure and arrival time must be an `int`, not a
+    `bool`, as `serialize.parse` reads them; a check that would compare
+    or add a field that is not one is skipped."""
     problems: List[str] = []
     h = instance.horizon
-    if h < 1:
+    counted = type(h) is int  # the checks against the horizon run
+    if not counted:
+        problems.append(f"horizon must be an int, got {h!r}")
+    elif h < 1:
         problems.append(f"horizon must be >= 1, got {h}")
     if not is_rational(instance.congestion_ratio):
         problems.append(f"lambda must be an int or a Fraction, "
@@ -284,23 +291,29 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
             ("departure_cap", port.departure_cap),
             ("parking_cap", port.parking_cap),
         ):
-            if len(table) != h:
+            if counted and len(table) != h:
                 problems.append(
                     f"vertiport {port.id}: {name} has length {len(table)}, expected {h}"
                 )
-            if table and min(table) < 0:
+            if not set(map(type, table)) <= {int}:  # not every entry an int
+                problems.extend(
+                    f"vertiport {port.id}: {name} slot {t} must be an int, got {cap!r}"
+                    for t, cap in enumerate(table, start=1) if type(cap) is not int
+                )
+            elif table and min(table) < 0:
                 problems.append(f"vertiport {port.id}: {name} has a negative entry")
-        if len(port.congestion_rows) != h:
+        if counted and len(port.congestion_rows) != h:
             problems.append(
                 f"vertiport {port.id}: congestion_cost has {len(port.congestion_rows)} "
                 f"slots, expected {h}"
             )
         caps = port.parking_cap
         for t, (scaled, _) in enumerate(port.congestion_rows, start=1):
-            if t <= len(caps) and len(scaled) != caps[t - 1] + 1:
+            cap = caps[t - 1] if t <= len(caps) else None
+            if type(cap) is int and len(scaled) != cap + 1:
                 problems.append(
                     f"vertiport {port.id}: congestion_cost slot {t} has {len(scaled)} "
-                    f"entries, expected parking_cap+1 = {caps[t - 1] + 1}"
+                    f"entries, expected parking_cap+1 = {cap + 1}"
                 )
             if scaled and scaled[0] != 0:
                 problems.append(
@@ -339,6 +352,8 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
             if craft.origin not in seen_ports:
                 problems.append(f"{label}: unknown origin vertiport {craft.origin!r}")
             keys = list(map(_KEY, craft.menu))
+            problems.extend(f"{label}: menu key must be an int, got {key!r}"
+                            for key in keys if type(key) is not int)
             if keys != list(range(len(keys))):
                 problems.append(f"{label}: menu keys must be contiguous from 0, got {keys}")
             stays = list(map(_KIND, craft.menu)).count(STAY)
@@ -347,6 +362,9 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                     f"{label}: menu must contain exactly one stay entry, found {stays}"
                 )
             for entry in craft.menu:
+                if type(entry.depart_time) is not int:
+                    problems.append(f"{label}: menu key {entry.key} departure time "
+                                    f"must be an int, got {entry.depart_time!r}")
                 if entry.kind == STAY:
                     if entry.depart_time != 0:
                         problems.append(
@@ -357,7 +375,11 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                             f"{label}: stay entry destination must equal origin"
                         )
                 elif entry.kind == TRANSIT:
-                    if not (1 <= entry.depart_time < entry.arrive_time <= h):
+                    if type(entry.arrive_time) is not int:
+                        problems.append(f"{label}: menu key {entry.key} arrival time "
+                                        f"must be an int, got {entry.arrive_time!r}")
+                    elif counted and type(entry.depart_time) is int and not (
+                            1 <= entry.depart_time < entry.arrive_time <= h):
                         problems.append(
                             f"{label}: menu key {entry.key} needs "
                             f"1 <= depart < arrive <= {h}, got "
@@ -374,13 +396,13 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
 
     # Slack condition: initial occupants fit in parking at every slot.
     origins = [craft.origin for operator in instance.operators for craft in operator.fleet]
-    for port in instance.vertiports:
+    for port in instance.vertiports if counted else ():
         occupied = origins.count(port.id)
-        for t in range(1, min(h, len(port.parking_cap)) + 1):
-            if port.parking_cap[t - 1] - occupied < 0:
+        for t, cap in enumerate(port.parking_cap[:h], start=1):
+            if type(cap) is int and cap < occupied:
                 problems.append(
                     f"slack condition violated at vertiport {port.id}, slot {t}: "
-                    f"parking_cap {port.parking_cap[t - 1]} < initial occupancy {occupied}"
+                    f"parking_cap {cap} < initial occupancy {occupied}"
                 )
 
     return tuple(problems)

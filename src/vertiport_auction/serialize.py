@@ -22,7 +22,8 @@ and denominator as spelled, with no `Fraction` per entry.
 Render spells exactly what ``json.dumps(data, indent=2)`` would, with a
 module-level recursive writer (`_write`): the standard library's
 indenting encoder is pure Python, and its nested functions close a
-reference cycle on every call.
+reference cycle on every call.  A congestion row is spelled from its
+stored integers (`_render_row`), with no `Fraction` per entry.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Any, Dict, List, Optional, Tuple
 
 from .model import (
     STAY,
     TRANSIT,
     Aircraft,
+    CongestionRow,
     Instance,
     Operator,
     Profile,
@@ -344,6 +347,14 @@ def _render_menu_entry(entry: RouteOption) -> Dict[str, Any]:
     }
 
 
+def _render_row(row: CongestionRow) -> List[str]:
+    """A congestion row's costs as reduced ``"num/den"`` strings: each
+    numerator and the row's denominator divided by their gcd."""
+    numerators, common = row
+    divisors = [gcd(g, common) for g in numerators]
+    return [f"{g // d}/{common // d}" for g, d in zip(numerators, divisors)]
+
+
 def _render_profile(instance: Instance, profile: Profile) -> Dict[str, Any]:
     out: Dict[str, Any] = {}
     for operator, craft in instance.iter_aircraft():
@@ -399,8 +410,7 @@ def render(document: InstanceDocument) -> str:
                     "departure_cap": list(port.departure_cap),
                     "parking_cap": list(port.parking_cap),
                     "congestion_cost": [
-                        [render_rational(v) for v in row]
-                        for row in port.congestion_cost
+                        _render_row(row) for row in port.congestion_rows
                     ],
                 }
                 for port in instance.vertiports

@@ -43,8 +43,9 @@ bounds depend on delta, and their flow is exactly the spelled unit.  A
 decided aircraft spells its own decision, since its bounds force or
 forbid those units.  So the flow is a feasible completion of the node
 that gains as much as the relaxation, which bounds every completion: it
-is the best one, and it is offered as the incumbent with the gain the
-relaxation already computed.
+is the best one.  Not pruned by bound, it gains more than the
+incumbent, and it replaces it with the gain the relaxation already
+computed.
 
 Split rule.  A node that does not end branches on the aircraft its
 relaxed flow splits: the first, in `AuxGraph.departure_times` order,
@@ -59,13 +60,14 @@ or hold nothing better than what is kept, the children's assignments
 cover the node's, and the optimum is unique, so the result does not
 depend on the order of the search.
 
-Search shape.  The search is depth first, one call of the module-level
-`_visit` per node, on one partial assignment that each child extends by
-its decision and the parent restores after its last child.  No function
-of the search closes over itself, so a solve leaves no reference cycle:
-its graph, with everything the graph holds, is freed by reference
-counting when the caller drops it, not by a pass of the cyclic
-collector.
+Search shape.  The search is one depth-first loop in `_solve_bnb` over
+a stack of open nodes, each a partial assignment of its own, its
+parent's plus one decision, and the parent's solved state, which its
+solve starts from.  Children are pushed stay first, so the earliest
+departure time pops first, in the order above.  Nothing recurses, so
+the depth of a search is bounded by memory, not by the interpreter's
+stack, and a solve leaves no reference cycle: its graph, with everything
+it holds, is freed by reference counting when the caller drops it.
 """
 
 from __future__ import annotations
@@ -211,74 +213,52 @@ def _split_aircraft(graph: AuxGraph, flows: Sequence[int]
     return None
 
 
-@dataclass
-class _Incumbent:
-    """Best completion so far.  Distinct allocations never tie in gain."""
-
-    gain: Optional[int] = None
-    flow: Optional[Tuple[int, ...]] = None
-
-    def offer(self, flow: Tuple[int, ...], gain: int) -> bool:
-        """Keep `flow`, which gains `gain`, if it gains more; whether it
-        was kept."""
-        if self.gain is None or gain > self.gain:
-            self.gain = gain
-            self.flow = flow
-            return True
-        return False
-
-
-def _solve_enumerate(graph: AuxGraph, stats: SolveStats) -> _Incumbent:
-    best = _Incumbent()
+def _solve_enumerate(graph: AuxGraph, stats: SolveStats
+                     ) -> Tuple[Optional[int], Optional[Tuple[int, ...]]]:
+    """The best leaf's gain and flow, (None, None) if no leaf is
+    feasible.  Distinct allocations never tie in gain."""
+    best_gain = best_flow = None
     for delta in enumerate_deltas(graph.instance):
         stats.nodes_explored += 1
         stats.leaf_solves += 1
         leaf = solve_fixed_delta(graph, delta, stats=stats)
-        if leaf is not None:
-            gain, flow = leaf
-            if best.offer(flow, gain):
-                stats.incumbent_updates += 1
-    return best
-
-
-def _visit(graph: AuxGraph, stats: SolveStats, best: _Incumbent,
-           partial: Dict[Tuple[str, str], int], state: FlowState
-           ) -> Optional[FlowState]:
-    """Search the node of `partial`, its solve starting from `state`, its
-    parent's solved state; its solved state, None if infeasible.  Not a
-    nested function: one that calls itself is a reference cycle (module
-    docstring, *Search shape*)."""
-    stats.nodes_explored += 1
-    stats.bound_solves += 1
-    relaxed = relaxation_bound(graph, partial, start=state, stats=stats)
-    if relaxed is None:
-        stats.pruned_infeasible += 1
-        return None
-    bound, state = relaxed
-    if best.gain is not None and bound <= best.gain:
-        stats.pruned_bound += 1
-        return state
-    split = _split_aircraft(graph, state.flows)
-    if split is None:
-        stats.pruned_completion += 1
-        if best.offer(tuple(state.flows), bound):
+        if leaf is not None and (best_gain is None or leaf[0] > best_gain):
+            best_gain, best_flow = leaf
             stats.incumbent_updates += 1
-        return state
-    for tau in (*graph.departure_times[split], 0):
-        partial[split] = tau
-        _visit(graph, stats, best, partial, state)
-    del partial[split]
-    return state
+    return best_gain, best_flow
 
 
 def _solve_bnb(graph: AuxGraph, stats: SolveStats, start: Optional[FlowState] = None
-               ) -> Tuple[_Incumbent, Optional[FlowState]]:
-    """The best completion, and the root's solved state (None if the
-    root is infeasible); the root's solve starts from `start`, or cold."""
-    best = _Incumbent()
-    root = _visit(graph, stats, best, {},
-                  graph.network.cold if start is None else start)
-    return best, root
+               ) -> Tuple[Optional[int], Optional[Tuple[int, ...]], Optional[FlowState]]:
+    """The best completion's gain and flow, (None, None) if none is
+    feasible, and the root's solved state (None if the root is
+    infeasible); the root's solve starts from `start`, or cold.  One
+    loop over a stack of open nodes (module docstring, *Search shape*)."""
+    best_gain = best_flow = root = None
+    stack = [({}, start)]
+    while stack:
+        partial, state = stack.pop()
+        stats.nodes_explored += 1
+        stats.bound_solves += 1
+        relaxed = relaxation_bound(graph, partial, start=state, stats=stats)
+        if relaxed is None:
+            stats.pruned_infeasible += 1
+            continue
+        bound, state = relaxed
+        if not partial:  # the root, the one node with no decision
+            root = state
+        if best_gain is not None and bound <= best_gain:
+            stats.pruned_bound += 1
+            continue
+        split = _split_aircraft(graph, state.flows)
+        if split is None:
+            stats.pruned_completion += 1
+            stats.incumbent_updates += 1
+            best_gain, best_flow = bound, tuple(state.flows)
+            continue
+        for tau in (0, *reversed(graph.departure_times[split])):
+            stack.append(({**partial, split: tau}, state))
+    return best_gain, best_flow, root
 
 
 def solve(graph: AuxGraph, strategy: str = "bnb",
@@ -303,16 +283,16 @@ def solve(graph: AuxGraph, strategy: str = "bnb",
     stats = SolveStats()
     began = time.perf_counter()
     if strategy == "enumerate":
-        best, root = _solve_enumerate(graph, stats), None
+        (gain, flow), root = _solve_enumerate(graph, stats), None
     else:
-        best, root = _solve_bnb(graph, stats, None if start is None else start.root)
-    if best.flow is None:
+        gain, flow, root = _solve_bnb(graph, stats, None if start is None else start.root)
+    if flow is None:
         raise SolverError("no feasible departure-time assignment")
     stats.wall_time = time.perf_counter() - began
     return SolveResult(
-        flow=best.flow,
-        objective=flow_objective(graph, best.flow, best.gain),
-        allocation=flow_to_allocation(graph, best.flow),
+        flow=flow,
+        objective=flow_objective(graph, flow, gain),
+        allocation=flow_to_allocation(graph, flow),
         stats=stats,
         root=root,
         unit=graph.unit,

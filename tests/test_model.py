@@ -93,6 +93,41 @@ class TestValidateInstance:
         assert validate_instance(instance).violations == (
             "operator op2: weight must be an int or a Fraction, got '1'",)
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("horizon", 3.0, "horizon must be an int, got 3.0"),
+        ("horizon", "3", "horizon must be an int, got '3'"),
+        ("arrival_cap", (0, 0, 0.5), "vertiport v2: arrival_cap slot 3 must be an int, got 0.5"),
+        ("departure_cap", (0, 0, True),
+         "vertiport v2: departure_cap slot 3 must be an int, got True"),
+        ("parking_cap", (1, 1.0, 1), "vertiport v2: parking_cap slot 2 must be an int, got 1.0"),
+        ("key", 1.0, "aircraft (op1, a1): menu key must be an int, got 1.0"),
+        ("depart_time", 2.0,
+         "aircraft (op1, a1): menu key 1 departure time must be an int, got 2.0"),
+        ("arrive_time", 3.0,
+         "aircraft (op1, a1): menu key 1 arrival time must be an int, got 3.0"),
+    ], ids=["horizon", "str_horizon", "arrival_cap", "bool_departure_cap", "parking_cap",
+            "menu_key", "departure_time", "arrival_time"])
+    def test_non_int_count_rejected(self, second_price, field, value, problem):
+        """A horizon, capacity entry, menu key or departure or arrival
+        time that is not an int, whole-number floats and bools included,
+        is named, and the checks that would compare it are skipped, so an
+        auction refuses the instance at its gate."""
+        instance, bids = second_price
+        if field == "horizon":
+            instance = replace(instance, horizon=value)
+        elif field.endswith("_cap"):
+            v1, v2 = instance.vertiports
+            instance = replace(instance, vertiports=(v1, replace(v2, **{field: value})))
+        else:
+            op1, op2 = instance.operators
+            (craft,) = op1.fleet
+            stay_entry, route = craft.menu
+            craft = replace(craft, menu=(stay_entry, replace(route, **{field: value})))
+            instance = replace(instance, operators=(replace(op1, fleet=(craft,)), op2))
+        assert validate_instance(instance).violations == (problem,)
+        with pytest.raises(ValueError, match="invalid instance"):
+            run_auction(instance, bids)
+
     def test_table_must_start_at_zero(self):
         inst = one_port_instance([(1, 2)], horizon=1)
         assert any("must start at 0" in v

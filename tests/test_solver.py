@@ -909,6 +909,33 @@ def test_bnb_splits_an_undecided_aircraft_its_relaxation_splits(kernel_graphs):
     assert splits >= 500 and deepest >= 4
 
 
+def test_search_depth_takes_no_stack_frames():
+    """The search is one loop, not a frame per decided aircraft: with the
+    recursion limit two frames above what a solve whose search ends at
+    the root needs, a solve whose search decides 4 aircraft on one path
+    still returns, and returns the same result."""
+    documents = [generate(GeneratorConfig(seed=seed, **DEEP)) for seed in (0, 10)]
+    shallow, deep = [build_graph(d.instance, d.bids) for d in documents]
+    assert len(_searched_nodes(shallow)) == 1
+    assert max(len(partial) for partial, _ in _searched_nodes(deep)) >= 4
+    expected = solve(deep)
+    limit, needed = sys.getrecursionlimit(), 1
+    try:
+        while True:  # the lowest limit under which the root-only solve returns
+            try:
+                sys.setrecursionlimit(needed)  # refused below the current depth
+                solve(shallow)
+                break
+            except RecursionError:
+                needed += 1
+        sys.setrecursionlimit(needed + 2)
+        result = solve(deep)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.flow, result.stats.nodes_explored) == (
+        expected.flow, expected.stats.nodes_explored)
+
+
 def _forged(graph, potential):
     """The cold flow with `potential` forged on as its own: a hand-built
     residual form of the zero flow on the graph's relaxed uppers, every
