@@ -169,7 +169,6 @@ from .model import (
     Instance,
     OperatorId,
     Profile,
-    check_allocation,
     is_rational,
     pseudo_bids,
     validate_instance,
@@ -537,7 +536,9 @@ def flow_objective(graph: AuxGraph, flows: Sequence[int], gain: int) -> Fraction
 def flow_to_allocation(graph: AuxGraph, flows: Sequence[int]) -> Allocation:
     """Read the canonical allocation off the E5 unit flows, aircraft by
     aircraft in `Instance.iter_aircraft` order: an aircraft granted no
-    route stays."""
+    route stays.  It is canonical by construction, with no check: one
+    key per aircraft of `graph.aircraft`, each taken from that aircraft's
+    own routes or its stay."""
     allocation: Dict[Tuple[str, str], int] = {}
     for _, (i, j, stay_key), routes in graph.aircraft:
         granted = []
@@ -549,5 +550,4 @@ def flow_to_allocation(graph: AuxGraph, flows: Sequence[int]) -> Allocation:
         if len(granted) > 1:
             raise ValueError(f"aircraft {(i, j)} granted {len(granted)} routes")
         allocation[i, j] = granted[0] if granted else stay_key
-    check_allocation(graph.instance, allocation)
     return allocation

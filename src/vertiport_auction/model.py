@@ -12,7 +12,10 @@ uses floating point.
 
 An `Instance` checks itself once, when constructed, and keeps every
 condition it breaks: `validate_instance` reports them, and
-`graph.compile_template` refuses an instance with any.
+`graph.compile_template` refuses an instance with any.  The objects are
+plain data, kept sorted by id or key (a mistyped one last, named by the
+check, never raised on).  A lookup by id or key scans them and returns
+the first match; `movements` is the one walk that checks an allocation.
 
 Conventions:
 - Time slots are 1-based, ``1..horizon``.
@@ -48,6 +51,7 @@ Profile = Mapping[Tuple[OperatorId, AircraftId, MenuKey], Fraction]
 
 #: (operator id, aircraft id) -> chosen menu key.  Canonical form.
 Allocation = Mapping[Tuple[OperatorId, AircraftId], MenuKey]
+_NOT_CANONICAL = "allocation must assign exactly one key per aircraft"
 
 
 def is_rational(value: object) -> bool:
@@ -62,10 +66,11 @@ _KIND = attrgetter("kind")
 _DEPARTURE = attrgetter("depart_time")
 
 
-def _first_by(items: Sequence, key: Callable) -> Dict:
-    """Lookup table keeping each key's first item, as a linear scan would:
-    filled back to front, so an earlier item overwrites a later one."""
-    return {key(item): item for item in reversed(items)}
+def _sorted_by(items: Sequence, key: Callable, kind: type) -> Tuple:
+    """`items` by ascending `key` of type `kind`, then the others in the
+    given order: a sort that never raises on a mistyped key."""
+    return tuple(sorted(items, key=lambda item: (0, key(item))
+                        if type(key(item)) is kind else (1,)))
 
 
 @dataclass(frozen=True)
@@ -92,15 +97,13 @@ class Aircraft:
     id: AircraftId
     origin: VertiportId
     menu: Tuple[RouteOption, ...]
-    _options: Dict[MenuKey, RouteOption] = field(init=False, compare=False, repr=False)
     _departure_times: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        menu = tuple(sorted(self.menu, key=_KEY))
+        menu = _sorted_by(self.menu, _KEY, int)
         object.__setattr__(self, "menu", menu)
-        object.__setattr__(self, "_options", _first_by(menu, _KEY))
-        object.__setattr__(self, "_departure_times",
-                           tuple(sorted(set(map(_DEPARTURE, menu)))))
+        object.__setattr__(self, "_departure_times", tuple(dict.fromkeys(
+            map(_DEPARTURE, _sorted_by(menu, _DEPARTURE, int)))))
 
     @property
     def stay_key(self) -> MenuKey:
@@ -110,10 +113,10 @@ class Aircraft:
         raise ValueError(f"aircraft {self.id} has no stay entry")
 
     def option(self, key: MenuKey) -> RouteOption:
-        entry = self._options.get(key)
-        if entry is None:
-            raise KeyError(f"aircraft {self.id} has no menu key {key}")
-        return entry
+        for entry in self.menu:
+            if entry.key == key:
+                return entry
+        raise KeyError(f"aircraft {self.id} has no menu key {key}")
 
     def departure_times(self) -> Tuple[int, ...]:
         """Deduplicated departure times over the menu, ascending (0 first)."""
@@ -125,18 +128,15 @@ class Operator:
     id: OperatorId
     weight: Fraction
     fleet: Tuple[Aircraft, ...]
-    _aircraft: Dict[AircraftId, Aircraft] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        fleet = tuple(sorted(self.fleet, key=_ID))
-        object.__setattr__(self, "fleet", fleet)
-        object.__setattr__(self, "_aircraft", _first_by(fleet, _ID))
+        object.__setattr__(self, "fleet", _sorted_by(self.fleet, _ID, str))
 
     def aircraft(self, aircraft_id: AircraftId) -> Aircraft:
-        craft = self._aircraft.get(aircraft_id)
-        if craft is None:
-            raise KeyError(f"operator {self.id} has no aircraft {aircraft_id}")
-        return craft
+        for craft in self.fleet:
+            if craft.id == aircraft_id:
+                return craft
+        raise KeyError(f"operator {self.id} has no aircraft {aircraft_id}")
 
 
 #: A slot's congestion costs as integer numerators over one positive
@@ -206,30 +206,24 @@ class Instance:
     congestion_ratio: Fraction
     vertiports: Tuple[Vertiport, ...]
     operators: Tuple[Operator, ...]
-    _vertiports: Dict[VertiportId, Vertiport] = field(init=False, compare=False, repr=False)
-    _operators: Dict[OperatorId, Operator] = field(init=False, compare=False, repr=False)
     _violations: Tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ports = tuple(sorted(self.vertiports, key=_ID))
-        operators = tuple(sorted(self.operators, key=_ID))
-        object.__setattr__(self, "vertiports", ports)
-        object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "_vertiports", _first_by(ports, _ID))
-        object.__setattr__(self, "_operators", _first_by(operators, _ID))
+        object.__setattr__(self, "vertiports", _sorted_by(self.vertiports, _ID, str))
+        object.__setattr__(self, "operators", _sorted_by(self.operators, _ID, str))
         object.__setattr__(self, "_violations", _find_violations(self))
 
     def vertiport(self, vertiport_id: VertiportId) -> Vertiport:
-        port = self._vertiports.get(vertiport_id)
-        if port is None:
-            raise KeyError(f"unknown vertiport {vertiport_id!r}")
-        return port
+        for port in self.vertiports:
+            if port.id == vertiport_id:
+                return port
+        raise KeyError(f"unknown vertiport {vertiport_id!r}")
 
     def operator(self, operator_id: OperatorId) -> Operator:
-        operator = self._operators.get(operator_id)
-        if operator is None:
-            raise KeyError(f"unknown operator {operator_id!r}")
-        return operator
+        for operator in self.operators:
+            if operator.id == operator_id:
+                return operator
+        raise KeyError(f"unknown operator {operator_id!r}")
 
     def iter_aircraft(self) -> Iterator[Tuple[Operator, Aircraft]]:
         """All aircraft in canonical (operator id, aircraft id) order."""
@@ -266,8 +260,9 @@ def validate_instance(instance: Instance) -> ValidationReport:
 def _find_violations(instance: Instance) -> Tuple[str, ...]:
     """Every condition `instance` breaks.  The horizon, every capacity,
     menu key and departure and arrival time must be an `int`, not a
-    `bool`, as `serialize.parse` reads them; a check that would compare
-    or add a field that is not one is skipped."""
+    `bool`, and every id a `str` (the tie-break ranks aircraft by id), as
+    `serialize.parse` reads them; a check that would compare or add a
+    field that is not one is skipped."""
     problems: List[str] = []
     h = instance.horizon
     counted = type(h) is int  # the checks against the horizon run
@@ -283,6 +278,8 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
 
     seen_ports = set()
     for port in instance.vertiports:
+        if type(port.id) is not str:
+            problems.append(f"vertiport id must be a str, got {port.id!r}")
         if port.id in seen_ports:
             problems.append(f"duplicate vertiport id {port.id!r}")
         seen_ports.add(port.id)
@@ -333,6 +330,8 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
 
     seen_operators = set()
     for operator in instance.operators:
+        if type(operator.id) is not str:
+            problems.append(f"operator id must be a str, got {operator.id!r}")
         if operator.id in seen_operators:
             problems.append(f"duplicate operator id {operator.id!r}")
         seen_operators.add(operator.id)
@@ -346,6 +345,8 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
         seen_craft = set()
         for craft in operator.fleet:
             label = f"aircraft ({operator.id}, {craft.id})"
+            if type(craft.id) is not str:
+                problems.append(f"{label}: id must be a str, got {craft.id!r}")
             if craft.id in seen_craft:
                 problems.append(f"operator {operator.id}: duplicate aircraft id {craft.id!r}")
             seen_craft.add(craft.id)
@@ -441,16 +442,6 @@ def pseudo_bids(excluded: OperatorId, bids: Profile
     }
 
 
-def check_allocation(instance: Instance, allocation: Allocation) -> None:
-    """Raise ValueError unless `allocation` is canonical for `instance`."""
-    expected = {(op.id, craft.id) for op, craft in instance.iter_aircraft()}
-    if set(allocation) != expected:
-        raise ValueError("allocation must assign exactly one key per aircraft")
-    for operator, craft in instance.iter_aircraft():
-        key = allocation[(operator.id, craft.id)]
-        craft.option(key)  # raises KeyError on bad key
-
-
 def initial_occupancy(instance: Instance, vertiport_id: VertiportId) -> int:
     """Number of aircraft whose origin is `vertiport_id`."""
     instance.vertiport(vertiport_id)
@@ -462,10 +453,16 @@ def initial_occupancy(instance: Instance, vertiport_id: VertiportId) -> int:
 def movements(instance: Instance, allocation: Allocation
               ) -> Tuple[Dict[Tuple[VertiportId, int], int],
                          Dict[Tuple[VertiportId, int], int]]:
-    """Granted (arrivals, departures) per (vertiport, slot); stays move nothing."""
+    """Granted (arrivals, departures) per (vertiport, slot); stays move
+    nothing.  Raises ValueError unless `allocation` assigns exactly the
+    instance's aircraft, and KeyError for a key not on the menu."""
     arrivals: Dict[Tuple[VertiportId, int], int] = {}
     departures: Dict[Tuple[VertiportId, int], int] = {}
+    walked = 0
     for operator, craft in instance.iter_aircraft():
+        walked += 1
+        if (operator.id, craft.id) not in allocation:
+            raise ValueError(_NOT_CANONICAL)
         entry = craft.option(allocation[(operator.id, craft.id)])
         if entry.is_stay:
             continue
@@ -473,6 +470,8 @@ def movements(instance: Instance, allocation: Allocation
         arrivals[slot] = arrivals.get(slot, 0) + 1
         slot = (craft.origin, entry.depart_time)
         departures[slot] = departures.get(slot, 0) + 1
+    if len(allocation) != walked:
+        raise ValueError(_NOT_CANONICAL)
     return arrivals, departures
 
 
@@ -492,7 +491,6 @@ def occupancy_table(instance: Instance, allocation: Allocation
 
 def is_feasible(instance: Instance, allocation: Allocation) -> FeasibilityReport:
     """Check the canonical allocation against arrival/departure/parking caps."""
-    check_allocation(instance, allocation)
     problems: List[str] = []
     arrivals, departures = movements(instance, allocation)
     for port in instance.vertiports:
@@ -521,14 +519,14 @@ def congestion_total(instance: Instance, allocation: Allocation) -> Fraction:
 
 def social_welfare(instance: Instance, allocation: Allocation,
                    values: Profile) -> Fraction:
-    """Weighted granted values minus lambda-scaled congestion cost."""
-    check_allocation(instance, allocation)
+    """Weighted granted values minus lambda-scaled congestion cost; the
+    congestion term comes first, so `movements` checks `allocation`."""
+    congestion = instance.congestion_ratio * congestion_total(instance, allocation)
     total = Fraction(0)
     for operator, craft in instance.iter_aircraft():
         key = allocation[(operator.id, craft.id)]
         total += operator.weight * values[(operator.id, craft.id, key)]
-    total -= instance.congestion_ratio * congestion_total(instance, allocation)
-    return total
+    return total - congestion
 
 
 def granted_value(instance: Instance, allocation: Allocation, values: Profile,

@@ -20,13 +20,13 @@ node's bound and a leaf's gain, read with no walk over the edges.  A solve's ans
 the kernel's optimal flow as a tuple: the one flow of its allocation
 (see the `graph` module docstring).
 
-The gains encode welfare and the tie-break in one number (see the
-`graph` module docstring): the maximum-gain allocation is unique and is
-the welfare optimum with the lexicographically smallest departure-time
-vector, then menu-key vector.  So the two interchangeable strategies,
-exhaustive enumeration of departure-time combinations (the reference
-path) and depth-first branch-and-bound with an admissible
-flow-relaxation bound, return the same objective and allocation.
+The gains encode welfare and the tie-break in one number, so the
+maximum-gain allocation is unique: the welfare optimum that the `graph`
+module docstring's *Tie-break* section picks.  So the two
+interchangeable strategies, exhaustive enumeration of departure-time
+combinations (the reference path) and depth-first branch-and-bound with
+an admissible flow-relaxation bound, return the same objective and
+allocation.
 
 Node rule.  Every branch-and-bound node, the root included, is one
 solve of the flow relaxation of its partial assignment (undecided
@@ -98,7 +98,7 @@ class SolveStats:
     pruned_completion: int = 0  # relaxed flow spelled a completion
     incumbent_updates: int = 0  # completions that replaced the incumbent
     augmentations: int = 0  # paths pushed, one unit each, over every flow solve
-    wall_time: float = 0.0
+    wall_time: float = field(default=0.0, compare=False)
 
     @property
     def fixed_delta_solves(self) -> int:

@@ -1,11 +1,12 @@
 """Shared fixtures and checks: a deadline on every test, hand-built
-instances with known outcomes, a strategy drawing arbitrary validated
-instances, and the exact solver/mechanism/flow comparisons against the
-oracle."""
+instances with known outcomes, strategies drawing arbitrary validated
+instances and mistyped ones, and the exact solver/mechanism/flow
+comparisons against the oracle."""
 
 import signal
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -567,3 +568,48 @@ def validated_instances(draw):
     bids = {(operator.id, craft.id, entry.key): draw(_RATIONALS)
             for operator, craft in instance.iter_aircraft() for entry in craft.menu}
     return instance, bids
+
+
+_NOT_STR = st.one_of(st.integers(), st.floats(), st.none(), st.booleans())
+_NOT_INT = st.one_of(st.text(max_size=2), st.floats(), st.none(), st.booleans())
+
+
+@st.composite
+def mistyped_instances(draw):
+    """(instance, bids, problem): a `validated_instances` draw with one
+    vertiport, operator or aircraft id replaced by an `int`, `float`,
+    `None` or `bool`, or one menu key or departure time by a `str`,
+    `float`, `None` or `bool`, and the text of the violation that names
+    it.  The bids are the draw's own.  200 examples run in 1-3 s."""
+    instance, bids = draw(validated_instances())
+    ports, operators = list(instance.vertiports), list(instance.operators)
+    entries = [(o, a, e) for o, operator in enumerate(operators)
+               for a, craft in enumerate(operator.fleet) for e in range(len(craft.menu))]
+    site = draw(st.sampled_from(("vertiport", "operator", "aircraft", "key", "departure")
+                                if entries else ("vertiport", "operator")))
+    value = draw(_NOT_STR if site in ("vertiport", "operator", "aircraft") else _NOT_INT)
+    if site == "vertiport":
+        p = draw(st.integers(0, len(ports) - 1))
+        ports[p] = replace(ports[p], id=value)
+        problem = f"vertiport id must be a str, got {value!r}"
+    elif site == "operator":
+        o = draw(st.integers(0, len(operators) - 1))
+        operators[o] = replace(operators[o], id=value)
+        problem = f"operator id must be a str, got {value!r}"
+    else:
+        o, a, e = draw(st.sampled_from(entries))
+        fleet, craft = list(operators[o].fleet), operators[o].fleet[a]
+        if site == "aircraft":
+            fleet[a] = replace(craft, id=value)
+            problem = f": id must be a str, got {value!r}"
+        else:
+            menu = list(craft.menu)
+            if site == "key":
+                menu[e] = replace(menu[e], key=value)
+                problem = f"menu key must be an int, got {value!r}"
+            else:
+                menu[e] = replace(menu[e], depart_time=value)
+                problem = f"departure time must be an int, got {value!r}"
+            fleet[a] = replace(craft, menu=tuple(menu))
+        operators[o] = replace(operators[o], fleet=tuple(fleet))
+    return replace(instance, vertiports=tuple(ports), operators=tuple(operators)), bids, problem

@@ -7,13 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_stay_allocation, make_port, stay, total_aircraft, transit
+from conftest import (
+    all_stay_allocation,
+    make_port,
+    mistyped_instances,
+    stay,
+    total_aircraft,
+    transit,
+)
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.mechanism import run_auction
 from vertiport_auction.model import (
+    TRANSIT,
     Aircraft,
     Instance,
     Operator,
+    RouteOption,
     congestion_total,
     granted_value,
     initial_occupancy,
@@ -128,6 +137,53 @@ class TestValidateInstance:
         with pytest.raises(ValueError, match="invalid instance"):
             run_auction(instance, bids)
 
+    @settings(max_examples=200, deadline=None)
+    @given(mistyped_instances())
+    def test_mistyped_field_reaches_the_gate(self, drawn):
+        """An instance with a mistyped id, menu key or departure time is
+        constructed, names the value among its violations, and an auction
+        refuses it at its gate."""
+        instance, bids, problem = drawn
+        assert any(problem in v for v in validate_instance(instance).violations)
+        with pytest.raises(ValueError, match="invalid instance"):
+            run_auction(instance, bids)
+
+    @pytest.mark.parametrize("field, problem", [
+        ("menu_key", "aircraft (op1, a1): menu key must be an int, got '1'"),
+        ("departure_time", "aircraft (op1, a1): menu key 2 departure time must be an int, "
+                           "got '2'"),
+        ("aircraft_id", "aircraft (op1, 2): id must be a str, got 2"),
+        ("vertiport_id", "vertiport id must be a str, got 5"),
+        ("operator_id", "operator id must be a str, got 7"),
+        ("only_operator_id", "operator id must be a str, got 7"),
+    ])
+    def test_mixed_types_are_constructed(self, second_price, field, problem):
+        """Ids, menu keys or departure times of two types side by side,
+        which no sort can order, still make an instance, whose check
+        names the mistyped one; an only operator with an int id too."""
+        instance, bids = second_price
+        (v1, v2), (op1, op2) = instance.vertiports, instance.operators
+        (craft,) = op1.fleet
+        stay_entry, route = craft.menu
+        if field == "menu_key":
+            craft = replace(craft, menu=(stay_entry, replace(route, key="1")))
+        elif field == "departure_time":
+            craft = replace(craft, menu=(stay_entry, route, RouteOption(
+                2, TRANSIT, "2", "v2", 3)))
+        elif field == "aircraft_id":
+            op1 = replace(op1, fleet=(craft, replace(craft, id=2)))
+        elif field == "vertiport_id":
+            v2 = replace(v2, id=5)
+        elif field == "operator_id":
+            op2 = replace(op2, id=7)
+        if field in ("menu_key", "departure_time"):
+            op1 = replace(op1, fleet=(craft,))
+        operators = (replace(op2, id=7),) if field == "only_operator_id" else (op1, op2)
+        instance = replace(instance, vertiports=(v1, v2), operators=operators)
+        assert problem in validate_instance(instance).violations
+        with pytest.raises(ValueError, match="invalid instance"):
+            run_auction(instance, bids)
+
     def test_table_must_start_at_zero(self):
         inst = one_port_instance([(1, 2)], horizon=1)
         assert any("must start at 0" in v
@@ -166,6 +222,39 @@ class TestValidateInstance:
         )
         assert any("duplicate vertiport" in v
                    for v in validate_instance(inst).violations)
+
+
+@pytest.mark.parametrize("duplicate", ["menu_key", "aircraft_id", "operator_id",
+                                       "vertiport_id"])
+def test_lookups_return_the_first_of_a_duplicate(second_price, duplicate):
+    """On a duplicate menu key, aircraft id, operator id or vertiport id,
+    the lookup by it returns the first of the entries given, the check
+    names the duplicate, and an auction refuses the instance."""
+    instance, bids = second_price
+    (v1, v2), (op1, op2) = instance.vertiports, instance.operators
+    (craft,) = op1.fleet
+    stay_entry, route = craft.menu
+    if duplicate == "menu_key":
+        craft = replace(craft, menu=(stay_entry, route, transit(1, 1, "v2", 2)))
+        instance = replace(instance, operators=(replace(op1, fleet=(craft,)), op2))
+        assert instance.operator("op1").aircraft("a1").option(1) is route
+        problem = "aircraft (op1, a1): menu keys must be contiguous from 0, got [0, 1, 1]"
+    elif duplicate == "aircraft_id":
+        op1 = replace(op1, fleet=(craft, replace(craft, origin="v2")))
+        instance = replace(instance, operators=(op1, op2))
+        assert instance.operator("op1").aircraft("a1") is craft
+        problem = "operator op1: duplicate aircraft id 'a1'"
+    elif duplicate == "operator_id":
+        instance = replace(instance, operators=(op1, replace(op1, weight=F(2)), op2))
+        assert instance.operator("op1") is op1
+        problem = "duplicate operator id 'op1'"
+    else:
+        instance = replace(instance, vertiports=(v1, replace(v1, parking_cap=(3, 3, 3)), v2))
+        assert instance.vertiport("v1") is v1
+        problem = "duplicate vertiport id 'v1'"
+    assert problem in validate_instance(instance).violations
+    with pytest.raises(ValueError, match="invalid instance"):
+        run_auction(instance, bids)
 
 
 def _reference_congestion_violations(rows):
