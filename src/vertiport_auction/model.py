@@ -6,9 +6,10 @@ bid/valuation profiles, and the welfare/feasibility machinery built on
 them.  All money-like quantities are exact: `int` or
 `fractions.Fraction` values (`is_rational`; the validators report any
 other), except congestion costs, whose one stored form is a row of
-integer numerators over one denominator per slot (`CongestionRow`), from
-which their `Fraction`s are derived where read.  Nothing in this module
-uses floating point.
+integer numerators over one denominator per slot (`CongestionRow`):
+`Vertiport.congestion_at` derives one cost as a `Fraction`, and the
+flow graph prices the integer rows.  Nothing in this module uses
+floating point.
 
 An `Instance` checks itself once, when constructed, and keeps every
 condition it breaks: `validate_instance` reports them, and
@@ -165,9 +166,8 @@ class Vertiport:
     ``congestion_rows[t - 1]`` is slot ``t``'s congestion row, the one
     stored form of its costs (`CongestionRow`): with numerators ``G``
     over ``L``, ``G[q] / L`` is the cost of ``q`` parked aircraft.  Each
-    row has length ``parking_cap[t - 1] + 1`` and starts at 0.  The costs
-    as `Fraction`s, ``congestion_cost``, are derived from the rows on each
-    read, as is `congestion_at`.
+    row has length ``parking_cap[t - 1] + 1`` and starts at 0.  One cost
+    as a `Fraction` is derived from its row on each read (`congestion_at`).
     """
 
     id: VertiportId
@@ -175,13 +175,6 @@ class Vertiport:
     departure_cap: Tuple[int, ...]
     parking_cap: Tuple[int, ...]
     congestion_rows: Tuple[CongestionRow, ...]
-
-    @property
-    def congestion_cost(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """``congestion_cost[t - 1][q]``, the cost of ``q`` parked aircraft
-        in slot ``t``, derived from `congestion_rows`."""
-        return tuple([tuple([Fraction(g, common) for g in numerators])
-                      for numerators, common in self.congestion_rows])
 
     def congestion_at(self, t: int, occupancy: int) -> Fraction:
         """Congestion cost of `occupancy` parked aircraft in slot `t`.
@@ -478,7 +471,13 @@ def movements(instance: Instance, allocation: Allocation
 def occupancy_table(instance: Instance, allocation: Allocation
                     ) -> Dict[Tuple[VertiportId, int], int]:
     """Occupancy at every (vertiport, slot)."""
-    arrivals, departures = movements(instance, allocation)
+    return _occupancy(instance, *movements(instance, allocation))
+
+
+def _occupancy(instance: Instance, arrivals: Mapping[Tuple[VertiportId, int], int],
+               departures: Mapping[Tuple[VertiportId, int], int]
+               ) -> Dict[Tuple[VertiportId, int], int]:
+    """Occupancy at every (vertiport, slot) under these movements."""
     table: Dict[Tuple[VertiportId, int], int] = {}
     for port in instance.vertiports:
         running = initial_occupancy(instance, port.id)
@@ -490,7 +489,8 @@ def occupancy_table(instance: Instance, allocation: Allocation
 
 
 def is_feasible(instance: Instance, allocation: Allocation) -> FeasibilityReport:
-    """Check the canonical allocation against arrival/departure/parking caps."""
+    """Check the canonical allocation against arrival/departure/parking caps,
+    every (C2) violation before any (C3) one, from one `movements` walk."""
     problems: List[str] = []
     arrivals, departures = movements(instance, allocation)
     for port in instance.vertiports:
@@ -499,7 +499,7 @@ def is_feasible(instance: Instance, allocation: Allocation) -> FeasibilityReport
                 problems.append(f"(C2) arrival at ({port.id}, {t})")
             if departures.get((port.id, t), 0) > port.departure_cap[t - 1]:
                 problems.append(f"(C2) departure at ({port.id}, {t})")
-    table = occupancy_table(instance, allocation)
+    table = _occupancy(instance, arrivals, departures)
     for port in instance.vertiports:
         for t in range(1, instance.horizon + 1):
             if table[(port.id, t)] > port.parking_cap[t - 1]:

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from vertiport_auction import solver
 from vertiport_auction.generator import GeneratorConfig
 from vertiport_auction.graph import (
-    SINK,
     build_graph,
     flow_objective,
     flow_to_allocation,
@@ -238,8 +238,107 @@ def empty_instance():
     )
 
 
+class Edge(NamedTuple):
+    """An edge of the auxiliary graph as the `graph` module docstring
+    names it, with its relaxed bounds."""
+    index: int
+    cls: str  # "E1".."E6", "E8"
+    key: tuple
+    tail: tuple
+    head: tuple
+    lower: int
+    upper: int
+
+
+# Vertex labels: plain tuples, so they double as dict keys.
+SINK = ("sink",)
+
+
+def park(r, t):
+    return ("park", r, t)
+
+
+def arr(r, t):
+    return ("arr", r, t)
+
+
+def dep(r, t):
+    return ("dep", r, t)
+
+
+def acdep(i, j, tau):
+    return ("acdep", i, j, tau)
+
+
+def graph_view(graph):
+    """(vertices, edges) of a template or priced graph as the `graph`
+    module docstring names them: a label per vertex index and an `Edge`
+    per edge index, derived from the fields the template keeps.  The E6
+    edges leave the sink in vertiport order for Park(r, 1), the E3 edges
+    chain each vertiport's Park vertices, the heads of the departure
+    edges that are not routes (E4) are AcDep, and every other edge that
+    is no route is E1 into a Park, from Arr, or E2 out of one, to Dep."""
+    tails, heads = graph.topology.tails, graph.topology.heads
+    sink = len(graph.topology.arcs) - 1
+    routes = {k: key for _, _, granted in graph.aircraft for k, key, _ in granted}
+    vertices = [None] * sink + [SINK]
+    fleet = [k for k, u in enumerate(tails) if u == sink]
+    for port, k in zip(graph.instance.vertiports, fleet):
+        vertices[heads[k]] = park(port.id, 1)
+    for k in sorted(graph.parking_rows):
+        if heads[k] != sink:
+            _, r, t = vertices[tails[k]]
+            vertices[heads[k]] = park(r, t + 1)
+    choices = set()
+    for (i, j), carriers in graph.departure_times.items():
+        for tau, k in carriers.items():
+            if k not in routes:
+                choices.add(k)
+                vertices[heads[k]] = acdep(i, j, tau)
+    for k, (u, v) in enumerate(zip(tails, heads)):
+        if k in routes or k in choices or k in graph.parking_rows or u == sink:
+            continue
+        if vertices[u] is None:
+            vertices[u] = arr(*vertices[v][1:])
+        else:
+            vertices[v] = dep(*vertices[u][1:])
+    edges = []
+    for k, (u, v) in enumerate(zip(tails, heads)):
+        tail, head = vertices[u], vertices[v]
+        if k in routes:
+            cls, key = "E5", routes[k]
+        elif tail == SINK:
+            cls, key = "E6", (head[1],)
+        elif head == SINK:
+            cls, key = "E8", (tail[1],)
+        elif tail[0] == "arr":
+            cls, key = "E1", head[1:]
+        elif head[0] == "dep":
+            cls, key = "E2", tail[1:]
+        elif head[0] == "acdep":
+            cls, key = "E4", head[1:]
+        else:
+            cls, key = "E3", tail[1:]
+        edges.append(Edge(k, cls, key, tail, head,
+                          graph.relaxed_lower[k], graph.relaxed_upper[k]))
+    return tuple(vertices), tuple(edges)
+
+
+def graph_edges(graph):
+    """`graph`'s edges as `Edge` tuples, in index order (`graph_view`)."""
+    return graph_view(graph)[1]
+
+
 def edges_of_class(graph, cls):
-    return [e for e in graph.edges if e.cls == cls]
+    return [e for e in graph_edges(graph) if e.cls == cls]
+
+
+def congestion_costs(port):
+    """``congestion_costs(port)[t - 1][q]``, the cost of ``q`` parked
+    aircraft in slot ``t`` as a `Fraction`, derived from the vertiport's
+    `congestion_rows`."""
+    return tuple(tuple(Fraction(g, common) for g in numerators)
+                 for numerators, common in port.congestion_rows)
 
 
 def total_aircraft(instance):
@@ -286,8 +385,9 @@ def allocation_to_flow(graph, allocation):
     arrivals, departures = movements(instance, allocation)
     occupancy = occupancy_table(instance, allocation)
 
-    flows = [0] * len(graph.edges)
-    for e in graph.edges:
+    edges = graph_edges(graph)
+    flows = [0] * len(edges)
+    for e in edges:
         if e.cls == "E1":
             flows[e.index] = arrivals.get(e.key, 0)
         elif e.cls == "E2":
@@ -330,11 +430,11 @@ def reference_pricing(graph):
                 + largest_menu ** (n - 1 - a) * (largest_menu - 1 - rk))
 
     weights, bonuses, parking = [], [], {}
-    for e in graph.edges:
+    for e in graph_edges(graph):
         weight, bonus = Fraction(0), 0
         if e.cls in ("E3", "E8"):
             t = e.key[1] if e.cls == "E3" else instance.horizon
-            row = [Fraction(g) for g in ports[e.key[0]].congestion_cost[t - 1]]
+            row = congestion_costs(ports[e.key[0]])[t - 1]
             parking[e.index] = [lam * (row[q - 1] - row[q]) for q in range(1, e.upper + 1)]
         elif e.cls == "E5":
             i, j, k = e.key
@@ -379,7 +479,7 @@ def assert_priced_like_reference(graph):
     bound: an E5 edge its route's gain, any other edge 0."""
     gains, parking_gains, unit, stay_welfare = reference_pricing(graph)
     assert unit_gains(graph) == [tuple(parking_gains.get(e.index, (gain,) * e.upper))
-                                 for e, gain in zip(graph.edges, gains)]
+                                 for e, gain in zip(graph_edges(graph), gains)]
     assert graph.unit == unit
     assert type(graph.stay_welfare) is Fraction and graph.stay_welfare == stay_welfare
 
@@ -387,9 +487,10 @@ def assert_priced_like_reference(graph):
 def incidence(graph):
     """Signed vertex-edge incidence matrix as rows of ints: +1 at head,
     -1 at tail."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    matrix = [[0] * len(graph.edges) for _ in graph.vertices]
-    for e in graph.edges:
+    vertices, edges = graph_view(graph)
+    index = {v: i for i, v in enumerate(vertices)}
+    matrix = [[0] * len(edges) for _ in vertices]
+    for e in edges:
         matrix[index[e.tail]][e.index] = -1
         matrix[index[e.head]][e.index] = 1
     return matrix
@@ -397,7 +498,7 @@ def incidence(graph):
 
 def truncated_incidence(graph):
     """Incidence matrix without the sink row."""
-    return [row for v, row in zip(graph.vertices, incidence(graph)) if v != SINK]
+    return [row for v, row in zip(graph_view(graph)[0], incidence(graph)) if v != SINK]
 
 
 def remaining_welfare(instance, allocation, bids, operator_id):
@@ -440,10 +541,11 @@ def assert_matches_oracle(instance, bids):
 
 def assert_circulation(graph, flows, lower, upper):
     """One flow per edge, within bounds and balanced at every vertex."""
-    assert len(flows) == len(graph.edges)
+    vertices, edges = graph_view(graph)
+    assert len(flows) == len(edges)
     assert all(lo <= f <= up for f, lo, up in zip(flows, lower, upper))
-    balance = dict.fromkeys(graph.vertices, 0)
-    for e, f in zip(graph.edges, flows):
+    balance = dict.fromkeys(vertices, 0)
+    for e, f in zip(edges, flows):
         balance[e.tail] -= f
         balance[e.head] += f
     assert not any(balance.values())
@@ -458,10 +560,10 @@ def assert_certified(graph, state, lower, upper):
     own rows."""
     assert_circulation(graph, state.flows, lower, upper)
     assert state.residual.rows is graph.network.rows
-    index = {v: position for position, v in enumerate(graph.vertices)}
+    vertices, edges = graph_view(graph)
+    index = {v: position for position, v in enumerate(vertices)}
     p = state.potential
-    for e, row, lo, up, f in zip(graph.edges, unit_gains(graph), lower, upper,
-                                 state.flows):
+    for e, row, lo, up, f in zip(edges, unit_gains(graph), lower, upper, state.flows):
         slack = p[index[e.tail]] - p[index[e.head]]
         if f < up:
             assert -row[f] + slack >= 0

@@ -1,5 +1,6 @@
 """Auxiliary graph: construction, incidence, flow correspondence."""
 
+import ast
 import hashlib
 import importlib
 from collections import Counter, defaultdict
@@ -12,14 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SINK,
+    acdep,
     all_stay_allocation,
     allocation_to_flow,
+    arr,
     assert_flow_correspondence,
     delta_of_allocation,
+    dep,
     edges_of_class,
     flow_gain,
+    graph_edges,
+    graph_view,
     incidence,
     make_port,
+    park,
     stay,
     transit,
     truncated_incidence,
@@ -28,16 +36,11 @@ from conftest import (
 from vertiport_auction import graph as graph_module, mechanism
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
-    SINK,
-    Edges,
-    acdep,
-    arr,
     build_graph,
     compile_template,
-    dep,
+    counterfactual_graph,
     flow_objective,
     flow_to_allocation,
-    park,
     price_graph,
 )
 from vertiport_auction.model import (
@@ -85,12 +88,13 @@ class TestBuildGraph:
         the route edge itself is the aircraft's departure edge at 2."""
         instance, bids = single_mover
         graph = build_graph(instance, bids)
-        assert list(graph.vertices) == [park(r, t) for t in (1, 2, 3)
-                                        for r in ("v1", "v2")] + [SINK]
+        vertices, edges = graph_view(graph)
+        assert list(vertices) == [park(r, t) for t in (1, 2, 3)
+                                  for r in ("v1", "v2")] + [SINK]
         (e5,) = edges_of_class(graph, "E5")
         assert (e5.tail, e5.head) == (park("v1", 2), park("v2", 3))
         assert graph.departure_times == {("op1", "a1"): {2: e5.index}}
-        assert {e.cls for e in graph.edges} == {"E3", "E5", "E6", "E8"}
+        assert {e.cls for e in edges} == {"E3", "E5", "E6", "E8"}
 
     def test_size_formula_random(self):
         """A parking vertex per (vertiport, slot), one Arr, Dep or AcDep
@@ -99,23 +103,24 @@ class TestBuildGraph:
         for seed in range(10):
             document = generate(GeneratorConfig(seed=seed))
             instance = document.instance
-            graph = build_graph(instance, document.bids)
-            count = Counter(e.cls for e in graph.edges)
+            vertices, edges = graph_view(build_graph(instance, document.bids))
+            count = Counter(e.cls for e in edges)
             ports, h = len(instance.vertiports), instance.horizon
-            assert len(graph.vertices) == (
+            assert len(vertices) == (
                 h * ports + count["E1"] + count["E2"] + count["E4"] + 1)
             assert count["E3"] == (h - 1) * ports
             assert count["E6"] == count["E8"] == ports
             assert count["E5"] == sum(len(craft.menu) - 1
                                       for _, craft in instance.iter_aircraft())
-            assert sum(v[0] in ("arr", "dep", "acdep") for v in graph.vertices) == (
+            assert sum(v[0] in ("arr", "dep", "acdep") for v in vertices) == (
                 count["E1"] + count["E2"] + count["E4"])
 
     def test_no_aircraft_single_slot(self, empty_instance):
         """No route uses a gate, so the graph has none."""
         graph = build_graph(empty_instance, {})
-        assert graph.vertices == (park("v1", 1), SINK)
-        assert {e.cls for e in graph.edges} == {"E6", "E8"}
+        vertices, edges = graph_view(graph)
+        assert vertices == (park("v1", 1), SINK)
+        assert {e.cls for e in edges} == {"E6", "E8"}
         by_class = {cls: edges_of_class(graph, cls) for cls in
                     ("E1", "E2", "E3", "E4", "E5", "E6", "E8")}
         (e8,) = by_class["E8"]  # one edge carries the slot's parking cap 2
@@ -142,7 +147,7 @@ class TestBuildGraph:
         )
         bids = {("op1", "a1", k): F(k) for k in range(3)}
         graph = build_graph(inst, bids)
-        ac_vertices = [v for v in graph.vertices if v[0] == "acdep"]
+        ac_vertices = [v for v in graph_view(graph)[0] if v[0] == "acdep"]
         assert ac_vertices == [acdep("op1", "a1", 2)]
         assert len(edges_of_class(graph, "E5")) == 2
 
@@ -169,18 +174,18 @@ class TestBuildGraph:
         Cut to 0, the arrival gate still binds and stays, at 0; cut to 1,
         the departure gate binds too."""
         instance, bids = second_price
-        graph = build_graph(instance, bids)
-        assert {(e.cls, e.key): e.upper for e in graph.edges
+        vertices, edges = graph_view(build_graph(instance, bids))
+        assert {(e.cls, e.key): e.upper for e in edges
                 if e.cls in ("E1", "E2")} == {("E1", ("v2", 3)): 1}
-        assert arr("v2", 3) in graph.vertices
-        assert not {arr("v2", 1), arr("v1", 1), dep("v1", 2)} & set(graph.vertices)
+        assert arr("v2", 3) in vertices
+        assert not {arr("v2", 1), arr("v1", 1), dep("v1", 2)} & set(vertices)
         v1, v2 = instance.vertiports
         cut = Instance(instance.horizon, instance.congestion_ratio,
                        (make_port("v1", v1.parking_cap, v1.arrival_cap, (0, 1, 0)),
                         make_port("v2", v2.parking_cap, (0, 0, 0), v2.departure_cap)),
                        instance.operators)
         graph = build_graph(cut, bids)
-        assert {(e.cls, e.key): e.upper for e in graph.edges
+        assert {(e.cls, e.key): e.upper for e in graph_edges(graph)
                 if e.cls in ("E1", "E2")} == {("E1", ("v2", 3)): 0,
                                               ("E2", ("v1", 2)): 1}
         assert solve(graph).allocation == {("op1", "a1"): 0, ("op2", "a1"): 0}
@@ -199,13 +204,14 @@ class TestBuildGraph:
                         for port in instance.vertiports for t in range(1, h)}
             expected.update({("E8", (port.id,)): port.parking_cap[h - 1]
                              for port in instance.vertiports})
-            parking = [e for e in graph.edges if e.cls in ("E3", "E8")]
+            edges = graph_edges(graph)
+            parking = [e for e in edges if e.cls in ("E3", "E8")]
             assert {(e.cls, e.key): e.upper for e in parking} == expected
             assert len(parking) == len(expected)
             assert all(e.lower == 0 for e in parking)
             assert ([len(row) for row in graph.network.rows]
-                    == [e.upper for e in graph.edges])
-            assert all(not any(row) for e, row in zip(graph.edges, graph.network.rows)
+                    == [e.upper for e in edges])
+            assert all(not any(row) for e, row in zip(edges, graph.network.rows)
                        if e.cls not in ("E3", "E5", "E8"))
 
     def test_parking_rows_non_increasing(self):
@@ -253,10 +259,11 @@ def _assert_contracted_layout(graph):
         cap = caps[cls](instance.vertiport(r))[t - 1]
         if cap < len(crafts):
             binding[cls, (r, t)] = cap
-    assert {(e.cls, e.key): e.upper for e in graph.edges
+    vertices, edges = graph_view(graph)
+    assert {(e.cls, e.key): e.upper for e in edges
             if e.cls in ("E1", "E2")} == binding
-    routes_out = Counter(e.tail for e in graph.edges if e.cls == "E5")
-    for v in graph.vertices:
+    routes_out = Counter(e.tail for e in edges if e.cls == "E5")
+    for v in vertices:
         if v[0] == "acdep":
             assert routes_out[v] >= 2, v
     for (i, j), carriers in graph.departure_times.items():
@@ -264,7 +271,7 @@ def _assert_contracted_layout(graph):
         routes = Counter(entry.depart_time for entry in craft.menu if not entry.is_stay)
         assert list(carriers) == sorted(routes)
         for tau, k in carriers.items():
-            e = graph.edges[k]
+            e = edges[k]
             if routes[tau] > 1:
                 assert (e.cls, e.key, e.head) == ("E4", (i, j, tau), acdep(i, j, tau))
             else:
@@ -287,7 +294,7 @@ class TestIncidence:
     def test_single_edge_column(self, second_price):
         graph = build_graph(*second_price)
         matrix = incidence(graph)
-        index = {v: i for i, v in enumerate(graph.vertices)}
+        index = {v: i for i, v in enumerate(graph_view(graph)[0])}
         e1 = edges_of_class(graph, "E1")[0]
         column = [row[e1.index] for row in matrix]
         assert column[index[e1.tail]] == -1
@@ -304,8 +311,9 @@ class TestIncidence:
         instance, bids = second_price
         graph = build_graph(instance, bids)
         matrix = truncated_incidence(graph)
-        assert len(matrix) == len(graph.vertices) - 1
-        assert all(len(row) == len(graph.edges) for row in matrix)
+        vertices, edges = graph_view(graph)
+        assert len(matrix) == len(vertices) - 1
+        assert all(len(row) == len(edges) for row in matrix)
 
     def test_sampled_submatrix_determinants(self, second_price):
         instance, bids = second_price
@@ -326,7 +334,7 @@ class TestAllocationToFlow:
         instance, bids = second_price
         graph = build_graph(instance, bids)
         solution = allocation_to_flow(graph, all_stay_allocation(instance))
-        for e in graph.edges:
+        for e in graph_edges(graph):
             if e.cls in ("E2", "E4", "E5"):
                 assert solution[e.index] == 0
             elif e.cls == "E6":
@@ -350,7 +358,7 @@ class TestAllocationToFlow:
         instance, bids = single_mover
         graph = build_graph(instance, bids)
         solution = allocation_to_flow(graph, {("op1", "a1"): 1})
-        nonzero = [e for e in graph.edges if solution[e.index]]
+        nonzero = [e for e in graph_edges(graph) if solution[e.index]]
         classes = sorted(e.cls for e in nonzero)
         # Sink -> Park(v1,1) -> Park(v1,2) -> Park(v2,3) -> Sink: neither
         # gate binds and the route is its time's only one.
@@ -477,31 +485,28 @@ def test_deterministic_build(seed):
     document = generate(GeneratorConfig(seed=seed))
     a = build_graph(document.instance, document.bids)
     b = build_graph(document.instance, document.bids)
-    assert a.vertices == b.vertices
-    assert a.edges == b.edges
+    assert a == b
+    assert graph_view(a) == graph_view(b)
 
 
-def test_requests_never_build_the_descriptive_edges(monkeypatch):
-    """Compiling, pricing, solving and whole auctions read the template's
-    vertex indices only: its `Edge` tuples are built the first time one
-    is read, once, and the priced graph shares them."""
-    built = []
-
-    def counted(self, _built=Edges._built):
-        if self._edges is None:
-            built.append(self)
-        return _built(self)
-
-    monkeypatch.setattr(Edges, "_built", counted)
+def test_edge_count_lasts_only_while_the_tracer_reads_it():
+    """`GraphTemplate.edges`, the edges' indices, stays only for the
+    benchmark's tracer, which counts ``len(graph.edges)``: it counts the
+    edges of a template, its priced graph and a counterfactual, and this
+    test fails once no `perfbench/` file reads an ``.edges`` attribute,
+    so the property goes with its last reader."""
     for seed in range(5):
         document = generate(GeneratorConfig(seed=seed))
         template = compile_template(document.instance)
         graph = price_graph(template, document.bids)
-        solve(graph, "bnb")
-        run_auction(document.instance, document.bids)
-        assert built == [] and len(graph.edges) == len(graph.relaxed_upper)
-    assert graph.edges[0] == template.edges[0] and built == [template.edges]
-    assert tuple(graph.edges) == tuple(template.edges) and built == [template.edges]
+        derived = counterfactual_graph(graph, document.instance.operators[0].id)
+        for counted in (template, graph, derived):
+            assert len(counted.edges) == len(counted.relaxed_upper)
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    readers = [path.name for path in sorted(perfbench.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "edges"]
+    assert readers, "no perfbench file reads .edges: delete GraphTemplate.edges"
 
 
 #: The generator shapes the template pin runs over beside the benchmark
@@ -511,7 +516,8 @@ PIN_SHAPES = (
     dict(vertiports=(3, 6), operators=(2, 3), fleet_size=(1, 4),
          transit_routes=(1, 4), horizon=(3, 8)),
 )
-#: sha256 over every compiled `GraphTemplate` field, on the three
+#: sha256 over every compiled `GraphTemplate` field and the labelled
+#: vertices and edges `graph_view` derives from them, on the three
 #: benchmark corpora and generator seeds 0-199 of each `PIN_SHAPES`
 #: config.  Any change to a vertex, an edge, its order, a bound, a unit
 #: weight, a bonus or an arc changes it; a change made on purpose must
@@ -520,10 +526,11 @@ TEMPLATE_DIGEST = "ce68bbf9c8717f69"
 
 
 def _template_fields(template):
-    """Every field of a compiled template, in one canonical form: the
-    `departure_times` index in its order, which the split rule reads."""
+    """A compiled template's labelled view (`graph_view`) and every
+    field, in one canonical form: the `departure_times` index in its
+    order, which the split rule reads."""
     topology = template.topology
-    return (template.vertices, tuple(template.edges), template.aircraft,
+    return (*graph_view(template), template.aircraft,
             template.scale, template.tie_unit, sorted(template.parking_rows.items()),
             (topology.tails, topology.heads, topology.arc_head, topology.arcs,
              topology.out_edges),

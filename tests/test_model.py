@@ -15,6 +15,7 @@ from conftest import (
     total_aircraft,
     transit,
 )
+from vertiport_auction import model
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.mechanism import run_auction
 from vertiport_auction.model import (
@@ -479,6 +480,24 @@ class TestIsFeasible:
         instance, _ = exchange
         with pytest.raises(ValueError):
             is_feasible(instance, {("op1", "a1"): 1})
+
+    def test_one_walk_over_the_allocation(self, second_price, monkeypatch):
+        """`is_feasible` reads the movements and the occupancies off one
+        `movements` call, and still names every (C2) violation before any
+        (C3) one: both aircraft landing at v2 at 3 overrun its arrival
+        gate and its parking there."""
+        calls = []
+
+        def counted(instance, allocation, _movements=model.movements):
+            calls.append(allocation)
+            return _movements(instance, allocation)
+
+        monkeypatch.setattr(model, "movements", counted)
+        instance, _ = second_price
+        x = {("op1", "a1"): 1, ("op2", "a1"): 1}
+        assert is_feasible(instance, x).violations == (
+            "(C2) arrival at (v2, 3)", "(C3) parking at (v2, 3)")
+        assert calls == [x]
 
 
 class TestSocialWelfare:

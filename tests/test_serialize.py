@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import congestion_costs
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import compile_template
 from vertiport_auction.serialize import (
@@ -109,7 +110,7 @@ class TestParse:
     def test_minimal_document(self):
         document = parse(json.dumps(minimal_document()))
         assert document.instance.horizon == 1
-        assert document.instance.vertiports[0].congestion_cost[0][1] == F(1, 2)
+        assert congestion_costs(document.instance.vertiports[0])[0][1] == F(1, 2)
         assert document.bids is None and document.valuations is None
 
     def test_unknown_field_rejected_with_path(self):
@@ -429,7 +430,7 @@ class TestRationalMemo:
         raw["instance"]["lambda"] = spellings[-1]
         raw["bids"]["op1"]["a1"] = {str(k): v for k, v in enumerate(spellings)}
         document = parse(json.dumps(raw))
-        read = (document.instance.vertiports[0].congestion_cost[0]
+        read = (congestion_costs(document.instance.vertiports[0])[0]
                 + (document.instance.congestion_ratio,) + tuple(document.bids.values()))
         assert read == (value,) * (2 * len(spellings) + 1)
         assert {(v.numerator, v.denominator) for v in read} == {
@@ -473,7 +474,7 @@ class TestCongestionRows:
     def test_stored_in_lowest_terms(self):
         port = parse(congestion_document(CANONICAL_ROW)).instance.vertiports[0]
         assert port.congestion_rows == (((0, 1, 3), 2),) * 2
-        assert port.congestion_cost == ((F(0), F(1, 2), F(3, 2)),) * 2
+        assert congestion_costs(port) == ((F(0), F(1, 2), F(3, 2)),) * 2
         assert port.congestion_at(1, 2) == F(3, 2)
 
     @pytest.mark.parametrize("row", EQUAL_ROWS, ids=json.dumps)

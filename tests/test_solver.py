@@ -13,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SINK,
     ReadRecorder,
     assert_certified,
     assert_circulation,
     checked_solves,
     edges_of_class,
     flow_gain,
+    graph_edges,
+    graph_view,
     make_port,
     stay,
     transit,
@@ -106,7 +109,7 @@ class TestSolveFixedDelta:
         inst = Instance(horizon=1, congestion_ratio=F(0), vertiports=(), operators=())
         assert validate_instance(inst).ok
         graph = build_graph(inst, {})
-        assert graph.edges == ()
+        assert graph_view(graph) == ((SINK,), ())
         assert solve(graph).objective == 0
 
     def test_stay_collects_stay_bid(self, single_mover):
@@ -496,15 +499,17 @@ class TestResolvedBounds:
         for seed in range(6):
             document = generate(GeneratorConfig(seed=seed, operators=(2, 2)))
             graph = build_graph(document.instance, document.bids)
+            edges = graph_edges(graph)
             for delta in enumerate_deltas(document.instance):
                 lower, upper = solver._resolved_bounds(graph, delta)
-                assert lower == [_resolve(graph, e, e.lower, delta) for e in graph.edges]
-                assert upper == [_resolve(graph, e, e.upper, delta) for e in graph.edges]
+                assert lower == [_resolve(graph, e, e.lower, delta) for e in edges]
+                assert upper == [_resolve(graph, e, e.upper, delta) for e in edges]
 
     def test_partial_assignment_contains_every_completion(self):
         for seed in range(6):
             document = generate(GeneratorConfig(seed=seed, operators=(2, 2)))
             graph = build_graph(document.instance, document.bids)
+            edges = graph_edges(graph)
             deltas = list(enumerate_deltas(document.instance))
             for delta in deltas[::3]:
                 pairs = sorted(delta)
@@ -514,7 +519,7 @@ class TestResolvedBounds:
                     for completion in deltas:
                         if any(completion[p] != tau for p, tau in partial.items()):
                             continue
-                        for e in graph.edges:
+                        for e in edges:
                             assert (lower[e.index] <= _resolve(graph, e, e.lower, completion)
                                     and _resolve(graph, e, e.upper, completion)
                                     <= upper[e.index])
@@ -613,7 +618,7 @@ def _unit_edges(graph, lower, upper):
     one unit edge per unit it may carry with that unit's gain, the first
     lower[k] of them forced.  An edge's cheapest units come first, so
     forcing those loses nothing."""
-    for e, row, lo, up in zip(graph.edges, unit_gains(graph), lower, upper):
+    for e, row, lo, up in zip(graph_edges(graph), unit_gains(graph), lower, upper):
         for q in range(1, up + 1):
             yield e, (e.index, q), row[q - 1], int(q <= lo), 1
 
@@ -627,7 +632,8 @@ def _network_simplex(graph, lower, upper):
     if any(lo > up for lo, up in zip(lower, upper)):
         return None
     g = nx.MultiDiGraph()
-    for v in graph.vertices:
+    vertices, edges = graph_view(graph)
+    for v in vertices:
         g.add_node(v, demand=0)
     pieces = list(_unit_edges(graph, lower, upper))
     for e, key, gain, lo, up in pieces:
@@ -639,7 +645,7 @@ def _network_simplex(graph, lower, upper):
         _, flow_dict = nx.network_simplex(g)
     except nx.NetworkXUnfeasible:
         return None
-    flows = [0] * len(graph.edges)
+    flows = [0] * len(edges)
     for e, key, _, lo, _ in pieces:
         flows[e.index] += flow_dict[e.tail][e.head][key] + lo
     return flows
@@ -824,7 +830,7 @@ def _scanned_indexes(graph):
     edges."""
     times = {(operator.id, craft.id): {}
              for operator, craft in graph.instance.iter_aircraft()}
-    for e in graph.edges:
+    for e in graph_edges(graph):
         departure = _departure(graph, e)
         if departure is not None:
             pair, tau = departure
@@ -841,7 +847,7 @@ def _assert_one_pass_template(instance, bids):
     times = _scanned_indexes(graph)
     assert ([(pair, list(taus.items())) for pair, taus in graph.departure_times.items()]
             == [(pair, list(taus.items())) for pair, taus in times.items()])
-    for name in ("edges", "topology", "departure_times"):
+    for name in ("topology", "relaxed_upper", "departure_times"):
         assert getattr(graph, name) is getattr(template, name)
 
 
@@ -964,9 +970,10 @@ class TestFlowKernel:
         """Vertex indices are a topological order of every edge but E6,
         whose flow is fixed, and the kernel's topology uses them."""
         for graph in kernel_graphs:
-            index = {v: position for position, v in enumerate(graph.vertices)}
+            vertices, edges = graph_view(graph)
+            index = {v: position for position, v in enumerate(vertices)}
             topology = graph.network.topology
-            for e in graph.edges:
+            for e in edges:
                 tail, head = index[e.tail], index[e.head]
                 assert (topology.tails[e.index], topology.heads[e.index]) == (tail, head)
                 if e.cls == "E6":
