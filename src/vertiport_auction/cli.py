@@ -115,22 +115,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     document = _load(args.file)
     bids = _bids_or_fail(document)
-    result = solve(build_graph(document.instance, bids), strategy=args.strategy)
+    result = solve(build_graph(document.instance, bids))
     if args.out == "json":
         payload = {
             "objective": render_rational(result.objective),
             "allocation": {
                 f"{i}/{j}": key for (i, j), key in sorted(result.allocation.items())
             },
-            "stats": {"fixed_delta_solves": result.stats.fixed_delta_solves,
-                      **asdict(result.stats)},
+            "stats": asdict(result.stats),
         }
         print(json.dumps(payload, indent=2))
     else:
         print(f"objective: {_approx(result.objective)}")
         _print_allocation(document.instance, result.allocation)
         print(f"stats: {result.stats.nodes_explored} nodes, "
-              f"{result.stats.fixed_delta_solves} flow solves, "
+              f"{result.stats.bound_solves} flow solves, "
               f"{result.stats.pruned_completion} ended by completion, "
               f"{result.stats.wall_time:.3f}s")
     return EXIT_OK
@@ -139,7 +138,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_auction(args: argparse.Namespace) -> int:
     document = _load(args.file)
     bids = _bids_or_fail(document)
-    outcome = run_auction(document.instance, bids, strategy=args.strategy)
+    outcome = run_auction(document.instance, bids)
     print(f"cleared welfare: {_approx(outcome.cleared_welfare)}")
     _print_allocation(document.instance, outcome.allocation)
     for operator in document.instance.operators:
@@ -160,7 +159,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     bids = _bids_or_fail(document)
     instance = document.instance
     _, oracle_welfare = oracle_optimal(instance, bids, budget)
-    outcome = run_auction(instance, bids, strategy=args.strategy)
+    outcome = run_auction(instance, bids)
     ok = True
     if outcome.cleared_welfare != oracle_welfare:
         ok = False
@@ -253,19 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="welfare-maximizing allocation")
     p.add_argument("file")
-    p.add_argument("--strategy", choices=("bnb", "enumerate"), default="bnb")
     p.add_argument("--out", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("auction", help="allocation, payments and utilities")
     p.add_argument("file")
-    p.add_argument("--strategy", choices=("bnb", "enumerate"), default="bnb")
     p.set_defaults(func=cmd_auction)
 
     p = sub.add_parser("oracle-check",
                        help="compare solver and payments against brute force")
     p.add_argument("file")
-    p.add_argument("--strategy", choices=("bnb", "enumerate"), default="bnb")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -54,7 +54,7 @@ class MechanismOutcome:
 
 
 def payment(clearing: AuxGraph, operator_id: OperatorId, cleared: SolveResult,
-            strategy: str = "bnb", rule: str = RULE_EXTERNALITY) -> Fraction:
+            rule: str = RULE_EXTERNALITY) -> Fraction:
     """Externality charged to `operator_id` given `cleared`, the solve of
     the clearing graph `clearing`.  The counterfactual is derived from
     `clearing` (`graph.counterfactual_graph`), or is `clearing` itself
@@ -68,7 +68,7 @@ def payment(clearing: AuxGraph, operator_id: OperatorId, cleared: SolveResult,
         counterfactual = clearing
     else:
         raise ValueError(f"unknown payment rule {rule!r}")
-    inner = solve(counterfactual, strategy=strategy, start=cleared)
+    inner = solve(counterfactual, start=cleared)
     # A solve's objective is its allocation's welfare under the bids it saw.
     inner_value = inner.objective - operator.weight * granted_value(
         instance, inner.allocation, counterfactual.bids, operator_id)
@@ -77,17 +77,16 @@ def payment(clearing: AuxGraph, operator_id: OperatorId, cleared: SolveResult,
     return (inner_value - actual) / operator.weight
 
 
-def run_auction(instance: Instance, bids: Profile, strategy: str = "bnb",
+def run_auction(instance: Instance, bids: Profile,
                 rule: str = RULE_EXTERNALITY) -> MechanismOutcome:
     """Clear the auction and price every operator: one template, one
     pricing, |F|+1 solver runs.  Raises ValueError for an invalid
     instance (`compile_template`'s), then for invalid bids
     (`price_graph`'s)."""
     clearing = price_graph(compile_template(instance), bids)
-    cleared = solve(clearing, strategy=strategy)
+    cleared = solve(clearing)
     payments = {
-        operator.id: payment(clearing, operator.id, cleared,
-                             strategy=strategy, rule=rule)
+        operator.id: payment(clearing, operator.id, cleared, rule=rule)
         for operator in instance.operators
     }
     return MechanismOutcome(

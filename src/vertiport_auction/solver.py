@@ -1,4 +1,4 @@
-"""Welfare maximization over the auxiliary graph.
+"""Welfare maximization over the auxiliary graph, by branch-and-bound.
 
 Branches over the per-aircraft departure-time binaries; each fixed
 assignment leaves a max-gain flow with integer bounds, solved exactly
@@ -14,19 +14,18 @@ aircraft's departure edges, and, the parent's bounds containing the
 node's, the repair only clamps them; the root starts from the priced
 cold state, or from another solve's root at the same gain unit, as a
 payment counterfactual starts from its auction's cleared root
-(`solve`); enumeration solves every leaf cold.  Every solved state
-carries its flow's gain, as minus its cost (see `flow`): that is a
-node's bound and a leaf's gain, read with no walk over the edges.  A solve's answer, `SolveResult.flow`, is
-the kernel's optimal flow as a tuple: the one flow of its allocation
-(see the `graph` module docstring).
+(`solve`).  Every solved state carries its flow's gain, as minus its
+cost (see `flow`): that is a node's bound and a leaf's gain, read with
+no walk over the edges.  A solve's answer, `SolveResult.flow`, is the
+kernel's optimal flow as a tuple: the one flow of its allocation (see
+the `graph` module docstring).
 
 The gains encode welfare and the tie-break in one number, so the
 maximum-gain allocation is unique: the welfare optimum that the `graph`
-module docstring's *Tie-break* section picks.  So the two
-interchangeable strategies, exhaustive enumeration of departure-time
-combinations (the reference path) and depth-first branch-and-bound with
-an admissible flow-relaxation bound, return the same objective and
-allocation.
+module docstring's *Tie-break* section picks.  So the depth-first
+branch-and-bound below, with an admissible flow-relaxation bound,
+returns the allocation that exhaustive enumeration of every
+departure-time combination would.
 
 Node rule.  Every branch-and-bound node, the root included, is one
 solve of the flow relaxation of its partial assignment (undecided
@@ -72,11 +71,10 @@ it holds, is freed by reference counting when the caller drops it.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .flow import FlowState, min_cost_flow
 from .graph import (
@@ -85,13 +83,12 @@ from .graph import (
     flow_objective,
     flow_to_allocation,
 )
-from .model import Allocation, Instance
+from .model import Allocation
 
 
 @dataclass
 class SolveStats:
     nodes_explored: int = 0
-    leaf_solves: int = 0  # enumerate only: one per assignment
     bound_solves: int = 0
     pruned_infeasible: int = 0
     pruned_bound: int = 0
@@ -102,8 +99,9 @@ class SolveStats:
 
     @property
     def fixed_delta_solves(self) -> int:
-        """Every flow solve: leaves plus relaxation bounds."""
-        return self.leaf_solves + self.bound_solves
+        """Every flow solve: one relaxation bound per node.  Kept for the
+        benchmark's tracer, which reads it; it goes with ROADMAP item 1."""
+        return self.bound_solves
 
 
 @dataclass(frozen=True)
@@ -112,27 +110,15 @@ class SolveResult:
     objective: Fraction
     allocation: Allocation
     stats: SolveStats
-    # The bnb root's solved state (None for enumerate), its potentials in
-    # gains of `unit`, the graph's S * P: read by `solve` when this result
-    # starts the root of a solve of another graph at the same unit.
-    root: Optional[FlowState] = field(compare=False, repr=False)
+    # The root's solved state, its potentials in gains of `unit`, the
+    # graph's S * P: read by `solve` when this result starts the root of a
+    # solve of another graph at the same unit.
+    root: FlowState = field(compare=False, repr=False)
     unit: int = field(compare=False, repr=False)
 
 
 class SolverError(ValueError):
     pass
-
-
-def enumerate_deltas(instance: Instance) -> Iterator[Dict[Tuple[str, str], int]]:
-    """Every departure-time combination, lexicographic over the canonical
-    aircraft order with tau ascending.  Empty fleet yields one empty map.
-    """
-    pairs = [(op.id, craft.id) for op, craft in instance.iter_aircraft()]
-    choices = [
-        craft.departure_times() for _, craft in instance.iter_aircraft()
-    ]
-    for combo in itertools.product(*choices):
-        yield dict(zip(pairs, combo))
 
 
 def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment
@@ -175,7 +161,9 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
                       ) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """The gain of the kernel's maximum-gain integral flow for a fully
     fixed departure-time assignment, and the flow; None when the fixed
-    bounds admit no balanced flow.  The solve starts cold.
+    bounds admit no balanced flow.  The solve starts cold.  Kept for the
+    benchmark's tracer, which wraps it, and the tests' exhaustive
+    reference; it goes with ROADMAP item 1.
     """
     times = graph.departure_times
     if set(delta) != set(times):
@@ -213,21 +201,6 @@ def _split_aircraft(graph: AuxGraph, flows: Sequence[int]
     return None
 
 
-def _solve_enumerate(graph: AuxGraph, stats: SolveStats
-                     ) -> Tuple[Optional[int], Optional[Tuple[int, ...]]]:
-    """The best leaf's gain and flow, (None, None) if no leaf is
-    feasible.  Distinct allocations never tie in gain."""
-    best_gain = best_flow = None
-    for delta in enumerate_deltas(graph.instance):
-        stats.nodes_explored += 1
-        stats.leaf_solves += 1
-        leaf = solve_fixed_delta(graph, delta, stats=stats)
-        if leaf is not None and (best_gain is None or leaf[0] > best_gain):
-            best_gain, best_flow = leaf
-            stats.incumbent_updates += 1
-    return best_gain, best_flow
-
-
 def _solve_bnb(graph: AuxGraph, stats: SolveStats, start: Optional[FlowState] = None
                ) -> Tuple[Optional[int], Optional[Tuple[int, ...]], Optional[FlowState]]:
     """The best completion's gain and flow, (None, None) if none is
@@ -263,29 +236,26 @@ def _solve_bnb(graph: AuxGraph, stats: SolveStats, start: Optional[FlowState] = 
 
 def solve(graph: AuxGraph, strategy: str = "bnb",
           start: Optional[SolveResult] = None) -> SolveResult:
-    """Global welfare maximum over all departure-time assignments.
+    """Global welfare maximum over all departure-time assignments, by
+    branch-and-bound.
 
-    ``strategy`` is ``"bnb"`` (default) or ``"enumerate"``; both return
-    identical objectives and allocations.  `start`, if given, is a solve
-    of another graph on the same template at the same gain unit, as an
-    auction's cleared solve is for its counterfactuals
-    (`graph.counterfactual_graph`); a start at another unit raises
-    SolverError.  The bnb root's solve starts from its root as it is,
-    instead of the cold state, and the kernel sets up and repairs only
-    the edges whose rows differ (see `flow`).  Enumeration is the
-    reference path: it ignores `start` and solves every leaf cold.
+    `start`, if given, is a solve of another graph on the same template
+    at the same gain unit, as an auction's cleared solve is for its
+    counterfactuals (`graph.counterfactual_graph`); a start at another
+    unit raises SolverError.  The root's solve starts from its root as
+    it is, instead of the cold state, and the kernel sets up and repairs
+    only the edges whose rows differ (see `flow`).  `strategy` accepts
+    only ``"bnb"``: it is kept for the benchmark, which passes it
+    positionally, and goes with ROADMAP item 1.
     """
-    if strategy not in ("bnb", "enumerate"):
+    if strategy != "bnb":
         raise SolverError(f"unknown strategy {strategy!r}")
     if start is not None and start.unit != graph.unit:
         raise SolverError(f"start priced at gain unit {start.unit}, "
                           f"the graph at {graph.unit}")
     stats = SolveStats()
     began = time.perf_counter()
-    if strategy == "enumerate":
-        (gain, flow), root = _solve_enumerate(graph, stats), None
-    else:
-        gain, flow, root = _solve_bnb(graph, stats, None if start is None else start.root)
+    gain, flow, root = _solve_bnb(graph, stats, None if start is None else start.root)
     if flow is None:
         raise SolverError("no feasible departure-time assignment")
     stats.wall_time = time.perf_counter() - began

@@ -1,8 +1,9 @@
 """Shared fixtures and checks: a deadline on every test, hand-built
 instances with known outcomes, strategies drawing arbitrary validated
-instances and mistyped ones, and the exact solver/mechanism/flow
-comparisons against the oracle."""
+instances and mistyped ones, the exhaustive reference search, and the
+exact solver/mechanism/flow comparisons against the oracle."""
 
+import itertools
 import signal
 import time
 from contextlib import contextmanager
@@ -523,16 +524,45 @@ class ReadRecorder(list):
         return super().__getitem__(k)
 
 
+def enumerate_deltas(instance):
+    """Every departure-time combination, lexicographic over the canonical
+    aircraft order with tau ascending.  Empty fleet yields one empty map.
+    """
+    pairs = [(op.id, craft.id) for op, craft in instance.iter_aircraft()]
+    choices = [craft.departure_times() for _, craft in instance.iter_aircraft()]
+    for combo in itertools.product(*choices):
+        yield dict(zip(pairs, combo))
+
+
+def exhaustive_solve(graph):
+    """The reference for `solver.solve`: every departure-time combination
+    (`enumerate_deltas`), each leaf solved cold by
+    `solver.solve_fixed_delta`, the best gain kept.  Distinct allocations
+    never tie in gain, so this is the one optimum branch-and-bound must
+    find.  Its stats stay empty and it keeps no root."""
+    best = None
+    for delta in enumerate_deltas(graph.instance):
+        leaf = solver.solve_fixed_delta(graph, delta)
+        if leaf is not None and (best is None or leaf[0] > best[0]):
+            best = leaf
+    if best is None:
+        raise solver.SolverError("no feasible departure-time assignment")
+    gain, flow = best
+    return solver.SolveResult(flow=flow, objective=flow_objective(graph, flow, gain),
+                              allocation=flow_to_allocation(graph, flow),
+                              stats=solver.SolveStats(), root=None, unit=graph.unit)
+
+
 def assert_matches_oracle(instance, bids):
-    """Both strategies return the oracle's allocation and objective, and
-    the one flow of that allocation; the auction charges every operator
-    the oracle's payment, exactly."""
+    """Branch-and-bound and the exhaustive reference return the oracle's
+    allocation and objective, and the one flow of that allocation; the
+    auction charges every operator the oracle's payment, exactly."""
     expected = oracle_optimal(instance, bids)
     graph = build_graph(instance, bids)
-    for strategy in ("bnb", "enumerate"):
-        result = solver.solve(graph, strategy=strategy)
-        assert (result.allocation, result.objective) == expected, strategy
-        assert result.flow == allocation_to_flow(graph, result.allocation), strategy
+    for search in (solver.solve, exhaustive_solve):
+        result = search(graph)
+        assert (result.allocation, result.objective) == expected, search.__name__
+        assert result.flow == allocation_to_flow(graph, result.allocation), search.__name__
     outcome = run_auction(instance, bids)
     for operator in instance.operators:
         assert outcome.payments[operator.id] == oracle_payment(

@@ -20,6 +20,8 @@ from conftest import (
     allocation_to_flow,
     assert_flow_correspondence,
     assert_matches_oracle,
+    enumerate_deltas,
+    exhaustive_solve,
     flow_gain,
     remaining_welfare,
     single_slot_config,
@@ -48,7 +50,7 @@ from vertiport_auction.oracle import (
     oracle_optimal,
     oracle_payment,
 )
-from vertiport_auction.solver import enumerate_deltas, solve, solve_fixed_delta
+from vertiport_auction.solver import solve, solve_fixed_delta
 
 CORPUS_SIZE = 200
 IC_INSTANCES = 50
@@ -85,8 +87,7 @@ def solved(corpus):
     start = time.perf_counter()
     entries = []
     for document in corpus:
-        result = solve(build_graph(document.instance, document.bids),
-                       strategy="bnb")
+        result = solve(build_graph(document.instance, document.bids))
         oracle_allocation, oracle_welfare = oracle_optimal(
             document.instance, document.bids)
         entries.append((result, oracle_allocation, oracle_welfare))
@@ -258,8 +259,8 @@ def test_criterion_4_incentive_compatibility_sampled(corpus, auctions, capsys):
 
 def tied_parking_documents():
     """Tie-heavy generator draws (integer values in {0, 1, 2}, no
-    congestion, so every parking unit gains 0) whose `bnb` and
-    `enumerate` searches reach their optimum by different paths."""
+    congestion, so every parking unit gains 0) whose branch-and-bound and
+    exhaustive searches reach their optimum by different paths."""
     return [generate(GeneratorConfig(seed=seed, value_denominator=1,
                                      max_value_numerator=2, lambda_range=(0, 0)))
             for seed in (173, 175)]
@@ -285,8 +286,8 @@ def test_criterion_5_flow_bijection(corpus, capsys):
     solved = corpus + tied_parking_documents()
     for document in solved:
         graph = build_graph(document.instance, document.bids)
-        for strategy in ("bnb", "enumerate"):
-            result = solve(graph, strategy=strategy)
+        for search in (solve, exhaustive_solve):
+            result = search(graph)
             if result.flow != allocation_to_flow(graph, result.allocation):
                 flow_mismatches += 1
     ok = roundtrip_failures == 0 and objective_mismatches == 0 and flow_mismatches == 0
@@ -337,13 +338,13 @@ def test_criterion_6_integrality_and_unimodularity(corpus, capsys):
 def test_criterion_7_strategy_equivalence(corpus, solved, capsys):
     mismatches = 0
     for document, (bnb_result, _, _) in zip(corpus, solved["entries"]):
-        enum_result = solve(build_graph(document.instance, document.bids),
-                            strategy="enumerate")
+        enum_result = exhaustive_solve(build_graph(document.instance, document.bids))
         if (enum_result.objective != bnb_result.objective
                 or enum_result.allocation != bnb_result.allocation):
             mismatches += 1
     report(capsys, 7, mismatches == 0,
-           f"{CORPUS_SIZE} instances, {mismatches} strategy disagreements")
+           f"{CORPUS_SIZE} instances, {mismatches} disagreements with the "
+           "exhaustive reference")
 
 
 def test_criterion_8_single_slot_reduction(capsys):

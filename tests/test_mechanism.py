@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_matches_oracle,
     assert_priced_like_reference,
+    exhaustive_solve,
     graph_edges,
     graph_view,
     make_port,
@@ -199,12 +200,16 @@ class TestRunAuction:
         with pytest.raises(ValueError, match="invalid instance"):
             run_auction(bad, bids)
 
-    def test_strategies_price_identically(self):
-        for seed in range(5):
-            document = generate(GeneratorConfig(seed=seed))
-            a = run_auction(document.instance, document.bids, strategy="bnb")
-            b = run_auction(document.instance, document.bids,
-                            strategy="enumerate")
+    def test_strategies_price_identically(self, monkeypatch):
+        """An auction whose every solve is the exhaustive reference, which
+        starts each counterfactual cold, clears and prices as one by
+        branch-and-bound."""
+        auctions = [generate(GeneratorConfig(seed=seed)) for seed in range(5)]
+        searched = [run_auction(d.instance, d.bids) for d in auctions]
+        monkeypatch.setattr(mechanism, "solve",
+                            lambda graph, start=None: exhaustive_solve(graph))
+        for document, a in zip(auctions, searched):
+            b = run_auction(document.instance, document.bids)
             assert a.allocation == b.allocation
             assert a.payments == b.payments
 
@@ -358,9 +363,8 @@ class TestSharedTemplate:
         cleared = solve(build_graph(instance, bids))
         fresh = build_graph(instance, pseudo_bids("op1", bids))
         assert fresh.unit != cleared.unit
-        for strategy in ("bnb", "enumerate"):
-            with pytest.raises(SolverError, match="gain unit"):
-                solve(fresh, strategy, start=cleared)
+        with pytest.raises(SolverError, match="gain unit"):
+            solve(fresh, start=cleared)
         assert solve(counterfactual_graph(build_graph(instance, bids), "op1"),
                      start=cleared).allocation == solve(fresh).allocation
 

@@ -39,8 +39,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 IC_SWEEP = dict(vertiports=(2, 3), operators=(2, 2), fleet_size=(1, 2),
                 transit_routes=(1, 2), horizon=(3, 4))
 #: The benchmark's three shapes and the deeper-branching one, and whether
-#: enumeration and the oracle are cheap there (every candidate space of
-#: these seeds is at most 729 allocations).
+#: the oracle is cheap there (every candidate space of these seeds is at
+#: most 729 allocations).
 SHAPES = {
     "solve-large": (SOLVE_LARGE, False),
     "auction-mid": (AUCTION_MID, True),
@@ -87,7 +87,6 @@ def test_calls_leave_no_cyclic_garbage(name):
             }
             if exhaustive:
                 calls.update({
-                    "solve enumerate": lambda: solve(graph, "enumerate"),
                     "oracle_optimal": lambda: oracle_optimal(instance, bids),
                     "oracle_payment": lambda: oracle_payment(instance, bids, operator),
                 })

@@ -116,20 +116,19 @@ def test_every_target_exists(tracing):
 
 
 def test_flow_spans_match_solver_stats(tracing):
-    """Every flow solve of a traced auction and of traced solves under
-    both strategies is one `solver.flow.*` span, and none is taken for a
-    pin solve; `solve` is called positionally, as the benchmark does."""
+    """Every flow solve of a traced auction and of a traced solve is one
+    `solver.flow.*` span, a bound solve; `solve` is called positionally,
+    as the benchmark does."""
     document = generate(GeneratorConfig(seed=0))
     tracer = tracing.Tracer()
     with tracer.installed():
         with tracer.request("auction"):
             run_auction(document.instance, document.bids)
-        for strategy in ("bnb", "enumerate"):
-            graph = build_graph(document.instance, document.bids)
-            with tracer.request(strategy):
-                solver.solve(graph, strategy)
+        graph = build_graph(document.instance, document.bids)
+        with tracer.request("bnb"):
+            solver.solve(graph, "bnb")
     kinds = {}
-    for rid in ("auction", "bnb", "enumerate"):
+    for rid in ("auction", "bnb"):
         spans = [span for span in tracer.spans if span[tracing.RID] == rid]
         flows = [span[tracing.NAME] for span in spans
                  if span[tracing.NAME].startswith("solver.flow.")]
@@ -137,5 +136,4 @@ def test_flow_spans_match_solver_stats(tracing):
                        if span[tracing.NAME] == tracing.SOLVE)
         assert len(flows) == reported > 0, rid
         kinds[rid] = set(flows)
-    assert kinds == {"auction": {tracing.BOUND}, "bnb": {tracing.BOUND},
-                     "enumerate": {tracing.LEAF}}
+    assert kinds == {"auction": {tracing.BOUND}, "bnb": {tracing.BOUND}}

@@ -1,5 +1,7 @@
-"""Solver: fixed-delta subproblem, enumeration, branch-and-bound."""
+"""Solver: fixed-delta subproblem, branch-and-bound, and its agreement
+with the exhaustive reference search."""
 
+import ast
 import os
 import random
 import subprocess
@@ -19,6 +21,8 @@ from conftest import (
     assert_circulation,
     checked_solves,
     edges_of_class,
+    enumerate_deltas,
+    exhaustive_solve,
     flow_gain,
     graph_edges,
     graph_view,
@@ -56,7 +60,6 @@ from vertiport_auction.model import (
 )
 from vertiport_auction.solver import (
     SolverError,
-    enumerate_deltas,
     relaxation_bound,
     solve,
     solve_fixed_delta,
@@ -197,8 +200,8 @@ class TestSolve:
         for seed in range(30):
             document = generate(GeneratorConfig(seed=seed))
             graph = build_graph(document.instance, document.bids)
-            a = solve(graph, strategy="enumerate")
-            b = solve(graph, strategy="bnb")
+            a = exhaustive_solve(graph)
+            b = solve(graph)
             assert a.objective == b.objective
             assert a.allocation == b.allocation
 
@@ -230,15 +233,15 @@ class TestSolve:
         )
         bids = {("op1", "a1", 0): F(0), ("op1", "a1", 1): F(5),
                 ("op1", "a1", 2): F(5)}
-        for strategy in ("enumerate", "bnb"):
-            result = solve(build_graph(inst, bids), strategy=strategy)
+        for search in (exhaustive_solve, solve):
+            result = search(build_graph(inst, bids))
             assert result.allocation == {("op1", "a1"): 1}
 
     def test_stay_transit_tie_prefers_stay(self, single_mover):
         instance, _ = single_mover
         bids = {("op1", "a1", 0): F(5), ("op1", "a1", 1): F(5)}
-        for strategy in ("enumerate", "bnb"):
-            result = solve(build_graph(instance, bids), strategy=strategy)
+        for search in (exhaustive_solve, solve):
+            result = search(build_graph(instance, bids))
             # Stay has departure time 0 < 2: lexicographically first.
             assert result.allocation == {("op1", "a1"): 0}
 
@@ -264,18 +267,20 @@ class TestSolve:
         assert result.stats.fixed_delta_solves >= 1
         assert result.stats.wall_time >= 0
 
-    @pytest.mark.parametrize("strategy", ["bnb", "enumerate"])
-    def test_equal_solves_compare_equal(self, strategy):
-        """Two solves of one graph are equal: the wall time, which differs
-        from run to run, takes no part in comparing results."""
+    @pytest.mark.parametrize("search", [solve, exhaustive_solve], ids=["bnb", "enumerate"])
+    def test_equal_solves_compare_equal(self, search):
+        """Two solves of one graph are equal, by branch-and-bound or by the
+        exhaustive reference: the wall time, which differs from run to
+        run, and the root take no part in comparing results."""
         document = generate(GeneratorConfig(seed=0))
         graph = build_graph(document.instance, document.bids)
-        first = solve(graph, strategy=strategy)
-        assert first == solve(graph, strategy=strategy)
+        first = search(graph)
+        assert first == search(graph)
         assert replace(first.stats, wall_time=first.stats.wall_time + 1) == first.stats
 
-    @pytest.mark.parametrize("strategy", ["bnb", "enumerate"])
-    def test_stats_count_every_flow_solve(self, monkeypatch, strategy):
+    def test_stats_count_every_flow_solve(self, monkeypatch):
+        """Every node is one bound solve, the root included; the search
+        issues no fixed-assignment solve."""
         calls = {"solve_fixed_delta": 0, "relaxation_bound": 0, "pushed": 0}
         for name in ("solve_fixed_delta", "relaxation_bound"):
             def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
@@ -291,18 +296,31 @@ class TestSolve:
         for seed in range(6):
             document = generate(GeneratorConfig(seed=seed))
             calls.update(dict.fromkeys(calls, 0))
-            result = solve(build_graph(document.instance, document.bids),
-                           strategy=strategy)
-            stats = result.stats
-            assert calls["solve_fixed_delta"] == stats.leaf_solves
-            assert calls["relaxation_bound"] == stats.bound_solves
+            stats = solve(build_graph(document.instance, document.bids)).stats
+            assert calls["solve_fixed_delta"] == 0
+            assert calls["relaxation_bound"] == stats.bound_solves == stats.nodes_explored
             assert calls["pushed"] == stats.augmentations > 0
-            if strategy == "enumerate":
-                assert stats.bound_solves == 0
-                assert (stats.pruned_infeasible == stats.pruned_bound
-                        == stats.pruned_completion == 0)
-            else:  # one flow solve per node, the root included
-                assert stats.nodes_explored == stats.fixed_delta_solves
+            assert stats.fixed_delta_solves == stats.bound_solves
+
+
+def test_strategy_lasts_only_while_the_benchmark_passes_it():
+    """`solve`'s second parameter accepts only ``"bnb"``, which changes
+    nothing, and refuses every other value.  It stays only because the
+    benchmark calls ``solver.solve(graph, "bnb")``: this test fails once
+    no `perfbench/` file passes `solve` a second positional argument, so
+    the parameter goes with its last caller."""
+    document = generate(GeneratorConfig(seed=0))
+    graph = build_graph(document.instance, document.bids)
+    assert solve(graph, "bnb") == solve(graph)
+    with pytest.raises(SolverError, match="unknown strategy"):
+        solve(graph, "enumerate")
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    callers = [path.name for path in sorted(perfbench.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and len(node.args) > 1
+               and (getattr(node.func, "attr", None) == "solve"
+                    or getattr(node.func, "id", None) == "solve")]
+    assert callers, "no perfbench file passes solve a strategy: delete the parameter"
 
 
 #: The benchmark's auction-mid shape: 3 vertiports, 3 operators x 2
@@ -358,34 +376,16 @@ def test_branching_auctions_do_the_pinned_work(name, monkeypatch):
     assert work == pinned
 
 
-def test_incumbent_updates_count_the_kept_completions(monkeypatch):
-    """Enumeration counts each leaf that gains more than every leaf before
-    it; branch-and-bound keeps at least one completion on a feasible
-    solve, and never more than the nodes that ended in one."""
-    leaves = []
-
-    def recorded(*args, _fn=solver.solve_fixed_delta, **kwargs):
-        leaf = _fn(*args, **kwargs)
-        leaves.append(leaf)
-        return leaf
-
-    monkeypatch.setattr(solver, "solve_fixed_delta", recorded)
+def test_incumbent_updates_count_the_kept_completions():
+    """Branch-and-bound keeps at least one completion on a feasible solve,
+    and every node that ends in a completion replaces the incumbent: a
+    node whose bound does not beat the incumbent ends by bound first."""
     for seed in range(6):
         document = generate(GeneratorConfig(seed=seed, **DEEP))
         for bids in [document.bids] + [pseudo_bids(operator.id, document.bids)
                                        for operator in document.instance.operators]:
             stats = solve(build_graph(document.instance, bids)).stats
-            assert 1 <= stats.incumbent_updates <= stats.pruned_completion
-    for seed in range(6):
-        document = generate(GeneratorConfig(seed=seed))
-        leaves.clear()
-        stats = solve(build_graph(document.instance, document.bids), "enumerate").stats
-        kept, best = 0, None
-        for leaf in leaves:
-            if leaf is not None and (best is None or leaf[0] > best):
-                kept, best = kept + 1, leaf[0]
-        assert stats.incumbent_updates == kept <= stats.leaf_solves
-        assert len(leaves) == stats.leaf_solves
+            assert 1 <= stats.incumbent_updates == stats.pruned_completion
 
 
 class TestPruning:
@@ -393,15 +393,15 @@ class TestPruning:
     def test_bnb_matches_enumeration_at_six_aircraft(self, seed):
         document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
         graph = build_graph(document.instance, document.bids)
-        reference = solve(graph, strategy="enumerate")
-        result = solve(graph, strategy="bnb")
+        reference = exhaustive_solve(graph)
+        result = solve(graph)
         assert result.allocation == reference.allocation
         assert result.objective == reference.objective
 
     def test_infeasible_subtrees_pruned_before_leaves(self):
         # Auction-mid clearing (None) and counterfactual graphs whose
-        # search branches: 36 flow solves, one per node, where enumeration
-        # solves 2,538 leaves; branching on the aircraft the relaxation
+        # search branches: 36 flow solves, one per node, where the
+        # exhaustive reference solves 2,538 leaves; branching on the aircraft the relaxation
         # splits, none of them meets an infeasible child.  On the deeper
         # shape some children are infeasible, and each ends at its own
         # relaxation, before any node below it.
@@ -714,8 +714,8 @@ def test_auction_solves_do_the_work_of_fresh_builds(kernel_graphs, monkeypatch):
     infeasible children occur."""
     seen = []
 
-    def recorded(graph, strategy="bnb", start=None, _solve=mechanism.solve):
-        result = _solve(graph, strategy=strategy, start=start)
+    def recorded(graph, start=None, _solve=mechanism.solve):
+        result = _solve(graph, start=start)
         seen.append((graph.bids, result.stats, start))
         return result
 
@@ -773,7 +773,7 @@ def issued_solves(kernel_graphs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "min_cost_flow", recorded)
         for graph in kernel_graphs:
-            solve(graph, strategy="bnb")
+            solve(graph)
     return issued
 
 
@@ -802,14 +802,15 @@ def fathomed_nodes(kernel_graphs):
 def test_every_node_carries_its_residual_form(kernel_graphs):
     """Every node of every auction on the kernel graphs' profiles, the
     payment counterfactuals' roots started from the cleared root, and
-    every leaf of enumeration on the acceptance-corpus graphs returns a
+    every leaf of the exhaustive reference on the acceptance-corpus
+    graphs returns a
     certified state that carries its own residual form and, as minus its
     cost, the `flow_gain` of its flow (`checked_solves`)."""
     with checked_solves() as checked:
         for graph in kernel_graphs:
             run_auction(graph.instance, graph.bids)
         for graph in kernel_graphs[:40]:
-            solve(graph, strategy="enumerate")
+            exhaustive_solve(graph)
     assert len(checked) >= 1000
 
 
