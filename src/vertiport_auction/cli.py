@@ -55,7 +55,7 @@ def _approx(value: Fraction) -> str:
 def _print_allocation(instance: Instance, allocation: Allocation) -> None:
     """One line per aircraft: `stay` or `route k (depart->dest@arrive)`."""
     for (i, j), key in sorted(allocation.items()):
-        entry = instance.route(i, j, key)
+        entry = instance.operator(i).aircraft(j).option(key)
         label = "stay" if entry.is_stay else (
             f"route {key} ({entry.depart_time}->{entry.destination}"
             f"@{entry.arrive_time})")

@@ -65,7 +65,10 @@ route at most once.  A relaxed flow that splits an aircraft can pass
 more units through a slot than a gate left out would have held; it
 still bounds every completion, each of which lies within its bounds.
 A graph is built in two stages, and every branch node of a solve shares
-the result.  `compile_template` reads no bid.  It compiles in one pass
+the result.  `compile_template` reads no bid.  After its gate it
+derives each aircraft's departure times, ascending with the stay's 0
+first, once from its menu, and each vertiport's E6 bound from
+`model.initial_occupancy`.  It compiles in one pass
 over integer vertex indices: each vertex is only a number, counted as
 it is laid out, and each edge is appended as its tail and head indices
 and its bounds, from which the flow kernel's topology (`flow.Topology`:
@@ -167,6 +170,7 @@ from .model import (
     Instance,
     OperatorId,
     Profile,
+    initial_occupancy,
     is_rational,
     pseudo_bids,
     validate_instance,
@@ -252,25 +256,28 @@ def compile_template(instance: Instance) -> GraphTemplate:
     ports = instance.vertiports
     fleet = list(instance.iter_aircraft())
     n = len(fleet)
-    most_times = max((len(craft.departure_times()) for _, craft in fleet), default=1)
     largest_menu = max((len(craft.menu) for _, craft in fleet), default=1)
 
     # Per vertiport and slot (slot 0 unused), how many aircraft have a
     # route arriving there and departing from there; per aircraft, its
-    # routes and its departure times with two or more of them.
+    # routes, its departure times ascending (the stay's 0 first) and those
+    # with two or more routes.
     arriving, departing = [{port.id: [0] * (h + 1) for port in ports} for _ in range(2)]
-    flights, shared = [], []
+    flights, ranked, shared = [], [], []
     for _, craft in fleet:
         routes = [entry for entry in craft.menu if entry.kind != STAY]
         for r, t in {(entry.destination, entry.arrive_time) for entry in routes}:
             arriving[r][t] += 1
-        taus = craft.departure_times()[1:]
+        ranks = sorted({entry.depart_time for entry in craft.menu})
+        taus = ranks[1:]
         for tau in taus:
             departing[craft.origin][tau] += 1
         departs = [entry.depart_time for entry in routes]
         flights.append(routes)
+        ranked.append(ranks)
         shared.append({tau for tau in taus if departs.count(tau) > 1}
                       if len(departs) > len(taus) else ())
+    most_times = max(map(len, ranked), default=1)
 
     # The vertices, numbered as they are laid out: per slot, each
     # vertiport's Arr if its arrival gate can bind (fewer units than
@@ -312,7 +319,7 @@ def compile_template(instance: Instance) -> GraphTemplate:
             edges.append((parks[port.id][t], parks[port.id][t + 1], 0, port.parking_cap[t - 1]))
     times: Dict[Tuple[str, str], Dict[int, int]] = {}
     for a, ((operator, craft), taus) in enumerate(zip(fleet, shared)):  # E4
-        times[operator.id, craft.id] = carriers = dict.fromkeys(craft.departure_times()[1:])
+        times[operator.id, craft.id] = carriers = dict.fromkeys(ranked[a][1:])
         for tau in carriers:
             if tau in taus:
                 carriers[tau] = len(edges)
@@ -323,20 +330,19 @@ def compile_template(instance: Instance) -> GraphTemplate:
     for a, ((operator, craft), routes, taus) in enumerate(zip(fleet, flights, shared)):
         time_weight = largest_menu ** n * most_times ** (n - 1 - a)
         key_weight = largest_menu ** (n - 1 - a)
-        carriers, ranks, stay = times[operator.id, craft.id], craft.departure_times(), craft.stay_key
+        carriers, stay = times[operator.id, craft.id], craft.stay_key
         granted = []
         for entry in routes:
             tau = entry.depart_time
             if tau not in taus:
                 carriers[tau] = len(edges)
             granted.append((len(edges), (operator.id, craft.id, entry.key),
-                            key_weight * (stay - entry.key) - time_weight * ranks.index(tau)))
+                            key_weight * (stay - entry.key) - time_weight * ranked[a].index(tau)))
             edges.append((choices[a, tau] if tau in taus else outs[craft.origin][tau],
                           ins[entry.destination][entry.arrive_time], 0, 1))
         aircraft.append((operator.weight, (operator.id, craft.id, stay), tuple(granted)))
-    origins = [craft.origin for _, craft in fleet]
     for port in ports:  # E6, fixed at the aircraft based there
-        based = origins.count(port.id)
+        based = initial_occupancy(instance, port.id)
         edges.append((sink, parks[port.id][1], based, based))
     for port in ports:  # E8
         parking.append((len(edges), port.congestion_rows[h - 1]))

@@ -17,6 +17,10 @@ condition it breaks: `validate_instance` reports them, and
 plain data, kept sorted by id or key (a mistyped one last, named by the
 check, never raised on).  A lookup by id or key scans them and returns
 the first match; `movements` is the one walk that checks an allocation.
+`initial_occupancy` is the one count of the fleet based at a vertiport:
+the instance check's slack condition, the occupancy timeline and the
+flow graph's E6 bounds read it.  An aircraft keeps its menu and nothing
+derived from it: the flow graph's compile derives its departure times.
 
 Conventions:
 - Time slots are 1-based, ``1..horizon``.
@@ -64,7 +68,6 @@ def is_rational(value: object) -> bool:
 _ID = attrgetter("id")
 _KEY = attrgetter("key")
 _KIND = attrgetter("kind")
-_DEPARTURE = attrgetter("depart_time")
 
 
 def _sorted_by(items: Sequence, key: Callable, kind: type) -> Tuple:
@@ -98,13 +101,9 @@ class Aircraft:
     id: AircraftId
     origin: VertiportId
     menu: Tuple[RouteOption, ...]
-    _departure_times: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        menu = _sorted_by(self.menu, _KEY, int)
-        object.__setattr__(self, "menu", menu)
-        object.__setattr__(self, "_departure_times", tuple(dict.fromkeys(
-            map(_DEPARTURE, _sorted_by(menu, _DEPARTURE, int)))))
+        object.__setattr__(self, "menu", _sorted_by(self.menu, _KEY, int))
 
     @property
     def stay_key(self) -> MenuKey:
@@ -118,10 +117,6 @@ class Aircraft:
             if entry.key == key:
                 return entry
         raise KeyError(f"aircraft {self.id} has no menu key {key}")
-
-    def departure_times(self) -> Tuple[int, ...]:
-        """Deduplicated departure times over the menu, ascending (0 first)."""
-        return self._departure_times
 
 
 @dataclass(frozen=True)
@@ -224,10 +219,6 @@ class Instance:
             for craft in operator.fleet:
                 yield operator, craft
 
-    def route(self, operator_id: OperatorId, aircraft_id: AircraftId,
-              key: MenuKey) -> RouteOption:
-        return self.operator(operator_id).aircraft(aircraft_id).option(key)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -253,8 +244,10 @@ def validate_instance(instance: Instance) -> ValidationReport:
 def _find_violations(instance: Instance) -> Tuple[str, ...]:
     """Every condition `instance` breaks.  The horizon, every capacity,
     menu key and departure and arrival time must be an `int`, not a
-    `bool`, and every id a `str` (the tie-break ranks aircraft by id), as
-    `serialize.parse` reads them; a check that would compare or add a
+    `bool`, every id, origin and destination a `str` (the tie-break ranks
+    aircraft by id), as `serialize.parse` reads them, and every congestion
+    row a tuple of `int` numerators and a positive `int` denominator, as
+    `congestion_row` builds it; a check that would compare, add or hash a
     field that is not one is skipped."""
     problems: List[str] = []
     h = instance.horizon
@@ -273,9 +266,10 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
     for port in instance.vertiports:
         if type(port.id) is not str:
             problems.append(f"vertiport id must be a str, got {port.id!r}")
-        if port.id in seen_ports:
+        elif port.id in seen_ports:
             problems.append(f"duplicate vertiport id {port.id!r}")
-        seen_ports.add(port.id)
+        else:
+            seen_ports.add(port.id)
         for name, table in (
             ("arrival_cap", port.arrival_cap),
             ("departure_cap", port.departure_cap),
@@ -298,7 +292,16 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                 f"slots, expected {h}"
             )
         caps = port.parking_cap
-        for t, (scaled, _) in enumerate(port.congestion_rows, start=1):
+        for t, row in enumerate(port.congestion_rows, start=1):
+            if not (type(row) is tuple and len(row) == 2 and type(row[0]) is tuple
+                    and set(map(type, row[0])) <= {int}
+                    and type(row[1]) is int and row[1] > 0):
+                problems.append(
+                    f"vertiport {port.id}: congestion_cost slot {t} must be int numerators "
+                    f"over a positive int denominator, got {row!r}"
+                )
+                continue
+            scaled = row[0]
             cap = caps[t - 1] if t <= len(caps) else None
             if type(cap) is int and len(scaled) != cap + 1:
                 problems.append(
@@ -325,9 +328,10 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
     for operator in instance.operators:
         if type(operator.id) is not str:
             problems.append(f"operator id must be a str, got {operator.id!r}")
-        if operator.id in seen_operators:
+        elif operator.id in seen_operators:
             problems.append(f"duplicate operator id {operator.id!r}")
-        seen_operators.add(operator.id)
+        else:
+            seen_operators.add(operator.id)
         if not is_rational(operator.weight):
             problems.append(f"operator {operator.id}: weight must be an int or a "
                             f"Fraction, got {operator.weight!r}")
@@ -340,10 +344,13 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
             label = f"aircraft ({operator.id}, {craft.id})"
             if type(craft.id) is not str:
                 problems.append(f"{label}: id must be a str, got {craft.id!r}")
-            if craft.id in seen_craft:
+            elif craft.id in seen_craft:
                 problems.append(f"operator {operator.id}: duplicate aircraft id {craft.id!r}")
-            seen_craft.add(craft.id)
-            if craft.origin not in seen_ports:
+            else:
+                seen_craft.add(craft.id)
+            if type(craft.origin) is not str:
+                problems.append(f"{label}: origin must be a str, got {craft.origin!r}")
+            elif craft.origin not in seen_ports:
                 problems.append(f"{label}: unknown origin vertiport {craft.origin!r}")
             keys = list(map(_KEY, craft.menu))
             problems.extend(f"{label}: menu key must be an int, got {key!r}"
@@ -359,6 +366,9 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                 if type(entry.depart_time) is not int:
                     problems.append(f"{label}: menu key {entry.key} departure time "
                                     f"must be an int, got {entry.depart_time!r}")
+                if type(entry.destination) is not str:
+                    problems.append(f"{label}: menu key {entry.key} destination "
+                                    f"must be a str, got {entry.destination!r}")
                 if entry.kind == STAY:
                     if entry.depart_time != 0:
                         problems.append(
@@ -379,7 +389,7 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                             f"1 <= depart < arrive <= {h}, got "
                             f"({entry.depart_time}, {entry.arrive_time})"
                         )
-                    if entry.destination not in seen_ports:
+                    if type(entry.destination) is str and entry.destination not in seen_ports:
                         problems.append(
                             f"{label}: menu key {entry.key} has unknown destination "
                             f"{entry.destination!r}"
@@ -388,10 +398,13 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                     problems.append(f"{label}: menu key {entry.key} has unknown kind "
                                     f"{entry.kind!r}")
 
-    # Slack condition: initial occupants fit in parking at every slot.
-    origins = [craft.origin for operator in instance.operators for craft in operator.fleet]
+    # Slack condition: initial occupants fit in parking at every slot.  A
+    # vertiport whose id is not a str is named above, and is skipped here:
+    # its lookup by id could fail (a NaN equals nothing).
     for port in instance.vertiports if counted else ():
-        occupied = origins.count(port.id)
+        if type(port.id) is not str:
+            continue
+        occupied = initial_occupancy(instance, port.id)
         for t, cap in enumerate(port.parking_cap[:h], start=1):
             if type(cap) is int and cap < occupied:
                 problems.append(
@@ -436,11 +449,12 @@ def pseudo_bids(excluded: OperatorId, bids: Profile
 
 
 def initial_occupancy(instance: Instance, vertiport_id: VertiportId) -> int:
-    """Number of aircraft whose origin is `vertiport_id`."""
+    """Number of aircraft whose origin is `vertiport_id`: the one count of
+    the fleet based there, read by the instance check's slack condition,
+    `occupancy_table` and the flow graph's E6 bounds."""
     instance.vertiport(vertiport_id)
-    return sum(
-        1 for _, craft in instance.iter_aircraft() if craft.origin == vertiport_id
-    )
+    return [craft.origin for operator in instance.operators
+            for craft in operator.fleet].count(vertiport_id)
 
 
 def movements(instance: Instance, allocation: Allocation

@@ -12,12 +12,14 @@ Parse reads a document in one pass: the JSON decoder's object hook
 refuses a repeated key, and one walk over the decoded tree checks each
 value and builds the model from it.  A field path is spelled only for
 the error it names, from the indices in scope where the check fails.
-Each rational string and each profile menu key is read once per
-document: a memo lives for one `parse` call and is never shared between
-calls, so two calls on the same text do the same work.  A congestion
-row is read straight into its one stored form, integer numerators over
-one denominator (`model.congestion_row`), from each entry's numerator
-and denominator as spelled, with no `Fraction` per entry.
+Each lambda, weight and profile value string, and each profile menu
+key, is read once per document: a memo lives for one `parse` call and is
+never shared between calls, so two calls on the same text do the same
+work.  A congestion cost string is read directly (`_read`) wherever it
+appears: a row is read straight into its one stored form, integer
+numerators over one denominator (`model.congestion_row`), from each
+entry's numerator and denominator as spelled, with no `Fraction` per
+entry.
 
 Render spells exactly what ``json.dumps(data, indent=2)`` would, with a
 module-level recursive writer (`_write`): the standard library's
@@ -66,7 +68,6 @@ class InstanceDocument:
     instance: Instance
     bids: Optional[Profile] = None
     valuations: Optional[Profile] = None
-    schema_version: str = SCHEMA_VERSION
 
 
 def render_rational(value: Fraction) -> str:
@@ -134,10 +135,8 @@ def _not_int(path: str, raw: Any) -> DocumentError:
     return DocumentError(path, f"expected an integer, got {raw!r}")
 
 
-def _vertiport(port: Any, i: int, costs: Dict[str, Tuple[int, int]]) -> Vertiport:
-    """The vertiport at ``$.instance.vertiports[i]``.  `costs` holds the
-    (numerator, denominator) of every congestion cost string read so far
-    in this document, each read once."""
+def _vertiport(port: Any, i: int) -> Vertiport:
+    """The vertiport at ``$.instance.vertiports[i]``."""
     if type(port) is not dict or tuple(port) != _VERTIPORT:
         _expect(port, f"$.instance.vertiports[{i}]", _VERTIPORT)
     if type(port["id"]) is not str:
@@ -153,13 +152,10 @@ def _vertiport(port: Any, i: int, costs: Dict[str, Tuple[int, int]]) -> Vertipor
         numerators, denominators = [], []
         for q, raw in enumerate(row):
             if type(raw) is str:
-                pair = costs.get(raw)
+                pair = _read(raw)
                 if pair is None:
-                    pair = _read(raw)
-                    if pair is None:
-                        raise _not_rational(
-                            f"$.instance.vertiports[{i}].congestion_cost[{t}][{q}]", raw)
-                    costs[raw] = pair
+                    raise _not_rational(
+                        f"$.instance.vertiports[{i}].congestion_cost[{t}][{q}]", raw)
                 numerators.append(pair[0])
                 denominators.append(pair[1])
             elif type(raw) is int:  # not bool
@@ -247,9 +243,7 @@ def _instance(raw: Any, rationals: Dict[str, Fraction]) -> Instance:
         raise _not_rational("$.instance.lambda", raw["lambda"])
     if type(raw["vertiports"]) is not list:
         raise DocumentError("$.instance.vertiports", "expected an array")
-    costs: Dict[str, Tuple[int, int]] = {}
-    ports = tuple([_vertiport(port, i, costs)
-                   for i, port in enumerate(raw["vertiports"])])
+    ports = tuple([_vertiport(port, i) for i, port in enumerate(raw["vertiports"])])
     if type(raw["operators"]) is not list:
         raise DocumentError("$.instance.operators", "expected an array")
     operators = []
@@ -399,7 +393,7 @@ def render(document: InstanceDocument) -> str:
     """Canonical textual form of a document (deterministic field order)."""
     instance = document.instance
     data: Dict[str, Any] = {
-        "schema_version": document.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "instance": {
             "horizon": instance.horizon,
             "lambda": render_rational(instance.congestion_ratio),

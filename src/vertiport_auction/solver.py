@@ -145,17 +145,6 @@ def _resolved_bounds(graph: AuxGraph, partial_delta: DeltaAssignment
     return lower, upper
 
 
-def _min_cost_flow(graph: AuxGraph, partial_delta: DeltaAssignment, start: FlowState,
-                   stats: Optional[SolveStats]) -> Optional[FlowState]:
-    """The kernel's solve of `partial_delta`'s resolved bounds from
-    `start`; adds the paths it pushed to `stats` if given."""
-    state, pushed = min_cost_flow(
-        graph.network, *_resolved_bounds(graph, partial_delta), start)
-    if stats is not None:
-        stats.augmentations += pushed
-    return state
-
-
 def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
                       stats: Optional[SolveStats] = None
                       ) -> Optional[Tuple[int, Tuple[int, ...]]]:
@@ -171,8 +160,8 @@ def solve_fixed_delta(graph: AuxGraph, delta: DeltaAssignment, *,
     for pair, tau in delta.items():
         if tau and tau not in times[pair]:
             raise SolverError(f"aircraft {pair} has no departure time {tau}")
-    state = _min_cost_flow(graph, delta, graph.network.cold, stats)
-    return None if state is None else (-state.residual.cost, tuple(state.flows))
+    relaxed = relaxation_bound(graph, delta, stats=stats)
+    return None if relaxed is None else (relaxed[0], tuple(relaxed[1].flows))
 
 
 def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
@@ -183,10 +172,13 @@ def relaxation_bound(graph: AuxGraph, partial_delta: DeltaAssignment, *,
     `partial_delta`, with the solved state whose flow attains it; None
     when no completion is feasible.  The solve starts from `start`, the
     state of a solve on this graph or any other balanced state, which
-    the kernel repairs where it sets it up (see `flow`), or cold."""
-    if start is None:
-        start = graph.network.cold
-    state = _min_cost_flow(graph, partial_delta, start, stats)
+    the kernel repairs where it sets it up (see `flow`), or cold; adds
+    the paths the kernel pushed to `stats` if given."""
+    state, pushed = min_cost_flow(
+        graph.network, *_resolved_bounds(graph, partial_delta),
+        graph.network.cold if start is None else start)
+    if stats is not None:
+        stats.augmentations += pushed
     return None if state is None else (-state.residual.cost, state)
 
 

@@ -342,6 +342,12 @@ def congestion_costs(port):
                  for numerators, common in port.congestion_rows)
 
 
+def departure_times(craft):
+    """The aircraft's distinct departure times over its menu, ascending
+    (the stay's 0 first)."""
+    return sorted({entry.depart_time for entry in craft.menu})
+
+
 def total_aircraft(instance):
     return sum(len(operator.fleet) for operator in instance.operators)
 
@@ -419,13 +425,13 @@ def reference_pricing(graph):
     ports = {port.id: port for port in instance.vertiports}
     fleet = list(instance.iter_aircraft())
     n = len(fleet)
-    most_times = max((len(c.departure_times()) for _, c in fleet), default=1)
+    most_times = max((len(departure_times(c)) for _, c in fleet), default=1)
     largest_menu = max((len(c.menu) for _, c in fleet), default=1)
     rank = {(operator.id, craft.id): a for a, (operator, craft) in enumerate(fleet)}
 
     def grant(operator, craft, key):
         a = rank[operator.id, craft.id]
-        rtau = craft.departure_times().index(craft.option(key).depart_time)
+        rtau = departure_times(craft).index(craft.option(key).depart_time)
         rk = [entry.key for entry in craft.menu].index(key)
         return (largest_menu ** n * most_times ** (n - 1 - a) * (most_times - 1 - rtau)
                 + largest_menu ** (n - 1 - a) * (largest_menu - 1 - rk))
@@ -529,7 +535,7 @@ def enumerate_deltas(instance):
     aircraft order with tau ascending.  Empty fleet yields one empty map.
     """
     pairs = [(op.id, craft.id) for op, craft in instance.iter_aircraft()]
-    choices = [craft.departure_times() for _, craft in instance.iter_aircraft()]
+    choices = [departure_times(craft) for _, craft in instance.iter_aircraft()]
     for combo in itertools.product(*choices):
         yield dict(zip(pairs, combo))
 
@@ -625,20 +631,21 @@ def checked_solves():
     """Within the block, every flow solve the solver issues that finds a
     flow is checked (`assert_certified`, `assert_carried_residual`)
     against the bounds of its node; yields the list of checked states."""
-    kernel = solver._min_cost_flow
+    bound = solver.relaxation_bound
     checked = []
 
-    def checked_kernel(graph, partial_delta, start, stats):
-        state = kernel(graph, partial_delta, start, stats)
-        if state is not None:
+    def checked_bound(graph, partial_delta, **kwargs):
+        relaxed = bound(graph, partial_delta, **kwargs)
+        if relaxed is not None:
+            state = relaxed[1]
             bounds = solver._resolved_bounds(graph, partial_delta)
             assert_certified(graph, state, *bounds)
             assert_carried_residual(graph, state, *bounds)
             checked.append(state)
-        return state
+        return relaxed
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_min_cost_flow", checked_kernel)
+        patch.setattr(solver, "relaxation_bound", checked_bound)
         yield checked
 
 
@@ -702,24 +709,28 @@ def validated_instances(draw):
     return instance, bids
 
 
-_NOT_STR = st.one_of(st.integers(), st.floats(), st.none(), st.booleans())
-_NOT_INT = st.one_of(st.text(max_size=2), st.floats(), st.none(), st.booleans())
+_UNHASHABLE = st.lists(st.integers(), max_size=2)
+_NOT_STR = st.one_of(st.integers(), st.floats(), st.none(), st.booleans(), _UNHASHABLE)
+_NOT_INT = st.one_of(st.text(max_size=2), st.floats(), st.none(), st.booleans(), _UNHASHABLE)
 
 
 @st.composite
 def mistyped_instances(draw):
     """(instance, bids, problem): a `validated_instances` draw with one
-    vertiport, operator or aircraft id replaced by an `int`, `float`,
-    `None` or `bool`, or one menu key or departure time by a `str`,
-    `float`, `None` or `bool`, and the text of the violation that names
-    it.  The bids are the draw's own.  200 examples run in 1-3 s."""
+    vertiport, operator or aircraft id, aircraft origin or menu
+    destination replaced by an `int`, `float`, `None`, `bool` or `list`,
+    or one menu key or departure time by a `str`, `float`, `None`, `bool`
+    or `list`, and the text of the violation that names it.  A `list`
+    cannot be hashed, so the check must test the type before it looks an
+    id up.  The bids are the draw's own.  200 examples run in 1-3 s."""
     instance, bids = draw(validated_instances())
     ports, operators = list(instance.vertiports), list(instance.operators)
     entries = [(o, a, e) for o, operator in enumerate(operators)
                for a, craft in enumerate(operator.fleet) for e in range(len(craft.menu))]
-    site = draw(st.sampled_from(("vertiport", "operator", "aircraft", "key", "departure")
+    site = draw(st.sampled_from(("vertiport", "operator", "aircraft", "origin", "key",
+                                 "departure", "destination")
                                 if entries else ("vertiport", "operator")))
-    value = draw(_NOT_STR if site in ("vertiport", "operator", "aircraft") else _NOT_INT)
+    value = draw(_NOT_INT if site in ("key", "departure") else _NOT_STR)
     if site == "vertiport":
         p = draw(st.integers(0, len(ports) - 1))
         ports[p] = replace(ports[p], id=value)
@@ -734,14 +745,20 @@ def mistyped_instances(draw):
         if site == "aircraft":
             fleet[a] = replace(craft, id=value)
             problem = f": id must be a str, got {value!r}"
+        elif site == "origin":
+            fleet[a] = replace(craft, origin=value)
+            problem = f": origin must be a str, got {value!r}"
         else:
             menu = list(craft.menu)
             if site == "key":
                 menu[e] = replace(menu[e], key=value)
                 problem = f"menu key must be an int, got {value!r}"
-            else:
+            elif site == "departure":
                 menu[e] = replace(menu[e], depart_time=value)
                 problem = f"departure time must be an int, got {value!r}"
+            else:
+                menu[e] = replace(menu[e], destination=value)
+                problem = f"destination must be a str, got {value!r}"
             fleet[a] = replace(craft, menu=tuple(menu))
         operators[o] = replace(operators[o], fleet=tuple(fleet))
     return replace(instance, vertiports=tuple(ports), operators=tuple(operators)), bids, problem

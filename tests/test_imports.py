@@ -1,6 +1,7 @@
 """Every module-level import in `src/` and `tests/` is used, and every
-top-level function and class in `src/` is used by the package or the
-benchmark, not only by tests."""
+top-level function and class in `src/`, and every method and property
+of its classes, is used by the package or the benchmark, not only by
+tests."""
 
 import ast
 from pathlib import Path
@@ -120,6 +121,45 @@ def test_no_src_definition_only_tests_use():
     users = package + sorted((ROOT / "perfbench").rglob("*.py"))
     unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
               for path, line, name in unreferenced_definitions(package, users)]
+    assert unused == []
+
+
+def unreferenced_members(defining, using):
+    """(path, line, class.member) of each method or property of a
+    top-level class of the files `defining`, other than a ``__dunder__``
+    the language calls, that no file of `using` reads as an attribute."""
+    read = {node.attr for path in using
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    return [(path, member.lineno, f"{node.name}.{member.name}") for path in defining
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ClassDef)
+            for member in node.body
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (member.name.startswith("__") and member.name.endswith("__"))
+            and member.name not in read]
+
+
+def test_scan_finds_unreferenced_members(tmp_path):
+    module, user = tmp_path / "module.py", tmp_path / "user.py"
+    module.write_text("class Kept:\n    def __init__(self):\n        self.called()\n\n"
+                      "    def called(self):\n        pass\n\n"
+                      "    @property\n    def read(self):\n        return 1\n\n"
+                      "    def named(self):\n        pass\n\n"
+                      "    @property\n    def unread(self):\n        return 2\n\n\n"
+                      "def named():\n    return Kept().read\n")
+    user.write_text("import module\nTARGETS = ('named',)\n")
+    assert unreferenced_members([module], [module, user]) == [
+        (module, 12, "Kept.named"), (module, 16, "Kept.unread")]
+
+
+def test_no_src_member_only_tests_use():
+    """A method or property of a `src/` class is read as an attribute by
+    the package or the benchmark: one kept only for the tests fails here."""
+    package = sorted((ROOT / "src").rglob("*.py"))
+    users = package + sorted((ROOT / "perfbench").rglob("*.py"))
+    unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path, line, name in unreferenced_members(package, users)]
     assert unused == []
 
 

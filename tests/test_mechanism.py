@@ -200,12 +200,27 @@ class TestRunAuction:
         with pytest.raises(ValueError, match="invalid instance"):
             run_auction(bad, bids)
 
-    def test_strategies_price_identically(self, monkeypatch):
+    def test_branching_auctions_price_like_the_reference(self, monkeypatch):
         """An auction whose every solve is the exhaustive reference, which
         starts each counterfactual cold, clears and prices as one by
-        branch-and-bound."""
-        auctions = [generate(GeneratorConfig(seed=seed)) for seed in range(5)]
-        searched = [run_auction(d.instance, d.bids) for d in auctions]
+        branch-and-bound.  The seeds are the first three of the
+        benchmark's auction-mid shape whose auction explores more than one
+        node in some solve, so a search that drops a child shows here."""
+        auctions = [generate(GeneratorConfig(seed=seed, **AUCTION_MID))
+                    for seed in (1, 2, 6)]
+        nodes = []
+
+        def counted(graph, start=None):
+            result = solve(graph, start=start)
+            nodes.append(result.stats.nodes_explored)
+            return result
+
+        monkeypatch.setattr(mechanism, "solve", counted)
+        searched = []
+        for document in auctions:
+            nodes.clear()
+            searched.append(run_auction(document.instance, document.bids))
+            assert max(nodes) > 1
         monkeypatch.setattr(mechanism, "solve",
                             lambda graph, start=None: exhaustive_solve(graph))
         for document, a in zip(auctions, searched):

@@ -141,9 +141,10 @@ class TestValidateInstance:
     @settings(max_examples=200, deadline=None)
     @given(mistyped_instances())
     def test_mistyped_field_reaches_the_gate(self, drawn):
-        """An instance with a mistyped id, menu key or departure time is
-        constructed, names the value among its violations, and an auction
-        refuses it at its gate."""
+        """An instance with a mistyped id, origin, destination, menu key or
+        departure time, an unhashable one included, is constructed, names
+        the value among its violations, and an auction refuses it at its
+        gate."""
         instance, bids, problem = drawn
         assert any(problem in v for v in validate_instance(instance).violations)
         with pytest.raises(ValueError, match="invalid instance"):
@@ -155,6 +156,7 @@ class TestValidateInstance:
                            "got '2'"),
         ("aircraft_id", "aircraft (op1, 2): id must be a str, got 2"),
         ("vertiport_id", "vertiport id must be a str, got 5"),
+        ("nan_vertiport_id", "vertiport id must be a str, got nan"),
         ("operator_id", "operator id must be a str, got 7"),
         ("only_operator_id", "operator id must be a str, got 7"),
     ])
@@ -175,6 +177,8 @@ class TestValidateInstance:
             op1 = replace(op1, fleet=(craft, replace(craft, id=2)))
         elif field == "vertiport_id":
             v2 = replace(v2, id=5)
+        elif field == "nan_vertiport_id":  # equal to no id, itself included
+            v2 = replace(v2, id=float("nan"))
         elif field == "operator_id":
             op2 = replace(op2, id=7)
         if field in ("menu_key", "departure_time"):
@@ -317,6 +321,42 @@ class TestIntegerValidation:
             assert report.ok
         else:
             assert len(report.violations) == 1 and problem in report.violations[0]
+
+
+    @pytest.mark.parametrize("row", [
+        ((0, 0, 10), -1),  # a negative denominator
+        ((0, 0, 10), 0),
+        ((0, 0, 10), 1.0),
+        ((0, 0.0, 10), 1),  # a float numerator
+        ((0, True, 10), 1),
+        (0, 0, 10),  # a bare row of costs, not a pair
+        (5, 1),  # numerators that are not a tuple
+    ])
+    def test_malformed_row_reaches_the_gate(self, reluctant_movers, row):
+        """A row built by hand, not by `congestion_row`, that is not a pair
+        of `int` numerators and a positive `int` denominator is named once
+        per slot, with no other check of that row, and an auction refuses
+        it at its gate; the instance is still constructed."""
+        instance, bids = reluctant_movers
+        v1, v2 = instance.vertiports
+        port = replace(v1, congestion_rows=(v1.congestion_rows[0], row, row))
+        instance = replace(instance, vertiports=(port, v2))
+        assert validate_instance(instance).violations == tuple(
+            f"vertiport v1: congestion_cost slot {t} must be int numerators over a "
+            f"positive int denominator, got {row!r}" for t in (2, 3))
+        with pytest.raises(ValueError, match="invalid instance"):
+            run_auction(instance, bids)
+
+    def test_row_not_in_lowest_terms_is_valid(self, reluctant_movers):
+        """A row whose numerators and denominator share a factor spells the
+        same costs, so it validates and clears the same auction."""
+        instance, bids = reluctant_movers
+        v1, v2 = instance.vertiports
+        doubled = tuple((tuple(3 * g for g in numerators), 3 * common)
+                        for numerators, common in v1.congestion_rows)
+        scaled = replace(instance, vertiports=(replace(v1, congestion_rows=doubled), v2))
+        assert validate_instance(scaled).ok
+        assert run_auction(scaled, bids) == run_auction(instance, bids)
 
 
 class TestValidateProfile:
