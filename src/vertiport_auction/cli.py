@@ -296,8 +296,6 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_IO
-    except DocumentError as exc:
-        return _fail(EXIT_INVALID, f"invalid document: {exc}")
     except BudgetExceededError as exc:
         return _fail(EXIT_BUDGET, f"budget exceeded: {exc}")
 

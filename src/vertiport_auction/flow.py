@@ -72,8 +72,12 @@ creates.
 Routing.  Each round runs Dijkstra on reduced costs from every vertex
 with excess at once and stops at the nearest vertex with a deficit.  The
 potentials absorb the distances, capped at the deficit's (which keeps
-every reduced cost non-negative and zeroes them along the path), and
-one walk back from the deficit moves one unit along the path.
+every reduced cost non-negative and zeroes them along the path), less
+that cap: a constant, which moves no reduced cost, so only the vertices
+settled before the deficit move, each down by the deficit's distance
+less its own.  A solve copies its start's potentials once and moves
+them in place.  One walk back from the deficit moves one unit along the
+path.
 
 Certification.  With no negative reduced cost, Dijkstra settles the
 vertices in non-decreasing distance (Ahuja, Magnanti & Orlin, ch. 9),
@@ -99,8 +103,9 @@ arc minus the pushed unit, at reduced cost 0, so the invariant holds.
 An imbalance of u units takes u paths.  A path from source s to
 deficit t costs the sum of its arcs' costs, which is its Dijkstra
 distance on reduced costs plus p(t) - p(s) under the potentials before
-the round, so dist(t) + p_old(t) - p(s): p(s) does not move, s being at
-distance 0.  The state's cost moves by that much per path and by each
+the round, so p(t) - p(s) under those after it: p(t) does not move, t
+being at the cap, and p(s) falls by dist(t), s being at distance 0.  The
+state's cost moves by that much per path and by each
 set-up edge's share, so a solve reads its gain off the state, with no
 walk over the edges.  The state stays optimal for its own imbalances,
 so once none are left it is a cheapest feasible circulation.  If some
@@ -249,7 +254,7 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         if rows is not old.rows:
             touched.update(compress(count(), map(ne, rows, old.rows)))
 
-    potential = start.potential
+    potential = list(start.potential)  # the solve's own, moved in place by each round
     excess = defaultdict(int)  # inflow minus outflow
     for k in touched:
         low, up, f0 = lower[k], upper[k], flows[k]
@@ -291,6 +296,7 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         deficits = {v for v, units in excess.items() if units < 0}
         target, cutoff = None, inf  # nearest deficit found so far
         last = 0  # distance of the vertex settled last
+        settled = []  # before the deficit
         while heap:
             d, u = heappop(heap)
             if d > dist[u]:
@@ -300,6 +306,7 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
             last = d
             if u == target:
                 break
+            settled.append(u)
             base = d + potential[u]
             for a, v in arcs[u]:
                 if cap[a]:
@@ -313,8 +320,8 @@ def min_cost_flow(network: Network, lower: Sequence[int], upper: Sequence[int],
         if target is None:
             return None, pushed
         span = dist[target]
-        potential = [p + (d if d < span else span)
-                     for p, d in zip(potential, dist)]
+        for u in settled:
+            potential[u] -= span - dist[u]
         v = target
         while prev[v] >= 0:  # back to a source, whose prev stays -1
             a = prev[v]

@@ -117,11 +117,34 @@ numerators, whose quotient is the lcm of the units' reduced
 denominators.  So S, the lcm of the reduced denominators, and every
 gain are those of the same weights in `Fraction`s.  `stay_welfare`,
 whose denominator need not divide S, is one `Fraction` built from an
-integer numerator and denominator, and a flow's welfare is
+integer numerator and denominator (a counterfactual's too: it subtracts
+the zeroed operator's weighted stay bids as integers over a common
+denominator), and a flow's welfare is
 
   stay_welfare + (gain - its E5 bonuses) / (S * P),
 
-one `Fraction` per solve (`flow_objective`; `AuxGraph.unit` is S * P).
+one `Fraction` per solve, built from integers (`flow_objective`;
+`AuxGraph.unit` is S * P).
+
+Payments are priced in the same integers.  Operator i, of weight w,
+pays the others' welfare in its counterfactual's solve less theirs in
+the clearing solve, over w.  In either graph the others' welfare is
+their weighted stay bids plus
+
+  (gain - bonuses - own) / (S * P),
+
+where `bonuses` sums the bonuses of the E5 edges the flow grants to
+the others, and `own` the whole gains, weight and bonus, of those it
+grants to i, each read off that graph's own rows (a counterfactual's
+give i's routes their bonuses alone).  The others' bids are the same
+in both graphs, so their stay bids cancel, and the payment is one
+`Fraction`: the difference of the two integers over S * P * w
+(`mechanism.payment`, from each solve's `SolveResult.gain`).  Under
+`RULE_NO_ZEROING` the counterfactual is the clearing graph itself,
+whose rows still weigh i's bids.  Reading each graph's own rows, not
+assuming zeroed ones, keeps the identity with the `Fraction` walk over
+both allocations there too: both solves are the same, and the payment
+is 0.
 
 Tie-break.  The solver maximizes one exact integer gain per edge (per
 unit on E3/E8),
@@ -432,16 +455,20 @@ def counterfactual_graph(graph: AuxGraph, operator_id: OperatorId) -> AuxGraph:
     other row is `graph`'s own object.  `graph`'s bids passed the gate
     when it was priced, so nothing is checked again."""
     rows = list(graph.network.rows)
-    dropped = 0
+    # `stay_welfare` less the operator's weighted stay bids, as integers
+    # over a common denominator.
+    num, den = graph.stay_welfare.numerator, graph.stay_welfare.denominator
     for weight, stay_key, routes in graph.aircraft:
         if stay_key[0] == operator_id:
-            dropped += weight * graph.bids[stay_key]
+            stay = graph.bids[stay_key]
+            dropped = weight.denominator * stay.denominator
+            num, den = num * dropped - weight.numerator * stay.numerator * den, den * dropped
             for k, _, bonus in routes:
                 rows[k] = (-bonus,)
     shared = {name: getattr(graph, name) for name in _TEMPLATE_FIELDS}
     return AuxGraph(
         **shared, bids=pseudo_bids(operator_id, graph.bids),
-        stay_welfare=graph.stay_welfare - dropped, unit=graph.unit,
+        stay_welfare=Fraction(num, den), unit=graph.unit,
         network=Network(graph.topology, tuple(rows)),
     )
 
@@ -458,7 +485,9 @@ def flow_objective(graph: AuxGraph, flows: Sequence[int], gain: int) -> Fraction
     less its E5 bonuses over S * P."""
     carried = sum(bonus * flows[k] for _, _, routes in graph.aircraft
                   for k, _, bonus in routes if flows[k])
-    return graph.stay_welfare + Fraction(gain - carried, graph.unit)
+    stays, unit = graph.stay_welfare, graph.unit
+    return Fraction(stays.numerator * unit + (gain - carried) * stays.denominator,
+                    stays.denominator * unit)
 
 
 def flow_to_allocation(graph: AuxGraph, flows: Sequence[int]) -> Allocation:

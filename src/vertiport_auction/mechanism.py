@@ -16,6 +16,12 @@ kernel (see `flow`) sets up and repairs only those route edges, which
 leaves few imbalances to route.  The search itself, and so every
 result, is that of a cold solve of a fresh build of the pseudo-bids.
 
+Payments are priced in integers, as the graphs are: each is read off
+the integer gains of its two solves (`SolveResult.gain`) and the rows
+of their own graphs, with no walk over the allocations, and is one
+`Fraction` of two integers (`graph` module docstring, *Integer
+pricing*).
+
 Bids are checked once, where they are read: `price_graph` raises
 ``invalid bids: ...`` for a profile that misses a menu entry, names an
 unknown one, or holds a negative bid or one that is not an `int` or a
@@ -36,7 +42,7 @@ from .graph import AuxGraph, compile_template, counterfactual_graph, price_graph
 # mechanism.validate_profile by name.
 from .graph import build_graph  # noqa: F401
 from .model import validate_instance, validate_profile  # noqa: F401
-from .model import Allocation, Instance, OperatorId, Profile, granted_value
+from .model import Allocation, Instance, OperatorId, Profile
 from .solver import SolveResult, solve
 
 #: Correct payment rule.
@@ -59,9 +65,11 @@ def payment(clearing: AuxGraph, operator_id: OperatorId, cleared: SolveResult,
     the clearing graph `clearing`.  The counterfactual is derived from
     `clearing` (`graph.counterfactual_graph`), or is `clearing` itself
     under `RULE_NO_ZEROING`; its solve starts from `cleared` (see
-    `solve`), whose gain unit it shares."""
-    instance = clearing.instance
-    operator = instance.operator(operator_id)
+    `solve`), whose gain unit it shares.  The others' welfare in each
+    graph is read off its solve's gain (`_others_gain`), so the payment
+    is one `Fraction` of integers (`graph` module docstring, *Integer
+    pricing*)."""
+    weight = clearing.instance.operator(operator_id).weight
     if rule == RULE_EXTERNALITY:
         counterfactual = counterfactual_graph(clearing, operator_id)
     elif rule == RULE_NO_ZEROING:
@@ -69,12 +77,24 @@ def payment(clearing: AuxGraph, operator_id: OperatorId, cleared: SolveResult,
     else:
         raise ValueError(f"unknown payment rule {rule!r}")
     inner = solve(counterfactual, start=cleared)
-    # A solve's objective is its allocation's welfare under the bids it saw.
-    inner_value = inner.objective - operator.weight * granted_value(
-        instance, inner.allocation, counterfactual.bids, operator_id)
-    actual = cleared.objective - operator.weight * granted_value(
-        instance, cleared.allocation, clearing.bids, operator_id)
-    return (inner_value - actual) / operator.weight
+    lost = (_others_gain(counterfactual, operator_id, inner)
+            - _others_gain(clearing, operator_id, cleared))
+    return Fraction(lost * weight.denominator, clearing.unit * weight.numerator)
+
+
+def _others_gain(graph: AuxGraph, operator_id: OperatorId, result: SolveResult) -> int:
+    """The welfare of every operator but `operator_id` under `result`, a
+    solve of `graph`, less their weighted stay bids, in gains of
+    `graph.unit`: the solve's gain less the bonus of every E5 edge its flow
+    grants and, on the operator's own, the weight too, read off `graph`'s
+    own rows."""
+    flows, rows = result.flow, graph.network.rows
+    gain = result.gain
+    for _, (owner, _, _), routes in graph.aircraft:
+        for k, _, bonus in routes:
+            if flows[k]:
+                gain += rows[k][0] if owner == operator_id else -bonus
+    return gain
 
 
 def run_auction(instance: Instance, bids: Profile,

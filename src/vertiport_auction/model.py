@@ -15,7 +15,9 @@ An `Instance` checks itself once, when constructed, and keeps every
 condition it breaks: `validate_instance` reports them, and
 `graph.compile_template` refuses an instance with any.  The objects are
 plain data, kept sorted by id or key (a mistyped one last, named by the
-check, never raised on).  A lookup by id or key scans them and returns
+check, never raised on; a menu that cannot be iterated is kept as it is,
+and the check names it and every capacity or congestion table that is
+not a tuple).  A lookup by id or key scans them and returns
 the first match; `movements` is the one walk that checks an allocation.
 `initial_occupancy` is the one count of the fleet based at a vertiport:
 the instance check's slack condition, the occupancy timeline and the
@@ -72,9 +74,12 @@ _KIND = attrgetter("kind")
 
 def _sorted_by(items: Sequence, key: Callable, kind: type) -> Tuple:
     """`items` by ascending `key` of type `kind`, then the others in the
-    given order: a sort that never raises on a mistyped key."""
-    return tuple(sorted(items, key=lambda item: (0, key(item))
-                        if type(key(item)) is kind else (1,)))
+    given order: a sort that never raises on a mistyped key.  `items` that
+    cannot be iterated are returned as they are, for the check to name."""
+    if not hasattr(items, "__iter__"):
+        return items
+    return tuple(sorted(items, key=lambda item: (0, read) if type(
+        read := key(item)) is kind else (1,)))
 
 
 @dataclass(frozen=True)
@@ -247,8 +252,9 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
     `bool`, every id, origin and destination a `str` (the tie-break ranks
     aircraft by id), as `serialize.parse` reads them, and every congestion
     row a tuple of `int` numerators and a positive `int` denominator, as
-    `congestion_row` builds it; a check that would compare, add or hash a
-    field that is not one is skipped."""
+    `congestion_row` builds it, in a tuple per vertiport, as every
+    capacity table and menu; a check that would compare, add, hash or
+    walk a field that is not one is skipped."""
     problems: List[str] = []
     h = instance.horizon
     counted = type(h) is int  # the checks against the horizon run
@@ -275,6 +281,9 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
             ("departure_cap", port.departure_cap),
             ("parking_cap", port.parking_cap),
         ):
+            if type(table) is not tuple:
+                problems.append(f"vertiport {port.id}: {name} must be a tuple, got {table!r}")
+                continue
             if counted and len(table) != h:
                 problems.append(
                     f"vertiport {port.id}: {name} has length {len(table)}, expected {h}"
@@ -286,13 +295,17 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                 )
             elif table and min(table) < 0:
                 problems.append(f"vertiport {port.id}: {name} has a negative entry")
-        if counted and len(port.congestion_rows) != h:
+        rows = port.congestion_rows
+        if type(rows) is not tuple:
+            problems.append(f"vertiport {port.id}: congestion_cost must be a tuple, "
+                            f"got {rows!r}")
+            rows = ()
+        elif counted and len(rows) != h:
             problems.append(
-                f"vertiport {port.id}: congestion_cost has {len(port.congestion_rows)} "
-                f"slots, expected {h}"
+                f"vertiport {port.id}: congestion_cost has {len(rows)} slots, expected {h}"
             )
-        caps = port.parking_cap
-        for t, row in enumerate(port.congestion_rows, start=1):
+        caps = port.parking_cap if type(port.parking_cap) is tuple else ()
+        for t, row in enumerate(rows, start=1):
             if not (type(row) is tuple and len(row) == 2 and type(row[0]) is tuple
                     and set(map(type, row[0])) <= {int}
                     and type(row[1]) is int and row[1] > 0):
@@ -352,6 +365,9 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                 problems.append(f"{label}: origin must be a str, got {craft.origin!r}")
             elif craft.origin not in seen_ports:
                 problems.append(f"{label}: unknown origin vertiport {craft.origin!r}")
+            if type(craft.menu) is not tuple:
+                problems.append(f"{label}: menu must be a tuple, got {craft.menu!r}")
+                continue
             keys = list(map(_KEY, craft.menu))
             problems.extend(f"{label}: menu key must be an int, got {key!r}"
                             for key in keys if type(key) is not int)
@@ -399,10 +415,11 @@ def _find_violations(instance: Instance) -> Tuple[str, ...]:
                                     f"{entry.kind!r}")
 
     # Slack condition: initial occupants fit in parking at every slot.  A
-    # vertiport whose id is not a str is named above, and is skipped here:
-    # its lookup by id could fail (a NaN equals nothing).
+    # vertiport whose id is not a str or whose parking_cap is not a tuple is
+    # named above, and is skipped here: its lookup by id could fail (a NaN
+    # equals nothing), and such a parking_cap has no slots.
     for port in instance.vertiports if counted else ():
-        if type(port.id) is not str:
+        if type(port.id) is not str or type(port.parking_cap) is not tuple:
             continue
         occupied = initial_occupancy(instance, port.id)
         for t, cap in enumerate(port.parking_cap[:h], start=1):

@@ -18,7 +18,8 @@ payment counterfactual starts from its auction's cleared root
 cost (see `flow`): that is a node's bound and a leaf's gain, read with
 no walk over the edges.  A solve's answer, `SolveResult.flow`, is the
 kernel's optimal flow as a tuple: the one flow of its allocation (see
-the `graph` module docstring).
+the `graph` module docstring); `SolveResult.gain` keeps its gain, from
+which `mechanism.payment` prices.
 
 The gains encode welfare and the tie-break in one number, so the
 maximum-gain allocation is unique: the welfare optimum that the `graph`
@@ -107,6 +108,7 @@ class SolveStats:
 @dataclass(frozen=True)
 class SolveResult:
     flow: Tuple[int, ...]  # the kernel's optimal flow, one entry per edge
+    gain: int  # the flow's gain, the sum of its edges' gains (`graph`)
     objective: Fraction
     allocation: Allocation
     stats: SolveStats
@@ -253,6 +255,7 @@ def solve(graph: AuxGraph, strategy: str = "bnb",
     stats.wall_time = time.perf_counter() - began
     return SolveResult(
         flow=flow,
+        gain=gain,
         objective=flow_objective(graph, flow, gain),
         allocation=flow_to_allocation(graph, flow),
         stats=stats,

@@ -5,6 +5,7 @@ exact solver/mechanism/flow comparisons against the oracle."""
 
 import itertools
 import signal
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -19,10 +20,11 @@ from vertiport_auction import solver
 from vertiport_auction.generator import GeneratorConfig
 from vertiport_auction.graph import (
     build_graph,
+    counterfactual_graph,
     flow_objective,
     flow_to_allocation,
 )
-from vertiport_auction.mechanism import run_auction
+from vertiport_auction.mechanism import RULE_EXTERNALITY, run_auction
 from vertiport_auction.model import (
     STAY,
     TRANSIT,
@@ -517,6 +519,47 @@ def remaining_welfare(instance, allocation, bids, operator_id):
             - weight * granted_value(instance, allocation, bids, operator_id))
 
 
+def reference_payment(clearing, operator_id, cleared, rule=RULE_EXTERNALITY):
+    """The payment by the `Fraction` walk `mechanism.payment` used before
+    it read the solves' integer gains: each solve's objective less the
+    operator's weighted granted value (`granted_value`) under the bids its
+    graph saw, the difference over the operator's weight.  The
+    counterfactual is derived and solved as `payment` does it."""
+    instance = clearing.instance
+    weight = instance.operator(operator_id).weight
+    counterfactual = (counterfactual_graph(clearing, operator_id)
+                      if rule == RULE_EXTERNALITY else clearing)
+    inner = solver.solve(counterfactual, start=cleared)
+    inner_value = inner.objective - weight * granted_value(
+        instance, inner.allocation, counterfactual.bids, operator_id)
+    actual = cleared.objective - weight * granted_value(
+        instance, cleared.allocation, clearing.bids, operator_id)
+    return (inner_value - actual) / weight
+
+
+def fraction_constructions(fn, *args):
+    """(`Fraction`s constructed while `fn(*args)` runs, its result).  Counts
+    calls of `Fraction.__new__` and, on Python versions whose arithmetic
+    builds its results without it, of `Fraction._from_coprime_ints`."""
+    codes = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return count, result
+
+
 class ReadRecorder(list):
     """A bound vector that records the entries the kernel reads by index,
     which are those of the edges it sets up."""
@@ -554,7 +597,8 @@ def exhaustive_solve(graph):
     if best is None:
         raise solver.SolverError("no feasible departure-time assignment")
     gain, flow = best
-    return solver.SolveResult(flow=flow, objective=flow_objective(graph, flow, gain),
+    return solver.SolveResult(flow=flow, gain=gain,
+                              objective=flow_objective(graph, flow, gain),
                               allocation=flow_to_allocation(graph, flow),
                               stats=solver.SolveStats(), root=None, unit=graph.unit)
 
@@ -712,6 +756,9 @@ def validated_instances(draw):
 _UNHASHABLE = st.lists(st.integers(), max_size=2)
 _NOT_STR = st.one_of(st.integers(), st.floats(), st.none(), st.booleans(), _UNHASHABLE)
 _NOT_INT = st.one_of(st.text(max_size=2), st.floats(), st.none(), st.booleans(), _UNHASHABLE)
+_NOT_ITERABLE = st.one_of(st.integers(), st.floats(), st.none(), st.booleans())
+_TABLES = {"arrival_cap": "arrival_cap", "departure_cap": "departure_cap",
+           "parking_cap": "parking_cap", "congestion_rows": "congestion_cost"}
 
 
 @st.composite
@@ -719,19 +766,28 @@ def mistyped_instances(draw):
     """(instance, bids, problem): a `validated_instances` draw with one
     vertiport, operator or aircraft id, aircraft origin or menu
     destination replaced by an `int`, `float`, `None`, `bool` or `list`,
-    or one menu key or departure time by a `str`, `float`, `None`, `bool`
-    or `list`, and the text of the violation that names it.  A `list`
-    cannot be hashed, so the check must test the type before it looks an
-    id up.  The bids are the draw's own.  200 examples run in 1-3 s."""
+    one menu key or departure time by a `str`, `float`, `None`, `bool`
+    or `list`, or one capacity table, congestion table or menu by an
+    `int`, `float`, `None` or `bool`, and the text of the violation that
+    names it.  A `list` cannot be hashed and a container case cannot be
+    iterated, so the check must test the type before it looks an id up
+    or walks a container.  The bids are the draw's own.  200 examples
+    run in 1-3 s."""
     instance, bids = draw(validated_instances())
     ports, operators = list(instance.vertiports), list(instance.operators)
     entries = [(o, a, e) for o, operator in enumerate(operators)
                for a, craft in enumerate(operator.fleet) for e in range(len(craft.menu))]
-    site = draw(st.sampled_from(("vertiport", "operator", "aircraft", "origin", "key",
-                                 "departure", "destination")
-                                if entries else ("vertiport", "operator")))
-    value = draw(_NOT_INT if site in ("key", "departure") else _NOT_STR)
-    if site == "vertiport":
+    site = draw(st.sampled_from(("vertiport", "operator", "table", "aircraft", "origin",
+                                 "key", "departure", "destination", "menu")
+                                if entries else ("vertiport", "operator", "table")))
+    value = draw(_NOT_INT if site in ("key", "departure")
+                 else _NOT_ITERABLE if site in ("table", "menu") else _NOT_STR)
+    if site == "table":
+        p = draw(st.integers(0, len(ports) - 1))
+        field = draw(st.sampled_from(sorted(_TABLES)))
+        ports[p] = replace(ports[p], **{field: value})
+        problem = f"vertiport {ports[p].id}: {_TABLES[field]} must be a tuple, got {value!r}"
+    elif site == "vertiport":
         p = draw(st.integers(0, len(ports) - 1))
         ports[p] = replace(ports[p], id=value)
         problem = f"vertiport id must be a str, got {value!r}"
@@ -748,6 +804,9 @@ def mistyped_instances(draw):
         elif site == "origin":
             fleet[a] = replace(craft, origin=value)
             problem = f": origin must be a str, got {value!r}"
+        elif site == "menu":
+            fleet[a] = replace(craft, menu=value)
+            problem = f": menu must be a tuple, got {value!r}"
         else:
             menu = list(craft.menu)
             if site == "key":

@@ -11,16 +11,18 @@ from conftest import (
     assert_matches_oracle,
     assert_priced_like_reference,
     exhaustive_solve,
+    fraction_constructions,
     graph_edges,
     graph_view,
     make_port,
+    reference_payment,
     remaining_welfare,
     stay,
     validated_instances,
 )
 from test_acceptance import corpus_config
 from test_solver import AUCTION_MID
-from vertiport_auction import graph, mechanism, solver
+from vertiport_auction import graph, mechanism, model, solver
 from vertiport_auction.generator import GeneratorConfig, generate
 from vertiport_auction.graph import (
     build_graph,
@@ -29,6 +31,7 @@ from vertiport_auction.graph import (
     price_graph,
 )
 from vertiport_auction.mechanism import (
+    RULE_EXTERNALITY,
     RULE_NO_ZEROING,
     MechanismOutcome,
     payment,
@@ -140,6 +143,80 @@ class TestPayment:
         assert outcome.allocation == {("op1", "a1"): 2, ("op2", "b1"): 0}
         assert outcome.cleared_welfare == 12
         assert outcome.payments == {"op1": 0, "op2": 3}
+
+    @pytest.mark.parametrize("rule", [RULE_EXTERNALITY, RULE_NO_ZEROING])
+    def test_payment_matches_the_fraction_walk(self, rule):
+        """`payment`, read off the solves' integer gains, equals the
+        `Fraction` walk over both allocations (`reference_payment`), on
+        truthful bids and on 3 misreports of each operator: on generator
+        seeds 0-7, whose operators weigh 1/2, 1 and 2, and on
+        auction-mid-shape seeds 1, 2 and 6, whose searches branch."""
+        documents = [generate(GeneratorConfig(seed=seed)) for seed in range(8)]
+        assert {operator.weight for document in documents
+                for operator in document.instance.operators} == {F(1, 2), F(1), F(2)}
+        documents += [generate(GeneratorConfig(seed=seed, **AUCTION_MID))
+                      for seed in (1, 2, 6)]
+        nonzero = 0
+        for seed, document in enumerate(documents):
+            instance = document.instance
+            profiles = [document.bids] + [
+                misreport for operator in instance.operators
+                for misreport in sample_misreports(instance, document.bids, operator.id,
+                                                   3, seed)]
+            for bids in profiles:
+                clearing = build_graph(instance, bids)
+                cleared = solve(clearing)
+                for operator in instance.operators:
+                    paid = payment(clearing, operator.id, cleared, rule)
+                    assert type(paid) is F
+                    assert paid == reference_payment(clearing, operator.id, cleared, rule)
+                    nonzero += paid != 0
+        assert nonzero > 0 if rule == RULE_EXTERNALITY else nonzero == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(validated_instances())
+    def test_validated_payments_match_the_fraction_walk(self, drawn):
+        """On drawn instances, whose weights, bids and lambda are any small
+        rationals, `payment` equals `reference_payment` under either
+        rule."""
+        instance, bids = drawn
+        clearing = build_graph(instance, bids)
+        cleared = solve(clearing)
+        for operator in instance.operators:
+            for rule in (RULE_EXTERNALITY, RULE_NO_ZEROING):
+                assert payment(clearing, operator.id, cleared, rule) == reference_payment(
+                    clearing, operator.id, cleared, rule)
+
+    @pytest.mark.parametrize("rule", [RULE_EXTERNALITY, RULE_NO_ZEROING])
+    def test_payment_constructs_one_fraction(self, monkeypatch, rule):
+        """Given its counterfactual and that graph's solve, `payment`
+        constructs exactly one `Fraction`, its result, and calls no
+        `granted_value`: the welfares it compares are integers read off
+        the two solves (module docstring of `graph`, *Integer pricing*).
+        On auction-mid-shape seeds 1, 2 and 6, every operator."""
+        granted = []
+
+        def counted(*args):
+            granted.append(args)
+            return model.granted_value(*args)
+
+        monkeypatch.setattr(mechanism, "granted_value", counted, raising=False)
+        for seed in (1, 2, 6):
+            document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
+            clearing = build_graph(document.instance, document.bids)
+            cleared = solve(clearing)
+            for operator in document.instance.operators:
+                expected = reference_payment(clearing, operator.id, cleared, rule)
+                counterfactual = (counterfactual_graph(clearing, operator.id)
+                                  if rule == RULE_EXTERNALITY else clearing)
+                inner = solve(counterfactual, start=cleared)
+                monkeypatch.setattr(mechanism, "counterfactual_graph",
+                                    lambda graph, operator_id: counterfactual)
+                monkeypatch.setattr(mechanism, "solve", lambda graph, start=None: inner)
+                constructed, paid = fraction_constructions(
+                    payment, clearing, operator.id, cleared, rule)
+                assert (constructed, paid) == (1, expected)
+        assert not granted
 
     def test_pseudo_bid_neutrality(self, second_price):
         # In the inner optimization for op1, any routing of op1's

@@ -138,13 +138,37 @@ class TestValidateInstance:
         with pytest.raises(ValueError, match="invalid instance"):
             run_auction(instance, bids)
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("arrival_cap", None, "vertiport v2: arrival_cap must be a tuple, got None"),
+        ("congestion_rows", None, "vertiport v2: congestion_cost must be a tuple, got None"),
+        ("parking_cap", 5, "vertiport v2: parking_cap must be a tuple, got 5"),
+        ("menu", None, "aircraft (op1, a1): menu must be a tuple, got None"),
+    ], ids=["arrival_cap", "congestion_rows", "parking_cap", "menu"])
+    def test_mistyped_container_reaches_the_gate(self, second_price, field, value, problem):
+        """A capacity table, congestion table or menu that is not a tuple,
+        one that cannot be iterated included, is constructed and named as
+        the one violation, and an auction refuses the instance at its
+        gate."""
+        instance, bids = second_price
+        (v1, v2), (op1, op2) = instance.vertiports, instance.operators
+        if field == "menu":
+            (craft,) = op1.fleet
+            op1 = replace(op1, fleet=(replace(craft, menu=value),))
+        else:
+            v2 = replace(v2, **{field: value})
+        instance = replace(instance, vertiports=(v1, v2), operators=(op1, op2))
+        assert validate_instance(instance).violations == (problem,)
+        with pytest.raises(ValueError, match="invalid instance"):
+            run_auction(instance, bids)
+
     @settings(max_examples=200, deadline=None)
     @given(mistyped_instances())
     def test_mistyped_field_reaches_the_gate(self, drawn):
         """An instance with a mistyped id, origin, destination, menu key or
-        departure time, an unhashable one included, is constructed, names
-        the value among its violations, and an auction refuses it at its
-        gate."""
+        departure time, an unhashable one included, or a capacity table,
+        congestion table or menu that cannot be iterated, is constructed,
+        names the value among its violations, and an auction refuses it at
+        its gate."""
         instance, bids, problem = drawn
         assert any(problem in v for v in validate_instance(instance).violations)
         with pytest.raises(ValueError, match="invalid instance"):

@@ -24,6 +24,7 @@ from conftest import (
     enumerate_deltas,
     exhaustive_solve,
     flow_gain,
+    fraction_constructions,
     graph_edges,
     graph_view,
     make_port,
@@ -46,6 +47,7 @@ from vertiport_auction import mechanism, solver
 from vertiport_auction.graph import (
     build_graph,
     compile_template,
+    counterfactual_graph,
     flow_objective,
     price_graph,
 )
@@ -204,6 +206,7 @@ class TestSolve:
             b = solve(graph)
             assert a.objective == b.objective
             assert a.allocation == b.allocation
+            assert a.gain == b.gain == flow_gain(graph, b.flow)
 
     def test_objective_matches_allocation_welfare(self):
         for seed in range(10):
@@ -212,8 +215,8 @@ class TestSolve:
             result = solve(graph)
             assert result.objective == social_welfare(
                 document.instance, result.allocation, document.bids)
-            assert result.objective == flow_objective(
-                graph, result.flow, flow_gain(graph, result.flow))
+            assert result.gain == flow_gain(graph, result.flow)
+            assert result.objective == flow_objective(graph, result.flow, result.gain)
 
     def test_tie_broken_lexicographically(self):
         # Two identical routes to interchangeable destinations: the
@@ -426,46 +429,29 @@ class TestPruning:
         assert total <= 36
 
 
-def _fraction_constructions(fn, *args):
-    """(`Fraction`s constructed while `fn(*args)` runs, its result).  Counts
-    calls of `Fraction.__new__` and, on Python versions whose arithmetic
-    builds its results without it, of `Fraction._from_coprime_ints`."""
-    codes = {Fraction.__new__.__code__}
-    if hasattr(Fraction, "_from_coprime_ints"):
-        codes.add(Fraction._from_coprime_ints.__func__.__code__)
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code in codes:
-            count += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        result = fn(*args)
-    finally:
-        sys.setprofile(previous)
-    return count, result
-
-
 def test_pricing_and_search_construct_constant_fractions():
     """Pricing and search run on ints: on auction-mid-shape profiles,
     clearing and counterfactual, some of whose searches branch,
-    `price_graph` constructs at most 1 `Fraction` (`stay_welfare`) and
-    `solve` at most 2 (the objective: the gain's welfare part over
-    S * P, then `stay_welfare` added), whatever the fleet or the nodes."""
+    `price_graph` constructs 1 `Fraction` (`stay_welfare`) and `solve` 1
+    (the objective, which `flow_objective` builds from integers), and
+    deriving a counterfactual from the clearing graph constructs 2 (the
+    zero pseudo-bid and `stay_welfare`), whatever the fleet or the
+    nodes."""
     branched = 0
     for seed in range(4):
         document = generate(GeneratorConfig(seed=seed, **AUCTION_MID))
         template = compile_template(document.instance)
         for bids in [document.bids] + [pseudo_bids(operator.id, document.bids)
                                        for operator in document.instance.operators]:
-            constructed, graph = _fraction_constructions(price_graph, template, bids)
-            assert constructed <= 1
-            constructed, result = _fraction_constructions(solve, graph)
-            assert constructed <= 2
+            constructed, graph = fraction_constructions(price_graph, template, bids)
+            assert constructed == 1
+            constructed, result = fraction_constructions(solve, graph)
+            assert constructed == 1
             branched += result.stats.nodes_explored > 1
+        clearing = price_graph(template, document.bids)
+        for operator in document.instance.operators:
+            constructed, _ = fraction_constructions(counterfactual_graph, clearing, operator.id)
+            assert constructed == 2
     assert branched > 0
 
 
